@@ -17,7 +17,7 @@ SERVE_BENCH = BenchmarkSnapshotRefreshFull|BenchmarkSnapshotRefreshIncremental
 
 BENCH_DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: test test-faults bench bench-campaign bench-lake bench-query bench-serve bench-smoke fmt vet lint lint-debt
+.PHONY: test test-faults bench bench-campaign bench-lake bench-query bench-serve bench-smoke bench-check fmt vet lint lint-debt
 
 test:
 	go build ./... && go test ./...
@@ -85,6 +85,13 @@ bench-serve:
 bench-smoke:
 	go test -run '^$$' -bench '$(CAMPAIGN_BENCH)|$(LAKE_BENCH)|$(QUERY_BENCH)|$(SERVE_BENCH)' -benchtime=1x -benchmem -timeout 25m . \
 		| go run ./cmd/benchjson -ceilings ci/bench-ceilings.txt
+
+# bench/ is a module of its own built against this one, so go build, go
+# vet and go test ./... never reach it: build it and hold it to gofmt,
+# go vet, btpub-vet -noallow and its unit tests (no workload runs), so
+# an API change here that breaks the harness fails before benchmark time.
+bench-check:
+	bash bench/run.sh check
 
 fmt:
 	gofmt -l -w .

@@ -15,8 +15,7 @@
 //	# demo: ingest a live simulated campaign while serving it
 //	btpub-serve -lake live.lake -live -scale 0.02
 //
-// Endpoints (see internal/lakeserve; every route also answers on the
-// deprecated un-prefixed legacy path):
+// Endpoints (see internal/lakeserve; every route lives under /api/v1):
 //
 //	curl localhost:8813/api/v1/stats
 //	curl localhost:8813/api/v1/tables/1

@@ -2,9 +2,11 @@
 // or Profit-Driven?" (Cuevas et al., ACM CoNEXT 2010) as a runnable Go
 // system: a synthetic BitTorrent ecosystem (portal, tracker, swarms,
 // publisher population), the paper's measurement instrument, and the
-// analysis pipeline that regenerates every table and figure. See DESIGN.md
-// for the system inventory and EXPERIMENTS.md for paper-vs-measured
-// results. The root package holds the benchmark harness (bench_test.go).
+// analysis pipeline that regenerates every table and figure. README.md
+// holds the system inventory; `btpub-experiments -out EXPERIMENTS.md`
+// writes the paper-vs-measured results (the file is generated, not kept
+// in the tree). The root package holds the benchmark harness
+// (bench_test.go).
 //
 // # Parallel sharded campaign engine
 //
@@ -81,8 +83,8 @@
 // via its Config.Sink hook, JSONL imports) seal observations into
 // immutable columnar segment files — the ObsStore columns plus a
 // segment-local intern table, per-segment zone maps (min/max time,
-// min/max torrent ID, 64-bit IP bloom) and a CRC-32C footer — recorded
-// in an append-only commit journal (lake format v2). The journal is
+// min/max torrent ID) and a CRC-32C footer — recorded in an append-only
+// commit journal. The journal is
 // the source of truth and the commit history at once: one fsynced,
 // CRC-32C-framed record per committed version, versions strictly
 // monotone, each record hash-chained over its parent, with periodic
@@ -91,28 +93,22 @@
 // committed state: Open replays the journal to head, repairs a torn
 // tail (complete-frame corruption is refused), deletes orphans, and
 // size-checks referenced segments; Verify runs a full CRC pass plus a
-// journal-replay cross-check. Format-v1 lakes (single MANIFEST)
-// migrate on first open — the manifest becomes the first checkpoint at
-// the same version, Materialize byte-identical across the migration.
-// Because the history is on disk, any committed version can be served
+// journal-replay cross-check. Because the history is on disk, any committed version can be served
 // again: Lake.OpenAt pins a read-only view and query Filter.AsOf pins
 // a single scan (btpub-query -as-of, "as_of" on POST /api/v1/query),
 // replaying a query reproducibly while ingest continues; unavailable
 // versions fail with a typed VersionUnavailableError, never a wrong
-// answer. v2 segments also compress their columns stdlib-only —
-// GCD-scaled delta-varint timestamps and torrent IDs, dictionary IPs,
-// raw seeder words — to ~6.5 bytes/observation (v1 was ~17 fixed
-// width); v1 segments stay readable and compaction rewrites them.
-// Each flush also seals a per-segment
-// microindex (idx-NNNNNN.ipx): sorted, CRC-protected postings of the
-// segment's distinct IP strings and torrent IDs. The segment bloom is
-// 64 bits and saturates past a few dozen distinct addresses, so for
+// answer. Segments compress their columns stdlib-only — GCD-scaled
+// delta-varint timestamps and torrent IDs, dictionary IPs, raw seeder
+// words — to ~6.5 bytes/observation. Each flush also seals a
+// per-segment microindex (idx-NNNNNN.ipx): sorted, CRC-protected
+// postings of the segment's distinct IP strings and torrent IDs. For
 // point lookups the scan planner consults postings — exact, not
 // probabilistic — after the free zone-map pass and opens only segments
 // that contain the key. Indexes are an optimization, never a source of
-// truth: manifests without index fields (pre-microindex lakes) scan
-// with bloom-only pruning, a missing or corrupt index file degrades at
-// Open without data loss, Verify cross-checks postings against segment
+// truth: a segment whose entry carries no index scans on its zone maps
+// alone, a missing or corrupt index file degrades at Open without data
+// loss, Verify cross-checks postings against segment
 // contents, and compaction regenerates them for merged output. Scan
 // prunes segments on the manifest's zone maps and postings alone and
 // decodes survivors in parallel; a background compactor folds small
@@ -120,14 +116,15 @@
 // their snapshot. Materialize canonicalises the
 // committed state back into a dataset.Dataset that is byte-identical to
 // the imported JSONL for any flush size and compaction history (golden
-// tests enforce this), and analysis.NewFromLake feeds it to the
-// index-once analysis.
+// tests enforce this); btpub-analyze feeds it to the index-once
+// analysis, and analysis.NewFromLakeVersion does the same as the oracle
+// the served snapshots are tested against.
 //
 // internal/lakeserve + cmd/btpub-serve expose the lake over HTTP while
-// writers append: analysis snapshots are cached per manifest version
-// (stamped with the exact version the scan used — MaterializeVersion —
-// so a commit racing the build never forces a redundant rebuild;
-// single-flight, stale-while-revalidate), so many concurrent /tables
+// writers append: analysis snapshots are cached per journal version
+// (stamped with the exact version the maintainer folded, so a commit
+// racing the build never forces a redundant rebuild; single-flight,
+// stale-while-revalidate), so many concurrent /tables
 // requests over a live lake cost one index build per committed version.
 // Migration from JSONL:
 // `btpub-analyze -in pb10.jsonl -import pb10.lake`, thereafter
@@ -147,7 +144,7 @@
 // streamed batches without materializing a dataset. The lake executor
 // plans before reading data — zone-map pruning (a 2% time-window
 // grouped aggregate over a 1M-observation lake opens at most two
-// segments), exact postings pruning of the bloom-maybe survivors, and
+// segments), exact postings pruning of the segments that survive, and
 // cheapest-column-first ordering of the row predicates (time, then
 // seeder bit, then torrent ID, then IP; each opened segment rewrites
 // the IP predicate into a segment-local intern-index bitset) — then
@@ -166,11 +163,10 @@
 // prefix: POST /api/v1/query plus the canned views (/stats,
 // /tables/{1,2,3}, /top-publishers, /publishers/classified, /fakes,
 // and /torrents/{id}/observations — the latter reimplemented as a
-// canned Select-observations query through the same executor). The
-// pre-v1 paths remain as deprecated thin aliases of the same handlers
-// (byte-identical bodies, Deprecation header), every 4xx/5xx carries
-// the {"error": {code, message}} envelope — including the mux's own
-// 404/405 — and the shared GET parameters (n, limit, format, isps) are
+// canned Select-observations query through the same executor). Nothing
+// is mounted outside the prefix; every 4xx/5xx carries the {"error":
+// {code, message}} envelope — including the mux's own 404/405 — and
+// the shared GET parameters (n, limit, format, isps) are
 // bounds-checked by one helper instead of per-handler parsing.
 // internal/apiclient speaks the wire format from Go (typed errors from
 // the envelope); cmd/btpub-query compiles flags into a Query against a
@@ -191,9 +187,10 @@
 // tail), metadata journals immediately, Recover() hands back the
 // surviving disk — and SetReadError/BlockReads flip reads to failing
 // or parked mid-serve. TestKillPointTorture records the full op
-// sequence of a migrate->flush->query->compact->reindex workload
-// (starting from a v1 volume so the journal migration runs under fire,
-// with checkpoints forced inside the window) and replays it with a
+// sequence of a reopen->flush->query->compact->reindex workload
+// (starting from a closed lake with committed rows so a journal replay
+// runs under fire, with checkpoints forced inside the window) and
+// replays it with a
 // crash at every op index (clean and torn), asserting the survivor
 // reopens without Salvage, passes Verify, holds exactly a committed
 // prefix of the appends, and recovers to a journal version the
@@ -225,20 +222,22 @@
 //
 // # Streaming ingest: incremental snapshots and online alerts
 //
-// Serving a live lake used to mean a full Materialize + analysis.New
-// rebuild per committed version — O(lake) work per refresh.
-// internal/delta makes the refresh incremental: a Maintainer owns a
-// snapshot lineage and, on each Refresh, diffs the commit journal
-// against the version it last served. A purely additive diff (new
-// segments and meta files, nothing retired) folds just those rows into
-// the live analysis and reports mode=delta plus exactly which
-// publisher identities changed; any retirement (compaction, salvage)
-// or lineage ambiguity falls back to a from-scratch rebuild, so
-// correctness never depends on the shortcut being available. The
-// shortcut is held honest by a canonical analysis fingerprint: under
-// -race, with a campaign appending and the compactor churning, every
-// delta-built snapshot must fingerprint byte-identical to a
-// from-scratch build at the same version, and the fallback decision is
+// A Materialize + analysis.New rebuild per committed version is O(lake)
+// work per refresh. internal/delta makes the refresh incremental, with
+// one build path: a Maintainer owns a snapshot lineage and, on each
+// Refresh, diffs the commit journal against the version it last served.
+// A purely additive diff (new segments and meta files, nothing retired)
+// folds just those rows into the live analysis and reports mode=delta
+// plus exactly which publisher identities changed; after any retirement
+// (compaction, salvage), and on the first build, the same fold runs
+// over the whole lake from an empty lineage and reports mode=full.
+// Canonical order is total — dataset.Merge sorts stably, so records
+// sharing a (Published, InfoHash) key and users sharing a name keep
+// commit order — which is why no lake needs a second path. The fold is
+// held honest by a canonical analysis fingerprint: under -race, with a
+// campaign appending and the compactor churning, every maintained
+// snapshot must fingerprint byte-identical to the from-scratch oracle
+// (analysis.NewFromLakeVersion) at the same version, and mode=full is
 // pinned to exactly the journal-diff retirement condition. On the
 // 1M-observation bench lake the incremental fold runs ~20x faster
 // than the full rebuild; the benchmark itself fails below 10x and its

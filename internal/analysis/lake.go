@@ -1,10 +1,11 @@
-// Lake-backed analysis: instead of requiring the caller to hold a whole
-// JSONL dataset in memory, the analysis index can be built straight from
-// a persistent observation lake. Materialize streams the committed
+// The from-scratch lake build: Materialize streams the committed
 // segments through the lake's predicate scan and canonicalises with
 // dataset.Merge, so the resulting tables are byte-identical to the JSONL
 // path regardless of segment boundaries, flush sizes or compaction
-// history.
+// history. Nothing serves from it — internal/delta maintains the served
+// snapshot — but it sorts everything from scratch where that fold
+// merges, which makes it the oracle the equivalence tests and the
+// benchmark compare against.
 package analysis
 
 import (
@@ -14,16 +15,10 @@ import (
 	"btpub/internal/lake"
 )
 
-// NewFromLake indexes the committed contents of a lake for analysis.
-// pred narrows the view (zero Predicate = everything); topK <= 0 picks
-// the paper's 3 % rule, as in New.
-func NewFromLake(ctx context.Context, lk *lake.Lake, db *geoip.DB, pred lake.Predicate, topK int) (*Analysis, error) {
-	an, _, err := NewFromLakeVersion(ctx, lk, db, pred, topK)
-	return an, err
-}
-
-// NewFromLakeVersion is NewFromLake plus the committed lake version the
-// scan used — the exact stamp for version-keyed snapshot caches.
+// NewFromLakeVersion indexes the committed contents of a lake for
+// analysis and returns the committed lake version the scan used. pred
+// narrows the view (zero Predicate = everything); topK <= 0 picks the
+// paper's 3 % rule, as in New.
 func NewFromLakeVersion(ctx context.Context, lk *lake.Lake, db *geoip.DB, pred lake.Predicate, topK int) (*Analysis, uint64, error) {
 	ds, v, err := lk.MaterializeVersion(ctx, pred)
 	if err != nil {

@@ -278,7 +278,7 @@ func TestAdversarialServedFromLake(t *testing.T) {
 
 	get := func(path string, out any) {
 		t.Helper()
-		resp, err := http.Get(srv.URL + path)
+		resp, err := http.Get(srv.URL + lakeserve.APIPrefix + path)
 		if err != nil {
 			t.Fatal(err)
 		}

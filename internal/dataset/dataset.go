@@ -180,7 +180,11 @@ func (d *Dataset) ObservationsByTorrent() map[int][]Observation {
 // ordered by (At, TorrentID, IP, Seeder) and users by username. The
 // ordering depends only on record content, never on which shard produced a
 // record or when, so a sharded crawl serialises byte-identically to a
-// serial one. Records are copied; the parts are left untouched. The window
+// serial one. Both sorts are stable: records sharing a (Published,
+// InfoHash) key, and users sharing a username, keep their input order
+// (part by part, then position within the part), which makes the order
+// total and lets MergeRecords/MergeUsers reproduce it incrementally.
+// Records are copied; the parts are left untouched. The window
 // stamps span the parts' (callers usually overwrite them with the campaign
 // window). Passing a single part canonicalises it.
 //
@@ -205,12 +209,7 @@ func Merge(name string, parts ...*Dataset) *Dataset {
 			out.End = p.End
 		}
 	}
-	slices.SortFunc(all, func(a, b src) int {
-		if c := a.rec.Published.Compare(b.rec.Published); c != 0 {
-			return c
-		}
-		return strings.Compare(a.rec.InfoHash, b.rec.InfoHash)
-	})
+	slices.SortStableFunc(all, func(a, b src) int { return recordKeyCmp(a.rec, b.rec) })
 	// Renumber on copies and build each part's old->new ID map.
 	remap := make([]map[int]int32, len(parts))
 	for i := range remap {
@@ -261,9 +260,7 @@ func Merge(name string, parts ...*Dataset) *Dataset {
 		log.Printf("dataset: Merge(%q) dropped %d observations with no matching torrent record", name, dropped)
 	}
 	out.sortObservations()
-	slices.SortFunc(out.Users, func(a, b UserRecord) int {
-		return strings.Compare(a.Username, b.Username)
-	})
+	slices.SortStableFunc(out.Users, userKeyCmp)
 	return out
 }
 

@@ -267,3 +267,90 @@ func TestMergeSplitEqualsWhole(t *testing.T) {
 		t.Fatalf("split merge differs from whole merge:\n%s\n---\n%s", whole.String(), split.String())
 	}
 }
+
+// advanceBy advances the canonical dataset prev by one shard-shaped batch
+// (local torrent IDs) through MergeRecords, MergeUsers and AdvanceObs —
+// the incremental counterpart of Merge(name, <prev's input>, batch).
+func advanceBy(prev, batch *Dataset) *Dataset {
+	recs, remapOld, addIDs := MergeRecords(prev.Torrents, batch.Torrents)
+	local := map[int]int32{}
+	for j, r := range batch.Torrents {
+		local[r.TorrentID] = addIDs[j]
+	}
+	var d DeltaObs
+	for i := 0; i < batch.Obs.Len(); i++ {
+		o := batch.Obs.At(i)
+		d.Append(local[o.TorrentID], o.IP, o.At.UnixNano(), o.Seeder)
+	}
+	out := &Dataset{Torrents: recs, Users: MergeUsers(prev.Users, batch.Users)}
+	AdvanceObs(&out.Obs, &prev.Obs, remapOld, &d, CanonicalIPOrder(prev.Obs.IPs()))
+	return out
+}
+
+// TestAdvanceEqualsMerge: advancing a canonical dataset by a batch
+// serialises exactly as Merge over the combined input, whatever the
+// batch's position in the canonical orders — including records and users
+// whose sort keys collide, where Merge's stable order (input order) is
+// what the advance must reproduce.
+func TestAdvanceEqualsMerge(t *testing.T) {
+	base := sampleDataset()
+	base.Users = append(base.Users,
+		UserRecord{Username: "xk2j9qpa"},
+		UserRecord{Username: "ultratorrents07", Exists: true})
+	at := func(h float64) time.Time { return t0.Add(time.Duration(h * float64(time.Hour))) }
+	rec := func(id int, hash string, pubHour float64, user string) *TorrentRecord {
+		return &TorrentRecord{TorrentID: id, InfoHash: strings.Repeat(hash, 20), Published: at(pubHour), Username: user}
+	}
+	batch := func(recs []*TorrentRecord, users []UserRecord, obs ...Observation) *Dataset {
+		b := &Dataset{Name: base.Name, Start: base.Start, End: base.End, Torrents: recs, Users: users}
+		for _, o := range obs {
+			b.AddObservation(o)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name  string
+		base  *Dataset
+		batch *Dataset
+	}{
+		{"append-at-end", base, batch(
+			[]*TorrentRecord{rec(0, "ee", 9, "late"), rec(1, "ef", 8, "late")},
+			[]UserRecord{{Username: "zz-last", Exists: true}},
+			Observation{TorrentID: 0, IP: "30.0.0.1", At: at(10)},
+			Observation{TorrentID: 1, IP: "20.1.2.3", At: at(9), Seeder: true})},
+		{"interleaved", base, batch(
+			[]*TorrentRecord{rec(0, "bb", 4, "mid"), rec(1, "aa", 1, "early"), rec(2, "ff", 7, "late")},
+			[]UserRecord{{Username: "mid"}, {Username: "aaa-first", Exists: true}},
+			Observation{TorrentID: 0, IP: "20.1.2.3", At: at(4)}, // ties an old row's time
+			Observation{TorrentID: 1, IP: "10.0.0.9", At: at(2)}, // before every old row
+			Observation{TorrentID: 0, IP: "20.1.2.3", At: at(5)}, // same time and IP as an old row
+			Observation{TorrentID: 2, IP: "20.9.9.9", At: at(8)}, // after every old row
+			Observation{TorrentID: 1, IP: "10.0.0.9", At: at(2)}, // exact duplicate row
+			Observation{TorrentID: 1, IP: "10.0.0.9", At: at(2), Seeder: true})},
+		{"from-empty", &Dataset{Name: base.Name, Start: base.Start, End: base.End}, base},
+		{"duplicate-keys", base, batch(
+			// Torrent 0 collides with base's first record, 1 and 2 with each
+			// other; each copy owns a distinguishable observation.
+			[]*TorrentRecord{rec(0, "ab", 3, "dup-of-old"), rec(1, "cc", 4, "dup-a"), rec(2, "cc", 4, "dup-b")},
+			[]UserRecord{{Username: "xk2j9qpa", Exists: true}, {Username: "dup-a", Exists: true}, {Username: "dup-a"}},
+			Observation{TorrentID: 0, IP: "40.0.0.1", At: at(6)},
+			Observation{TorrentID: 1, IP: "40.0.0.2", At: at(6)},
+			Observation{TorrentID: 2, IP: "40.0.0.3", At: at(6)})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := Merge(base.Name, tc.base, tc.batch)
+			got := advanceBy(Merge(base.Name, tc.base), tc.batch)
+			got.Name, got.Start, got.End = want.Name, want.Start, want.End
+			var w, g bytes.Buffer
+			if err := want.Write(&w); err != nil {
+				t.Fatal(err)
+			}
+			if err := got.Write(&g); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(w.Bytes(), g.Bytes()) {
+				t.Fatalf("advance differs from Merge over the combined input:\n%s\n---\n%s", g.String(), w.String())
+			}
+		})
+	}
+}

@@ -13,7 +13,8 @@
 // must guarantee that published snapshots never touch the table's maps —
 // they may read only the interned strings/addrs slices, whose already-
 // published elements are never rewritten. A lineage is abandoned (and a
-// fresh table built) on any full rebuild.
+// fresh table built) whenever the caller starts over from the empty
+// dataset.
 package dataset
 
 import (
@@ -21,13 +22,16 @@ import (
 	"strings"
 )
 
-// recordKeyLess orders torrent records by the canonical Merge key.
+// recordKeyCmp orders torrent records by the canonical Merge key.
 func recordKeyCmp(a, b *TorrentRecord) int {
 	if c := a.Published.Compare(b.Published); c != 0 {
 		return c
 	}
 	return strings.Compare(a.InfoHash, b.InfoHash)
 }
+
+// userKeyCmp orders user records by the canonical Merge key.
+func userKeyCmp(a, b UserRecord) int { return strings.Compare(a.Username, b.Username) }
 
 // MergeRecords inserts add into the canonically ordered record list prev
 // (Merge output: sorted by (Published, InfoHash), TorrentID == index),
@@ -39,84 +43,47 @@ func recordKeyCmp(a, b *TorrentRecord) int {
 //	           (monotonically increasing)
 //	addIDs  — addIDs[j] is record add[j]'s new torrent ID
 //
-// A duplicate (Published, InfoHash) key — within add, or between add and
-// prev — makes the incremental insertion order ambiguous relative to
-// Merge's unstable sort; MergeRecords then returns nils and the caller
-// must rebuild from scratch.
+// Records sharing a key keep Merge's stable order: add sorts stably and
+// ties between prev and add go to prev, because an added record is
+// always committed after every record already in prev.
 func MergeRecords(prev, add []*TorrentRecord) (merged []*TorrentRecord, remapOld, addIDs []int32) {
-	type addRec struct {
-		rec *TorrentRecord
-		pos int // index in add
+	order := make([]int, len(add)) // indices into add, in key order
+	for i := range order {
+		order[i] = i
 	}
-	as := make([]addRec, len(add))
-	for i, r := range add {
-		cp := *r
-		as[i] = addRec{rec: &cp, pos: i}
-	}
-	slices.SortFunc(as, func(a, b addRec) int { return recordKeyCmp(a.rec, b.rec) })
-	for i := 1; i < len(as); i++ {
-		if recordKeyCmp(as[i-1].rec, as[i].rec) == 0 {
-			return nil, nil, nil
-		}
-	}
+	slices.SortStableFunc(order, func(a, b int) int { return recordKeyCmp(add[a], add[b]) })
 	merged = make([]*TorrentRecord, 0, len(prev)+len(add))
 	remapOld = make([]int32, len(prev))
 	addIDs = make([]int32, len(add))
 	i, j := 0, 0
-	for i < len(prev) || j < len(as) {
-		var takeAdd bool
-		if i == len(prev) {
-			takeAdd = true
-		} else if j < len(as) {
-			c := recordKeyCmp(prev[i], as[j].rec)
-			if c == 0 {
-				return nil, nil, nil
-			}
-			takeAdd = c > 0
-		}
+	for i < len(prev) || j < len(order) {
 		id := int32(len(merged))
-		if takeAdd {
-			as[j].rec.TorrentID = int(id)
-			addIDs[as[j].pos] = id
-			merged = append(merged, as[j].rec)
+		var cp TorrentRecord
+		if i == len(prev) || (j < len(order) && recordKeyCmp(prev[i], add[order[j]]) > 0) {
+			cp = *add[order[j]]
+			addIDs[order[j]] = id
 			j++
 		} else {
-			cp := *prev[i]
-			cp.TorrentID = int(id)
+			cp = *prev[i]
 			remapOld[i] = id
-			merged = append(merged, &cp)
 			i++
 		}
+		cp.TorrentID = int(id)
+		merged = append(merged, &cp)
 	}
 	return merged, remapOld, addIDs
 }
 
-// MergeUsers inserts add into the username-ordered user list prev. A
-// duplicate username (within add, or between add and prev) makes the
-// order ambiguous relative to Merge's unstable sort — ok is then false
-// and the caller must rebuild from scratch.
-func MergeUsers(prev, add []UserRecord) (merged []UserRecord, ok bool) {
+// MergeUsers inserts add into the username-ordered user list prev, with
+// MergeRecords' tie rule: duplicates of one username stay in commit
+// order (add sorted stably, prev first).
+func MergeUsers(prev, add []UserRecord) []UserRecord {
 	as := slices.Clone(add)
-	slices.SortFunc(as, func(a, b UserRecord) int { return strings.Compare(a.Username, b.Username) })
-	for i := 1; i < len(as); i++ {
-		if as[i-1].Username == as[i].Username {
-			return nil, false
-		}
-	}
-	merged = make([]UserRecord, 0, len(prev)+len(add))
+	slices.SortStableFunc(as, userKeyCmp)
+	merged := make([]UserRecord, 0, len(prev)+len(as))
 	i, j := 0, 0
-	for i < len(prev) || j < len(as) {
-		var takeAdd bool
-		if i == len(prev) {
-			takeAdd = true
-		} else if j < len(as) {
-			c := strings.Compare(prev[i].Username, as[j].Username)
-			if c == 0 {
-				return nil, false
-			}
-			takeAdd = c > 0
-		}
-		if takeAdd {
+	for i < len(prev) && j < len(as) {
+		if userKeyCmp(prev[i], as[j]) > 0 {
 			merged = append(merged, as[j])
 			j++
 		} else {
@@ -124,7 +91,8 @@ func MergeUsers(prev, add []UserRecord) (merged []UserRecord, ok bool) {
 			i++
 		}
 	}
-	return merged, true
+	merged = append(merged, prev[i:]...)
+	return append(merged, as[j:]...)
 }
 
 // DeltaObs is a batch of observation rows to advance a canonical store

@@ -1,24 +1,27 @@
 // Package delta maintains analysis snapshots over a live-appending lake
-// incrementally. Where analysis.NewFromLakeVersion re-reads and re-sorts
-// the whole lake on every journal version bump — O(lake) work per
-// refresh — the Maintainer asks the journal what changed (lake.ReadDiff)
-// and, when the range is purely additive, folds only the added records
+// incrementally. Where a from-scratch build (lake.Materialize, then
+// analysis.New) re-reads and re-sorts the whole lake on every journal
+// version bump — O(lake) work per refresh — the Maintainer asks the
+// journal what changed (lake.ReadDiff) and folds only the added records
 // and observations into the previous immutable snapshot: records and
-// users merge-insert into the canonical orders, new observation rows sort
-// and merge into the canonical columns (dataset.AdvanceObs), and the two
-// O(observations) distinct-download aggregates are recounted only for
-// the torrents and publishers the delta touched (classify.FactsSeed).
-// Everything cheaper than O(observations) is rebuilt per refresh, which
-// keeps the equivalence argument short: a delta-maintained snapshot is
-// observably identical — analysis fingerprint and served table bodies —
-// to a from-scratch rebuild at the same version.
+// users merge-insert into the canonical orders, new observation rows
+// sort and merge into the canonical columns (dataset.AdvanceObs), and
+// the two O(observations) distinct-download aggregates are recounted
+// only for the torrents and publishers the delta touched
+// (classify.FactsSeed). Everything cheaper than
+// O(observations) is rebuilt per refresh, which keeps the equivalence
+// argument short: a maintained snapshot is observably identical —
+// analysis fingerprint and served table bodies — to that from-scratch
+// build at the same version, which the tests and the benchmark keep as
+// their oracle.
 //
-// Any retirement in the diff (compaction, salvage) invalidates
-// positional state, so the Maintainer falls back to a full rebuild —
-// likewise when the base version left the journal, and on first build.
-// Duplicate record sort keys or usernames make incremental insertion
-// order ambiguous against Merge's unstable sort; such lakes are served
-// via plain full rebuilds with delta maintenance disabled.
+// There is one build path. Any retirement in the diff (compaction,
+// salvage) invalidates positional state, as does a base version that
+// left the journal; the Maintainer then folds the whole lake
+// (lake.ReadAll) into an empty lineage through the same function — and
+// the first build is exactly that too. Canonical order is total
+// (dataset.Merge sorts stably; ties keep commit order), so duplicate
+// record keys or usernames need no special case.
 //
 // Concurrency: Refresh calls are serialized by the Maintainer's lock and
 // are the only code that touches the shared intern table's maps;
@@ -45,9 +48,9 @@ import (
 type Mode string
 
 const (
-	// ModeFull is a from-scratch rebuild of the whole lake.
+	// ModeFull folded the whole lake into an empty lineage.
 	ModeFull Mode = "full"
-	// ModeDelta is an incremental advance from the previous snapshot.
+	// ModeDelta folded a journal diff into the previous snapshot.
 	ModeDelta Mode = "delta"
 )
 
@@ -55,7 +58,8 @@ const (
 type Snapshot struct {
 	An      *analysis.Analysis
 	Version uint64
-	// Mode and Reason say which path produced this snapshot and why.
+	// Mode says what the fold started from; Reason why it started over
+	// (ModeFull) or what it folded (ModeDelta).
 	Mode   Mode
 	Reason string
 	// DeltaSegments / DeltaObs size the folded range (delta mode only).
@@ -63,8 +67,8 @@ type Snapshot struct {
 	DeltaObs      int64
 	// Changed lists the publisher identities the refresh touched — new
 	// records or new observations on their torrents — sorted; nil with
-	// ChangedAll set means every identity (full rebuild). The alert
-	// engine scores exactly these on each refresh.
+	// ChangedAll set means every identity (ModeFull). The alert engine
+	// scores exactly these on each refresh.
 	Changed    []string
 	ChangedAll bool
 }
@@ -87,11 +91,18 @@ type Maintainer struct {
 
 	mu   sync.Mutex
 	snap *Snapshot
-	// canAdvance guards the lineage state below: the canonical dataset in
-	// snap can be advanced incrementally only while the intern table,
-	// sorted-IP order, lake→canonical map, pending buffer and
-	// distinct-download counters are all in sync with it.
-	canAdvance  bool
+	// lin is the positional state snap's dataset can be advanced with;
+	// nil before the first build and after a failed fold, which both make
+	// the next Refresh start over from the empty lineage.
+	lin   *lineage
+	stats Stats
+}
+
+// lineage is the state a fold carries from one snapshot to the next. It
+// is in sync with exactly one canonical dataset: the intern table that
+// dataset's store shares, its sorted-IP order, the lake→canonical ID
+// map, the pending buffer and the distinct-download counters.
+type lineage struct {
 	lakeToCanon map[int]int32 // lake torrent ID → canonical torrent ID
 	// pending buffers observations whose torrent record has not been
 	// committed yet (a live campaign commits records after observations);
@@ -102,7 +113,6 @@ type Maintainer struct {
 	sortedIPs []uint32       // canonical-IP order of the snapshot's table
 	counts    []int          // distinct downloader IPs per canonical tid
 	userDL    map[string]int // distinct downloader IPs per identity
-	stats     Stats
 }
 
 // NewMaintainer creates a maintainer; db must be non-nil (analysis
@@ -126,33 +136,69 @@ func (m *Maintainer) Stats() Stats {
 	return m.stats
 }
 
-// Refresh brings the snapshot to the lake's committed head, choosing the
-// incremental path when the journal diff allows it. It returns the
-// current snapshot unchanged when the head hasn't moved.
+// Refresh brings the snapshot to the lake's committed head: it folds the
+// journal diff since the served version into the lineage when that diff
+// is purely additive, and the whole lake into an empty lineage
+// otherwise. It returns the current snapshot unchanged when the head
+// hasn't moved.
 func (m *Maintainer) Refresh(ctx context.Context) (*Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.snap == nil {
-		return m.full(ctx, "first build")
-	}
-	if !m.canAdvance {
-		return m.full(ctx, "delta maintenance disabled (ambiguous sort keys)")
-	}
-	dd, err := m.lk.ReadDiff(ctx, m.snap.Version)
-	if err != nil {
+	// restart says why the lineage cannot be advanced ("" = it can).
+	var restart string
+	var dd *lake.DiffData
+	switch {
+	case m.snap == nil:
+		restart = "first build"
+	case m.lin == nil:
+		restart = fmt.Sprintf("the fold from v%d failed", m.snap.Version)
+	default:
+		var err error
 		var vu *lake.VersionUnavailableError
-		if errors.As(err, &vu) {
-			return m.full(ctx, fmt.Sprintf("base v%d unavailable: %s", m.snap.Version, vu.Reason))
+		dd, err = m.lk.ReadDiff(ctx, m.snap.Version)
+		switch {
+		case errors.As(err, &vu):
+			restart = fmt.Sprintf("base v%d unavailable: %s", m.snap.Version, vu.Reason)
+		case err != nil:
+			return nil, err
+		case dd.Diff.To == m.snap.Version:
+			return m.snap, nil
+		case !dd.Diff.Incremental():
+			restart = fmt.Sprintf("%d segment(s) retired since v%d", len(dd.Diff.RetiredSegments), m.snap.Version)
 		}
+	}
+	prev := &dataset.Dataset{}
+	if restart == "" {
+		prev = m.snap.An.DS
+	} else {
+		var err error
+		if dd, err = m.lk.ReadAll(ctx); err != nil {
+			return nil, err
+		}
+		m.lin = &lineage{lakeToCanon: map[int]int32{}, userDL: map[string]int{}}
+	}
+	an, changed, err := m.lin.fold(prev, dd, m.db, m.topK)
+	if err != nil {
+		// The fold mutates the lineage as it goes; never advance from a
+		// half-applied one.
+		m.lin = nil
 		return nil, err
 	}
-	if dd.Diff.To == m.snap.Version {
-		return m.snap, nil
+	snap := &Snapshot{An: an, Version: dd.Info.Version}
+	if restart != "" {
+		snap.Mode, snap.Reason, snap.ChangedAll = ModeFull, restart, true
+		m.stats.FullRebuilds++
+	} else {
+		snap.Mode, snap.Changed = ModeDelta, changed
+		snap.Reason = fmt.Sprintf("folded %d segment(s), %d row(s), %d record(s) from v%d to v%d",
+			len(dd.Diff.AddedSegments), dd.Diff.AddedRows, len(dd.Torrents), dd.Diff.From, dd.Diff.To)
+		snap.DeltaSegments, snap.DeltaObs = len(dd.Diff.AddedSegments), dd.Diff.AddedRows
+		m.stats.DeltaRefreshes++
 	}
-	if !dd.Diff.Incremental() {
-		return m.full(ctx, fmt.Sprintf("%d segment(s) retired since v%d", len(dd.Diff.RetiredSegments), m.snap.Version))
-	}
-	return m.advance(ctx, dd)
+	m.stats.LastMode, m.stats.LastReason = string(snap.Mode), snap.Reason
+	m.stats.LastDeltaSegments, m.stats.LastDeltaObs = snap.DeltaSegments, snap.DeltaObs
+	m.snap = snap
+	return snap, nil
 }
 
 // identity resolves a record's publisher identity exactly as
@@ -167,48 +213,42 @@ func identity(rec *dataset.TorrentRecord) string {
 	return ""
 }
 
-// advance folds a purely additive diff into the previous snapshot.
-func (m *Maintainer) advance(ctx context.Context, dd *lake.DiffData) (*Snapshot, error) {
-	prev := m.snap.An.DS
+// fold advances the canonical dataset prev — which the lineage must be
+// in sync with — by the records, users and observations in dd, and
+// builds the analysis over the result. It returns the sorted publisher
+// identities the fold touched. prev is left exactly as published; the
+// lineage is mutated throughout, so the caller must drop it on error.
+func (l *lineage) fold(prev *dataset.Dataset, dd *lake.DiffData, db *geoip.DB, topK int) (*analysis.Analysis, []string, error) {
 	mergedRecs, remapOld, addIDs := dataset.MergeRecords(prev.Torrents, dd.Torrents)
-	if mergedRecs == nil {
-		return m.full(ctx, "ambiguous record insert (duplicate publish key)")
-	}
-	mergedUsers, uok := dataset.MergeUsers(prev.Users, dd.Users)
-	if !uok {
-		return m.full(ctx, "ambiguous user insert (duplicate username)")
-	}
 
 	// Renumber the lake→canonical map, then register the new records.
-	// Nothing below this point can fail, which is what keeps the shared
-	// intern table safe: a partially applied advance never escapes.
-	for k, v := range m.lakeToCanon {
-		m.lakeToCanon[k] = remapOld[v]
+	for k, v := range l.lakeToCanon {
+		l.lakeToCanon[k] = remapOld[v]
 	}
 	for j, r := range dd.Torrents {
-		m.lakeToCanon[r.TorrentID] = addIDs[j]
+		l.lakeToCanon[r.TorrentID] = addIDs[j]
 	}
 
 	// Route rows: promote pending observations whose record just landed,
 	// place the diff's rows, buffer the still-recordless remainder.
 	var placed dataset.DeltaObs
-	newPending := dataset.DeltaObs{Table: m.pending.Table}
-	for i := 0; i < m.pending.Len(); i++ {
-		lt := m.pending.Tids[i]
-		if ct, ok := m.lakeToCanon[int(lt)]; ok {
-			placed.Append(ct, m.pending.Table.String(m.pending.IPIdx[i]), m.pending.AtNs[i], m.pending.Seeder[i])
+	newPending := dataset.DeltaObs{Table: l.pending.Table}
+	for i := 0; i < l.pending.Len(); i++ {
+		lt := l.pending.Tids[i]
+		if ct, ok := l.lakeToCanon[int(lt)]; ok {
+			placed.Append(ct, l.pending.Table.String(l.pending.IPIdx[i]), l.pending.AtNs[i], l.pending.Seeder[i])
 		} else {
 			// Same table lineage: reuse the intern index directly.
 			newPending.Tids = append(newPending.Tids, lt)
-			newPending.IPIdx = append(newPending.IPIdx, m.pending.IPIdx[i])
-			newPending.AtNs = append(newPending.AtNs, m.pending.AtNs[i])
-			newPending.Seeder = append(newPending.Seeder, m.pending.Seeder[i])
+			newPending.IPIdx = append(newPending.IPIdx, l.pending.IPIdx[i])
+			newPending.AtNs = append(newPending.AtNs, l.pending.AtNs[i])
+			newPending.Seeder = append(newPending.Seeder, l.pending.Seeder[i])
 		}
 	}
 	for i := 0; i < dd.Obs.Len(); i++ {
 		lt := dd.Obs.TorrentID(i)
 		ip := dd.Obs.IPs().String(dd.Obs.IPIndex(i))
-		if ct, ok := m.lakeToCanon[lt]; ok {
+		if ct, ok := l.lakeToCanon[lt]; ok {
 			placed.Append(ct, ip, dd.Obs.UnixNano(i), dd.Obs.Seeder(i))
 		} else {
 			newPending.Append(int32(lt), ip, dd.Obs.UnixNano(i), dd.Obs.Seeder(i))
@@ -218,176 +258,70 @@ func (m *Maintainer) advance(ctx context.Context, dd *lake.DiffData) (*Snapshot,
 	ds := &dataset.Dataset{
 		Name: dd.Info.Name, Start: dd.Info.Start, End: dd.Info.End,
 		Torrents:            mergedRecs,
-		Users:               mergedUsers,
+		Users:               dataset.MergeUsers(prev.Users, dd.Users),
 		DroppedObservations: newPending.Len() + int(dd.Info.Dropped),
 	}
-	sorted := dataset.AdvanceObs(&ds.Obs, &prev.Obs, remapOld, &placed, m.sortedIPs)
+	l.sortedIPs = dataset.AdvanceObs(&ds.Obs, &prev.Obs, remapOld, &placed, l.sortedIPs)
+	l.pending = newPending
 
-	// Recount distinct downloads only where the delta landed: the touched
+	// Recount distinct downloads only where the fold landed: the touched
 	// torrents, and every identity owning a touched torrent or a new
 	// record. Untouched counters carry over (renumbered).
-	newCounts := make([]int, len(mergedRecs))
-	for oldID, c := range m.counts {
-		newCounts[remapOld[oldID]] = c
+	counts := make([]int, len(mergedRecs))
+	for oldID, c := range l.counts {
+		counts[remapOld[oldID]] = c
 	}
+	l.counts = counts
 	ix := ds.Obs.Index()
 	stamp := make([]int32, ds.Obs.IPs().Len())
 	for i := range stamp {
 		stamp[i] = -1
 	}
 	epoch := int32(0)
-	touched := make(map[int32]struct{}, 16)
-	for _, t := range placed.Tids {
-		touched[t] = struct{}{}
-	}
-	for tid := range touched {
-		n := 0
-		for _, oi := range ix.Span(int(tid)) {
-			if ip := ds.Obs.IPIndex(int(oi)); stamp[ip] != epoch {
-				stamp[ip] = epoch
-				n++
-			}
-		}
-		newCounts[tid] = n
+	distinct := func(tids ...int32) int {
+		mark, n := epoch, 0
 		epoch++
-	}
-	affected := make(map[string]struct{}, len(touched)+len(addIDs))
-	for tid := range touched {
-		if name := identity(mergedRecs[tid]); name != "" {
-			affected[name] = struct{}{}
-		}
-	}
-	for _, id := range addIDs {
-		if name := identity(mergedRecs[id]); name != "" {
-			affected[name] = struct{}{}
-		}
-	}
-	tidsByName := make(map[string][]int32, len(affected))
-	for _, rec := range mergedRecs {
-		name := identity(rec)
-		if _, ok := affected[name]; ok && name != "" {
-			tidsByName[name] = append(tidsByName[name], int32(rec.TorrentID))
-		}
-	}
-	for name, tids := range tidsByName {
-		n := 0
 		for _, tid := range tids {
 			for _, oi := range ix.Span(int(tid)) {
-				if ip := ds.Obs.IPIndex(int(oi)); stamp[ip] != epoch {
-					stamp[ip] = epoch
+				if ip := ds.Obs.IPIndex(int(oi)); stamp[ip] != mark {
+					stamp[ip] = mark
 					n++
 				}
 			}
 		}
-		m.userDL[name] = n
-		epoch++
+		return n
 	}
-
-	seed := &classify.FactsSeed{DownloadsByTorrent: newCounts, UserDownloads: m.userDL}
-	an, err := analysis.NewSeeded(ds, m.db, m.topK, seed)
-	if err != nil {
-		// Unreachable with non-nil inputs; the table was already extended,
-		// so abandon the lineage rather than risk advancing from it.
-		m.canAdvance = false
-		return nil, err
+	touched := make([]bool, len(mergedRecs))
+	for _, t := range placed.Tids {
+		touched[t] = true
 	}
-
-	m.pending = newPending
-	m.sortedIPs = sorted
-	m.counts = newCounts
-	reason := fmt.Sprintf("folded %d segment(s), %d row(s), %d record(s) from v%d to v%d",
-		len(dd.Diff.AddedSegments), dd.Diff.AddedRows, len(dd.Torrents), dd.Diff.From, dd.Diff.To)
+	for _, id := range addIDs {
+		touched[id] = true
+	}
+	affected := make(map[string][]int32) // identity → every torrent it owns
+	for tid, rec := range mergedRecs {
+		if !touched[tid] {
+			continue
+		}
+		counts[tid] = distinct(int32(tid))
+		if name := identity(rec); name != "" {
+			affected[name] = nil
+		}
+	}
+	for _, rec := range mergedRecs {
+		name := identity(rec)
+		if _, ok := affected[name]; ok && name != "" {
+			affected[name] = append(affected[name], int32(rec.TorrentID))
+		}
+	}
 	changed := make([]string, 0, len(affected))
-	for name := range affected {
+	for name, tids := range affected {
+		l.userDL[name] = distinct(tids...)
 		changed = append(changed, name)
 	}
 	slices.Sort(changed)
-	m.stats.DeltaRefreshes++
-	m.stats.LastMode = string(ModeDelta)
-	m.stats.LastReason = reason
-	m.stats.LastDeltaSegments = len(dd.Diff.AddedSegments)
-	m.stats.LastDeltaObs = dd.Diff.AddedRows
-	m.snap = &Snapshot{
-		An: an, Version: dd.Diff.To,
-		Mode: ModeDelta, Reason: reason,
-		DeltaSegments: len(dd.Diff.AddedSegments),
-		DeltaObs:      dd.Diff.AddedRows,
-		Changed:       changed,
-	}
-	return m.snap, nil
-}
 
-// full rebuilds from scratch and re-seats the lineage state.
-func (m *Maintainer) full(ctx context.Context, reason string) (*Snapshot, error) {
-	dd, err := m.lk.ReadAll(ctx)
-	if err != nil {
-		return nil, err
-	}
-	mergedRecs, _, addIDs := dataset.MergeRecords(nil, dd.Torrents)
-	mergedUsers, uok := dataset.MergeUsers(nil, dd.Users)
-	if (mergedRecs == nil && len(dd.Torrents) > 0) || !uok {
-		// Duplicate sort keys make incremental insertion order ambiguous
-		// against Merge's unstable sort — serve plain rebuilds instead.
-		an, v, err := analysis.NewFromLakeVersion(ctx, m.lk, m.db, lake.Predicate{}, m.topK)
-		if err != nil {
-			return nil, err
-		}
-		m.canAdvance = false
-		m.lakeToCanon, m.pending, m.sortedIPs, m.counts, m.userDL = nil, dataset.DeltaObs{}, nil, nil, nil
-		m.recordFull(reason + "; duplicate sort keys disable delta maintenance")
-		m.snap = &Snapshot{An: an, Version: v, Mode: ModeFull, Reason: m.stats.LastReason, ChangedAll: true}
-		return m.snap, nil
-	}
-
-	l2c := make(map[int]int32, len(dd.Torrents))
-	for j, r := range dd.Torrents {
-		l2c[r.TorrentID] = addIDs[j]
-	}
-	var placed, pending dataset.DeltaObs
-	for i := 0; i < dd.Obs.Len(); i++ {
-		lt := dd.Obs.TorrentID(i)
-		ip := dd.Obs.IPs().String(dd.Obs.IPIndex(i))
-		if ct, ok := l2c[lt]; ok {
-			placed.Append(ct, ip, dd.Obs.UnixNano(i), dd.Obs.Seeder(i))
-		} else {
-			pending.Append(int32(lt), ip, dd.Obs.UnixNano(i), dd.Obs.Seeder(i))
-		}
-	}
-	ds := &dataset.Dataset{
-		Name: dd.Info.Name, Start: dd.Info.Start, End: dd.Info.End,
-		Torrents:            mergedRecs,
-		Users:               mergedUsers,
-		DroppedObservations: pending.Len() + int(dd.Info.Dropped),
-	}
-	sorted := dataset.AdvanceObs(&ds.Obs, &dataset.ObsStore{}, nil, &placed, nil)
-	an, err := analysis.New(ds, m.db, m.topK)
-	if err != nil {
-		return nil, err
-	}
-	// Extract the lineage counters from the freshly built facts.
-	counts := make([]int, len(mergedRecs))
-	for tid, n := range an.Facts.DownloadsByTorrent {
-		counts[tid] = n
-	}
-	userDL := make(map[string]int, len(an.Facts.Users))
-	for name, u := range an.Facts.Users {
-		userDL[name] = u.Downloads
-	}
-	m.lakeToCanon = l2c
-	m.pending = pending
-	m.sortedIPs = sorted
-	m.counts = counts
-	m.userDL = userDL
-	m.canAdvance = true
-	m.recordFull(reason)
-	m.snap = &Snapshot{An: an, Version: dd.Info.Version, Mode: ModeFull, Reason: reason, ChangedAll: true}
-	return m.snap, nil
-}
-
-func (m *Maintainer) recordFull(reason string) {
-	m.stats.FullRebuilds++
-	m.stats.LastMode = string(ModeFull)
-	m.stats.LastReason = reason
-	m.stats.LastDeltaSegments = 0
-	m.stats.LastDeltaObs = 0
+	seed := &classify.FactsSeed{DownloadsByTorrent: counts, UserDownloads: l.userDL}
+	an, err := analysis.NewSeeded(ds, db, topK, seed)
+	return an, changed, err
 }

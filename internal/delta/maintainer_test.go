@@ -138,6 +138,29 @@ func fullFingerprint(t *testing.T, an *analysis.Analysis) (string, []byte) {
 	return fp + "\n" + b.String(), buf.Bytes()
 }
 
+// requireOracleMatch holds a snapshot of a lake with no concurrent writer
+// to the from-scratch oracle at the same version: canonical dataset
+// bytes, analysis fingerprint and rendered tables.
+func requireOracleMatch(t *testing.T, lk *lake.Lake, db *geoip.DB, snap *delta.Snapshot, chunk int) {
+	t.Helper()
+	ref, v, err := analysis.NewFromLakeVersion(context.Background(), lk, db, lake.Predicate{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != snap.Version {
+		t.Fatalf("chunk %d: snapshot v%d but head is v%d with no concurrent writer", chunk, snap.Version, v)
+	}
+	gotFP, gotDS := fullFingerprint(t, snap.An)
+	wantFP, wantDS := fullFingerprint(t, ref)
+	if !bytes.Equal(gotDS, wantDS) {
+		t.Fatalf("chunk %d v%d (%s: %s): canonical dataset bytes diverged (%d vs %d bytes)",
+			chunk, v, snap.Mode, snap.Reason, len(gotDS), len(wantDS))
+	}
+	if gotFP != wantFP {
+		t.Fatalf("chunk %d v%d (%s: %s): analysis fingerprint diverged", chunk, v, snap.Mode, snap.Reason)
+	}
+}
+
 // TestMaintainerEquivalenceLive is the tentpole's equivalence gate: at
 // every version of a live-appending, auto-compacting lake, the
 // delta-maintained snapshot must be observably identical — analysis
@@ -278,22 +301,7 @@ func TestMaintainerFallbackExactlyOnRetirement(t *testing.T) {
 				deltas++
 			}
 		}
-		ref, v, err := analysis.NewFromLakeVersion(ctx, lk, db, lake.Predicate{}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v != snap.Version {
-			t.Fatalf("chunk %d: snapshot v%d but head is v%d with no concurrent writer", chunk, snap.Version, v)
-		}
-		gotFP, gotDS := fullFingerprint(t, snap.An)
-		wantFP, wantDS := fullFingerprint(t, ref)
-		if !bytes.Equal(gotDS, wantDS) {
-			t.Fatalf("chunk %d v%d (%s): canonical dataset bytes diverged (%d vs %d bytes)",
-				chunk, v, snap.Mode, len(gotDS), len(wantDS))
-		}
-		if gotFP != wantFP {
-			t.Fatalf("chunk %d v%d (%s): analysis fingerprint diverged", chunk, v, snap.Mode)
-		}
+		requireOracleMatch(t, lk, db, snap, chunk)
 	})
 	if fullFallbacks == 0 {
 		t.Fatal("compaction never forced a fallback-to-full decision")
@@ -308,5 +316,112 @@ func TestMaintainerFallbackExactlyOnRetirement(t *testing.T) {
 	}
 	if fmt.Sprint(st.LastMode) == "" {
 		t.Fatal("stats missing last refresh mode")
+	}
+}
+
+// TestMaintainerDuplicateSortKeys: canonical order is total, so a lake
+// whose commits carry records sharing a (Published, InfoHash) key and
+// users sharing a username — the copies distinguishable, committed both
+// inside one commit and commits apart — is delta-maintained like any
+// other: every refresh is observably identical to the from-scratch build
+// at its version, before and after a compaction forces the fold to start
+// over from the empty lineage.
+func TestMaintainerDuplicateSortKeys(t *testing.T) {
+	ds, db := campaignDataset(t)
+	const chunks = 8
+	last := func(c int) int { return min(c, chunks-1) }
+
+	// Every 4th torrent gets a mirror upload under the same sort key: its
+	// own lake ID, uploader and half of the original's sightings. Odd
+	// mirrors are committed one chunk after their original, even ones in
+	// the same commit — and ahead of it.
+	recs := make([][]*dataset.TorrentRecord, chunks)
+	mirrorOf := map[int]int{}
+	var sameCommit, laterCommit int
+	for idx, r := range ds.Torrents {
+		c := idx * chunks / len(ds.Torrents)
+		if idx%4 == 0 {
+			m := *r
+			m.TorrentID = len(ds.Torrents) + len(mirrorOf)
+			m.Username = "mirror-" + r.Username
+			mc := last(c + len(mirrorOf)%2)
+			mirrorOf[r.TorrentID] = m.TorrentID
+			recs[mc] = append(recs[mc], &m)
+			if mc == c {
+				sameCommit++
+			} else {
+				laterCommit++
+			}
+		}
+		recs[c] = append(recs[c], r)
+	}
+	// Every other account is listed twice with contradicting Exists flags,
+	// alternately beside the original (chunk 1) and three commits later.
+	users := make([][]dataset.UserRecord, chunks)
+	users[1] = ds.Users
+	for i := 0; i < len(ds.Users); i += 2 {
+		u := ds.Users[i]
+		u.Exists = !u.Exists
+		c := 1 + 3*(i/2%2)
+		users[c] = append(users[c], u)
+	}
+	if sameCommit == 0 || laterCommit == 0 || len(users[4]) == 0 {
+		t.Fatalf("fixture too small: %d/%d mirrors in/after their original's commit, %d late users",
+			sameCommit, laterCommit, len(users[4]))
+	}
+
+	lk, err := lake.Open(filepath.Join(t.TempDir(), "lake"), lake.Options{
+		FlushRows: 4096,
+		Compact:   lake.CompactOptions{MinSegments: 2, TargetRows: 1 << 20},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lk.Close()
+	lk.ExtendWindow(ds.Name, ds.Start, ds.End)
+
+	ctx := context.Background()
+	m := delta.NewMaintainer(lk, db, 0)
+	n := ds.Obs.Len()
+	for c := 0; c < chunks; c++ {
+		if err := lk.AddTorrents(recs[c]); err != nil {
+			t.Fatal(err)
+		}
+		if err := lk.AddUsers(users[c]); err != nil {
+			t.Fatal(err)
+		}
+		for i := c * n / chunks; i < (c+1)*n/chunks; i++ {
+			o := ds.Obs.At(i)
+			if err := lk.Append(o); err != nil {
+				t.Fatal(err)
+			}
+			if mid, ok := mirrorOf[o.TorrentID]; ok && i%2 == 0 {
+				o.TorrentID = mid
+				if err := lk.Append(o); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := lk.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if c == 5 {
+			if err := lk.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap, err := m.Refresh(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireOracleMatch(t, lk, db, snap, c)
+	}
+	st := m.Stats()
+	if st.DeltaRefreshes != chunks-2 || st.FullRebuilds != 2 {
+		t.Fatalf("stats %+v, want %d delta refreshes around the first build and one compaction-forced rebuild", st, chunks-2)
+	}
+	final := m.Snapshot().An.DS
+	if len(final.Torrents) != len(ds.Torrents)+len(mirrorOf) || len(final.Users) != len(ds.Users)+(len(ds.Users)+1)/2 {
+		t.Fatalf("final snapshot holds %d records and %d users: duplicates were collapsed", len(final.Torrents), len(final.Users))
 	}
 }

@@ -16,6 +16,9 @@ import (
 	"btpub/internal/lake/journal"
 )
 
+// formatV2 is the format number every commit payload carries.
+const formatV2 = 2
+
 // commitPayload is the JSON body of one journal record. Scalars are the
 // absolute post-commit values; AddSegments/RetireSegments/AddMeta are
 // the commit's deltas; Segments/Meta are the absolute lists carried only
@@ -87,7 +90,6 @@ func decodeHist(recs []journal.Record) ([]histRec, error) {
 // so a commit may rewrite a segment entry in place (retire + re-add the
 // same file), as salvage does when it strips a broken microindex ref.
 func applyCommit(m *manifest, h histRec) {
-	m.Format = formatV2
 	m.Version = h.version
 	pay := h.pay
 	m.Name, m.Start, m.End = pay.Name, pay.Start, pay.End
@@ -130,7 +132,7 @@ func foldHist(hist []histRec, n int, verify bool) (*manifest, error) {
 			}
 		}
 	}
-	m := &manifest{Format: formatV2}
+	m := &manifest{}
 	for i := start; i < n; i++ {
 		h := hist[i]
 		if verify && h.checkpoint && i > 0 {

@@ -108,7 +108,7 @@ func (lk *Lake) compact() error {
 		}
 		for i := int32(0); i < int32(d.rows()); i++ {
 			st.AppendRaw(d.tids[i], remap[d.ipIdx[i]], d.atNs[i], d.seeder(i))
-			merged.zone.add(d.tids[i], d.atNs[i], d.ips[d.ipIdx[i]])
+			merged.zone.add(d.tids[i], d.atNs[i])
 		}
 	}
 	lk.scanMu.RUnlock()

@@ -3,7 +3,8 @@
 // refresh — a purely additive range (segments and meta files appended,
 // nothing retired) can be folded into the previous analysis snapshot
 // incrementally, while any retirement (compaction, salvage) invalidates
-// positional state and forces a full rebuild. DiffVersions answers from
+// positional state and makes it fold the whole lake (ReadAll) from the
+// empty snapshot instead. DiffVersions answers from
 // the replayed journal history alone; ReadDiff additionally loads the
 // added rows and records under one scan lock, so the files it returns
 // can never be vacuumed mid-read.
@@ -95,9 +96,9 @@ func (lk *Lake) diffLocked(from, to uint64) (*Diff, []segMeta, error) {
 		return false
 	}
 	if from == 0 || !seen(from) {
-		// Version 0 is "nothing committed yet" and v1-era versions below
-		// the migration checkpoint were never recorded — neither is a
-		// state a snapshot can be advanced from.
+		// Version 0 is "nothing committed yet" and a version below the
+		// journal's opening record was never recorded — neither is a state
+		// a snapshot can be advanced from.
 		return nil, nil, &VersionUnavailableError{Version: from, Head: head, Reason: "predates the journal"}
 	}
 	if !seen(to) {
@@ -167,7 +168,8 @@ func (lk *Lake) ReadDiff(ctx context.Context, from uint64) (*DiffData, error) {
 }
 
 // ReadAll reads the entire committed head state in the DiffData shape —
-// the incremental maintainer's full-rebuild input. Unlike Materialize it
+// the diff from the empty lake, which the incremental maintainer folds
+// when it has to start over. Unlike Materialize it
 // returns raw, unmerged records and observations (lake torrent IDs, own
 // intern table), so the caller controls record matching and keeps the
 // rows whose records have not been committed yet.

@@ -104,15 +104,15 @@ func TestTruncatedSegmentRecovery(t *testing.T) {
 	if stats.Observations >= int64(total) || stats.Observations <= 0 {
 		t.Fatalf("salvaged observations = %d, want 0 < n < %d", stats.Observations, total)
 	}
-	got := 0
+	var got atomic.Int64 // Scan calls back from several goroutines
 	if err := lk.Scan(context.Background(), lake.Predicate{}, func(b *lake.Batch) error {
-		got += b.Len()
+		got.Add(int64(b.Len()))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if int64(got) != stats.Observations {
-		t.Fatalf("scan saw %d rows, stats say %d", got, stats.Observations)
+	if got.Load() != stats.Observations {
+		t.Fatalf("scan saw %d rows, stats say %d", got.Load(), stats.Observations)
 	}
 }
 
@@ -148,13 +148,13 @@ func TestCorruptSegmentCRC(t *testing.T) {
 	}
 }
 
-// TestManifestCrashSimulation: a crash that wrote a torn MANIFEST.tmp
-// and orphaned segment/meta files (flushed but never committed) must
+// TestManifestCrashSimulation: a crash that left a journal-repair tmp
+// file and orphaned segment/meta files (flushed but never committed) must
 // reopen to exactly the last committed state, with the orphans removed.
 func TestManifestCrashSimulation(t *testing.T) {
 	dir, total := buildSmallLake(t, 256)
 	// Simulate the torn commit.
-	if err := os.WriteFile(filepath.Join(dir, "MANIFEST.tmp"), []byte(`{"format":1,"version":99,`), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "JOURNAL.tmp"), []byte("BTLKJR"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "seg-009999.obs"), []byte("half a segment"), 0o644); err != nil {
@@ -173,13 +173,33 @@ func TestManifestCrashSimulation(t *testing.T) {
 	if st.Observations != int64(total) || st.Torrents != 10 {
 		t.Fatalf("recovered stats = %+v, want %d observations / 10 torrents", st, total)
 	}
-	for _, f := range []string{"MANIFEST.tmp", "seg-009999.obs", "meta-009998.jsonl"} {
+	for _, f := range []string{"JOURNAL.tmp", "seg-009999.obs", "meta-009998.jsonl"} {
 		if _, err := os.Stat(filepath.Join(dir, f)); !os.IsNotExist(err) {
 			t.Errorf("orphan %s survived recovery", f)
 		}
 	}
 	if errs := lk.Verify(context.Background()); len(errs) != 0 {
 		t.Fatalf("recovered lake fails Verify: %v", errs)
+	}
+}
+
+// TestPreJournalLakeRefused: a directory whose source of truth is a
+// pre-journal MANIFEST must be refused, not read as an empty lake whose
+// orphan sweep then deletes the segments.
+func TestPreJournalLakeRefused(t *testing.T) {
+	dir := t.TempDir()
+	seg := filepath.Join(dir, "seg-000001.obs")
+	for _, f := range []string{filepath.Join(dir, "MANIFEST"), seg} {
+		if err := os.WriteFile(f, []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lk, err := lake.Open(dir, lake.Options{}); err == nil {
+		lk.Close()
+		t.Fatal("opened a pre-journal lake as if it were empty")
+	}
+	if _, err := os.Stat(seg); err != nil {
+		t.Fatalf("refused open still touched the segment: %v", err)
 	}
 }
 

@@ -1,12 +1,12 @@
 // Kill-point torture: the lake's crash-consistency claim, enumerated
-// instead of anecdotal. One deterministic migrate→flush→query→compact→
+// instead of anecdotal. One deterministic reopen→flush→query→compact→
 // reindex workload runs against faultfs to record its full filesystem
 // operation sequence; then, for each operation index k, the workload is
 // replayed against a fresh identically-seeded faultfs with a crash
-// injected at k. The volume starts as a genuine format-v1 lake, so the
-// first Open performs the v1→v2 journal migration under fire; a small
-// CheckpointEvery makes the later commits cross checkpoint boundaries
-// too. After every crash the surviving volume must reopen without
+// injected at k. The volume starts as a closed lake already holding
+// committed rows, so the first Open replays a journal under fire; a
+// small CheckpointEvery makes the later commits cross checkpoint
+// boundaries too. After every crash the surviving volume must reopen without
 // Salvage, pass Verify, and hold exactly a committed prefix of the
 // appended observations — never a torn or reordered middle state, and
 // never fewer rows than a version the journal acknowledged.
@@ -36,7 +36,7 @@ import (
 const (
 	faultSeed     = 0xb7_90b // any fixed seed; torn-tail lengths derive from it
 	faultTorrents = 6
-	faultSeedRows = 48 // rows pre-seeded as a format-v1 lake before Open
+	faultSeedRows = 48 // rows committed to the volume before faults are armed
 	faultWave1    = 300
 	faultWave2    = 150
 	faultFlushAt  = 96
@@ -55,22 +55,37 @@ func faultObs(i int) dataset.Observation {
 	}
 }
 
-// faultWorkload drives one full lake lifecycle over fsys:
+// seededVolume returns a fresh fault FS holding a closed lake with the
+// first faultSeedRows appends committed, and the number of fs operations
+// that took — fault indices count from there.
+func seededVolume(t *testing.T) (*faultfs.FS, int) {
+	t.Helper()
+	fsys := faultfs.New(faultSeed)
+	lk, err := lake.Open("sim", lake.Options{FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < faultSeedRows; i++ {
+		if err := lk.Append(faultObs(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lk.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := lk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return fsys, fsys.Ops()
+}
+
+// faultWorkload drives one full lake lifecycle over a seeded volume:
 // flush (two auto + one explicit), point and window queries, synchronous
 // compaction, a second append wave (reindex), Verify, Close. It aborts
 // on the first error, like a crashed process would. record, when
 // non-nil, is called after every step that can commit a manifest; it
 // must not perform fs operations (op numbering is replayed exactly).
 func faultWorkload(fsys vfs.FS, record func(*lake.Lake)) error {
-	// The volume starts as a format-v1 lake already holding the first
-	// faultSeedRows appends; Open migrates it to the journal.
-	seed := make([]dataset.Observation, faultSeedRows)
-	for i := range seed {
-		seed[i] = faultObs(i)
-	}
-	if err := lake.SeedV1ForTest(fsys, seed); err != nil {
-		return err
-	}
 	lk, err := lake.Open("sim", lake.Options{
 		FS:        fsys,
 		FlushRows: faultFlushAt,
@@ -87,7 +102,7 @@ func faultWorkload(fsys vfs.FS, record func(*lake.Lake)) error {
 			record(lk)
 		}
 	}
-	note() // the migrated seed rows are a committed state
+	note() // the seed rows are a committed state
 
 	recs := make([]*dataset.TorrentRecord, faultTorrents)
 	for i := range recs {
@@ -256,16 +271,16 @@ func sortedKeys(m map[int64]bool) []int64 {
 func recordRun(t *testing.T) (int, map[int64]bool, map[uint64]bool) {
 	t.Helper()
 	run := func() (int, map[int64]bool, map[uint64]bool) {
-		fsys := faultfs.New(faultSeed)
-		committed := map[int64]bool{0: true}
-		versions := map[uint64]bool{0: true} // crash before the seed commits
+		fsys, base := seededVolume(t)
+		committed := map[int64]bool{}
+		versions := map[uint64]bool{}
 		if err := faultWorkload(fsys, func(lk *lake.Lake) {
 			committed[lk.Stats().Observations] = true
 			versions[lk.Version()] = true
 		}); err != nil {
 			t.Fatalf("fault-free workload failed: %v", err)
 		}
-		return fsys.Ops(), committed, versions
+		return fsys.Ops() - base, committed, versions
 	}
 	ops1, committed, versions := run()
 	ops2, _, _ := run()
@@ -286,8 +301,8 @@ func TestKillPointTorture(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			for _, k := range points {
-				fsys := faultfs.New(faultSeed)
-				fsys.CrashAt(k, torn)
+				fsys, base := seededVolume(t)
+				fsys.CrashAt(base+k, torn)
 				err := faultWorkload(fsys, nil)
 				if !fsys.Crashed() {
 					t.Fatalf("kill point %d: workload finished without crashing (err=%v)", k, err)
@@ -308,8 +323,8 @@ func TestInjectedIOErrors(t *testing.T) {
 	for _, inj := range []error{faultfs.ErrIO, faultfs.ErrNoSpace} {
 		t.Run(fmt.Sprintf("%v", errors.Unwrap(inj)), func(t *testing.T) {
 			for _, k := range points {
-				fsys := faultfs.New(faultSeed)
-				fsys.FailAt(k, inj)
+				fsys, base := seededVolume(t)
+				fsys.FailAt(base+k, inj)
 				_ = faultWorkload(fsys, nil) // abort or survive; both legal
 				checkRecovered(t, fmt.Sprintf("injected %v at op %d", inj, k), fsys, committed, versions)
 			}

@@ -1,6 +1,5 @@
-// Package journal is the lake's append-only commit log: the format-v2
-// replacement for the single-version MANIFEST as the source of truth.
-// One file holds a magic header followed by framed records, one fsynced
+// Package journal is the lake's append-only commit log, the on-disk
+// source of truth. One file holds a magic header followed by framed records, one fsynced
 // record per lake commit. Each record carries a monotonically increasing
 // version, a checkpoint flag, the SHA-256 chain hash of everything
 // before it, an opaque payload (the lake encodes its commit deltas and
@@ -24,8 +23,8 @@
 // must be exactly one greater than its predecessor's — except checkpoint
 // records, which snapshot the state *at* a version and therefore repeat
 // it — and the first record must either open at version 1 or be a
-// checkpoint (a v1→v2 migration lands mid-history, so its snapshot must
-// be self-contained).
+// checkpoint (journals of lakes migrated from the pre-journal format open
+// mid-history, so that snapshot must be self-contained).
 //
 // Durability model: records are appended with one fsync each, so a crash
 // can only lose or tear the final, unacknowledged record. Open repairs
@@ -268,7 +267,7 @@ func Open(fsys vfs.FS, name string) (*Journal, error) {
 		// the repair itself is crash-atomic. A header so torn that not
 		// even the magic survived means nothing was ever committed:
 		// remove the file and report an empty journal, and the caller's
-		// migration (or first commit) recreates it.
+		// first commit recreates it.
 		if validLen == 0 {
 			if err := fsys.Remove(name); err != nil {
 				return nil, fmt.Errorf("journal %s: removing torn header: %w", name, err)

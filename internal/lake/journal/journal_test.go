@@ -11,8 +11,8 @@ import (
 )
 
 // sampleRecs is a small, rule-abiding history: an opening checkpoint
-// landing mid-history (as migration does), deltas, and a mid-stream
-// checkpoint repeating its version.
+// landing mid-history (as the journals of migrated lakes open), deltas,
+// and a mid-stream checkpoint repeating its version.
 func sampleRecs() []Record {
 	return []Record{
 		{Checkpoint: true, Version: 7, Payload: []byte(`{"snap":7}`)},

@@ -10,14 +10,12 @@
 // chain-protected record, Open replays the journal to head (periodic
 // checkpoint records bound replay cost), and any committed version
 // remains addressable — Lake.OpenAt and Predicate.AsOf pin scans to
-// historical states while ingest continues. Lakes written under format
-// v1 (single-version MANIFEST) migrate to the journal on first open with
-// byte-identical Materialize results. Readers scan committed segments in
-// parallel with predicate pushdown (see scan.go) while a compactor folds
-// small segments together in canonical Merge order (see compact.go),
-// committing each fold as a retire+add record. One process owns a lake
-// directory at a time; within that process every method is safe for
-// concurrent use.
+// historical states while ingest continues. Readers scan committed
+// segments in parallel with predicate pushdown (see scan.go) while a
+// compactor folds small segments together in canonical Merge order (see
+// compact.go), committing each fold as a retire+add record. One process
+// owns a lake directory at a time; within that process every method is
+// safe for concurrent use.
 package lake
 
 import (
@@ -131,12 +129,11 @@ type Lake struct {
 // Open opens (or creates) the lake in dir. Crash recovery happens here:
 // a torn journal tail is repaired (a crash mid-append can only lose the
 // record being written, never a committed one), the journal is replayed
-// into the live state from its latest checkpoint, a v1 MANIFEST found
-// without a journal is migrated into the journal's opening checkpoint,
-// segment and meta files not referenced by committed state are deleted,
-// and every referenced segment is size-checked against its entry
-// (Options.Salvage turns a failing segment into a logged drop — committed
-// as a retire record — instead of an error).
+// into the live state from its latest checkpoint, segment and meta files
+// not referenced by committed state are deleted, and every referenced
+// segment is size-checked against its entry (Options.Salvage turns a
+// failing segment into a logged drop — committed as a retire record —
+// instead of an error).
 func Open(dir string, opt Options) (*Lake, error) {
 	opt.setDefaults()
 	fsys := opt.FS
@@ -150,50 +147,21 @@ func Open(dir string, opt Options) (*Lake, error) {
 	if err != nil {
 		return nil, err
 	}
-	var man *manifest
-	var hist []histRec
-	if jr.Len() > 0 {
-		if hist, err = decodeHist(jr.Records()); err != nil {
-			return nil, err
+	if jr.Len() == 0 {
+		// A pre-journal lake (one MANIFEST file as its source of truth)
+		// would read as empty and lose every segment to the orphan sweep
+		// below; refuse it instead.
+		if _, err := fsys.Size("MANIFEST"); err == nil {
+			return nil, fmt.Errorf("lake: %s holds a pre-journal MANIFEST, which this build no longer reads", dir)
 		}
-		if man, err = foldHist(hist, len(hist), false); err != nil {
-			return nil, err
-		}
-		// A MANIFEST beside a live journal is a migration leftover (the
-		// crash hit after the opening checkpoint was synced but before the
-		// old file was removed). The journal wins.
-		_ = fsys.Remove(manifestName)
-	} else {
-		v1, ok, err := loadManifest(fsys)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case !ok:
-			man = &manifest{Format: formatV2}
-		default:
-			// Migrate: the v1 state becomes the journal's opening
-			// checkpoint. Only after that record is synced does the
-			// MANIFEST go away — a crash in between leaves both, and the
-			// journal wins on the next open.
-			man = v1
-			man.Format = formatV2
-			if man.Version == 0 {
-				man.Version = 1
-			}
-			pay := checkpointPayload(man)
-			data, err := json.Marshal(pay)
-			if err != nil {
-				return nil, err
-			}
-			rec := journal.Record{Checkpoint: true, Version: man.Version, Payload: data}
-			if err := jr.Append(rec); err != nil {
-				return nil, fmt.Errorf("lake: migrating v1 manifest to journal: %w", err)
-			}
-			_ = fsys.Remove(manifestName)
-			_ = fsys.SyncDir()
-			hist = append(hist, histRec{version: man.Version, checkpoint: true, pay: pay})
-		}
+	}
+	hist, err := decodeHist(jr.Records())
+	if err != nil {
+		return nil, err
+	}
+	man, err := foldHist(hist, len(hist), false)
+	if err != nil {
+		return nil, err
 	}
 	// Validate referenced segments before touching anything else, building
 	// the salvage commit's deltas as entries change.
@@ -202,13 +170,13 @@ func Open(dir string, opt Options) (*Lake, error) {
 	var readd []segMeta
 	for _, s := range man.Segments {
 		// A missing or resized microindex never loses data: drop the
-		// reference so scans of this segment fall back to bloom pruning,
+		// reference so scans of this segment prune on its zone maps alone,
 		// committed below as a retire + re-add of the same file.
 		degraded := false
 		if s.Index != "" {
 			isz, err := fsys.Size(s.Index)
 			if err != nil || isz != s.IndexBytes {
-				log.Printf("lake: dropping microindex %s for %s (missing or resized); bloom pruning only", s.Index, s.File)
+				log.Printf("lake: dropping microindex %s for %s (missing or resized); zone-map pruning only", s.Index, s.File)
 				s.Index, s.IndexBytes = "", 0
 				degraded = true
 			}
@@ -361,7 +329,7 @@ type Stats struct {
 	// SegmentsRead / SegmentsSkipped / SegmentsSkippedPostings are
 	// cumulative scan pushdown counters for this handle: Skipped counts
 	// segments pruned by zone maps alone, SkippedPostings counts
-	// bloom-maybe segments a microindex proved key-free before they
+	// zone-admitted segments a microindex proved key-free before they
 	// were opened.
 	SegmentsRead            int64 `json:"segments_read"`
 	SegmentsSkipped         int64 `json:"segments_skipped"`
@@ -409,7 +377,7 @@ func (lk *Lake) Append(o dataset.Observation) error {
 	lk.bld.store.Append(o)
 	s := &lk.bld.store
 	i := s.Len() - 1
-	lk.bld.zone.add(int32(o.TorrentID), s.UnixNano(i), s.IPString(i))
+	lk.bld.zone.add(int32(o.TorrentID), s.UnixNano(i))
 	return lk.maybeFlushLocked()
 }
 
@@ -427,7 +395,7 @@ func (lk *Lake) AppendAddr(tid int, addr netip.Addr, at time.Time, seeder bool) 
 	lk.bld.store.AppendAddr(tid, addr, at, seeder)
 	s := &lk.bld.store
 	i := s.Len() - 1
-	lk.bld.zone.add(int32(tid), s.UnixNano(i), s.IPString(i))
+	lk.bld.zone.add(int32(tid), s.UnixNano(i))
 	return lk.maybeFlushLocked()
 }
 
@@ -777,7 +745,7 @@ func (lk *Lake) ImportDataset(ds *dataset.Dataset) error {
 			tid := int32(src.TorrentID(i) + base)
 			atNs := src.UnixNano(i)
 			bld.store.AppendRaw(tid, mapped, atNs, src.Seeder(i))
-			bld.zone.add(tid, atNs, srcIPs.String(sp))
+			bld.zone.add(tid, atNs)
 			if err := lk.maybeFlushLocked(); err != nil {
 				lk.mu.Unlock()
 				return err
@@ -902,8 +870,6 @@ func (lk *Lake) stateAtLocked(version uint64) (*manifest, error) {
 		}
 	}
 	if n == 0 || lk.hist[n-1].version != version {
-		// The journal starts at the migration checkpoint; v1-era versions
-		// below it were never recorded.
 		return nil, &VersionUnavailableError{Version: version, Head: head, Reason: "predates the journal"}
 	}
 	m, err := foldHist(lk.hist, n, false)

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -133,7 +134,7 @@ func TestAnalysisGoldenEquivalence(t *testing.T) {
 	if err := lk.ImportDataset(ds); err != nil {
 		t.Fatal(err)
 	}
-	fromLake, err := analysis.NewFromLake(context.Background(), lk, db, lake.Predicate{}, 0)
+	fromLake, _, err := analysis.NewFromLakeVersion(context.Background(), lk, db, lake.Predicate{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestAnalysisGoldenEquivalence(t *testing.T) {
 	if err := lk.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	fromLake, err = analysis.NewFromLake(context.Background(), lk, db, lake.Predicate{}, 0)
+	fromLake, _, err = analysis.NewFromLakeVersion(context.Background(), lk, db, lake.Predicate{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,10 +240,10 @@ func TestZoneMapSkip(t *testing.T) {
 		MinTime:    t0.Add(time.Duration(total-20_000) * time.Second),
 		TorrentIDs: []int{1, 2, 3},
 	}
-	matched := 0
+	var matched atomic.Int64 // Scan calls back from several goroutines
 	before := lk.Stats()
 	err = lk.Scan(context.Background(), pred, func(b *lake.Batch) error {
-		matched += b.Len()
+		matched.Add(int64(b.Len()))
 		return nil
 	})
 	if err != nil {
@@ -268,17 +269,16 @@ func TestZoneMapSkip(t *testing.T) {
 			want++
 		}
 	}
-	if matched != want {
-		t.Fatalf("matched %d rows, want %d", matched, want)
+	if got := int(matched.Load()); got != want {
+		t.Fatalf("matched %d rows, want %d", got, want)
 	}
 
 }
 
-// TestIPBloomSkip: the per-segment IP bloom prunes equality scans when
-// segments are IP-sparse (a 64-bit bloom saturates on high-cardinality
-// segments, where only the row filter applies — correct either way, so
-// this test uses one distinct address per segment).
-func TestIPBloomSkip(t *testing.T) {
+// TestIPPostingsSkip: microindex postings prune equality scans exactly —
+// the plan opens only the segment that holds the address, the scan reads
+// no more than the plan said, and an address never written opens nothing.
+func TestIPPostingsSkip(t *testing.T) {
 	t0 := time.Date(2010, 4, 6, 0, 0, 0, 0, time.UTC)
 	lk, err := lake.Open(filepath.Join(t.TempDir(), "lake"), lake.Options{FlushRows: 100})
 	if err != nil {
@@ -300,9 +300,17 @@ func TestIPBloomSkip(t *testing.T) {
 	if st := lk.Stats(); st.Segments != segs {
 		t.Fatalf("segments = %d, want %d", st.Segments, segs)
 	}
+	pred := lake.Predicate{IP: "10.1.1.7"}
+	plan, err := lk.PlanScan(pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Opened) != 1 || plan.PrunedPostings != segs-1 {
+		t.Fatalf("plan opens %d segments and prunes %d on postings, want 1 and %d", len(plan.Opened), plan.PrunedPostings, segs-1)
+	}
 	before := lk.Stats()
 	matched := 0
-	if err := lk.Scan(context.Background(), lake.Predicate{IP: "10.1.1.7"}, func(b *lake.Batch) error {
+	if err := lk.Scan(context.Background(), pred, func(b *lake.Batch) error {
 		matched += b.Len()
 		return nil
 	}); err != nil {
@@ -312,8 +320,8 @@ func TestIPBloomSkip(t *testing.T) {
 	if matched != 100 {
 		t.Fatalf("matched %d rows, want 100", matched)
 	}
-	if read := after.SegmentsRead - before.SegmentsRead; read > 3 {
-		t.Fatalf("IP bloom pruned too little: read %d of %d segments", read, segs)
+	if read := after.SegmentsRead - before.SegmentsRead; read != int64(len(plan.Opened)) {
+		t.Fatalf("scan read %d of %d segments, plan said %d", read, segs, len(plan.Opened))
 	}
 	// An address never written anywhere is pruned without any read.
 	before = lk.Stats()
@@ -324,7 +332,7 @@ func TestIPBloomSkip(t *testing.T) {
 		t.Fatal(err)
 	}
 	after = lk.Stats()
-	if read := after.SegmentsRead - before.SegmentsRead; read > 1 {
+	if read := after.SegmentsRead - before.SegmentsRead; read != 0 {
 		t.Fatalf("unseen address read %d segments", read)
 	}
 }

@@ -1,40 +1,22 @@
 // The manifest is the lake's in-memory state: every live segment and
-// meta file together with their zone maps and sizes. Under format v1 it
-// was also the on-disk source of truth, committed atomically as a JSON
-// file (written to MANIFEST.tmp, fsynced, renamed over MANIFEST).
-// Format v2 replaces that single-version file with the append-only
-// commit journal (see internal/lake/journal and commits.go): Open
-// replays the journal into a manifest, and a v1 MANIFEST found without a
-// journal is migrated on first open — its state becomes the journal's
-// opening checkpoint record, after which the MANIFEST file is removed.
-// Segment and meta files are still written (and fsynced) before the
-// commit record that references them; files a crash orphaned are deleted
-// on Open.
+// meta file together with their zone maps and sizes. On disk the source
+// of truth is the append-only commit journal (see internal/lake/journal
+// and commits.go): Open replays the journal into a manifest. Segment and
+// meta files are written (and fsynced) before the commit record that
+// references them; files a crash orphaned are deleted on Open.
 package lake
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"strings"
 	"time"
 
 	"btpub/internal/lake/journal"
-	"btpub/internal/vfs"
-)
-
-const (
-	manifestName = "MANIFEST"
-	manifestTmp  = "MANIFEST.tmp"
-	formatV1     = 1
-	formatV2     = 2
 )
 
 // segMeta is one live segment's manifest entry. Index names the
 // segment's sealed microindex file (postings of distinct IPs and
-// torrent IDs); empty on manifests written before microindexes existed,
-// in which case scans fall back to bloom-only pruning — the flag that
-// keeps old lakes readable.
+// torrent IDs); empty once Open found that file missing or resized, in
+// which case scans prune the segment on its zone maps alone.
 type segMeta struct {
 	File       string `json:"file"`
 	Bytes      int64  `json:"bytes"`
@@ -43,29 +25,29 @@ type segMeta struct {
 	zone
 }
 
-// manifest is the committed lake state.
+// manifest is the committed lake state. It is never serialized itself:
+// commit payloads (commits.go) carry its scalars and list deltas.
 type manifest struct {
-	Format  int       `json:"format"`
-	Version uint64    `json:"version"`
-	Name    string    `json:"name,omitempty"`
-	Start   time.Time `json:"start,omitempty"`
-	End     time.Time `json:"end,omitempty"`
+	Version uint64
+	Name    string
+	Start   time.Time
+	End     time.Time
 
 	// NextSeq numbers segment and meta files monotonically.
-	NextSeq int `json:"next_seq"`
+	NextSeq int
 	// NextTID is the next unused global torrent ID (import base).
-	NextTID int32 `json:"next_tid"`
+	NextTID int32
 
-	Rows     int64 `json:"rows"`
-	Torrents int   `json:"torrents"`
-	Users    int   `json:"users"`
+	Rows     int64
+	Torrents int
+	Users    int
 	// Dropped accumulates DroppedObservations counts carried in by
 	// imported datasets (inconsistent shards surface here, not silently).
-	Dropped int64 `json:"dropped,omitempty"`
+	Dropped int64
 
-	Segments []segMeta `json:"segments"`
+	Segments []segMeta
 	// Meta lists the JSONL files holding torrent and user records.
-	Meta []string `json:"meta"`
+	Meta []string
 }
 
 func (m *manifest) clone() *manifest {
@@ -90,63 +72,11 @@ func (m *manifest) files() map[string]int64 {
 	return out
 }
 
-// loadManifest reads a committed v1 manifest; ok=false means there is
-// none (a fresh lake, or one already migrated to the journal).
-func loadManifest(fsys vfs.FS) (*manifest, bool, error) {
-	data, err := fsys.ReadFile(manifestName)
-	if os.IsNotExist(err) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, false, fmt.Errorf("lake: manifest corrupt: %w", err)
-	}
-	if m.Format != formatV1 {
-		return nil, false, fmt.Errorf("lake: unsupported manifest format %d", m.Format)
-	}
-	return &m, true, nil
-}
-
-// commitManifest atomically replaces the committed v1 manifest with m.
-// Production writers no longer call it — format v2 commits through the
-// journal — but the migration tests use it to build genuine v1 lakes.
-func commitManifest(fsys vfs.FS, m *manifest) error {
-	data, err := json.MarshalIndent(m, "", " ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	f, err := fsys.Create(manifestTmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := fsys.Rename(manifestTmp, manifestName); err != nil {
-		return err
-	}
-	// Best-effort dir fsync so the rename itself is durable.
-	_ = fsys.SyncDir()
-	return nil
-}
-
 // isLakeFile reports whether name looks like a file this package owns
 // (orphan cleanup must never touch anything else in the directory).
 func isLakeFile(name string) bool {
 	return strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".obs") ||
 		strings.HasPrefix(name, "idx-") && strings.HasSuffix(name, ".ipx") ||
 		strings.HasPrefix(name, "meta-") && strings.HasSuffix(name, ".jsonl") ||
-		name == manifestTmp || name == journal.TmpName
+		name == journal.TmpName
 }

@@ -2,14 +2,14 @@
 // segment at flush (and compaction) time, so point lookups open only
 // segments that actually contain the key. One `idx-NNNNNN.ipx` file
 // holds two sorted postings lists for its segment — the distinct
-// observed IP address strings and the distinct torrent IDs. Zone-map
-// blooms answer "maybe"; postings answer "definitely" — the scan
-// planner consults postings after the (free) zone-map check and before
-// opening the segment, which is what turns "every observation of IP x"
-// from bloom-maybe-everything into an O(1)-segment lookup on lakes
-// where x is rare. Indexes are an optimization, never a source of
-// truth: a lake without them (pre-microindex manifests, or a damaged
-// index file) stays fully readable with bloom-only pruning.
+// observed IP address strings and the distinct torrent IDs. Zone maps
+// bound ranges; postings prove membership — the scan planner consults
+// postings after the (free) zone-map check and before opening the
+// segment, which is what turns "every observation of IP x" from a
+// whole-lake read into an O(1)-segment lookup on lakes where x is rare.
+// Indexes are an optimization, never a source of truth: a segment whose
+// index file is damaged or missing stays fully readable, pruned on its
+// zone maps alone.
 //
 // All integers are little-endian. Layout:
 //
@@ -148,7 +148,7 @@ func encodeMicroindex(x *microindex) []byte {
 
 // CorruptIndexError reports a microindex file whose bytes fail
 // validation. Unlike a corrupt segment, a corrupt index loses no data —
-// scans fall back to bloom pruning.
+// scans fall back to zone-map pruning.
 type CorruptIndexError struct {
 	File   string
 	Reason string

@@ -1,7 +1,7 @@
 // White-box microindex tests: codec round-trips, corrupt-file
-// rejection, and the compatibility guarantee that lakes without
-// postings (pre-microindex manifests, or lost index files) stay fully
-// readable with bloom-only pruning until compaction regenerates them.
+// rejection, and the compatibility guarantee that segments without
+// postings (entries with no index reference, or lost index files) stay
+// fully readable on zone maps alone until compaction regenerates them.
 package lake
 
 import (
@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"btpub/internal/dataset"
-	"btpub/internal/vfs"
 )
 
 func sampleStore(rows int) *dataset.ObsStore {
@@ -123,10 +122,11 @@ func FuzzMicroindexRoundTrip(f *testing.F) {
 	})
 }
 
-// TestPreMicroindexLakeCompat: a lake written before microindexes
-// existed (manifest entries without index fields, no idx files on disk)
-// must open, scan, and Verify cleanly, with point lookups falling back
-// to bloom pruning; one compaction regenerates the postings and
+// TestPreMicroindexLakeCompat: a lake whose segment entries carry no
+// microindex reference (a journal migrated from a build that predates
+// microindexes, or — as built here — one that lost every idx file) must
+// open, scan, and Verify cleanly, with point lookups opening every
+// zone-admitted segment; one compaction regenerates the postings and
 // restores exact pruning.
 func TestPreMicroindexLakeCompat(t *testing.T) {
 	t0 := time.Date(2010, 4, 6, 0, 0, 0, 0, time.UTC)
@@ -135,8 +135,6 @@ func TestPreMicroindexLakeCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Distinct addresses per row saturate each segment's 64-bit bloom,
-	// so bloom pruning alone cannot dismiss any segment.
 	const total = 8_000
 	const target = "198.51.100.42"
 	for i := 0; i < total; i++ {
@@ -154,43 +152,36 @@ func TestPreMicroindexLakeCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rewrite the on-disk state as a pre-microindex format-v1 lake: a
-	// MANIFEST without index fields, no idx files, no journal. Opening it
-	// exercises migration and the bloom-only fallback together.
 	man := liveManifest(lk)
 	if len(man.Segments) < 10 {
 		t.Fatalf("segments = %d, want many", len(man.Segments))
 	}
-	for i := range man.Segments {
-		if man.Segments[i].Index == "" {
-			t.Fatalf("segment %s sealed without an index", man.Segments[i].File)
+	for _, s := range man.Segments {
+		if s.Index == "" {
+			t.Fatalf("segment %s sealed without an index", s.File)
 		}
-		if err := os.Remove(filepath.Join(dir, man.Segments[i].Index)); err != nil {
+		if err := os.Remove(filepath.Join(dir, s.Index)); err != nil {
 			t.Fatal(err)
 		}
-		man.Segments[i].Index, man.Segments[i].IndexBytes = "", 0
-	}
-	man.Format = formatV1
-	man.Version++
-	if err := commitManifest(vfs.OS(dir), man); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, "JOURNAL")); err != nil {
-		t.Fatal(err)
 	}
 
 	lk, err = Open(dir, Options{})
 	if err != nil {
-		t.Fatalf("pre-microindex lake failed to open: %v", err)
+		t.Fatalf("index-less lake failed to open: %v", err)
 	}
 	defer lk.Close()
+	for _, s := range liveManifest(lk).Segments {
+		if s.Index != "" {
+			t.Fatalf("dangling index reference survived: %+v", s)
+		}
+	}
 	ctx := context.Background()
 	if errs := lk.Verify(ctx); len(errs) != 0 {
-		t.Fatalf("pre-microindex lake fails Verify: %v", errs)
+		t.Fatalf("index-less lake fails Verify: %v", errs)
 	}
 
-	// Point lookups still work — postings just can't prune, and the
-	// saturated blooms can't either, so every segment is opened.
+	// Point lookups still work — there are just no postings to prune on,
+	// and the address is inside every zone map, so every segment is opened.
 	pl, err := lk.PlanScan(Predicate{IPs: []string{target}})
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +190,7 @@ func TestPreMicroindexLakeCompat(t *testing.T) {
 		t.Fatalf("plan pruned %d segments via postings that do not exist", pl.PrunedPostings)
 	}
 	if len(pl.Opened) != pl.Segments {
-		t.Fatalf("bloom fallback opened %d of %d segments, want all (saturated blooms)", len(pl.Opened), pl.Segments)
+		t.Fatalf("index-less plan opened %d of %d segments, want all", len(pl.Opened), pl.Segments)
 	}
 	rows := 0
 	if err := lk.Scan(ctx, Predicate{IPs: []string{target}}, func(b *Batch) error {
@@ -236,9 +227,7 @@ func TestPreMicroindexLakeCompat(t *testing.T) {
 	}
 }
 
-// liveManifest snapshots a handle's committed state — the test-side
-// replacement for reading a MANIFEST file, which format v2 no longer
-// writes.
+// liveManifest snapshots a handle's committed state.
 func liveManifest(lk *Lake) *manifest {
 	lk.mu.Lock()
 	defer lk.mu.Unlock()
@@ -247,8 +236,8 @@ func liveManifest(lk *Lake) *manifest {
 
 // TestMissingIndexFileDegrades: losing an idx file the manifest still
 // references must not block Open (index loss is not data loss) — the
-// reference is dropped, the degraded manifest committed, and scans fall
-// back to bloom pruning for that segment.
+// reference is dropped, the degraded manifest committed, and scans prune
+// that segment on its zone maps alone.
 func TestMissingIndexFileDegrades(t *testing.T) {
 	t0 := time.Date(2010, 4, 6, 0, 0, 0, 0, time.UTC)
 	dir := filepath.Join(t.TempDir(), "lake")
@@ -290,14 +279,7 @@ func TestMissingIndexFileDegrades(t *testing.T) {
 	if errs := lk.Verify(context.Background()); len(errs) != 0 {
 		t.Fatalf("degraded lake fails Verify: %v", errs)
 	}
-	rows := 0
-	if err := lk.Scan(context.Background(), Predicate{}, func(b *Batch) error {
-		rows += b.Len()
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if rows != total {
+	if rows := countRows(t, lk.Scan, Predicate{}); rows != total {
 		t.Fatalf("scan saw %d rows, want %d", rows, total)
 	}
 }

@@ -1,9 +1,9 @@
 // Planned, parallel predicate scans over committed segments. A scan is
 // executed in three stages. First the planner prunes on metadata alone:
-// the manifest's zone maps (time range, torrent-ID range, IP bloom) cost
-// nothing to consult, and bloom-maybe segments are then held against
-// their sealed microindex postings, which prove membership exactly — a
-// point lookup opens only segments that actually contain the key.
+// the manifest's zone maps (time range, torrent-ID range) cost nothing to
+// consult, and the segments they admit are then held against their
+// sealed microindex postings, which prove membership exactly — a point
+// lookup opens only segments that actually contain the key.
 // Second, the row-level predicate is ordered cheapest-column-first
 // (time bounds, then the seeder bit, then torrent-ID membership, then IP
 // membership) and specialized per segment: a time check the segment's
@@ -80,7 +80,6 @@ type compiled struct {
 	minTID, maxTID int32
 	ips            []string // sorted distinct, for postings intersection
 	ipSet          map[string]bool
-	ipMasks        []uint64 // one bloom mask per ip
 	seedersOnly    bool
 	// order lists the active row predicates cheapest-column-first; the
 	// planner specializes it per segment (see segOrder).
@@ -127,10 +126,6 @@ func (p Predicate) compile() compiled {
 			}
 		}
 		slices.Sort(c.ips)
-		c.ipMasks = make([]uint64, len(c.ips))
-		for i, ip := range c.ips {
-			c.ipMasks[i] = bloomBits(ip)
-		}
 	}
 	// Cheapest column first: the constant order below is the static cost
 	// model (integer compares < bit probe < map lookup < membership over
@@ -161,18 +156,6 @@ func (c *compiled) admitsSegment(z zone) bool {
 	if z.MinTID > c.maxTID || z.MaxTID < c.minTID {
 		return false
 	}
-	if len(c.ipMasks) > 0 {
-		maybe := false
-		for _, m := range c.ipMasks {
-			if z.IPBloom&m == m {
-				maybe = true
-				break
-			}
-		}
-		if !maybe {
-			return false
-		}
-	}
 	return true
 }
 
@@ -182,7 +165,7 @@ func (c *compiled) wantsPostings() bool {
 	return len(c.ips) > 0 || c.tidList != nil
 }
 
-// admitsPostings holds a bloom-maybe segment against exact postings.
+// admitsPostings holds a zone-admitted segment against exact postings.
 func (c *compiled) admitsPostings(x *microindex) bool {
 	if len(c.ips) > 0 && !x.hasAnyIP(c.ips) {
 		return false
@@ -226,7 +209,7 @@ func (c *compiled) matchRows(d *segData, order []predKind) []int32 {
 			}
 		}
 		if !hit {
-			return nil // bloom false positive: no row can match
+			return nil // no address occurs here, and no postings existed to say so
 		}
 	}
 	rows := make([]int32, 0, d.rows())
@@ -290,7 +273,7 @@ type scanPlan struct {
 }
 
 // planManifest prunes the manifest's segment set: zone maps first
-// (free), then microindex postings for bloom-maybe segments when the
+// (free), then microindex postings for the segments they admit when the
 // predicate carries a key column. An unreadable index only costs the
 // pruning it would have bought.
 func (lk *Lake) planManifest(man *manifest, c *compiled) scanPlan {
@@ -325,7 +308,7 @@ type ScanPlan struct {
 	Segments int `json:"segments"`
 	// PrunedZone counts segments dismissed by zone maps alone.
 	PrunedZone int `json:"pruned_zone"`
-	// PrunedPostings counts bloom-maybe segments dismissed by exact
+	// PrunedPostings counts zone-admitted segments dismissed by exact
 	// microindex postings.
 	PrunedPostings int `json:"pruned_postings"`
 	// Opened lists the segment files the scan would actually read.

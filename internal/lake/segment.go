@@ -3,19 +3,18 @@
 // dataset.ObsStore — torrent ID, segment-local interned-IP index,
 // unix-nanosecond timestamp, seeder bitset — prefixed by the segment's
 // intern table and a fixed-size zone-map header (min/max time, min/max
-// torrent ID, a 64-bit IP bloom) and terminated by a CRC-32C footer over
-// every preceding byte. The zone maps are duplicated into the manifest so
-// scans prune segments without touching the file at all; the in-file copy
-// exists so a segment is self-describing for recovery and verification.
+// torrent ID) and terminated by a CRC-32C footer over every preceding
+// byte. The zone maps are duplicated into the journal so scans prune
+// segments without touching the file at all; the in-file copy exists so
+// a segment is self-describing for recovery and verification.
 //
-// All fixed-width integers are little-endian. The v2 layout, written by
-// every current seal:
+// All fixed-width integers are little-endian:
 //
 //	magic   "BTLKSG2\n"                     8 bytes
 //	rows    u32    nIPs u32                 8
 //	minAt   i64    maxAt i64                16
 //	minTID  i32    maxTID i32               8
-//	ipBloom u64                             8
+//	reserved, written zero and ignored      8
 //	atScale  uvarint (GCD of timestamp deltas, >= 1)
 //	IP table: nIPs × (uvarint len + bytes)
 //	tids:     rows × zigzag-varint delta from the previous row (first from 0)
@@ -27,10 +26,8 @@
 //
 // Torrent IDs are dense and arrive clustered, timestamps of successive
 // probes differ by whole probe periods (the GCD factors that period out),
-// and intern indices are small — so the varint columns shrink the file
-// severalfold against the v1 fixed-width layout. Files under the v1 magic
-// "BTLKSG1\n" (u32 IP lens, raw i32/u32/i64 columns in the same order)
-// decode transparently; nothing rewrites them.
+// and intern indices are small — so the varint columns cost a few bytes
+// per observation.
 package lake
 
 import (
@@ -42,12 +39,10 @@ import (
 	"btpub/internal/dataset"
 )
 
-const (
-	segMagic   = "BTLKSG1\n"
-	segMagicV2 = "BTLKSG2\n"
-)
+const segMagic = "BTLKSG2\n"
 
-// segHeaderLen is the byte length of the fixed header (magic + zone maps).
+// segHeaderLen is the byte length of the fixed header (magic, zone maps
+// and 8 reserved bytes).
 const segHeaderLen = 8 + 8 + 16 + 8 + 8
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -55,19 +50,18 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // zone is a segment's pruning metadata, stored in both the segment header
 // and the manifest entry.
 type zone struct {
-	Rows    int    `json:"rows"`
-	MinAtNs int64  `json:"min_at_ns"`
-	MaxAtNs int64  `json:"max_at_ns"`
-	MinTID  int32  `json:"min_tid"`
-	MaxTID  int32  `json:"max_tid"`
-	IPBloom uint64 `json:"ip_bloom"`
+	Rows    int   `json:"rows"`
+	MinAtNs int64 `json:"min_at_ns"`
+	MaxAtNs int64 `json:"max_at_ns"`
+	MinTID  int32 `json:"min_tid"`
+	MaxTID  int32 `json:"max_tid"`
 }
 
 func emptyZone() zone {
 	return zone{MinAtNs: math.MaxInt64, MaxAtNs: math.MinInt64, MinTID: math.MaxInt32, MaxTID: math.MinInt32}
 }
 
-func (z *zone) add(tid int32, atNs int64, ip string) {
+func (z *zone) add(tid int32, atNs int64) {
 	z.Rows++
 	if atNs < z.MinAtNs {
 		z.MinAtNs = atNs
@@ -81,18 +75,6 @@ func (z *zone) add(tid int32, atNs int64, ip string) {
 	if tid > z.MaxTID {
 		z.MaxTID = tid
 	}
-	z.IPBloom |= bloomBits(ip)
-}
-
-// bloomBits hashes an address string to a 3-bit-set 64-bit bloom mask.
-// False positives only ever cost an unnecessary segment read.
-func bloomBits(ip string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(ip); i++ {
-		h ^= uint64(ip[i])
-		h *= 1099511628211
-	}
-	return 1<<(h&63) | 1<<((h>>8)&63) | 1<<((h>>16)&63)
 }
 
 // segData is a decoded segment: plain columns plus the segment-local
@@ -108,17 +90,16 @@ type segData struct {
 func (d *segData) rows() int           { return len(d.tids) }
 func (d *segData) seeder(i int32) bool { return d.seed[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-// appendSegHeader writes the fixed header shared by both formats.
-func appendSegHeader(buf []byte, magic string, n, nIPs int, z zone) []byte {
-	buf = append(buf, magic...)
+// appendSegHeader writes the fixed header.
+func appendSegHeader(buf []byte, n, nIPs int, z zone) []byte {
+	buf = append(buf, segMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(nIPs))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(z.MinAtNs))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(z.MaxAtNs))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(z.MinTID))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(z.MaxTID))
-	buf = binary.LittleEndian.AppendUint64(buf, z.IPBloom)
-	return buf
+	return binary.LittleEndian.AppendUint64(buf, 0) // reserved
 }
 
 // appendSeedWords packs the seeder column into raw u64 words (the one
@@ -136,9 +117,9 @@ func appendSeedWords(buf []byte, s *dataset.ObsStore, n int) []byte {
 	return buf
 }
 
-// encodeSegment serializes a sealed builder store in the v2 compressed
-// layout. The store's columns are walked through the exported ObsStore
-// accessors, so the lake never depends on dataset internals.
+// encodeSegment serializes a sealed builder store. The store's columns
+// are walked through the exported ObsStore accessors, so the lake never
+// depends on dataset internals.
 func encodeSegment(s *dataset.ObsStore, z zone) []byte {
 	n := s.Len()
 	ips := s.IPs()
@@ -160,7 +141,7 @@ func encodeSegment(s *dataset.ObsStore, z zone) []byte {
 		}
 	}
 	buf := make([]byte, 0, segHeaderLen+4*n)
-	buf = appendSegHeader(buf, segMagicV2, n, nIPs, z)
+	buf = appendSegHeader(buf, n, nIPs, z)
 	buf = binary.AppendUvarint(buf, uint64(scale))
 	for i := 0; i < nIPs; i++ {
 		str := ips.String(uint32(i))
@@ -201,38 +182,6 @@ func gcd64(a, b int64) int64 {
 	return a
 }
 
-// encodeSegmentV1 serializes the legacy fixed-width v1 layout. Production
-// writers only emit v2; this encoder exists so tests can build genuine
-// v1 lakes to exercise migration and mixed-format reads.
-func encodeSegmentV1(s *dataset.ObsStore, z zone) []byte {
-	n := s.Len()
-	ips := s.IPs()
-	nIPs := ips.Len()
-	size := segHeaderLen + 4*nIPs + 16*n + 8*((n+63)/64) + 4
-	for i := 0; i < nIPs; i++ {
-		size += len(ips.String(uint32(i)))
-	}
-	buf := make([]byte, 0, size)
-	buf = appendSegHeader(buf, segMagic, n, nIPs, z)
-	for i := 0; i < nIPs; i++ {
-		str := ips.String(uint32(i))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(str)))
-		buf = append(buf, str...)
-	}
-	for i := 0; i < n; i++ {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(s.TorrentID(i)))
-	}
-	for i := 0; i < n; i++ {
-		buf = binary.LittleEndian.AppendUint32(buf, s.IPIndex(i))
-	}
-	for i := 0; i < n; i++ {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.UnixNano(i)))
-	}
-	buf = appendSeedWords(buf, s, n)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-	return buf
-}
-
 // CorruptSegmentError reports a segment file whose bytes fail validation.
 type CorruptSegmentError struct {
 	File   string
@@ -243,9 +192,7 @@ func (e *CorruptSegmentError) Error() string {
 	return fmt.Sprintf("lake: corrupt segment %s: %s", e.File, e.Reason)
 }
 
-// decodeSegment parses and CRC-verifies one segment file's bytes,
-// dispatching on the magic between the v1 fixed-width and v2 compressed
-// column layouts.
+// decodeSegment parses and CRC-verifies one segment file's bytes.
 func decodeSegment(file string, buf []byte) (*segData, zone, error) {
 	fail := func(reason string) (*segData, zone, error) {
 		return nil, zone{}, &CorruptSegmentError{File: file, Reason: reason}
@@ -253,8 +200,7 @@ func decodeSegment(file string, buf []byte) (*segData, zone, error) {
 	if len(buf) < segHeaderLen+4 {
 		return fail(fmt.Sprintf("file too short (%d bytes)", len(buf)))
 	}
-	magic := string(buf[:8])
-	if magic != segMagic && magic != segMagicV2 {
+	if string(buf[:8]) != segMagic {
 		return fail("bad magic")
 	}
 	body, footer := buf[:len(buf)-4], buf[len(buf)-4:]
@@ -269,7 +215,6 @@ func decodeSegment(file string, buf []byte) (*segData, zone, error) {
 		MaxAtNs: int64(binary.LittleEndian.Uint64(buf[24:])),
 		MinTID:  int32(binary.LittleEndian.Uint32(buf[32:])),
 		MaxTID:  int32(binary.LittleEndian.Uint32(buf[36:])),
-		IPBloom: binary.LittleEndian.Uint64(buf[40:]),
 	}
 	if rows < 0 || nIPs < 0 || rows > len(body) || nIPs > len(body) {
 		// Bound the allocations below by the file size: a column can
@@ -283,63 +228,14 @@ func decodeSegment(file string, buf []byte) (*segData, zone, error) {
 		atNs:  make([]int64, rows),
 		seed:  make([]uint64, (rows+63)/64),
 	}
-	var err error
-	if magic == segMagic {
-		err = decodeColumnsV1(d, body, nIPs)
-	} else {
-		err = decodeColumnsV2(d, body, nIPs)
-	}
-	if err != nil {
+	if err := decodeColumns(d, body, nIPs); err != nil {
 		return fail(err.Error())
 	}
 	return d, z, nil
 }
 
-// decodeColumnsV1 parses the fixed-width column area after the header.
-func decodeColumnsV1(d *segData, body []byte, nIPs int) error {
-	p := segHeaderLen
-	for i := 0; i < nIPs; i++ {
-		if p+4 > len(body) {
-			return fmt.Errorf("truncated IP table")
-		}
-		l := int(binary.LittleEndian.Uint32(body[p:]))
-		p += 4
-		if l < 0 || p+l > len(body) {
-			return fmt.Errorf("IP string overruns file")
-		}
-		d.ips[i] = string(body[p : p+l])
-		p += l
-	}
-	rows := len(d.tids)
-	need := 16*rows + 8*len(d.seed)
-	if p+need != len(body) {
-		return fmt.Errorf("column area is %d bytes, want %d", len(body)-p, need)
-	}
-	for i := range d.tids {
-		d.tids[i] = int32(binary.LittleEndian.Uint32(body[p:]))
-		p += 4
-	}
-	for i := range d.ipIdx {
-		idx := binary.LittleEndian.Uint32(body[p:])
-		p += 4
-		if int(idx) >= nIPs {
-			return fmt.Errorf("row %d references IP index %d of %d", i, idx, nIPs)
-		}
-		d.ipIdx[i] = idx
-	}
-	for i := range d.atNs {
-		d.atNs[i] = int64(binary.LittleEndian.Uint64(body[p:]))
-		p += 8
-	}
-	for i := range d.seed {
-		d.seed[i] = binary.LittleEndian.Uint64(body[p:])
-		p += 8
-	}
-	return nil
-}
-
-// decodeColumnsV2 parses the compressed column area after the header.
-func decodeColumnsV2(d *segData, body []byte, nIPs int) error {
+// decodeColumns parses the compressed column area after the header.
+func decodeColumns(d *segData, body []byte, nIPs int) error {
 	p := segHeaderLen
 	uv := func() (uint64, error) {
 		v, sz := binary.Uvarint(body[p:])

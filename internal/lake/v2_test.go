@@ -1,7 +1,6 @@
-// White-box format-v2 tests: the v1→v2 migration keeps Materialize
-// byte-identical, compressed segments actually compress, and the journal
-// pins (OpenAt / Predicate.AsOf) replay historical versions exactly —
-// including what happens to pinned versions after compaction.
+// White-box format tests: compressed segments actually compress, and the
+// journal pins (OpenAt / Predicate.AsOf) replay historical versions
+// exactly — including what happens to pinned versions after compaction.
 package lake
 
 import (
@@ -9,36 +8,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"btpub/internal/dataset"
-	"btpub/internal/vfs"
 )
-
-// v2TestDataset builds a small deterministic dataset with torrent
-// metadata, so migration covers meta files as well as segments.
-func v2TestDataset(n int) *dataset.Dataset {
-	t0 := time.Date(2010, 4, 6, 0, 0, 0, 0, time.UTC)
-	d := &dataset.Dataset{Name: "v2-test", Start: t0, End: t0.Add(48 * time.Hour)}
-	for i := 0; i < n/50; i++ {
-		d.AddTorrent(&dataset.TorrentRecord{
-			TorrentID: i, InfoHash: fmt.Sprintf("%040d", i),
-			Title: fmt.Sprintf("torrent-%d", i), Published: t0.Add(time.Duration(i) * time.Minute),
-		})
-	}
-	for i := 0; i < n; i++ {
-		d.AddObservation(dataset.Observation{
-			TorrentID: i % (n / 50),
-			IP:        fmt.Sprintf("10.%d.%d.%d", i%3, (i/3)%200, i%251),
-			At:        t0.Add(time.Duration(i) * time.Second),
-			Seeder:    i%7 == 0,
-		})
-	}
-	return d
-}
 
 func serialize(t *testing.T, ds *dataset.Dataset) []byte {
 	t.Helper()
@@ -49,126 +25,17 @@ func serialize(t *testing.T, ds *dataset.Dataset) []byte {
 	return buf.Bytes()
 }
 
-// downgradeToV1 rewrites an on-disk v2 lake as a genuine format-v1 lake:
-// every segment re-encoded in the v1 fixed-width layout, a format-v1
-// MANIFEST as the source of truth, and no journal.
-func downgradeToV1(t *testing.T, dir string, lk *Lake) {
-	t.Helper()
-	man := liveManifest(lk)
-	fsys := vfs.OS(dir)
-	for i := range man.Segments {
-		sm := &man.Segments[i]
-		buf, err := os.ReadFile(filepath.Join(dir, sm.File))
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, z, err := decodeSegment(sm.File, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st dataset.ObsStore
-		for r := 0; r < d.rows(); r++ {
-			st.Append(dataset.Observation{
-				TorrentID: int(d.tids[r]),
-				IP:        d.ips[d.ipIdx[r]],
-				At:        time.Unix(0, d.atNs[r]),
-				Seeder:    d.seeder(int32(r)),
-			})
-		}
-		v1buf := encodeSegmentV1(&st, z)
-		if err := os.WriteFile(filepath.Join(dir, sm.File), v1buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		sm.Bytes = int64(len(v1buf))
-	}
-	man.Format = formatV1
-	man.Version++
-	if err := commitManifest(fsys, man); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, "JOURNAL")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestV1MigrationByteIdentical: opening a genuine format-v1 lake (v1
-// MANIFEST, v1 fixed-width segments, no journal) migrates it to the
-// journal without changing a single materialized byte, and the migration
-// is idempotent across reopens.
-func TestV1MigrationByteIdentical(t *testing.T) {
-	ds := v2TestDataset(5_000)
-	want := serialize(t, ds)
-	ctx := context.Background()
-
-	dir := filepath.Join(t.TempDir(), "lake")
-	lk, err := Open(dir, Options{FlushRows: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lk.ImportDataset(ds); err != nil {
-		t.Fatal(err)
-	}
-	if err := lk.Close(); err != nil {
-		t.Fatal(err)
-	}
-	downgradeToV1(t, dir, lk)
-	v1Version := liveManifest(lk).Version + 1 // downgrade bumped it
-
-	lk, err = Open(dir, Options{})
-	if err != nil {
-		t.Fatalf("v1 lake failed to open: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "MANIFEST")); !os.IsNotExist(err) {
-		t.Fatalf("migration left the MANIFEST behind: %v", err)
-	}
-	jr := liveManifest(lk)
-	if jr.Format != formatV2 {
-		t.Fatalf("format after migration = %d", jr.Format)
-	}
-	if lk.Version() != v1Version {
-		t.Fatalf("migration moved the version: %d, want %d", lk.Version(), v1Version)
-	}
-	mat, err := lk.Materialize(ctx, Predicate{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := serialize(t, mat); !bytes.Equal(got, want) {
-		t.Fatalf("migrated lake materializes differently: %d vs %d bytes", len(got), len(want))
-	}
-	if errs := lk.Verify(ctx); len(errs) != 0 {
-		t.Fatalf("migrated lake fails Verify: %v", errs)
-	}
-	if err := lk.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second open replays the journal — no second migration, same bytes.
-	lk, err = Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lk.Close()
-	if lk.Version() != v1Version {
-		t.Fatalf("reopen moved the version to %d", lk.Version())
-	}
-	mat, err = lk.Materialize(ctx, Predicate{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := serialize(t, mat); !bytes.Equal(got, want) {
-		t.Fatal("journal replay materializes differently from the migrated state")
-	}
-}
-
 // TestSegmentCompressionRatio: on probe-style data (periodic timestamps,
-// repeated addresses, clustered torrent IDs) the v2 encoding must be at
-// least half the size of the v1 fixed-width layout, and decode back to
-// the same columns.
+// repeated addresses, clustered torrent IDs) a sealed segment must cost
+// at most segBytesPerObs bytes per observation, and decode back to the
+// same columns.
 func TestSegmentCompressionRatio(t *testing.T) {
 	t0 := time.Date(2010, 4, 6, 0, 0, 0, 0, time.UTC)
 	var st dataset.ObsStore
 	z := emptyZone()
 	const rows = 50_000
+	// The fixture encodes to 3.53 B/obs; fixed-width columns would take 16.
+	const segBytesPerObs = 4
 	for i := 0; i < rows; i++ {
 		o := dataset.Observation{
 			TorrentID: i % 40,
@@ -177,29 +44,27 @@ func TestSegmentCompressionRatio(t *testing.T) {
 			Seeder:    i%9 == 0,
 		}
 		st.Append(o)
-		z.add(int32(o.TorrentID), o.At.UnixNano(), o.IP)
+		z.add(int32(o.TorrentID), o.At.UnixNano())
 	}
-	v1 := encodeSegmentV1(&st, z)
-	v2 := encodeSegment(&st, z)
-	if len(v2)*2 > len(v1) {
-		t.Fatalf("v2 = %d bytes, v1 = %d bytes: less than 2x smaller", len(v2), len(v1))
+	buf := encodeSegment(&st, z)
+	if len(buf) > segBytesPerObs*rows {
+		t.Fatalf("segment = %d bytes for %d rows (%.2f B/obs), want <= %d B/obs",
+			len(buf), rows, float64(len(buf))/rows, segBytesPerObs)
 	}
-	for name, buf := range map[string][]byte{"v1": v1, "v2": v2} {
-		d, dz, err := decodeSegment("seg", buf)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if dz != z {
-			t.Fatalf("%s: zone changed: %+v != %+v", name, dz, z)
-		}
-		if d.rows() != rows {
-			t.Fatalf("%s: %d rows", name, d.rows())
-		}
-		for i := 0; i < rows; i += 997 {
-			if int(d.tids[i]) != i%40 || d.ips[d.ipIdx[i]] != st.IPString(i) ||
-				d.atNs[i] != st.UnixNano(i) || d.seeder(int32(i)) != st.Seeder(i) {
-				t.Fatalf("%s: row %d decoded wrong", name, i)
-			}
+	d, dz, err := decodeSegment("seg", buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dz != z {
+		t.Fatalf("zone changed: %+v != %+v", dz, z)
+	}
+	if d.rows() != rows {
+		t.Fatalf("%d rows", d.rows())
+	}
+	for i := 0; i < rows; i += 997 {
+		if int(d.tids[i]) != i%40 || d.ips[d.ipIdx[i]] != st.IPString(i) ||
+			d.atNs[i] != st.UnixNano(i) || d.seeder(int32(i)) != st.Seeder(i) {
+			t.Fatalf("row %d decoded wrong", i)
 		}
 	}
 }
@@ -223,14 +88,14 @@ func fillLake(t *testing.T, lk *Lake, base, n int) {
 
 func countRows(t *testing.T, scan func(context.Context, Predicate, func(*Batch) error) error, pred Predicate) int {
 	t.Helper()
-	rows := 0
+	var rows atomic.Int64 // scans call back from several goroutines
 	if err := scan(context.Background(), pred, func(b *Batch) error {
-		rows += b.Len()
+		rows.Add(int64(b.Len()))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return rows
+	return int(rows.Load())
 }
 
 // TestTimeTravel: OpenAt and Predicate.AsOf pin scans to a committed

@@ -1,9 +1,7 @@
-// The versioned HTTP surface: every route lives under /api/v1, the
-// pre-v1 paths stay mounted as thin aliases of the same handlers (so
-// existing curl workflows and tests keep working byte for byte), every
-// 4xx/5xx response carries one error envelope, and POST /api/v1/query
-// exposes the composable query engine the canned endpoints are built
-// on.
+// The versioned HTTP surface: every route lives under /api/v1 and
+// nowhere else, every 4xx/5xx response carries one error envelope, and
+// POST /api/v1/query exposes the composable query engine the canned
+// endpoints are built on.
 package lakeserve
 
 import (
@@ -183,51 +181,30 @@ func (p params) list(name string) ([]string, error) {
 // Route table
 // ---------------------------------------------------------------------
 
-// Handler builds the route table: every endpoint under /api/v1 plus the
-// legacy aliases, wrapped so even the mux's own 404/405 responses wear
-// the error envelope. API routes sit behind the per-request timeout and
+// Handler builds the route table: every endpoint under /api/v1, wrapped
+// so even the mux's own 404/405 responses wear the error envelope. API
+// routes sit behind the per-request timeout and
 // the admission bound (timeout outermost, so a slot is held until the
 // abandoned handler actually finishes); /healthz and /readyz bypass
 // both — an overloaded server must still answer its probes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	routes := []struct {
-		pattern string
-		h       http.HandlerFunc
-	}{
-		{"GET /stats", s.handleStats},
-		{"GET /tables/1", s.handleTable1},
-		{"GET /tables/2", s.handleTable2},
-		{"GET /tables/3", s.handleTable3},
-		{"GET /top-publishers", s.handleTopPublishers},
-		{"GET /publishers/classified", s.handleClassified},
-		{"GET /fakes", s.handleFakes},
-		{"GET /torrents/{id}/observations", s.handleObservations},
-	}
-	for _, rt := range routes {
-		method, path, _ := strings.Cut(rt.pattern, " ")
-		mux.HandleFunc(method+" "+APIPrefix+path, rt.h)
-		mux.HandleFunc(method+" "+path, deprecated(rt.h))
-	}
 	mux.HandleFunc("POST "+APIPrefix+"/query", s.handleQuery)
-	// Alerts are new with /api/v1 — no legacy alias to mount.
+	mux.HandleFunc("GET "+APIPrefix+"/stats", s.handleStats)
 	mux.HandleFunc("GET "+APIPrefix+"/alerts", s.handleAlerts)
+	mux.HandleFunc("GET "+APIPrefix+"/tables/1", s.handleTable1)
+	mux.HandleFunc("GET "+APIPrefix+"/tables/2", s.handleTable2)
+	mux.HandleFunc("GET "+APIPrefix+"/tables/3", s.handleTable3)
+	mux.HandleFunc("GET "+APIPrefix+"/top-publishers", s.handleTopPublishers)
+	mux.HandleFunc("GET "+APIPrefix+"/publishers/classified", s.handleClassified)
+	mux.HandleFunc("GET "+APIPrefix+"/fakes", s.handleFakes)
+	mux.HandleFunc("GET "+APIPrefix+"/torrents/{id}/observations", s.handleObservations)
 
 	root := http.NewServeMux()
 	root.HandleFunc("GET /healthz", s.handleHealthz)
 	root.HandleFunc("GET /readyz", s.handleReadyz)
 	root.Handle("/", s.withTimeout(s.admit(mux)))
 	return envelopeMiddleware(root)
-}
-
-// deprecated marks a legacy-alias response. Bodies stay byte-identical
-// to the /api/v1 route (same handler); only headers differ.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+APIPrefix+r.URL.Path+">; rel=\"successor-version\"")
-		h(w, r)
-	}
 }
 
 // envelopeMiddleware rewrites bare non-JSON error bodies into the error

@@ -16,56 +16,6 @@ import (
 	"btpub/internal/query"
 )
 
-// TestLegacyAliasParity holds every legacy path to byte-identical output
-// with its /api/v1 reimplementation, plus the deprecation marker on the
-// legacy side only.
-func TestLegacyAliasParity(t *testing.T) {
-	lk := seedLake(t, lake.Options{})
-	srv := newServer(t, lk)
-
-	paths := []string{
-		"/stats",
-		"/tables/1",
-		"/tables/2?n=5",
-		"/tables/2?format=json",
-		"/tables/3?isps=OVH,Comcast",
-		"/top-publishers?n=4",
-		"/publishers/classified",
-		"/fakes",
-		"/torrents/2/observations?limit=7",
-	}
-	for _, path := range paths {
-		legacy, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacyBody, _ := io.ReadAll(legacy.Body)
-		legacy.Body.Close()
-		v1, err := http.Get(srv.URL + lakeserve.APIPrefix + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1Body, _ := io.ReadAll(v1.Body)
-		v1.Body.Close()
-
-		if legacy.StatusCode != v1.StatusCode {
-			t.Errorf("%s: status %d != /api/v1 status %d", path, legacy.StatusCode, v1.StatusCode)
-		}
-		if !bytes.Equal(legacyBody, v1Body) {
-			t.Errorf("%s: legacy body differs from /api/v1:\n%s\n%s", path, legacyBody, v1Body)
-		}
-		if got, want := legacy.Header.Get("Content-Type"), v1.Header.Get("Content-Type"); got != want {
-			t.Errorf("%s: content type %q != %q", path, got, want)
-		}
-		if legacy.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s: legacy response missing Deprecation header", path)
-		}
-		if v1.Header.Get("Deprecation") != "" {
-			t.Errorf("%s: /api/v1 response carries a Deprecation header", path)
-		}
-	}
-}
-
 // checkEnvelope asserts one error response: expected status, the JSON
 // content type, and a well-formed {"error": {code, message}} body.
 func checkEnvelope(t *testing.T, resp *http.Response, wantStatus int, wantCode string) {
@@ -99,6 +49,7 @@ func TestErrorEnvelopes(t *testing.T) {
 	lk := seedLake(t, lake.Options{})
 	srv := newServer(t, lk)
 
+	const v1 = lakeserve.APIPrefix
 	get := func(path string) *http.Response {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
@@ -114,18 +65,18 @@ func TestErrorEnvelopes(t *testing.T) {
 		return resp
 	}
 
-	// Bounds-checked GET parameters, on both legacy and /api/v1 paths.
-	checkEnvelope(t, get("/tables/2?n=0"), http.StatusBadRequest, "bad_param")
-	checkEnvelope(t, get("/api/v1/tables/2?n=-4"), http.StatusBadRequest, "bad_param")
-	checkEnvelope(t, get("/tables/2?n=banana"), http.StatusBadRequest, "bad_param")
-	checkEnvelope(t, get("/tables/2?n=2000000"), http.StatusBadRequest, "bad_param")
-	checkEnvelope(t, get("/tables/1?format=xml"), http.StatusBadRequest, "bad_param")
-	checkEnvelope(t, get("/tables/3?isps=OVH,,Comcast"), http.StatusBadRequest, "bad_param")
-	checkEnvelope(t, get("/top-publishers?n=0"), http.StatusBadRequest, "bad_param")
-	checkEnvelope(t, get("/publishers/classified?n=x"), http.StatusBadRequest, "bad_param")
-	checkEnvelope(t, get("/fakes?n=-1"), http.StatusBadRequest, "bad_param")
-	checkEnvelope(t, get("/torrents/banana/observations"), http.StatusBadRequest, "bad_param")
-	checkEnvelope(t, get("/api/v1/torrents/3/observations?limit=0"), http.StatusBadRequest, "bad_param")
+	// Bounds-checked GET parameters.
+	checkEnvelope(t, get(v1+"/tables/2?n=0"), http.StatusBadRequest, "bad_param")
+	checkEnvelope(t, get(v1+"/tables/2?n=-4"), http.StatusBadRequest, "bad_param")
+	checkEnvelope(t, get(v1+"/tables/2?n=banana"), http.StatusBadRequest, "bad_param")
+	checkEnvelope(t, get(v1+"/tables/2?n=2000000"), http.StatusBadRequest, "bad_param")
+	checkEnvelope(t, get(v1+"/tables/1?format=xml"), http.StatusBadRequest, "bad_param")
+	checkEnvelope(t, get(v1+"/tables/3?isps=OVH,,Comcast"), http.StatusBadRequest, "bad_param")
+	checkEnvelope(t, get(v1+"/top-publishers?n=0"), http.StatusBadRequest, "bad_param")
+	checkEnvelope(t, get(v1+"/publishers/classified?n=x"), http.StatusBadRequest, "bad_param")
+	checkEnvelope(t, get(v1+"/fakes?n=-1"), http.StatusBadRequest, "bad_param")
+	checkEnvelope(t, get(v1+"/torrents/banana/observations"), http.StatusBadRequest, "bad_param")
+	checkEnvelope(t, get(v1+"/torrents/3/observations?limit=0"), http.StatusBadRequest, "bad_param")
 
 	// The query endpoint's own failure modes.
 	checkEnvelope(t, post("/api/v1/query", `{"group_by":{"key":"nope"}}`), http.StatusBadRequest, "bad_query")
@@ -133,8 +84,11 @@ func TestErrorEnvelopes(t *testing.T) {
 	checkEnvelope(t, post("/api/v1/query", `{"cursor":"junk"}`), http.StatusBadRequest, "bad_cursor")
 	checkEnvelope(t, post("/api/v1/query", `{"unknown_field":1}`), http.StatusBadRequest, "bad_query")
 
-	// Mux-generated statuses wear the envelope too.
+	// Mux-generated statuses wear the envelope too — including the
+	// un-prefixed paths, which are not routes.
 	checkEnvelope(t, get("/nope"), http.StatusNotFound, "not_found")
+	checkEnvelope(t, get("/stats"), http.StatusNotFound, "not_found")
+	checkEnvelope(t, get("/tables/2?n=5"), http.StatusNotFound, "not_found")
 	checkEnvelope(t, get("/api/v1/nope"), http.StatusNotFound, "not_found")
 	checkEnvelope(t, post("/api/v1/stats", `{}`), http.StatusMethodNotAllowed, "method_not_allowed")
 	resp, err := http.Get(srv.URL + "/api/v1/query")

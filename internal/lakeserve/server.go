@@ -7,9 +7,7 @@
 // (internal/query) with zone-map pushdown instead of touching the
 // analysis at all.
 //
-// Every endpoint lives under the versioned /api/v1 prefix; the pre-v1
-// paths remain as thin aliases of the same handlers (deprecated — see
-// api.go):
+// Every endpoint lives under the versioned /api/v1 prefix (see api.go):
 //
 //	POST /api/v1/query                       composable query (JSON in/out, cursor pagination)
 //	GET  /api/v1/stats                       lake + snapshot status (JSON)

@@ -84,7 +84,7 @@ func TestEndpoints(t *testing.T) {
 	lk := seedLake(t, lake.Options{})
 	srv := newServer(t, lk)
 
-	code, body := get(t, srv.URL+"/stats")
+	code, body := get(t, srv.URL+lakeserve.APIPrefix+"/stats")
 	if code != http.StatusOK {
 		t.Fatalf("/stats = %d", code)
 	}
@@ -96,11 +96,11 @@ func TestEndpoints(t *testing.T) {
 		t.Fatalf("stats = %+v", stats.Lake)
 	}
 
-	code, body = get(t, srv.URL+"/tables/1")
+	code, body = get(t, srv.URL+lakeserve.APIPrefix+"/tables/1")
 	if code != http.StatusOK || !strings.Contains(string(body), "Table 1") {
 		t.Fatalf("/tables/1 = %d: %s", code, body)
 	}
-	code, body = get(t, srv.URL+"/tables/2?format=json")
+	code, body = get(t, srv.URL+lakeserve.APIPrefix+"/tables/2?format=json")
 	if code != http.StatusOK {
 		t.Fatalf("/tables/2 = %d", code)
 	}
@@ -108,12 +108,12 @@ func TestEndpoints(t *testing.T) {
 	if err := json.Unmarshal(body, &isps); err != nil {
 		t.Fatalf("/tables/2 json: %v in %s", err, body)
 	}
-	code, body = get(t, srv.URL+"/tables/3")
+	code, body = get(t, srv.URL+lakeserve.APIPrefix+"/tables/3")
 	if code != http.StatusOK || !strings.Contains(string(body), "Table 3") {
 		t.Fatalf("/tables/3 = %d: %s", code, body)
 	}
 
-	code, body = get(t, srv.URL+"/top-publishers?n=3")
+	code, body = get(t, srv.URL+lakeserve.APIPrefix+"/top-publishers?n=3")
 	if code != http.StatusOK {
 		t.Fatalf("/top-publishers = %d", code)
 	}
@@ -125,7 +125,7 @@ func TestEndpoints(t *testing.T) {
 		t.Fatalf("top publishers = %+v", tops)
 	}
 
-	code, body = get(t, srv.URL+"/torrents/5/observations?limit=10")
+	code, body = get(t, srv.URL+lakeserve.APIPrefix+"/torrents/5/observations?limit=10")
 	if code != http.StatusOK {
 		t.Fatalf("/torrents/5/observations = %d", code)
 	}
@@ -142,10 +142,10 @@ func TestEndpoints(t *testing.T) {
 		}
 	}
 
-	if code, _ := get(t, srv.URL+"/torrents/banana/observations"); code != http.StatusBadRequest {
+	if code, _ := get(t, srv.URL+lakeserve.APIPrefix+"/torrents/banana/observations"); code != http.StatusBadRequest {
 		t.Fatalf("bad id = %d, want 400", code)
 	}
-	if code, _ := get(t, srv.URL+"/nope"); code != http.StatusNotFound {
+	if code, _ := get(t, srv.URL+lakeserve.APIPrefix+"/nope"); code != http.StatusNotFound {
 		t.Fatalf("unknown route = %d, want 404", code)
 	}
 }
@@ -157,7 +157,7 @@ func TestClassifiedAndFakesEndpoints(t *testing.T) {
 	lk := seedLake(t, lake.Options{})
 	srv := newServer(t, lk)
 
-	code, body := get(t, srv.URL+"/publishers/classified")
+	code, body := get(t, srv.URL+lakeserve.APIPrefix+"/publishers/classified")
 	if code != http.StatusOK {
 		t.Fatalf("/publishers/classified = %d: %s", code, body)
 	}
@@ -178,7 +178,7 @@ func TestClassifiedAndFakesEndpoints(t *testing.T) {
 		}
 	}
 
-	code, body = get(t, srv.URL+"/fakes")
+	code, body = get(t, srv.URL+lakeserve.APIPrefix+"/fakes")
 	if code != http.StatusOK {
 		t.Fatalf("/fakes = %d: %s", code, body)
 	}
@@ -193,7 +193,7 @@ func TestClassifiedAndFakesEndpoints(t *testing.T) {
 	// A quiet lake must serve a snapshot stamped with the lake's exact
 	// version — a stale stamp would trigger a redundant rebuild on every
 	// request.
-	_, body = get(t, srv.URL+"/stats")
+	_, body = get(t, srv.URL+lakeserve.APIPrefix+"/stats")
 	var stats lakeserve.StatsResponse
 	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatal(err)
@@ -264,7 +264,7 @@ func TestConcurrentRequestsOverLiveLake(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
-				resp, err := client.Get(srv.URL + "/tables/2")
+				resp, err := client.Get(srv.URL + lakeserve.APIPrefix + "/tables/2")
 				if err != nil {
 					t.Errorf("client %d: %v", c, err)
 					bad.Add(1)
@@ -284,7 +284,7 @@ func TestConcurrentRequestsOverLiveLake(t *testing.T) {
 				}
 				// Sprinkle the raw-scan endpoint in as well.
 				if i%3 == 0 {
-					resp, err := client.Get(srv.URL + fmt.Sprintf("/torrents/%d/observations?limit=5", i%40))
+					resp, err := client.Get(srv.URL + lakeserve.APIPrefix + fmt.Sprintf("/torrents/%d/observations?limit=5", i%40))
 					if err != nil || resp.StatusCode != http.StatusOK {
 						t.Errorf("client %d: observations status %v err %v", c, resp, err)
 						bad.Add(1)
@@ -307,7 +307,7 @@ func TestConcurrentRequestsOverLiveLake(t *testing.T) {
 	// torrents (snapshot refresh catches up with the lake version).
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		_, body := get(t, srv.URL+"/top-publishers?n=50")
+		_, body := get(t, srv.URL+lakeserve.APIPrefix+"/top-publishers?n=50")
 		if strings.Contains(string(body), "livepublisher") {
 			break
 		}

@@ -511,9 +511,9 @@ func TestLakeQueryPushdown(t *testing.T) {
 }
 
 // TestLakeQueryPointLookup is the microindex acceptance gate: an IP
-// point lookup against a many-segment lake whose blooms are saturated
-// (thousands of distinct addresses per segment) must open only the one
-// segment that actually holds the address — postings prune the rest.
+// point lookup against a many-segment lake with thousands of distinct
+// addresses per segment must open only the one segment that actually
+// holds the address — postings prune the rest.
 func TestLakeQueryPointLookup(t *testing.T) {
 	t0 := time.Date(2010, 4, 6, 0, 0, 0, 0, time.UTC)
 	lk, err := lake.Open(filepath.Join(t.TempDir(), "lake"), lake.Options{FlushRows: 1 << 12})
@@ -522,8 +522,7 @@ func TestLakeQueryPointLookup(t *testing.T) {
 	}
 	defer lk.Close()
 	// Every row gets a distinct address, so each 4096-row segment holds
-	// ~4096 distinct IPs — far past the point where the 64-bit segment
-	// bloom saturates and answers "maybe" for everything.
+	// ~4096 distinct IPs, and no zone map can tell the segments apart.
 	const total = 120_000
 	const target = "198.51.100.7"
 	const targetRow = 57_003

@@ -143,7 +143,7 @@ type Explain struct {
 	Segments int `json:"segments"`
 	// PrunedZone counts segments dismissed by zone maps alone.
 	PrunedZone int `json:"pruned_zone"`
-	// PrunedPostings counts bloom-maybe segments dismissed by exact
+	// PrunedPostings counts zone-admitted segments dismissed by exact
 	// microindex postings.
 	PrunedPostings int `json:"pruned_postings"`
 	// Opened lists the segment files the scan would read.

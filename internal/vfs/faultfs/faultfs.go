@@ -23,7 +23,7 @@
 // renames and removes are durable the moment they return (like a
 // journaling filesystem's metadata path), while file *contents* beyond
 // the last Sync are lost in a crash. That is the weakest model the
-// lake's write protocol (write → fsync → commit manifest by rename)
+// lake's write protocol (write → fsync → append the commit record → fsync)
 // claims to survive, which is exactly what the kill-point tests probe.
 package faultfs
 
