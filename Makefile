@@ -17,7 +17,7 @@ SERVE_BENCH = BenchmarkSnapshotRefreshFull|BenchmarkSnapshotRefreshIncremental
 
 BENCH_DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: test test-faults bench bench-campaign bench-lake bench-query bench-serve bench-smoke bench-check fmt vet lint lint-debt
+.PHONY: test test-faults bench bench-campaign bench-lake bench-query bench-serve bench-smoke bench-check fmt vet lint lint-debt loc
 
 test:
 	go build ./... && go test ./...
@@ -92,6 +92,12 @@ bench-smoke:
 # an API change here that breaks the harness fails before benchmark time.
 bench-check:
 	bash bench/run.sh check
+
+# Go code lines (not blank, not comment-only) per package and in total,
+# non-test and test apart. A simplicity PR's "net lines removed" is this
+# table at the parent commit minus this table at the change.
+loc:
+	@bash ci/loc.sh
 
 fmt:
 	gofmt -l -w .

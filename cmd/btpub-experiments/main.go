@@ -27,7 +27,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "scenario seed")
 	md := flag.Float64("mean-downloads", 350, "mean downloader arrivals per torrent")
 	shards := flag.Int("shards", runtime.NumCPU(), "parallel world shards per campaign")
-	workers := flag.Int("workers", 2, "announce workers per crawler vantage")
+	workers := flag.Int("workers", 2, "concurrent announces per crawler vantage")
 	sweep := flag.String("sweep", "", "comma-separated styles to sweep (e.g. pb10,pb09,mn08); empty = single pb10 run")
 	seeds := flag.String("seeds", "", "comma-separated seeds for the sweep grid (default: -seed)")
 	budget := flag.Int("budget", runtime.NumCPU(), "shared worker budget across all sweep campaigns")

@@ -23,7 +23,9 @@
 //	curl 'localhost:8813/api/v1/tables/3?isps=OVH,Comcast'
 //	curl 'localhost:8813/api/v1/top-publishers?n=20'
 //	curl 'localhost:8813/api/v1/publishers/classified?n=20'
+//	curl localhost:8813/api/v1/publishers/NAME
 //	curl 'localhost:8813/api/v1/fakes?n=50'
+//	curl 'localhost:8813/api/v1/torrents/recent?n=50'
 //	curl 'localhost:8813/api/v1/torrents/17/observations?limit=100'
 //	curl 'localhost:8813/api/v1/alerts?since=0&wait=25s'
 //	curl -d '{"group_by":{"key":"isp"},"aggs":["distinct-ips"]}' localhost:8813/api/v1/query

@@ -26,12 +26,14 @@
 //     dataset styles (pb10/pb09/mn08).
 //
 //   - Announce workers (campaign.Spec.Workers / crawler.Config.Workers):
-//     inside each crawler, every vantage owns a queue drained by a
-//     bounded pool of workers, mirroring the paper's independent crawling
-//     machines. Under the sim driver each query completes before the
-//     clock proceeds (determinism); under real-time drivers the pool
-//     bounds concurrent tracker and wire traffic, with context
-//     cancellation on Close.
+//     inside each crawler every vantage (one of the paper's independent
+//     crawling machines) owns Workers slots, and an announce runs on the
+//     goroutine that asked for it while holding one — the crawler starts
+//     no goroutine. Under the sim driver each query completes before the
+//     clock proceeds, so a simulated run is the same for any Workers;
+//     under real-time drivers the slots bound concurrent tracker and
+//     wire traffic, and Close cancels and waits for the announces in
+//     flight.
 //
 // campaign.RunMany executes a whole grid of Specs (style × scale × seed)
 // concurrently under one shared worker budget — the multi-campaign
@@ -161,9 +163,14 @@
 //
 // internal/lakeserve mounts everything under the versioned /api/v1
 // prefix: POST /api/v1/query plus the canned views (/stats,
-// /tables/{1,2,3}, /top-publishers, /publishers/classified, /fakes,
-// and /torrents/{id}/observations — the latter reimplemented as a
-// canned Select-observations query through the same executor). Nothing
+// /tables/{1,2,3}, /top-publishers, /publishers/classified,
+// /publishers/{name}, /fakes, /torrents/recent and
+// /torrents/{id}/observations — the latter reimplemented as a canned
+// Select-observations query through the same executor). The listings,
+// the per-publisher page and the alert feed are the paper's Section 7
+// service — a publisher database that flags fake publishers and shows
+// each publisher's IPs, ISPs and promoted site — which btpub-serve runs
+// over an existing lake or, with -live, a campaign in progress. Nothing
 // is mounted outside the prefix; every 4xx/5xx carries the {"error":
 // {code, message}} envelope — including the mux's own 404/405 — and
 // the shared GET parameters (n, limit, format, isps) are

@@ -2,8 +2,8 @@
 // shard gets its own HTTP portal+tracker, TCP wire gateway and crawler —
 // the crawler fetches the RSS feed, downloads .torrent files, announces,
 // and performs wire-protocol handshakes across localhost, with a bounded
-// announce worker pool per vantage — while virtual time runs at high
-// speed. The per-shard datasets merge into one canonical dataset at the
+// number of concurrent announces per vantage — while virtual time runs at
+// high speed. The per-shard datasets merge into one canonical dataset at the
 // end, exactly like the in-process campaign engine.
 package main
 
@@ -102,7 +102,7 @@ func startShard(world *population.World, db *geoip.DB, consumption map[int][]eco
 
 func main() {
 	shardCount := flag.Int("shards", runtime.NumCPU(), "parallel world shards, each on its own sockets")
-	workers := flag.Int("workers", 2, "announce workers per crawler vantage")
+	workers := flag.Int("workers", 2, "concurrent announces per crawler vantage")
 	flag.Parse()
 	if *shardCount < 1 {
 		*shardCount = 1

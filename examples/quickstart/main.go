@@ -1,8 +1,8 @@
 // Quickstart: simulate a small BitTorrent publishing campaign, crawl it
 // with the paper's methodology, and print the headline result — Figure 1's
 // contribution skew and the major-publisher shares. The campaign runs on
-// the sharded engine: one goroutine per world shard, with a bounded
-// announce worker pool per crawler vantage.
+// the sharded engine: one goroutine per world shard, each crawling its
+// share of the world on its own simulated clock.
 package main
 
 import (
@@ -17,7 +17,7 @@ import (
 
 func main() {
 	shards := flag.Int("shards", runtime.NumCPU(), "parallel world shards")
-	workers := flag.Int("workers", 2, "announce workers per crawler vantage")
+	workers := flag.Int("workers", 2, "concurrent announces per crawler vantage")
 	flag.Parse()
 
 	// A 1%-scale Pirate-Bay-2010 world: ~380 torrents over a virtual month.

@@ -3,7 +3,6 @@ package alert
 import (
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"btpub/internal/analysis"
@@ -46,7 +45,7 @@ func evaluate(an *analysis.Analysis, subject string) []Alert {
 	if u == nil {
 		return nil
 	}
-	first, last, times := uploadTimes(an, u)
+	first, last, times := an.UploadTimes(u)
 	var out []Alert
 	add := func(rule string, score float64, reasons ...string) {
 		if score < 1 {
@@ -84,25 +83,6 @@ func evaluate(an *analysis.Analysis, subject string) []Alert {
 		add(RuleFakeSignal, fakeScore, reason)
 	}
 	return out
-}
-
-// uploadTimes collects the subject's publish times, sorted, plus the
-// bounds.
-func uploadTimes(an *analysis.Analysis, u *classify.UserFacts) (first, last time.Time, times []int64) {
-	times = make([]int64, 0, len(u.TorrentIDs))
-	for _, tid := range u.TorrentIDs {
-		rec := an.ByID[tid]
-		if rec == nil || rec.Published.IsZero() {
-			continue
-		}
-		times = append(times, rec.Published.UnixNano())
-	}
-	slices.Sort(times)
-	if len(times) > 0 {
-		first = time.Unix(0, times[0]).UTC()
-		last = time.Unix(0, times[len(times)-1]).UTC()
-	}
-	return first, last, times
 }
 
 // maxInWindow is the largest number of sorted timestamps inside any

@@ -76,6 +76,25 @@ func assemble(ds *dataset.Dataset, db *geoip.DB, facts *classify.Facts, topK int
 	}
 }
 
+// UploadTimes collects one publisher's publish times (Unix nanoseconds,
+// sorted) plus their bounds; records without a publish time are skipped.
+func (a *Analysis) UploadTimes(u *classify.UserFacts) (first, last time.Time, times []int64) {
+	times = make([]int64, 0, len(u.TorrentIDs))
+	for _, tid := range u.TorrentIDs {
+		rec := a.ByID[tid]
+		if rec == nil || rec.Published.IsZero() {
+			continue
+		}
+		times = append(times, rec.Published.UnixNano())
+	}
+	slices.Sort(times)
+	if len(times) > 0 {
+		first = time.Unix(0, times[0]).UTC()
+		last = time.Unix(0, times[len(times)-1]).UTC()
+	}
+	return first, last, times
+}
+
 // GroupNames are the figure labels in display order.
 var GroupNames = []string{"All", "Fake", "Top", "Top-HP", "Top-CI"}
 

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -273,7 +274,9 @@ func TestAdversarialServedFromLake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer((&lakeserve.Server{Lake: lk, Geo: res.DB, Inspector: mon}).Handler())
+	server := &lakeserve.Server{Lake: lk, Geo: res.DB}
+	server.SetInspector(mon)
+	srv := httptest.NewServer(server.Handler())
 	defer srv.Close()
 
 	get := func(path string, out any) {
@@ -297,8 +300,22 @@ func TestAdversarialServedFromLake(t *testing.T) {
 	// maximum instead to see every fake.
 	get("/fakes?n=100000", &fakes)
 	served := map[string]bool{}
+	cohorts := 0
 	for _, row := range fakes {
 		served[row.Username] = true
+		// Every member of a flagged cohort answers for the whole cohort on
+		// its own page, whichever of them moderation caught.
+		if len(row.Cohort) > 0 {
+			cohorts++
+			var page lakeserve.PublisherDetail
+			get("/publishers/"+row.Username, &page)
+			if !reflect.DeepEqual(page.FakePublisher, row) || !reflect.DeepEqual(page.Aliases, row.Cohort) {
+				t.Errorf("/publishers/%s = %+v, /fakes row %+v", row.Username, page, row)
+			}
+		}
+	}
+	if cohorts == 0 {
+		t.Error("no fake cohort served: the per-publisher cohort check ran on nothing")
 	}
 	for name := range gt.classOf {
 		if gt.measurableFake(name, res.Dataset.End) && !served[name] {
@@ -324,6 +341,12 @@ func TestAdversarialServedFromLake(t *testing.T) {
 		case population.TopPortal:
 			if len(row.Aliases) > 1 && row.Class == classify.BTPortal.String() {
 				opPortal = true
+				// An alias's page carries its operator's class and cluster.
+				var page lakeserve.PublisherDetail
+				get("/publishers/"+row.Aliases[len(row.Aliases)-1], &page)
+				if page.Class != row.Class || page.URL != row.URL || !reflect.DeepEqual(page.Aliases, row.Aliases) {
+					t.Errorf("/publishers/%s = %+v, operator row %+v", page.Username, page, row)
+				}
 			}
 		}
 	}

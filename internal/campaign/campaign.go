@@ -99,7 +99,7 @@ type Spec struct {
 	// crawled by its own goroutine (0 or 1 = serial). The merged dataset is
 	// byte-identical for any shard count at a fixed Seed.
 	Shards int
-	// Workers sets each shard crawler's per-vantage announce worker count
+	// Workers sets each shard crawler's concurrent announces per vantage
 	// (0 = 1).
 	Workers int
 	// Lake, when non-nil, persists the campaign into the lake. A serial

@@ -100,13 +100,9 @@ func buildFacts(ds *dataset.Dataset, db *geoip.DB, seed *FactsSeed) (*Facts, err
 	users := ds.UserByName()
 	for _, rec := range ds.Torrents {
 		f.TotalTorrents++
-		name := rec.Username
+		name := rec.PublisherKey()
 		if name == "" {
-			// mn08-style: identify publishers by IP instead.
-			if rec.PublisherIP == "" {
-				continue
-			}
-			name = "ip:" + rec.PublisherIP
+			continue
 		}
 		u := f.Users[name]
 		if u == nil {

@@ -83,12 +83,13 @@ type Config struct {
 	// IdentifyMaxPeers bounds swarm size for initial-seeder identification
 	// (default 20, per Section 2).
 	IdentifyMaxPeers int
-	// Workers is the number of concurrent announce workers per vantage
-	// (default 1). Queries and wire probes run on the owning vantage's
-	// workers, mirroring the paper's independent crawling machines. Under
-	// the sim driver each query still completes before the clock proceeds,
-	// so runs stay deterministic; with real-time drivers the pool bounds
-	// concurrent tracker and wire traffic.
+	// Workers is the number of concurrent announces per vantage (default
+	// 1). A query and its wire probes run on the calling goroutine while it
+	// holds one of the owning vantage's Workers slots, mirroring the
+	// paper's independent crawling machines. The sim driver fires one
+	// callback at a time, so a sim run never has two announces in flight
+	// and is the same run for any value; with real-time drivers the slots
+	// bound concurrent tracker and wire traffic.
 	Workers int
 	// SingleShot stops after the first tracker query per torrent (pb09).
 	SingleShot bool
@@ -165,7 +166,7 @@ func (a Counters) Add(b Counters) Counters {
 	}
 }
 
-// counterSet is the race-safe internal form of Counters: workers on
+// counterSet is the race-safe internal form of Counters: announces on
 // different vantages bump these concurrently in network mode.
 type counterSet struct {
 	rssPolls          atomic.Int64
@@ -189,109 +190,6 @@ func (c *counterSet) snapshot() Counters {
 	}
 }
 
-// ---------------------------------------------------------------------
-// Worker pool: one queue per vantage, Workers goroutines each
-// ---------------------------------------------------------------------
-
-// poolJob is one announce for one torrent, passed to a vantage worker as
-// plain fields — a closure per query showed up as a top campaign
-// allocator. fn overrides the typed form for ad-hoc work (tests). done is
-// buffered (the worker never blocks on completion signalling) and pooled
-// across queries.
-type poolJob struct {
-	c       *Crawler
-	now     time.Time
-	st      *torrentState
-	vantage int
-	first   bool
-	fn      func(context.Context)
-	done    chan struct{}
-}
-
-// workerPool bounds concurrent announce/probe work. Each vantage owns a
-// dedicated queue drained by a fixed number of workers — the paper's
-// geographically distributed crawling machines were exactly such
-// independent per-vantage pipelines. submit blocks until the job finishes
-// (or the pool closes), which keeps the sim clock's event loop
-// deterministic; with real-time drivers, concurrent timer callbacks queue
-// behind the bounded workers.
-type workerPool struct {
-	ctx    context.Context
-	cancel context.CancelFunc
-	queues []chan poolJob
-	wg     sync.WaitGroup
-	done   sync.Pool // of chan struct{}, buffered 1
-}
-
-func newWorkerPool(vantages, workersPerVantage int) *workerPool {
-	ctx, cancel := context.WithCancel(context.Background())
-	p := &workerPool{ctx: ctx, cancel: cancel, queues: make([]chan poolJob, vantages)}
-	p.done.New = func() any { return make(chan struct{}, 1) }
-	for v := range p.queues {
-		q := make(chan poolJob)
-		p.queues[v] = q
-		for w := 0; w < workersPerVantage; w++ {
-			p.wg.Add(1)
-			go func() {
-				defer p.wg.Done()
-				for {
-					select {
-					case job := <-q:
-						if job.fn != nil {
-							job.fn(ctx)
-						} else {
-							job.c.announceOnce(ctx, job.now, job.st, job.vantage, job.first)
-						}
-						job.done <- struct{}{}
-					case <-ctx.Done():
-						return
-					}
-				}
-			}()
-		}
-	}
-	return p
-}
-
-// submitAnnounce runs one announce on the vantage's worker queue and waits
-// for completion. It reports false when the pool closed before the job
-// could finish.
-func (p *workerPool) submitAnnounce(c *Crawler, now time.Time, st *torrentState, vantage int, first bool) bool {
-	return p.run(poolJob{c: c, now: now, st: st, vantage: vantage, first: first})
-}
-
-// submit runs an arbitrary function on the vantage's worker queue and
-// waits for it (ad-hoc work and tests; announces take submitAnnounce).
-func (p *workerPool) submit(vantage int, fn func(ctx context.Context)) bool {
-	return p.run(poolJob{vantage: vantage, fn: fn})
-}
-
-func (p *workerPool) run(job poolJob) bool {
-	done := p.done.Get().(chan struct{})
-	job.done = done
-	q := p.queues[job.vantage%len(p.queues)]
-	select {
-	case q <- job:
-	case <-p.ctx.Done():
-		p.done.Put(done)
-		return false
-	}
-	select {
-	case <-done:
-		p.done.Put(done)
-		return true
-	case <-p.ctx.Done():
-		// The worker may still signal done later; the buffered channel is
-		// abandoned to the GC rather than repooled with a stale signal.
-		return false
-	}
-}
-
-func (p *workerPool) close() {
-	p.cancel()
-	p.wg.Wait()
-}
-
 // Crawler is the measurement engine.
 type Crawler struct {
 	cfg     Config
@@ -299,7 +197,14 @@ type Crawler struct {
 	portal  PortalClient
 	tracker TrackerClient
 	prober  ecosystem.Prober // may be nil: skip wire identification
-	pool    *workerPool
+
+	// ctx is the root of every fetch, announce and probe; Close cancels it.
+	ctx    context.Context
+	cancel context.CancelFunc
+	// slots[v] is vantage v's counting semaphore, capacity Config.Workers:
+	// an announce holds one element for as long as it runs.
+	slots     []chan struct{}
+	closeOnce sync.Once
 
 	ctr counterSet
 
@@ -316,21 +221,37 @@ func New(cfg Config, driver Driver, pc PortalClient, tc TrackerClient, prober ec
 		return nil, errors.New("crawler: driver, portal and tracker clients are required")
 	}
 	cfg.setDefaults()
-	return &Crawler{
+	c := &Crawler{
 		cfg:     cfg,
 		driver:  driver,
 		portal:  pc,
 		tracker: tc,
 		prober:  prober,
-		pool:    newWorkerPool(cfg.Vantages, cfg.Workers),
+		slots:   make([]chan struct{}, cfg.Vantages),
 		ds:      &dataset.Dataset{Name: cfg.DatasetName},
 		known:   map[string]bool{},
-	}, nil
+	}
+	c.ctx, c.cancel = context.WithCancel(context.Background())
+	for v := range c.slots {
+		c.slots[v] = make(chan struct{}, cfg.Workers)
+	}
+	return c, nil
 }
 
-// Close shuts the worker pool down, cancelling in-flight announces and
-// probes. The collected dataset and counters stay readable.
-func (c *Crawler) Close() { c.pool.close() }
+// Close cancels in-flight announces and probes and returns once they have
+// finished: filling every vantage's slots succeeds only after each holder
+// has released, and leaves none for a later query to take. The collected
+// dataset and counters stay readable.
+func (c *Crawler) Close() {
+	c.closeOnce.Do(func() {
+		c.cancel()
+		for _, slot := range c.slots {
+			for i := 0; i < cap(slot); i++ {
+				slot <- struct{}{}
+			}
+		}
+	})
+}
 
 // Start begins polling at the driver's current time. Must be called once.
 func (c *Crawler) Start() error {
@@ -365,11 +286,11 @@ func (c *Crawler) ended(now time.Time) bool {
 
 // pollRSS fires on every feed poll tick.
 func (c *Crawler) pollRSS(now time.Time) {
-	if c.ended(now) || c.pool.ctx.Err() != nil {
+	if c.ended(now) || c.ctx.Err() != nil {
 		// Campaign over or crawler closed: stop re-arming the poll loop.
 		return
 	}
-	ctx := c.pool.ctx
+	ctx := c.ctx
 	items, err := c.portal.FetchRSS(ctx)
 	c.ctr.rssPolls.Add(1)
 	if err == nil {
@@ -391,7 +312,7 @@ func (c *Crawler) pollRSS(now time.Time) {
 
 // handleNewTorrent processes a freshly announced feed item.
 func (c *Crawler) handleNewTorrent(now time.Time, item *portal.FeedItem) {
-	ctx := c.pool.ctx
+	ctx := c.ctx
 	raw, err := c.portal.FetchTorrent(ctx, item.TorrentURL)
 	if err != nil {
 		return // removed between feed generation and fetch
@@ -476,9 +397,9 @@ type torrentState struct {
 	lastSeen map[netip.Addr]time.Time
 }
 
-// queryTracker hands one announce for one torrent to the vantage's worker
-// queue and waits for it, so callers driven by the sim clock observe the
-// query's full effect before the clock proceeds.
+// queryTracker runs one announce for one torrent on the caller's
+// goroutine, inside one of the vantage's slots, so callers driven by the
+// sim clock observe the query's full effect before the clock proceeds.
 func (c *Crawler) queryTracker(now time.Time, st *torrentState, vantage int, first bool) {
 	if c.ended(now) {
 		return
@@ -489,18 +410,38 @@ func (c *Crawler) queryTracker(now time.Time, st *torrentState, vantage int, fir
 		return
 	}
 	st.mu.Unlock()
-	c.pool.submitAnnounce(c, now, st, vantage, first)
+	if !c.acquire(vantage) {
+		return
+	}
+	c.announceOnce(c.ctx, now, st, vantage, first)
+	<-c.slots[vantage]
 }
 
-// reschedule books the vantage's next query slot for the torrent.
+// acquire takes one of the vantage's slots, waiting while Workers
+// announces hold them all. It reports false, holding nothing, once the
+// crawler is closed.
+func (c *Crawler) acquire(vantage int) bool {
+	select {
+	case c.slots[vantage] <- struct{}{}:
+		if c.ctx.Err() != nil {
+			// Won the slot of an announce that Close just cancelled.
+			<-c.slots[vantage]
+			return false
+		}
+		return true
+	case <-c.ctx.Done():
+		return false
+	}
+}
+
+// reschedule books the vantage's next query for the torrent.
 func (c *Crawler) reschedule(now time.Time, st *torrentState, vantage int) {
 	if !c.cfg.SingleShot {
 		c.driver.Schedule(now.Add(c.cfg.QueryInterval), st.requery[vantage])
 	}
 }
 
-// announceOnce performs the announce on a pool worker and schedules the
-// vantage's next slot.
+// announceOnce performs the announce and books the vantage's next query.
 func (c *Crawler) announceOnce(ctx context.Context, now time.Time, st *torrentState, vantage int, first bool) {
 	resp, err := c.tracker.Announce(ctx, st.announce, st.ih, vantage, c.cfg.NumWant)
 	c.ctr.trackerQueries.Add(1)

@@ -3,6 +3,7 @@ package crawler
 import (
 	"context"
 	"net/netip"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -113,57 +114,101 @@ func TestStartTwiceFails(t *testing.T) {
 	}
 }
 
+// nopDriver satisfies Driver for tests that call queryTracker directly:
+// the follow-up queries announceOnce books are dropped.
+type nopDriver struct{}
+
+func (nopDriver) Now() time.Time                      { return simclock.Epoch }
+func (nopDriver) Schedule(time.Time, func(time.Time)) {}
+
+// funcTracker is a TrackerClient whose announce is the test's own code,
+// run wherever the crawler runs an announce: inside a vantage slot.
+type funcTracker func(ctx context.Context, vantage int)
+
+func (f funcTracker) Announce(ctx context.Context, _ string, _ metainfo.Hash, vantage, _ int) (*tracker.AnnounceResponse, error) {
+	f(ctx, vantage)
+	return nil, tracker.ErrTooSoon
+}
+
+func slotCrawler(t *testing.T, vantages, workers int, announce funcTracker) *Crawler {
+	t.Helper()
+	c, err := New(Config{Vantages: vantages, Workers: workers}, nopDriver{}, &InProcessPortal{}, announce, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// query runs one announce on the calling goroutine, as a driver callback
+// would.
+func (c *Crawler) query(vantage int) {
+	c.queryTracker(simclock.Epoch, &torrentState{requery: make([]func(time.Time), c.cfg.Vantages)}, vantage, false)
+}
+
+// TestWorkerPoolRunsJobsPerVantage: each vantage owns its slots. With
+// every slot of vantage 0 held by a blocked announce, queries on the
+// other vantages still run to completion.
 func TestWorkerPoolRunsJobsPerVantage(t *testing.T) {
-	p := newWorkerPool(3, 2)
-	defer p.close()
-	var mu sync.Mutex
-	ran := map[int]int{}
+	const vantages, workers = 3, 2
+	held := make(chan struct{}, workers)
+	unblock := make(chan struct{})
+	var ran [vantages]atomic.Int64
+	c := slotCrawler(t, vantages, workers, func(_ context.Context, v int) {
+		if v == 0 {
+			held <- struct{}{}
+			<-unblock
+		}
+		ran[v].Add(1)
+	})
+	defer c.Close()
 	var wg sync.WaitGroup
-	for v := 0; v < 3; v++ {
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.query(0)
+		}()
+	}
+	for i := 0; i < workers; i++ {
+		<-held
+	}
+	for v := 1; v < vantages; v++ {
 		for i := 0; i < 5; i++ {
-			wg.Add(1)
-			v := v
-			go func() {
-				defer wg.Done()
-				if !p.submit(v, func(context.Context) {
-					mu.Lock()
-					ran[v]++
-					mu.Unlock()
-				}) {
-					t.Error("submit failed on open pool")
-				}
-			}()
+			c.query(v)
 		}
 	}
+	close(unblock)
 	wg.Wait()
-	for v := 0; v < 3; v++ {
-		if ran[v] != 5 {
-			t.Fatalf("vantage %d ran %d jobs, want 5", v, ran[v])
+	for v, want := range [vantages]int64{workers, 5, 5} {
+		if got := ran[v].Load(); got != want {
+			t.Fatalf("vantage %d ran %d announces, want %d", v, got, want)
 		}
 	}
 }
 
+// TestWorkerPoolBoundsConcurrency: a vantage never has more than Workers
+// announces in flight, however many goroutines query it.
 func TestWorkerPoolBoundsConcurrency(t *testing.T) {
 	const workers = 2
-	p := newWorkerPool(1, workers)
-	defer p.close()
 	var cur, peak atomic.Int64
+	c := slotCrawler(t, 1, workers, func(context.Context, int) {
+		n := cur.Add(1)
+		for {
+			old := peak.Load()
+			if n <= old || peak.CompareAndSwap(old, n) {
+				break
+			}
+		}
+		time.Sleep(time.Millisecond)
+		cur.Add(-1)
+	})
+	defer c.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.submit(0, func(context.Context) {
-				n := cur.Add(1)
-				for {
-					old := peak.Load()
-					if n <= old || peak.CompareAndSwap(old, n) {
-						break
-					}
-				}
-				time.Sleep(time.Millisecond)
-				cur.Add(-1)
-			})
+			c.query(0)
 		}()
 	}
 	wg.Wait()
@@ -172,29 +217,83 @@ func TestWorkerPoolBoundsConcurrency(t *testing.T) {
 	}
 }
 
+// TestWorkerPoolCloseCancelsSubmit: Close cancels the in-flight announce,
+// a query waiting for its slot gives up with false, and Close returns
+// only after the in-flight announce has.
 func TestWorkerPoolCloseCancelsSubmit(t *testing.T) {
-	p := newWorkerPool(1, 1)
-	block := make(chan struct{})
-	go p.submit(0, func(ctx context.Context) {
+	started := make(chan struct{})
+	finish := make(chan struct{})
+	var finished atomic.Bool
+	c := slotCrawler(t, 1, 1, func(ctx context.Context, _ int) {
+		close(started)
 		<-ctx.Done()
-		close(block)
+		<-finish
+		finished.Store(true)
 	})
-	// Give the blocking job a moment to occupy the only worker, then close:
-	// a queued submit must return false instead of hanging.
+	go c.query(0)
+	<-started
+	waiter := make(chan bool, 1)
+	go func() { waiter <- c.acquire(0) }()
+	// Let the waiter reach its select; it must see false under any
+	// interleaving with Close, the sleep only makes the blocked one likely.
 	time.Sleep(10 * time.Millisecond)
-	done := make(chan bool, 1)
-	go func() { done <- p.submit(0, func(context.Context) {}) }()
-	time.Sleep(10 * time.Millisecond)
-	p.close()
+	closed := make(chan struct{})
+	go func() {
+		c.Close()
+		close(closed)
+	}()
 	select {
-	case ok := <-done:
+	case ok := <-waiter:
 		if ok {
-			t.Fatal("queued submit reported success after close")
+			t.Fatal("waiting query took a slot after Close")
 		}
-	case <-time.After(time.Second):
-		t.Fatal("submit did not unblock on close")
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiting query did not unblock on Close")
 	}
-	<-block
+	select {
+	case <-closed:
+		t.Fatal("Close returned with an announce in flight")
+	default:
+	}
+	close(finish)
+	<-closed
+	if !finished.Load() {
+		t.Fatal("Close returned before the in-flight announce did")
+	}
+	if c.acquire(0) {
+		t.Fatal("slot taken on a closed crawler")
+	}
+}
+
+// TestNewCloseStartsNoGoroutine: the crawler owns no goroutine — announces
+// run on whoever calls in.
+func TestNewCloseStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	c := slotCrawler(t, 3, 4, func(context.Context, int) {})
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("New started %d goroutine(s)", after-before)
+	}
+	c.Close()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("Close left %d goroutine(s)", after-before)
+	}
+}
+
+// TestCloseTwiceReturns: the second Close finds the slots already full and
+// must not try to fill them again.
+func TestCloseTwiceReturns(t *testing.T) {
+	c := slotCrawler(t, 2, 2, func(context.Context, int) {})
+	c.Close()
+	done := make(chan struct{})
+	go func() {
+		c.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("second Close hung")
+	}
 }
 
 type stubStore struct{}

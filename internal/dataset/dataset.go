@@ -59,6 +59,19 @@ type TorrentRecord struct {
 	Removed bool `json:"removed,omitempty"`
 }
 
+// PublisherKey is the identity every analysis attributes the torrent to:
+// the portal username, or "ip:<addr>" for mn08-style records that carry
+// only the identified seeder address, or "" when neither is known.
+func (r *TorrentRecord) PublisherKey() string {
+	if r.Username != "" {
+		return r.Username
+	}
+	if r.PublisherIP != "" {
+		return "ip:" + r.PublisherIP
+	}
+	return ""
+}
+
 // Observation is one sighting of one IP in one torrent's tracker reply —
 // the logical record materialized from the columnar ObsStore.
 type Observation struct {

@@ -201,18 +201,6 @@ func (m *Maintainer) Refresh(ctx context.Context) (*Snapshot, error) {
 	return snap, nil
 }
 
-// identity resolves a record's publisher identity exactly as
-// classify.BuildFacts does; "" means the record has none.
-func identity(rec *dataset.TorrentRecord) string {
-	if rec.Username != "" {
-		return rec.Username
-	}
-	if rec.PublisherIP != "" {
-		return "ip:" + rec.PublisherIP
-	}
-	return ""
-}
-
 // fold advances the canonical dataset prev — which the lineage must be
 // in sync with — by the records, users and observations in dd, and
 // builds the analysis over the result. It returns the sorted publisher
@@ -304,12 +292,12 @@ func (l *lineage) fold(prev *dataset.Dataset, dd *lake.DiffData, db *geoip.DB, t
 			continue
 		}
 		counts[tid] = distinct(int32(tid))
-		if name := identity(rec); name != "" {
+		if name := rec.PublisherKey(); name != "" {
 			affected[name] = nil
 		}
 	}
 	for _, rec := range mergedRecs {
-		name := identity(rec)
+		name := rec.PublisherKey()
 		if _, ok := affected[name]; ok && name != "" {
 			affected[name] = append(affected[name], int32(rec.TorrentID))
 		}

@@ -122,11 +122,6 @@ func DefaultDB() (*DB, error) {
 	return b.Build()
 }
 
-// HostingProviders lists the named hosting providers in DefaultDB.
-func HostingProviders() []string {
-	return []string{OVH, Keyweb, NetDirect, NOC, SoftLayer, FDCServers, Tzulo, FourRWEB}
-}
-
 // FakeHostingProviders lists the three hosting providers the paper observes
 // fake publishers operating from (Section 3.3).
 func FakeHostingProviders() []string {

@@ -227,6 +227,7 @@ func TestServedBodiesDeltaVsFull(t *testing.T) {
 	for _, path := range []string{
 		"/api/v1/tables/1", "/api/v1/tables/2?n=10", "/api/v1/tables/3",
 		"/api/v1/top-publishers?n=50", "/api/v1/fakes", "/api/v1/publishers/classified",
+		"/api/v1/publishers/latecomer", "/api/v1/publishers/publisher00", "/api/v1/torrents/recent?n=10",
 	} {
 		codeL, bodyL := get(t, live.URL+path)
 		codeF, bodyF := get(t, fresh.URL+path)

@@ -197,7 +197,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET "+APIPrefix+"/tables/3", s.handleTable3)
 	mux.HandleFunc("GET "+APIPrefix+"/top-publishers", s.handleTopPublishers)
 	mux.HandleFunc("GET "+APIPrefix+"/publishers/classified", s.handleClassified)
+	mux.HandleFunc("GET "+APIPrefix+"/publishers/{name}", s.handlePublisher)
 	mux.HandleFunc("GET "+APIPrefix+"/fakes", s.handleFakes)
+	mux.HandleFunc("GET "+APIPrefix+"/torrents/recent", s.handleRecent)
 	mux.HandleFunc("GET "+APIPrefix+"/torrents/{id}/observations", s.handleObservations)
 
 	root := http.NewServeMux()

@@ -75,6 +75,9 @@ func TestErrorEnvelopes(t *testing.T) {
 	checkEnvelope(t, get(v1+"/top-publishers?n=0"), http.StatusBadRequest, "bad_param")
 	checkEnvelope(t, get(v1+"/publishers/classified?n=x"), http.StatusBadRequest, "bad_param")
 	checkEnvelope(t, get(v1+"/fakes?n=-1"), http.StatusBadRequest, "bad_param")
+	checkEnvelope(t, get(v1+"/torrents/recent?n=0"), http.StatusBadRequest, "bad_param")
+	checkEnvelope(t, get(v1+"/torrents/recent?n=ten"), http.StatusBadRequest, "bad_param")
+	checkEnvelope(t, get(v1+"/publishers/nobody"), http.StatusNotFound, "not_found")
 	checkEnvelope(t, get(v1+"/torrents/banana/observations"), http.StatusBadRequest, "bad_param")
 	checkEnvelope(t, get(v1+"/torrents/3/observations?limit=0"), http.StatusBadRequest, "bad_param")
 

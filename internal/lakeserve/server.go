@@ -17,7 +17,9 @@
 //	GET  /api/v1/tables/3?isps=OVH,Comcast   Table 3, hosting vs commercial
 //	GET  /api/v1/top-publishers?n=20         top publishers (JSON)
 //	GET  /api/v1/publishers/classified?n=20  Section 5.1 business classes (JSON)
+//	GET  /api/v1/publishers/{name}           one publisher: signals, IPs, ISPs, promoted site (JSON)
 //	GET  /api/v1/fakes?n=50                  fake publishers and cohorts (JSON)
+//	GET  /api/v1/torrents/recent?n=50        latest publications, newest first (JSON)
 //	GET  /api/v1/torrents/{id}/observations  one torrent's sightings (a canned query)
 //
 // Tables render as text by default (curl-friendly, identical to the
@@ -31,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -54,13 +57,6 @@ type Server struct {
 	// TopK is the top-publisher cut passed to analysis.New (0 = the
 	// paper's 3 % rule).
 	TopK int
-	// Inspector resolves promoted URLs for /publishers/classified (e.g. a
-	// webmon.Directory over a live campaign's world). Set it before
-	// serving, or swap it at runtime with SetInspector. When absent,
-	// promoted sites are treated as vanished: promoters still classify,
-	// but as OtherWeb.
-	Inspector classify.SiteInspector
-
 	// MaxConcurrent bounds the API requests allowed in flight at once;
 	// excess requests are answered 429 with Retry-After instead of
 	// queuing (0 = DefaultMaxConcurrent, negative = unlimited).
@@ -107,10 +103,13 @@ type Server struct {
 	execErr  error
 }
 
-// SetInspector swaps the promoted-site inspector. The generation bump
-// marks the cached snapshot stale, so the next request re-classifies
-// with the new inspector — even if a rebuild that captured the old one
-// is in flight and stores its result after this call.
+// SetInspector sets or swaps the inspector that resolves promoted URLs
+// for /publishers/classified (e.g. a webmon.Directory over a live
+// campaign's world). Without one, promoted sites are treated as vanished:
+// promoters still classify, but as OtherWeb. The generation bump marks
+// the cached snapshot stale, so the next request re-classifies with the
+// new inspector — even if a rebuild that captured the old one is in
+// flight and stores its result after this call.
 func (s *Server) SetInspector(insp classify.SiteInspector) {
 	s.insp.Store(&insp)
 	s.inspGen.Add(1)
@@ -119,9 +118,6 @@ func (s *Server) SetInspector(insp classify.SiteInspector) {
 func (s *Server) inspector() classify.SiteInspector {
 	if p := s.insp.Load(); p != nil && *p != nil {
 		return *p
-	}
-	if s.Inspector != nil {
-		return s.Inspector
 	}
 	return vanishedSites{}
 }
@@ -373,6 +369,23 @@ func (s *Server) handleTable3(w http.ResponseWriter, r *http.Request) {
 	writeText(w, analysis.RenderContrast(snap.an.DS.Name, rows))
 }
 
+// topRows is the tail every publisher listing shares: rows ordered by
+// upload count (descending, then username) and cut to the first n.
+func topRows[T any](rows []T, n int, key func(T) (torrents int, username string)) []T {
+	sort.Slice(rows, func(i, j int) bool {
+		ti, ui := key(rows[i])
+		tj, uj := key(rows[j])
+		if ti != tj {
+			return ti > tj
+		}
+		return ui < uj
+	})
+	if n < len(rows) {
+		rows = rows[:n]
+	}
+	return rows
+}
+
 // TopPublisher is one /top-publishers row.
 type TopPublisher struct {
 	Username string `json:"username"`
@@ -401,16 +414,7 @@ func (s *Server) handleTopPublishers(w http.ResponseWriter, r *http.Request) {
 			Downloads: u.Downloads, Fake: u.Fake(),
 		})
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Torrents != rows[j].Torrents {
-			return rows[i].Torrents > rows[j].Torrents
-		}
-		return rows[i].Username < rows[j].Username
-	})
-	if n > 0 && n < len(rows) {
-		rows = rows[:n]
-	}
-	writeJSON(w, rows)
+	writeJSON(w, topRows(rows, n, func(r TopPublisher) (int, string) { return r.Torrents, r.Username }))
 }
 
 // ClassifiedPublisher is one /publishers/classified row: a top publisher
@@ -466,16 +470,7 @@ func (s *Server) handleClassified(w http.ResponseWriter, r *http.Request) {
 		}
 		rows = append(rows, row)
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Torrents != rows[j].Torrents {
-			return rows[i].Torrents > rows[j].Torrents
-		}
-		return rows[i].Username < rows[j].Username
-	})
-	if n > 0 && n < len(rows) {
-		rows = rows[:n]
-	}
-	writeJSON(w, rows)
+	writeJSON(w, topRows(rows, n, func(r ClassifiedPublisher) (int, string) { return r.Torrents, r.Username }))
 }
 
 // FakePublisher is one /fakes row: a username carrying the fake signals —
@@ -491,6 +486,23 @@ type FakePublisher struct {
 	// are the seeder IPs that link them.
 	Cohort    []string `json:"cohort,omitempty"`
 	SharedIPs []string `json:"shared_ips,omitempty"`
+}
+
+// fakeSignals assembles one identity's row; c is the fake cohort it
+// belongs to, if any.
+func fakeSignals(u *classify.UserFacts, c *classify.AliasCluster) FakePublisher {
+	row := FakePublisher{
+		Username:        u.Username,
+		Torrents:        len(u.TorrentIDs),
+		RemovedTorrents: u.RemovedTorrents,
+		AccountDeleted:  u.AccountDeleted,
+		Downloads:       u.Downloads,
+	}
+	if c != nil {
+		row.Cohort = c.Usernames
+		row.SharedIPs = c.SharedIPs
+	}
+	return row
 }
 
 func (s *Server) handleFakes(w http.ResponseWriter, r *http.Request) {
@@ -521,27 +533,122 @@ func (s *Server) handleFakes(w http.ResponseWriter, r *http.Request) {
 		if !u.Fake() && c == nil {
 			continue
 		}
-		row := FakePublisher{
-			Username:        name,
-			Torrents:        len(u.TorrentIDs),
-			RemovedTorrents: u.RemovedTorrents,
-			AccountDeleted:  u.AccountDeleted,
-			Downloads:       u.Downloads,
-		}
-		if c != nil {
-			row.Cohort = c.Usernames
-			row.SharedIPs = c.SharedIPs
-		}
-		rows = append(rows, row)
+		rows = append(rows, fakeSignals(u, c))
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Torrents != rows[j].Torrents {
-			return rows[i].Torrents > rows[j].Torrents
+	writeJSON(w, topRows(rows, n, func(r FakePublisher) (int, string) { return r.Torrents, r.Username }))
+}
+
+// PublisherDetail is the /publishers/{name} document, the paper's
+// per-publisher page: everything the snapshot holds about one identity
+// (a portal username, or "ip:<addr>" for username-less records).
+type PublisherDetail struct {
+	// The moderation signals and fake cohort exactly as /fakes reports
+	// them; the identity has a /fakes row iff Fake is set or Cohort is not
+	// empty.
+	FakePublisher
+	// Fake is the identity's own verdict, as in /top-publishers.
+	Fake bool `json:"fake"`
+	// IPs are the identified initial-seeder addresses, ISPs their
+	// distinct providers.
+	IPs         []string  `json:"ips,omitempty"`
+	ISPs        []string  `json:"isps,omitempty"`
+	FirstUpload time.Time `json:"first_upload"`
+	LastUpload  time.Time `json:"last_upload"`
+	// PromoURL is the site the identity's latest promoting upload names.
+	PromoURL string `json:"promo_url,omitempty"`
+	// Aliases lists the alias cluster (usernames linked through shared
+	// seeder IPs) the identity belongs to, flagged fake or not.
+	Aliases []string `json:"aliases,omitempty"`
+	// Class, URL and Language are the operator's /publishers/classified
+	// row, present when the operator is in the top group.
+	Class    string `json:"class,omitempty"`
+	URL      string `json:"url,omitempty"`
+	Language string `json:"language,omitempty"`
+}
+
+func (s *Server) handlePublisher(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	snap, err := s.snapshotFor(w, r)
+	if err != nil {
+		fail(w, err)
+		return
+	}
+	u := snap.an.Facts.Users[name]
+	if u == nil {
+		writeError(w, http.StatusNotFound, "not_found", fmt.Sprintf("no publisher %q in snapshot version %d", name, snap.version))
+		return
+	}
+	row := PublisherDetail{Fake: u.Fake(), IPs: u.IPs}
+	// A name sits in at most one cluster. The cluster's first username
+	// keys the merged operator the classification ran over; only a flagged
+	// cluster is a /fakes cohort.
+	operator := name
+	var cohort *classify.AliasCluster
+	for i := range snap.clusters {
+		if c := &snap.clusters[i]; slices.Contains(c.Usernames, name) {
+			row.Aliases, operator = c.Usernames, c.Usernames[0]
+			if c.Fake {
+				cohort = c
+			}
+			break
 		}
-		return rows[i].Username < rows[j].Username
-	})
-	if n > 0 && n < len(rows) {
-		rows = rows[:n]
+	}
+	row.FakePublisher = fakeSignals(u, cohort)
+	for _, rec := range u.ISPs {
+		row.ISPs = append(row.ISPs, rec.ISP)
+	}
+	slices.Sort(row.ISPs)
+	row.ISPs = slices.Compact(row.ISPs)
+	row.FirstUpload, row.LastUpload, _ = snap.an.UploadTimes(u)
+	for _, tid := range u.TorrentIDs {
+		if url, _ := classify.ExtractPromo(snap.an.ByID[tid]); url != "" {
+			row.PromoURL = url
+		}
+	}
+	for _, p := range snap.profiles {
+		if p.Username == operator {
+			row.Class, row.URL, row.Language = p.Class.String(), p.URL, p.Language
+		}
+	}
+	writeJSON(w, row)
+}
+
+// RecentTorrent is one /torrents/recent row. Publisher is the identity
+// /publishers/{name} answers for, TorrentID the one
+// /torrents/{id}/observations does.
+type RecentTorrent struct {
+	TorrentID   int       `json:"torrent_id"`
+	InfoHash    string    `json:"info_hash"`
+	Title       string    `json:"title"`
+	Category    string    `json:"category"`
+	Publisher   string    `json:"publisher,omitempty"`
+	PublisherIP string    `json:"publisher_ip,omitempty"`
+	Published   time.Time `json:"published"`
+	Removed     bool      `json:"removed,omitempty"`
+}
+
+// handleRecent serves the tail of the snapshot's canonical
+// (Published, InfoHash) torrent order, newest first.
+func (s *Server) handleRecent(w http.ResponseWriter, r *http.Request) {
+	n, err := reqParams(r).count("n", 50)
+	if err != nil {
+		fail(w, err)
+		return
+	}
+	snap, err := s.snapshotFor(w, r)
+	if err != nil {
+		fail(w, err)
+		return
+	}
+	torrents := snap.an.DS.Torrents
+	n = min(n, len(torrents))
+	rows := make([]RecentTorrent, n)
+	for i := range rows {
+		rec := torrents[len(torrents)-1-i]
+		rows[i] = RecentTorrent{
+			TorrentID: rec.TorrentID, InfoHash: rec.InfoHash, Title: rec.Title, Category: rec.Category,
+			Publisher: rec.PublisherKey(), PublisherIP: rec.PublisherIP, Published: rec.Published, Removed: rec.Removed,
+		}
 	}
 	writeJSON(w, rows)
 }

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -315,5 +317,163 @@ func TestConcurrentRequestsOverLiveLake(t *testing.T) {
 			t.Fatal("snapshot never caught up with the live writer")
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// getJSON fetches one snapshot-backed route, decodes its 200 body into v
+// and returns the snapshot version the response was stamped with.
+func getJSON(t *testing.T, url string, v any) uint64 {
+	t.Helper()
+	code, hdr, body := getFull(t, url)
+	if code != http.StatusOK {
+		t.Fatalf("%s = %d: %s", url, code, body)
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		t.Fatalf("%s: %v in %s", url, err, body)
+	}
+	version, err := strconv.ParseUint(hdr.Get("X-Btpub-Snapshot-Version"), 10, 64)
+	if err != nil {
+		t.Fatalf("%s: X-Btpub-Snapshot-Version = %q", url, hdr.Get("X-Btpub-Snapshot-Version"))
+	}
+	return version
+}
+
+// TestPublisherAndRecentEndpoints covers the paper's Section 7 views:
+// /publishers/{name} is one identity's page and agrees with the three
+// listings about it, /torrents/recent is the newest-first tail, and both
+// follow the lake — a second commit adds a publisher with 1 of 5 uploads
+// removed and a live account (not fake: the paper's rule wants a deleted
+// account or a removed majority) and a username-less record whose
+// identity is its seeder address.
+func TestPublisherAndRecentEndpoints(t *testing.T) {
+	lk := seedLake(t, lake.Options{})
+	server := &lakeserve.Server{Lake: lk}
+	v1 := newResilientServer(t, server).URL + lakeserve.APIPrefix
+
+	var recent []lakeserve.RecentTorrent
+	seedVersion := getJSON(t, v1+"/torrents/recent?n=3", &recent)
+	if seedVersion != lk.Version() {
+		t.Fatalf("snapshot version %d, lake version %d", seedVersion, lk.Version())
+	}
+	if len(recent) != 3 || recent[0].TorrentID != 39 || recent[1].TorrentID != 38 || recent[2].TorrentID != 37 ||
+		recent[0].Publisher != "publisher07" || !recent[0].Published.Equal(serveT0.Add(39*time.Hour)) {
+		t.Fatalf("/torrents/recent?n=3 = %+v", recent)
+	}
+	if getJSON(t, v1+"/torrents/recent", &recent); len(recent) != 40 {
+		t.Fatalf("/torrents/recent = %d rows, want all 40 (default n=50)", len(recent))
+	}
+	code, _, body := getFull(t, v1+"/publishers/partial")
+	if code != http.StatusNotFound {
+		t.Fatalf("unknown publisher = %d: %s", code, body)
+	}
+	checkErrEnvelope(t, body, "not_found")
+
+	base := lk.NextTorrentID()
+	late := serveT0.Add(41 * time.Hour)
+	var recs []*dataset.TorrentRecord
+	for i := 0; i < 5; i++ {
+		recs = append(recs, &dataset.TorrentRecord{
+			TorrentID: base + i, InfoHash: fmt.Sprintf("%040d", base+i),
+			Title: fmt.Sprintf("Partial.%d", i), Category: "Audio > Music", FileName: "get.more.at.www.partial-site.com.mp3",
+			Username: "partial", PublisherIP: "11.0.9.1",
+			Published: late.Add(time.Duration(i) * time.Hour), Removed: i == 2,
+		})
+	}
+	recs = append(recs, &dataset.TorrentRecord{
+		TorrentID: base + 5, InfoHash: fmt.Sprintf("%040d", base+5),
+		Title: "Nameless", Category: "Video > Movies", PublisherIP: "11.0.9.9",
+		Published: late.Add(5 * time.Hour),
+	})
+	if err := lk.AddTorrents(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := lk.AddUsers([]dataset.UserRecord{{Username: "partial", Exists: true}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := lk.Append(dataset.Observation{TorrentID: rec.TorrentID, IP: "20.8.0.1", At: rec.Published}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lk.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	server.Refresh()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if getJSON(t, v1+"/torrents/recent?n=2", &recent) == lk.Version() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("snapshot never caught up with the second commit")
+		}
+	}
+	if lk.Version() <= seedVersion {
+		t.Fatalf("lake version %d did not move past %d", lk.Version(), seedVersion)
+	}
+	if len(recent) != 2 || recent[0].TorrentID != base+5 || recent[0].Publisher != "ip:11.0.9.9" ||
+		recent[1].TorrentID != base+4 || recent[1].Publisher != "partial" {
+		t.Fatalf("/torrents/recent?n=2 after the commit = %+v", recent)
+	}
+
+	var tops []lakeserve.TopPublisher
+	var fakes []lakeserve.FakePublisher
+	var classified []lakeserve.ClassifiedPublisher
+	getJSON(t, v1+"/top-publishers?n=100", &tops)
+	getJSON(t, v1+"/fakes", &fakes)
+	getJSON(t, v1+"/publishers/classified?n=100", &classified)
+
+	for _, tc := range []struct {
+		name           string
+		torrents       int
+		removed        int
+		fake           bool
+		ips            int
+		first, last    time.Time
+		promo          string
+		wantClassified bool
+	}{
+		{name: "publisher03", torrents: 5, ips: 5, first: serveT0.Add(3 * time.Hour), last: serveT0.Add(35 * time.Hour), wantClassified: true},
+		{name: "publisher00", torrents: 5, fake: true, ips: 5, first: serveT0, last: serveT0.Add(32 * time.Hour)},
+		{name: "partial", torrents: 5, removed: 1, ips: 1, first: late, last: late.Add(4 * time.Hour), promo: "www.partial-site.com", wantClassified: true},
+		{name: "ip:11.0.9.9", torrents: 1, ips: 1, first: late.Add(5 * time.Hour), last: late.Add(5 * time.Hour), wantClassified: true},
+	} {
+		var got lakeserve.PublisherDetail
+		if v := getJSON(t, v1+"/publishers/"+tc.name, &got); v != lk.Version() {
+			t.Fatalf("%s: snapshot version %d, lake version %d", tc.name, v, lk.Version())
+		}
+		if got.Username != tc.name || got.Torrents != tc.torrents || got.RemovedTorrents != tc.removed ||
+			got.Fake != tc.fake || len(got.IPs) != tc.ips || len(got.ISPs) == 0 ||
+			!got.FirstUpload.Equal(tc.first) || !got.LastUpload.Equal(tc.last) || got.PromoURL != tc.promo {
+			t.Errorf("/publishers/%s = %+v", tc.name, got)
+		}
+		for _, top := range tops {
+			if top.Username == tc.name && (top.Torrents != got.Torrents || top.Downloads != got.Downloads || top.Fake != got.Fake) {
+				t.Errorf("%s: /top-publishers says %+v, /publishers/{name} %+v", tc.name, top, got)
+			}
+		}
+		inFakes := false
+		for _, f := range fakes {
+			if f.Username == tc.name {
+				inFakes = true
+				if !reflect.DeepEqual(f, got.FakePublisher) {
+					t.Errorf("%s: /fakes says %+v, /publishers/{name} %+v", tc.name, f, got.FakePublisher)
+				}
+			}
+		}
+		if inFakes != (got.Fake || len(got.Cohort) > 0) {
+			t.Errorf("%s: in /fakes = %v, row = %+v", tc.name, inFakes, got)
+		}
+		inClassified := false
+		for _, c := range classified {
+			if c.Username == tc.name {
+				inClassified = true
+				if c.Class != got.Class || c.URL != got.URL || c.Language != got.Language || c.Torrents != got.Torrents || c.Downloads != got.Downloads {
+					t.Errorf("%s: /publishers/classified says %+v, /publishers/{name} %+v", tc.name, c, got)
+				}
+			}
+		}
+		if inClassified != tc.wantClassified || (got.Class != "") != inClassified {
+			t.Errorf("%s: in /publishers/classified = %v (want %v), class %q", tc.name, inClassified, tc.wantClassified, got.Class)
+		}
 	}
 }

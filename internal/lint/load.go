@@ -41,7 +41,6 @@ type Loader struct {
 	fset    *token.FileSet
 	exports map[string]string // import path -> export data file
 	modDir  string
-	modPath string
 	imp     types.ImporterFrom
 }
 
@@ -55,10 +54,6 @@ func NewLoader(dir string) *Loader {
 // ModuleDir returns the directory of the main module, known after the
 // first Load call.
 func (l *Loader) ModuleDir() string { return l.modDir }
-
-// ModulePath returns the main module path, known after the first Load
-// call.
-func (l *Loader) ModulePath() string { return l.modPath }
 
 func (l *Loader) lookup(path string) (io.ReadCloser, error) {
 	f, ok := l.exports[path]
@@ -139,7 +134,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 			l.exports[p.ImportPath] = p.Export
 		}
 		if p.Module != nil && l.modDir == "" {
-			l.modDir, l.modPath = p.Module.Dir, p.Module.Path
+			l.modDir = p.Module.Dir
 		}
 		if !p.DepOnly {
 			targets = append(targets, p)

@@ -485,23 +485,6 @@ type World struct {
 	Start      time.Time // campaign start
 }
 
-// PublisherByID returns the publisher with the given ID, or nil.
-func (w *World) PublisherByID(id int) *Publisher {
-	if id < 0 || id >= len(w.Publishers) {
-		return nil
-	}
-	return w.Publishers[id]
-}
-
-// CountByClass tallies publishers per class.
-func (w *World) CountByClass() map[Class]int {
-	out := map[Class]int{}
-	for _, p := range w.Publishers {
-		out[p.Class]++
-	}
-	return out
-}
-
 // TorrentShareByClass tallies the fraction of torrents per class.
 func (w *World) TorrentShareByClass() map[Class]float64 {
 	counts := map[Class]int{}
@@ -511,27 +494,6 @@ func (w *World) TorrentShareByClass() map[Class]float64 {
 	out := map[Class]float64{}
 	for c, n := range counts {
 		out[c] = float64(n) / float64(len(w.Torrents))
-	}
-	return out
-}
-
-// ExpectedDownloadShareByClass tallies the expected download share per class
-// over the campaign (fake removal not applied; see ecosystem for the
-// realised numbers).
-func (w *World) ExpectedDownloadShareByClass(horizon time.Duration) map[Class]float64 {
-	sums := map[Class]float64{}
-	total := 0.0
-	for _, t := range w.Torrents {
-		d := t.ExpectedDownloads(horizon)
-		sums[w.Publishers[t.PublisherID].Class] += d
-		total += d
-	}
-	out := map[Class]float64{}
-	if total == 0 {
-		return out
-	}
-	for c, s := range sums {
-		out[c] = s / total
 	}
 	return out
 }

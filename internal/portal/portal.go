@@ -222,15 +222,6 @@ func (p *Portal) Entry(ih metainfo.Hash) (*Entry, error) {
 	return e, nil
 }
 
-// EntryEvenRemoved looks up an entry regardless of moderation state (used
-// by the ecosystem internally, not exposed over HTTP).
-func (p *Portal) EntryEvenRemoved(ih metainfo.Hash) (*Entry, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	e := p.byHash[ih]
-	return e, e != nil
-}
-
 // Account returns a user page. Suspended accounts yield ErrNotFound — the
 // portal deletes fake publishers' pages, which is precisely the signal the
 // paper's classifier uses (footnote 8).

@@ -136,7 +136,7 @@ func newEnv(db *geoip.DB, recs []*dataset.TorrentRecord, p *plan) *env {
 		m.cats = make(map[int32]string, len(recs))
 		for _, rec := range recs {
 			tid := int32(rec.TorrentID)
-			m.pubs[tid] = publisherKey(rec)
+			m.pubs[tid] = rec.PublisherKey()
 			m.cats[tid] = analysis.NormalizeCategory(rec.Category)
 		}
 	}
@@ -155,19 +155,6 @@ func (e *env) fork() *env {
 		f.geo = make(map[string]geoRec)
 	}
 	return f
-}
-
-// publisherKey resolves a torrent record to its publisher identity, the
-// same resolution classify.BuildFacts uses: the portal username, or
-// "ip:<addr>" for mn08-style records, or "" when neither is known.
-func publisherKey(rec *dataset.TorrentRecord) string {
-	if rec.Username != "" {
-		return rec.Username
-	}
-	if rec.PublisherIP != "" {
-		return "ip:" + rec.PublisherIP
-	}
-	return ""
 }
 
 // geoOf resolves (and memoizes) one peer address. Unresolvable

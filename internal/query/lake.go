@@ -266,7 +266,7 @@ func pushdownTIDs(p *plan, recs []*dataset.TorrentRecord) []int {
 	}
 	out := []int{} // non-nil: an empty set must select nothing, not everything
 	for _, rec := range recs {
-		if !p.pubs[publisherKey(rec)] {
+		if !p.pubs[rec.PublisherKey()] {
 			continue
 		}
 		if p.tids != nil && !p.tids[int32(rec.TorrentID)] {

@@ -58,9 +58,6 @@ func (s *Stream) Float64() float64 { return s.r.Float64() }
 // IntN returns a uniform value in [0, n). It panics if n <= 0.
 func (s *Stream) IntN(n int) int { return s.r.IntN(n) }
 
-// Int64N returns a uniform value in [0, n). It panics if n <= 0.
-func (s *Stream) Int64N(n int64) int64 { return s.r.Int64N(n) }
-
 // Uint64 returns a uniform 64-bit value.
 func (s *Stream) Uint64() uint64 { return s.r.Uint64() }
 
@@ -86,12 +83,6 @@ func (s *Stream) Exp(mean float64) float64 {
 // Normal returns a normally distributed value.
 func (s *Stream) Normal(mean, stddev float64) float64 {
 	return s.r.NormFloat64()*stddev + mean
-}
-
-// LogNormal returns exp(N(mu, sigma)). Note mu/sigma parameterise the
-// underlying normal, so the median of the result is exp(mu).
-func (s *Stream) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(s.r.NormFloat64()*sigma + mu)
 }
 
 // LogNormalMedian returns a log-normal draw parameterised by its median and
