@@ -67,7 +67,7 @@ bench-lake:
 # enforced: the 2% time-window grouped aggregate through the lake
 # executor (zone-map pushdown) and the in-memory executor, the
 # full-lake grouped aggregate serial vs parallel, and the
-# microindex-pruned IP point lookup.
+# postings-pruned IP point lookup.
 bench-query:
 	go test -run '^$$' -bench '$(QUERY_BENCH)' -benchtime=20x -benchmem -timeout 20m . \
 		| go run ./cmd/benchjson -o BENCH_query_$(BENCH_DATE).json -ceilings ci/bench-ceilings.txt -only '^BenchmarkQuery'

@@ -59,7 +59,7 @@ func run() error {
 	maxT := flag.String("max", "", "max observation time (RFC3339, inclusive)")
 	torrents := flag.String("torrents", "", "comma-separated torrent IDs")
 	publishers := flag.String("publishers", "", "comma-separated publisher usernames")
-	ips := flag.String("ips", "", "comma-separated peer addresses (point lookup via microindex postings)")
+	ips := flag.String("ips", "", "comma-separated peer addresses (point lookup: only segments whose address dictionary holds one are opened)")
 	isps := flag.String("isps", "", "comma-separated peer ISPs")
 	countries := flag.String("countries", "", "comma-separated peer countries")
 	seeders := flag.Bool("seeders", false, "seeder sightings only")
@@ -211,8 +211,8 @@ func execute(ctx context.Context, q query.Query, lakeDir, remote string, timeout
 }
 
 // explainLocal plans the query against a local lake and prints the
-// plan: predicate order, segment pruning (zone maps vs microindex
-// postings), and the scan parallelism Execute would use.
+// plan: predicate order, segment pruning (zone maps vs the segments'
+// own postings), and the scan parallelism Execute would use.
 func explainLocal(ctx context.Context, q query.Query, lakeDir string, asJSON bool) error {
 	lk, err := lake.Open(lakeDir, lake.Options{})
 	if err != nil {

@@ -83,9 +83,10 @@
 // internal/lake is the persistent, append-only successor to loading one
 // JSONL file per run: writers (campaign.Run via Spec.Lake, the crawler
 // via its Config.Sink hook, JSONL imports) seal observations into
-// immutable columnar segment files — the ObsStore columns plus a
-// segment-local intern table, per-segment zone maps (min/max time,
-// min/max torrent ID) and a CRC-32C footer — recorded in an append-only
+// immutable columnar segment files — the ObsStore columns behind two
+// sorted dictionaries (distinct addresses, distinct torrent IDs),
+// per-segment zone maps (min/max time, min/max torrent ID) and a
+// CRC-32C footer — recorded in an append-only
 // commit journal. The journal is
 // the source of truth and the commit history at once: one fsynced,
 // CRC-32C-framed record per committed version, versions strictly
@@ -94,26 +95,27 @@
 // 64) bounding replay. A crash at any instant leaves the previous
 // committed state: Open replays the journal to head, repairs a torn
 // tail (complete-frame corruption is refused), deletes orphans, and
-// size-checks referenced segments; Verify runs a full CRC pass plus a
-// journal-replay cross-check. Because the history is on disk, any committed version can be served
+// size-checks referenced segments; Verify runs a full CRC-and-decode
+// pass (every segment's zone maps, in the file and in the journal,
+// against its rows) plus a journal-replay cross-check. A lake directory
+// holds JOURNAL, seg-*.obs and meta-*.jsonl and nothing else; a lake in
+// an older format is refused at Open, not migrated. Because the history
+// is on disk, any committed version can be served
 // again: Lake.OpenAt pins a read-only view and query Filter.AsOf pins
 // a single scan (btpub-query -as-of, "as_of" on POST /api/v1/query),
 // replaying a query reproducibly while ingest continues; unavailable
 // versions fail with a typed VersionUnavailableError, never a wrong
 // answer. Segments compress their columns stdlib-only — GCD-scaled
-// delta-varint timestamps and torrent IDs, dictionary IPs, raw seeder
-// words — to ~6.5 bytes/observation. Each flush also seals a
-// per-segment microindex (idx-NNNNNN.ipx): sorted, CRC-protected
-// postings of the segment's distinct IP strings and torrent IDs. For
-// point lookups the scan planner consults postings — exact, not
-// probabilistic — after the free zone-map pass and opens only segments
-// that contain the key. Indexes are an optimization, never a source of
-// truth: a segment whose entry carries no index scans on its zone maps
-// alone, a missing or corrupt index file degrades at Open without data
-// loss, Verify cross-checks postings against segment
-// contents, and compaction regenerates them for merged output. Scan
-// prunes segments on the manifest's zone maps and postings alone and
-// decodes survivors in parallel; a background compactor folds small
+// delta-varint timestamps, dictionary-coded torrent IDs and IPs, raw
+// seeder words. The dictionary is the index: both are written strictly
+// ascending and the key columns store positions in them, so a key that
+// is not in the dictionary is on no row — they are the segment's
+// postings, covered by its CRC and unable to disagree with its rows. For point lookups the scan planner consults postings —
+// exact, not probabilistic, memoized per immutable segment file — after
+// the free zone-map pass and opens only segments that contain the key;
+// an opened segment finds a wanted address by binary search. Scan
+// prunes segments on the journal's zone maps and those postings alone
+// and decodes survivors in parallel; a background compactor folds small
 // segments in the canonical Merge order while concurrent readers keep
 // their snapshot. Materialize canonicalises the
 // committed state back into a dataset.Dataset that is byte-identical to
@@ -142,14 +144,14 @@
 // required (and tested, over an adversarial-scenario campaign) to
 // return identical rows: query.NewMemory runs over an in-memory
 // dataset, query.NewLake compiles the filter (including Filter.IPs,
-// the microindex point-lookup) into a lake.Predicate and folds the
+// the address point-lookup) into a lake.Predicate and folds the
 // streamed batches without materializing a dataset. The lake executor
 // plans before reading data — zone-map pruning (a 2% time-window
 // grouped aggregate over a 1M-observation lake opens at most two
 // segments), exact postings pruning of the segments that survive, and
 // cheapest-column-first ordering of the row predicates (time, then
 // seeder bit, then torrent ID, then IP; each opened segment rewrites
-// the IP predicate into a segment-local intern-index bitset) — then
+// the IP predicate into a bitset over its dictionary positions) — then
 // partitions the surviving segments across scan workers
 // (Lake.WithWorkers; default GOMAXPROCS), one collector per worker,
 // merged deterministically and finished under one total row order, so
@@ -196,8 +198,9 @@
 // or parked mid-serve. TestKillPointTorture records the full op
 // sequence of a reopen->flush->query->compact->reindex workload
 // (starting from a closed lake with committed rows so a journal replay
-// runs under fire, with checkpoints forced inside the window) and
-// replays it with a
+// runs under fire, with checkpoints forced inside the window; a flush
+// or a compaction is one segment create/write/sync/close, then the
+// journal append) and replays it with a
 // crash at every op index (clean and torn), asserting the survivor
 // reopens without Salvage, passes Verify, holds exactly a committed
 // prefix of the appends, and recovers to a journal version the

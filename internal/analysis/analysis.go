@@ -369,8 +369,8 @@ func (a *Analysis) Seeding(gap time.Duration) SeedingBehaviour {
 				}
 			}
 			pairs = pairs[:0]
-			for _, ipx := range ipset {
-				for _, oi := range a.idx.ipSpan(ipx) {
+			for _, ipIdx := range ipset {
+				for _, oi := range a.idx.ipSpan(ipIdx) {
 					if tid := store.TorrentID(int(oi)); tid < len(stamp) && stamp[tid] == epoch {
 						pairs = append(pairs, pair{int32(tid), store.UnixNano(int(oi))})
 					}

@@ -16,8 +16,11 @@ import (
 	"btpub/internal/lake/journal"
 )
 
-// formatV2 is the format number every commit payload carries.
-const formatV2 = 2
+// payloadFormat is the format number every commit payload carries. It
+// names the whole on-disk layout the journal describes — payload fields
+// and segment encoding alike — so Open refuses an older lake at its
+// first record instead of at its first segment read.
+const payloadFormat = 3
 
 // commitPayload is the JSON body of one journal record. Scalars are the
 // absolute post-commit values; AddSegments/RetireSegments/AddMeta are
@@ -54,7 +57,7 @@ type histRec struct {
 
 // payloadScalars copies a state's scalar fields into a payload.
 func payloadScalars(pay *commitPayload, m *manifest) {
-	pay.Format = formatV2
+	pay.Format = payloadFormat
 	pay.Name, pay.Start, pay.End = m.Name, m.Start, m.End
 	pay.NextSeq, pay.NextTID = m.NextSeq, m.NextTID
 	pay.Rows, pay.Torrents, pay.Users, pay.Dropped = m.Rows, m.Torrents, m.Users, m.Dropped
@@ -78,17 +81,16 @@ func decodeHist(recs []journal.Record) ([]histRec, error) {
 		if err := json.Unmarshal(rec.Payload, &pay); err != nil {
 			return nil, fmt.Errorf("lake: journal record %d (version %d): bad payload: %w", i, rec.Version, err)
 		}
-		if pay.Format != formatV2 {
-			return nil, fmt.Errorf("lake: journal record %d (version %d): unsupported format %d", i, rec.Version, pay.Format)
+		if pay.Format != payloadFormat {
+			return nil, fmt.Errorf("lake: journal record %d (version %d) is lake format %d; this build reads and writes only format %d and migrates nothing",
+				i, rec.Version, pay.Format, payloadFormat)
 		}
 		hist = append(hist, histRec{version: rec.Version, checkpoint: rec.Checkpoint, pay: &pay})
 	}
 	return hist, nil
 }
 
-// applyCommit folds one record onto m. Retires are applied before adds,
-// so a commit may rewrite a segment entry in place (retire + re-add the
-// same file), as salvage does when it strips a broken microindex ref.
+// applyCommit folds one record onto m, retires before adds.
 func applyCommit(m *manifest, h histRec) {
 	m.Version = h.version
 	pay := h.pay
@@ -172,9 +174,6 @@ func histFiles(hist []histRec) map[string]bool {
 	add := func(segs []segMeta, meta []string) {
 		for _, s := range segs {
 			out[s.File] = true
-			if s.Index != "" {
-				out[s.Index] = true
-			}
 		}
 		for _, f := range meta {
 			out[f] = true

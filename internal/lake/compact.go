@@ -97,7 +97,7 @@ func (lk *Lake) compact() error {
 	st := &merged.store
 	ips := st.IPs()
 	for _, sm := range victims {
-		d, _, err := lk.readSegment(sm)
+		d, err := lk.readSegment(sm)
 		if err != nil {
 			lk.scanMu.RUnlock()
 			return fmt.Errorf("lake: compact: %w", err)
@@ -122,28 +122,16 @@ func (lk *Lake) compact() error {
 		return errClosed
 	}
 	next := lk.man.clone()
-	seq := next.NextSeq
+	name := fmt.Sprintf("seg-%06d.obs", next.NextSeq)
 	next.NextSeq++
-	name := fmt.Sprintf("seg-%06d.obs", seq)
 	buf := encodeSegment(st, merged.zone)
 	if err := lk.writeFileSync(name, buf); err != nil {
 		return err
 	}
-	// Compaction regenerates the microindex for the merged output, so a
-	// compacted lake prunes point lookups exactly like a fresh one —
-	// including lakes whose victims predate microindexes entirely.
-	idxName := fmt.Sprintf("idx-%06d.ipx", seq)
-	idxBuf := encodeMicroindex(buildMicroindex(st))
-	if err := lk.writeFileSync(idxName, idxBuf); err != nil {
-		return err
-	}
-	gone := make(map[string]bool, 2*len(victims))
+	gone := make(map[string]bool, len(victims))
 	pay := &commitPayload{}
 	for _, v := range victims {
 		gone[v.File] = true
-		if v.Index != "" {
-			gone[v.Index] = true
-		}
 		pay.RetireSegments = append(pay.RetireSegments, v.File)
 	}
 	keep := next.Segments[:0:0]
@@ -152,11 +140,7 @@ func (lk *Lake) compact() error {
 			keep = append(keep, s)
 		}
 	}
-	out := segMeta{
-		File: name, Bytes: int64(len(buf)),
-		Index: idxName, IndexBytes: int64(len(idxBuf)),
-		zone: merged.zone,
-	}
+	out := segMeta{File: name, Bytes: int64(len(buf)), zone: merged.zone}
 	next.Segments = append(keep, out)
 	pay.AddSegments = append(pay.AddSegments, out)
 	next.Version++
@@ -174,9 +158,6 @@ func (lk *Lake) compact() error {
 	// the fault-injection kill-point tests replay against.
 	for _, v := range victims {
 		lk.dead = append(lk.dead, v.File)
-		if v.Index != "" {
-			lk.dead = append(lk.dead, v.Index)
-		}
 	}
 	lk.tryVacuumLocked()
 	return nil

@@ -25,8 +25,7 @@ type Diff struct {
 	To   uint64 `json:"to"`
 	// AddedSegments / AddedMeta list files committed in the range, in
 	// commit order. RetiredSegments lists segments any commit in the
-	// range removed (compaction folds, salvage drops, microindex
-	// degradations — which retire and re-add the same file).
+	// range removed (compaction folds, salvage drops).
 	AddedSegments   []string `json:"added_segments,omitempty"`
 	RetiredSegments []string `json:"retired_segments,omitempty"`
 	AddedMeta       []string `json:"added_meta,omitempty"`
@@ -216,7 +215,7 @@ func (lk *Lake) readIntoLocked(ctx context.Context, meta []string, segs []segMet
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		seg, _, err := lk.readSegment(sm)
+		seg, err := lk.readSegment(sm)
 		if err != nil {
 			return err
 		}

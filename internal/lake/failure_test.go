@@ -1,6 +1,7 @@
 package lake_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 
 	"btpub/internal/dataset"
 	"btpub/internal/lake"
+	"btpub/internal/lake/journal"
 )
 
 // buildSmallLake writes a lake with several segments and returns its dir
@@ -200,6 +202,42 @@ func TestPreJournalLakeRefused(t *testing.T) {
 	}
 	if _, err := os.Stat(seg); err != nil {
 		t.Fatalf("refused open still touched the segment: %v", err)
+	}
+}
+
+// TestOldFormatLakeRefused: a lake written by a build that kept postings
+// in idx-*.ipx side files (payload format 2) is refused at its first
+// journal record with an error naming both formats — not salvaged, not
+// migrated, and not one of its files touched.
+func TestOldFormatLakeRefused(t *testing.T) {
+	dir := t.TempDir()
+	payload := `{"format":2,"next_seq":1,"next_tid":1,"rows":1,"torrents":0,"users":0,` +
+		`"add_segments":[{"file":"seg-000000.obs","bytes":2,"index":"idx-000000.ipx","index_bytes":2,` +
+		`"rows":1,"min_at_ns":1,"max_at_ns":1,"min_tid":0,"max_tid":0}]}`
+	files := map[string][]byte{
+		journal.Name:     journal.Encode([]journal.Record{{Version: 1, Payload: []byte(payload)}}),
+		"seg-000000.obs": []byte("{}"),
+		"idx-000000.ipx": []byte("{}"),
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, opt := range []lake.Options{{}, {Salvage: true}} {
+		lk, err := lake.Open(dir, opt)
+		if err == nil {
+			lk.Close()
+			t.Fatalf("Open(%+v) accepted a format-2 lake", opt)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "format 2") || !strings.Contains(msg, "format 3") {
+			t.Fatalf("refusal does not name the formats: %v", err)
+		}
+	}
+	for name, data := range files {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("refused open touched %s: %v", name, err)
+		}
 	}
 }
 

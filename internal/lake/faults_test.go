@@ -126,7 +126,7 @@ func faultWorkload(fsys vfs.FS, record func(*lake.Lake)) error {
 	}
 	note()
 
-	// Query stage: a point lookup (touches microindex postings) and a
+	// Query stage: a point lookup (reads segment postings) and a
 	// time-window scan. Single worker keeps the read order deterministic.
 	ctx := context.Background()
 	point := lake.Predicate{IPs: []string{faultObs(5).IP}}
@@ -144,8 +144,8 @@ func faultWorkload(fsys vfs.FS, record func(*lake.Lake)) error {
 	}
 	note()
 
-	// Reindex: a second wave of appends builds fresh segments and
-	// microindexes beside the compacted one.
+	// Reindex: a second wave of appends builds fresh segments, each its
+	// own index, beside the compacted one.
 	for i := faultWave1; i < faultWave1+faultWave2; i++ {
 		if err := lk.Append(faultObs(i)); err != nil {
 			return err

@@ -2,10 +2,11 @@
 // on-disk successor to holding a whole dataset.Dataset in memory. Writers
 // (campaign runs, live crawlers, JSONL imports) append observations into
 // an open columnar builder that is sealed into immutable segment files
-// (zone maps + delta/dictionary-compressed columns + CRC footers, see
-// segment.go); torrent and user records ride in JSONL meta files reusing
-// the dataset codec. The source of truth is an append-only commit
-// journal (format v2, see internal/lake/journal and commits.go): every
+// (zone maps + sorted dictionaries that double as the segment's index +
+// delta-compressed columns + CRC footers, see segment.go); torrent and
+// user records ride in JSONL meta files reusing the dataset codec. A
+// lake directory holds those two file kinds and the source of truth, an
+// append-only commit journal (internal/lake/journal and commits.go): every
 // flush, import, compaction or salvage appends one fsynced, CRC- and
 // chain-protected record, Open replays the journal to head (periodic
 // checkpoint records bound replay cost), and any committed version
@@ -116,10 +117,10 @@ type Lake struct {
 	compacting atomic.Bool
 	wg         sync.WaitGroup
 
-	// idxCache memoizes decoded microindex files by name. Index files
+	// postCache memoizes segments' postings by file name. Segment files
 	// are immutable once committed, so entries never go stale; retired
-	// files are evicted when their segments are vacuumed.
-	idxCache sync.Map // file name -> *microindex
+	// files are evicted when they are vacuumed.
+	postCache sync.Map // segment file name -> *postings
 
 	segsRead       atomic.Int64
 	segsSkipped    atomic.Int64
@@ -163,35 +164,14 @@ func Open(dir string, opt Options) (*Lake, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Validate referenced segments before touching anything else, building
-	// the salvage commit's deltas as entries change.
+	// Validate referenced segments before touching anything else.
 	var keep []segMeta
 	var retire []string
-	var readd []segMeta
 	for _, s := range man.Segments {
-		// A missing or resized microindex never loses data: drop the
-		// reference so scans of this segment prune on its zone maps alone,
-		// committed below as a retire + re-add of the same file.
-		degraded := false
-		if s.Index != "" {
-			isz, err := fsys.Size(s.Index)
-			if err != nil || isz != s.IndexBytes {
-				log.Printf("lake: dropping microindex %s for %s (missing or resized); zone-map pruning only", s.Index, s.File)
-				s.Index, s.IndexBytes = "", 0
-				degraded = true
-			}
-		}
 		sz, err := fsys.Size(s.File)
 		switch {
 		case err == nil && sz == s.Bytes:
-			if degraded {
-				// Rewritten entries move to the tail, exactly as replaying
-				// the retire + re-add record orders them.
-				retire = append(retire, s.File)
-				readd = append(readd, s)
-			} else {
-				keep = append(keep, s)
-			}
+			keep = append(keep, s)
 			continue
 		case err == nil:
 			err = &CorruptSegmentError{File: s.File, Reason: fmt.Sprintf("size %d, manifest says %d", sz, s.Bytes)}
@@ -205,7 +185,7 @@ func Open(dir string, opt Options) (*Lake, error) {
 		man.Rows -= int64(s.Rows)
 		retire = append(retire, s.File)
 	}
-	man.Segments = append(keep, readd...)
+	man.Segments = keep
 	for _, f := range man.Meta {
 		if _, err := fsys.Size(f); err != nil {
 			return nil, fmt.Errorf("lake: meta file %s: %w", f, err)
@@ -254,11 +234,10 @@ func Open(dir string, opt Options) (*Lake, error) {
 		}
 		lk.sinceCk++
 	}
-	if len(retire) > 0 || len(readd) > 0 {
+	if len(retire) > 0 {
 		next := lk.man // Open owns the state; no clone needed yet
 		next.Version++
-		pay := &commitPayload{RetireSegments: retire, AddSegments: readd}
-		if err := lk.commitLocked(next, pay, false); err != nil {
+		if err := lk.commitLocked(next, &commitPayload{RetireSegments: retire}, false); err != nil {
 			return nil, err
 		}
 	}
@@ -315,7 +294,8 @@ type Stats struct {
 	// Version is the journal head version; CheckpointVersion the version
 	// of the latest checkpoint record (0 until one is written); Commits
 	// the number of journal records replay would read; TotalBytes the
-	// on-disk footprint of live segments, microindexes and the journal.
+	// on-disk footprint of live segments and the journal (meta files are
+	// not counted).
 	Version           uint64 `json:"version"`
 	CheckpointVersion uint64 `json:"checkpoint_version"`
 	Commits           int64  `json:"commits"`
@@ -329,8 +309,8 @@ type Stats struct {
 	// SegmentsRead / SegmentsSkipped / SegmentsSkippedPostings are
 	// cumulative scan pushdown counters for this handle: Skipped counts
 	// segments pruned by zone maps alone, SkippedPostings counts
-	// zone-admitted segments a microindex proved key-free before they
-	// were opened.
+	// zone-admitted segments whose postings proved key-free before a row
+	// was decoded.
 	SegmentsRead            int64 `json:"segments_read"`
 	SegmentsSkipped         int64 `json:"segments_skipped"`
 	SegmentsSkippedPostings int64 `json:"segments_skipped_postings"`
@@ -350,7 +330,7 @@ func (lk *Lake) Stats() Stats {
 		TotalBytes:        lk.jr.Size(),
 	}
 	for _, s := range m.Segments {
-		st.TotalBytes += s.Bytes + s.IndexBytes
+		st.TotalBytes += s.Bytes
 	}
 	lk.mu.Unlock()
 	st.SegmentsRead = lk.segsRead.Load()
@@ -482,27 +462,14 @@ func (lk *Lake) flushLocked(autoCompact bool) error {
 	pay := &commitPayload{}
 	sealedSeg := false
 	if n := lk.bld.store.Len(); n > 0 {
-		seq := next.NextSeq
+		name := fmt.Sprintf("seg-%06d.obs", next.NextSeq)
 		next.NextSeq++
-		name := fmt.Sprintf("seg-%06d.obs", seq)
 		buf := encodeSegment(&lk.bld.store, lk.bld.zone)
 		if err := lk.writeFileSync(name, buf); err != nil {
 			lk.lastErr = err
 			return err
 		}
-		// Seal the segment's microindex beside it (same sequence number)
-		// before the commit record that references both is appended.
-		idxName := fmt.Sprintf("idx-%06d.ipx", seq)
-		idxBuf := encodeMicroindex(buildMicroindex(&lk.bld.store))
-		if err := lk.writeFileSync(idxName, idxBuf); err != nil {
-			lk.lastErr = err
-			return err
-		}
-		sm := segMeta{
-			File: name, Bytes: int64(len(buf)),
-			Index: idxName, IndexBytes: int64(len(idxBuf)),
-			zone: lk.bld.zone,
-		}
+		sm := segMeta{File: name, Bytes: int64(len(buf)), zone: lk.bld.zone}
 		next.Segments = append(next.Segments, sm)
 		pay.AddSegments = append(pay.AddSegments, sm)
 		next.Rows += int64(n)
@@ -636,7 +603,7 @@ func (lk *Lake) saveSync(name string, d *dataset.Dataset) error {
 func (lk *Lake) deleteDeadLocked() {
 	for _, f := range lk.dead {
 		_ = lk.fs.Remove(f)
-		lk.idxCache.Delete(f)
+		lk.postCache.Delete(f)
 	}
 	lk.dead = nil
 }
@@ -911,10 +878,10 @@ func (lk *Lake) readMetaLocked(man *manifest) ([]*dataset.TorrentRecord, []datas
 // re-decoded (rejecting torn tails, CRC damage, version regressions and
 // parent-hash breaks), folded with every checkpoint cross-checked
 // against replay, and held against the live state; then every committed
-// segment is read and CRC-checked — and, when the segment carries a
-// microindex, the index file is CRC-checked and its postings
-// cross-checked against the postings rebuilt from the segment's actual
-// rows. One error per problem; nil means the lake is fully intact.
+// segment is read, CRC-checked and decoded — which proves its header
+// zone and postings against its rows — and its journal entry's zone
+// maps, the copy scans prune on, are held against the file's. One error
+// per problem; nil means the lake is fully intact.
 func (lk *Lake) Verify(ctx context.Context) []error {
 	lk.scanMu.RLock()
 	defer lk.scanMu.RUnlock()
@@ -938,26 +905,8 @@ func (lk *Lake) Verify(ctx context.Context) []error {
 			errs = append(errs, ctx.Err())
 			break
 		}
-		d, _, err := lk.readSegment(sm)
-		if err != nil {
+		if _, err := lk.readSegment(sm); err != nil {
 			errs = append(errs, err)
-			continue
-		}
-		if sm.Index == "" {
-			continue
-		}
-		buf, err := lk.fs.ReadFile(sm.Index)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		x, err := decodeMicroindex(sm.Index, buf)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		if !x.equal(buildMicroindexFromSeg(d)) {
-			errs = append(errs, &CorruptIndexError{File: sm.Index, Reason: "postings disagree with segment " + sm.File})
 		}
 	}
 	return errs
@@ -1003,33 +952,36 @@ func verifyJournal(buf []byte, man *manifest) []error {
 	return errs
 }
 
-// readSegment loads and decodes one committed segment file.
-func (lk *Lake) readSegment(sm segMeta) (*segData, zone, error) {
+// readSegment loads and decodes one committed segment file, and refuses
+// one whose journal entry carries other zone maps than its header: the
+// planner pruned on the journal's copy.
+func (lk *Lake) readSegment(sm segMeta) (*segData, error) {
 	buf, err := lk.fs.ReadFile(sm.File)
 	if err != nil {
-		return nil, zone{}, err
+		return nil, err
 	}
-	return decodeSegment(sm.File, buf)
+	d, err := decodeSegment(sm.File, buf)
+	if err != nil {
+		return nil, err
+	}
+	if d.zone != sm.zone {
+		return nil, &CorruptSegmentError{File: sm.File,
+			Reason: fmt.Sprintf("journal zone %+v disagrees with the file's %+v", sm.zone, d.zone)}
+	}
+	return d, nil
 }
 
-// readIndex loads (and memoizes) one segment's microindex. Any failure
-// degrades to (nil, err) — callers treat a missing index as "cannot
-// prune", never as data loss.
-func (lk *Lake) readIndex(sm segMeta) (*microindex, error) {
-	if sm.Index == "" {
-		return nil, nil
+// readPostings returns (and memoizes) one segment's postings, decoding
+// the segment the first time it is asked.
+func (lk *Lake) readPostings(sm segMeta) (*postings, error) {
+	if v, ok := lk.postCache.Load(sm.File); ok {
+		return v.(*postings), nil
 	}
-	if v, ok := lk.idxCache.Load(sm.Index); ok {
-		return v.(*microindex), nil
-	}
-	buf, err := lk.fs.ReadFile(sm.Index)
+	d, err := lk.readSegment(sm)
 	if err != nil {
 		return nil, err
 	}
-	x, err := decodeMicroindex(sm.Index, buf)
-	if err != nil {
-		return nil, err
-	}
-	lk.idxCache.Store(sm.Index, x)
-	return x, nil
+	p := d.postings // a copy, so the cache does not pin the decoded columns
+	lk.postCache.Store(sm.File, &p)
+	return &p, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -275,21 +276,27 @@ func TestZoneMapSkip(t *testing.T) {
 
 }
 
-// TestIPPostingsSkip: microindex postings prune equality scans exactly —
-// the plan opens only the segment that holds the address, the scan reads
-// no more than the plan said, and an address never written opens nothing.
+// TestIPPostingsSkip: postings prune equality scans exactly — the plan
+// opens only the segment that holds the address, the scan reads no more
+// than the plan said, and an address never written opens nothing. The
+// same holds after compaction has folded everything into one segment
+// whose zone maps admit every key, and from a cold handle on that lake.
 func TestIPPostingsSkip(t *testing.T) {
 	t0 := time.Date(2010, 4, 6, 0, 0, 0, 0, time.UTC)
-	lk, err := lake.Open(filepath.Join(t.TempDir(), "lake"), lake.Options{FlushRows: 100})
+	ctx := context.Background()
+	dir := filepath.Join(t.TempDir(), "lake")
+	lk, err := lake.Open(dir, lake.Options{FlushRows: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lk.Close()
+	defer func() { lk.Close() }()
 	const segs = 12
 	for s := 0; s < segs; s++ {
 		ip := fmt.Sprintf("10.1.1.%d", s)
 		for i := 0; i < 100; i++ {
-			if err := lk.Append(dataset.Observation{TorrentID: s, IP: ip, At: t0.Add(time.Duration(s*100+i) * time.Second)}); err != nil {
+			// Even torrent IDs only, so an odd one is inside every zone map
+			// that spans two segments and on no row.
+			if err := lk.Append(dataset.Observation{TorrentID: 2 * s, IP: ip, At: t0.Add(time.Duration(s*100+i) * time.Second)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -310,7 +317,7 @@ func TestIPPostingsSkip(t *testing.T) {
 	}
 	before := lk.Stats()
 	matched := 0
-	if err := lk.Scan(context.Background(), pred, func(b *lake.Batch) error {
+	if err := lk.Scan(ctx, pred, func(b *lake.Batch) error {
 		matched += b.Len()
 		return nil
 	}); err != nil {
@@ -325,7 +332,7 @@ func TestIPPostingsSkip(t *testing.T) {
 	}
 	// An address never written anywhere is pruned without any read.
 	before = lk.Stats()
-	if err := lk.Scan(context.Background(), lake.Predicate{IP: "192.0.2.99"}, func(b *lake.Batch) error {
+	if err := lk.Scan(ctx, lake.Predicate{IP: "192.0.2.99"}, func(b *lake.Batch) error {
 		t.Fatal("matched an address that was never written")
 		return nil
 	}); err != nil {
@@ -335,6 +342,48 @@ func TestIPPostingsSkip(t *testing.T) {
 	if read := after.SegmentsRead - before.SegmentsRead; read != 0 {
 		t.Fatalf("unseen address read %d segments", read)
 	}
+
+	// One compacted segment: zone maps can prune nothing, postings still do.
+	if err := lk.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	compacted := func(handle string) {
+		t.Helper()
+		if st := lk.Stats(); st.Segments != 1 {
+			t.Fatalf("%s: segments = %d after compaction, want 1", handle, st.Segments)
+		}
+		got := 0
+		if err := lk.Scan(ctx, pred, func(b *lake.Batch) error { got += b.Len(); return nil }); err != nil || got != 100 {
+			t.Fatalf("%s: present address matched %d rows (err %v), want 100", handle, got, err)
+		}
+		for _, absent := range []lake.Predicate{{IP: "192.0.2.99"}, {TorrentIDs: []int{7}}} {
+			plan, err := lk.PlanScan(absent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.PrunedPostings != 1 || plan.PrunedZone != 0 || len(plan.Opened) != 0 {
+				t.Fatalf("%s: plan for absent key %+v = %+v, want the one segment pruned on postings", handle, absent, plan)
+			}
+			before := lk.Stats()
+			if err := lk.Scan(ctx, absent, func(b *lake.Batch) error {
+				t.Fatalf("%s: matched absent key %+v", handle, absent)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if after := lk.Stats(); after.SegmentsRead != before.SegmentsRead || after.SegmentsSkippedPostings != before.SegmentsSkippedPostings+1 {
+				t.Fatalf("%s: absent key %+v: stats %+v -> %+v, want no read and one postings skip", handle, absent, before, after)
+			}
+		}
+	}
+	compacted("compacting handle")
+	if err := lk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if lk, err = lake.Open(dir, lake.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	compacted("cold handle")
 }
 
 // TestSeederPushdown exercises the SeedersOnly row filter.
@@ -367,5 +416,62 @@ func TestSeederPushdown(t *testing.T) {
 	}
 	if n != 10 {
 		t.Fatalf("seeder rows = %d, want 10", n)
+	}
+}
+
+// TestLakeBytesPerObservation is the byte budget for the whole lake
+// directory, not one column file: a campaign dataset is imported and
+// compacted, every file is attributed to a kind, and the directory must
+// cost at most lakeBytesPerObs. A file of a kind this test does not
+// know fails it, so a second copy of anything cannot come back unseen.
+func TestLakeBytesPerObservation(t *testing.T) {
+	// The fixture measures 8.80 B/obs: segments 7.17, meta 1.62, journal 0.01.
+	const lakeBytesPerObs = 9.5
+	ds, _ := campaignDataset(t)
+	dir := filepath.Join(t.TempDir(), "lake")
+	lk, err := lake.Open(dir, lake.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lk.ImportDataset(ds); err != nil {
+		t.Fatal(err)
+	}
+	if err := lk.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	obs := lk.Stats().Observations
+	if err := lk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytesBy := map[string]int64{}
+	var total int64
+	for _, e := range entries {
+		name, kind := e.Name(), ""
+		switch {
+		case name == "JOURNAL":
+			kind = "journal"
+		case strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".obs"):
+			kind = "segments"
+		case strings.HasPrefix(name, "meta-") && strings.HasSuffix(name, ".jsonl"):
+			kind = "meta"
+		default:
+			t.Fatalf("lake directory holds %s, a file kind this budget does not know", name)
+		}
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytesBy[kind] += info.Size()
+		total += info.Size()
+	}
+	perObs := func(n int64) float64 { return float64(n) / float64(obs) }
+	t.Logf("%d observations: %.2f B/obs (segments %.2f, meta %.2f, journal %.2f)",
+		obs, perObs(total), perObs(bytesBy["segments"]), perObs(bytesBy["meta"]), perObs(bytesBy["journal"]))
+	if perObs(total) > lakeBytesPerObs {
+		t.Fatalf("lake costs %.2f B/obs (%v over %d observations), want <= %.1f", perObs(total), bytesBy, obs, lakeBytesPerObs)
 	}
 }

@@ -13,15 +13,10 @@ import (
 	"btpub/internal/lake/journal"
 )
 
-// segMeta is one live segment's manifest entry. Index names the
-// segment's sealed microindex file (postings of distinct IPs and
-// torrent IDs); empty once Open found that file missing or resized, in
-// which case scans prune the segment on its zone maps alone.
+// segMeta is one live segment's manifest entry.
 type segMeta struct {
-	File       string `json:"file"`
-	Bytes      int64  `json:"bytes"`
-	Index      string `json:"index,omitempty"`
-	IndexBytes int64  `json:"index_bytes,omitempty"`
+	File  string `json:"file"`
+	Bytes int64  `json:"bytes"`
 	zone
 }
 
@@ -59,12 +54,9 @@ func (m *manifest) clone() *manifest {
 
 // files returns every file the manifest references.
 func (m *manifest) files() map[string]int64 {
-	out := make(map[string]int64, 2*len(m.Segments)+len(m.Meta))
+	out := make(map[string]int64, len(m.Segments)+len(m.Meta))
 	for _, s := range m.Segments {
 		out[s.File] = s.Bytes
-		if s.Index != "" {
-			out[s.Index] = s.IndexBytes
-		}
 	}
 	for _, f := range m.Meta {
 		out[f] = -1 // meta sizes are not pinned
@@ -76,7 +68,6 @@ func (m *manifest) files() map[string]int64 {
 // (orphan cleanup must never touch anything else in the directory).
 func isLakeFile(name string) bool {
 	return strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".obs") ||
-		strings.HasPrefix(name, "idx-") && strings.HasSuffix(name, ".ipx") ||
 		strings.HasPrefix(name, "meta-") && strings.HasSuffix(name, ".jsonl") ||
 		name == journal.TmpName
 }

@@ -2,21 +2,23 @@
 // executed in three stages. First the planner prunes on metadata alone:
 // the manifest's zone maps (time range, torrent-ID range) cost nothing to
 // consult, and the segments they admit are then held against their
-// sealed microindex postings, which prove membership exactly — a point
-// lookup opens only segments that actually contain the key.
+// postings — the segment's own sorted address and torrent-ID
+// dictionaries, memoized per immutable file — which prove membership
+// exactly: a point lookup opens only segments that actually contain the
+// key.
 // Second, the row-level predicate is ordered cheapest-column-first
 // (time bounds, then the seeder bit, then torrent-ID membership, then IP
 // membership) and specialized per segment: a time check the segment's
 // zone map already proves is elided, and IP predicates are rewritten to
-// the segment's local intern indices so the per-row test is an integer
-// bitset probe, not a string compare. Third, surviving segments are
-// decoded and filtered by a bounded worker pool; ScanWorkers exposes the
-// worker identity so callers can keep per-worker state lock-free.
+// the segment's dictionary positions (a binary search per wanted
+// address) so the per-row test is an integer bitset probe, not a string
+// compare. Third, surviving segments are decoded and filtered by a
+// bounded worker pool; ScanWorkers exposes the worker identity so
+// callers can keep per-worker state lock-free.
 package lake
 
 import (
 	"context"
-	"log"
 	"math"
 	"runtime"
 	"slices"
@@ -54,7 +56,7 @@ const (
 	predTime   predKind = iota // two integer compares
 	predSeeder                 // one bitset probe
 	predTID                    // one map lookup
-	predIP                     // one bitset probe after per-segment intern rewrite, else a string compare
+	predIP                     // one bitset probe after the per-segment dictionary rewrite
 )
 
 // predName renders a predicate column for plans and -explain output.
@@ -78,8 +80,7 @@ type compiled struct {
 	tids           map[int32]bool
 	tidList        []int32 // sorted, for postings intersection
 	minTID, maxTID int32
-	ips            []string // sorted distinct, for postings intersection
-	ipSet          map[string]bool
+	ips            []string // sorted distinct, for postings intersection and the row rewrite
 	seedersOnly    bool
 	// order lists the active row predicates cheapest-column-first; the
 	// planner specializes it per segment (see segOrder).
@@ -113,20 +114,12 @@ func (p Predicate) compile() compiled {
 		}
 		slices.Sort(c.tidList)
 	}
-	ips := p.IPs
+	c.ips = slices.Clone(p.IPs)
 	if p.IP != "" {
-		ips = append(slices.Clone(ips), p.IP)
+		c.ips = append(c.ips, p.IP)
 	}
-	if len(ips) > 0 {
-		c.ipSet = make(map[string]bool, len(ips))
-		for _, ip := range ips {
-			if !c.ipSet[ip] {
-				c.ipSet[ip] = true
-				c.ips = append(c.ips, ip)
-			}
-		}
-		slices.Sort(c.ips)
-	}
+	slices.Sort(c.ips)
+	c.ips = slices.Compact(c.ips)
 	// Cheapest column first: the constant order below is the static cost
 	// model (integer compares < bit probe < map lookup < membership over
 	// strings); inactive columns are not evaluated at all.
@@ -159,14 +152,14 @@ func (c *compiled) admitsSegment(z zone) bool {
 	return true
 }
 
-// wantsPostings reports whether the predicate has a column a microindex
-// can prune on.
+// wantsPostings reports whether the predicate has a column postings can
+// prune on.
 func (c *compiled) wantsPostings() bool {
 	return len(c.ips) > 0 || c.tidList != nil
 }
 
 // admitsPostings holds a zone-admitted segment against exact postings.
-func (c *compiled) admitsPostings(x *microindex) bool {
+func (c *compiled) admitsPostings(x *postings) bool {
 	if len(c.ips) > 0 && !x.hasAnyIP(c.ips) {
 		return false
 	}
@@ -195,21 +188,16 @@ func (c *compiled) segOrder(z zone) []predKind {
 // matchRows filters one decoded segment through the planned predicate
 // order, returning the matching row indices.
 func (c *compiled) matchRows(d *segData, order []predKind) []int32 {
-	// Rewrite the IP predicate to segment-local intern indices: one
-	// string-set probe per distinct address in the segment, then a pure
-	// bitset test per row.
+	// Rewrite the IP predicate to positions in the segment's sorted
+	// dictionary: one binary search per wanted address, then a pure bitset
+	// test per row.
 	var ipBits []uint64
 	if slices.Contains(order, predIP) {
 		ipBits = make([]uint64, (len(d.ips)+63)/64)
-		hit := false
-		for i, ip := range d.ips {
-			if c.ipSet[ip] {
+		for _, ip := range c.ips {
+			if i, ok := slices.BinarySearch(d.ips, ip); ok {
 				ipBits[i>>6] |= 1 << (uint(i) & 63)
-				hit = true
 			}
-		}
-		if !hit {
-			return nil // no address occurs here, and no postings existed to say so
 		}
 	}
 	rows := make([]int32, 0, d.rows())
@@ -273,9 +261,9 @@ type scanPlan struct {
 }
 
 // planManifest prunes the manifest's segment set: zone maps first
-// (free), then microindex postings for the segments they admit when the
-// predicate carries a key column. An unreadable index only costs the
-// pruning it would have bought.
+// (free), then postings for the segments they admit when the predicate
+// carries a key column. A segment whose postings cannot be read stays a
+// candidate, so the scan that opens it reports why.
 func (lk *Lake) planManifest(man *manifest, c *compiled) scanPlan {
 	var p scanPlan
 	for _, sm := range man.Segments {
@@ -283,11 +271,8 @@ func (lk *Lake) planManifest(man *manifest, c *compiled) scanPlan {
 			p.prunedZone++
 			continue
 		}
-		if c.wantsPostings() && sm.Index != "" {
-			x, err := lk.readIndex(sm)
-			if err != nil {
-				log.Printf("lake: reading microindex %s: %v (scanning %s unpruned)", sm.Index, err, sm.File)
-			} else if x != nil && !c.admitsPostings(x) {
+		if c.wantsPostings() {
+			if x, err := lk.readPostings(sm); err == nil && !c.admitsPostings(x) {
 				p.prunedIdx++
 				continue
 			}
@@ -308,8 +293,8 @@ type ScanPlan struct {
 	Segments int `json:"segments"`
 	// PrunedZone counts segments dismissed by zone maps alone.
 	PrunedZone int `json:"pruned_zone"`
-	// PrunedPostings counts zone-admitted segments dismissed by exact
-	// microindex postings.
+	// PrunedPostings counts zone-admitted segments dismissed by their
+	// exact postings.
 	PrunedPostings int `json:"pruned_postings"`
 	// Opened lists the segment files the scan would actually read.
 	Opened []string `json:"opened"`
@@ -404,7 +389,7 @@ func (lk *Lake) scanManifest(ctx context.Context, man *manifest, pred Predicate,
 				if ctx.Err() != nil {
 					return
 				}
-				d, _, err := lk.readSegment(sm)
+				d, err := lk.readSegment(sm)
 				if err != nil {
 					fail(err)
 					return

@@ -51,12 +51,12 @@ func TestSegmentCompressionRatio(t *testing.T) {
 		t.Fatalf("segment = %d bytes for %d rows (%.2f B/obs), want <= %d B/obs",
 			len(buf), rows, float64(len(buf))/rows, segBytesPerObs)
 	}
-	d, dz, err := decodeSegment("seg", buf)
+	d, err := decodeSegment("seg", buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dz != z {
-		t.Fatalf("zone changed: %+v != %+v", dz, z)
+	if d.zone != z {
+		t.Fatalf("zone changed: %+v != %+v", d.zone, z)
 	}
 	if d.rows() != rows {
 		t.Fatalf("%d rows", d.rows())

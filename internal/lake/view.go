@@ -60,7 +60,7 @@ func (v *View) Stats() Stats {
 		Dropped: v.man.Dropped,
 	}
 	for _, s := range v.man.Segments {
-		st.TotalBytes += s.Bytes + s.IndexBytes
+		st.TotalBytes += s.Bytes
 	}
 	return st
 }

@@ -510,7 +510,7 @@ func TestLakeQueryPushdown(t *testing.T) {
 	}
 }
 
-// TestLakeQueryPointLookup is the microindex acceptance gate: an IP
+// TestLakeQueryPointLookup is the postings acceptance gate: an IP
 // point lookup against a many-segment lake with thousands of distinct
 // addresses per segment must open only the one segment that actually
 // holds the address — postings prune the rest.

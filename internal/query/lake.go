@@ -1,7 +1,7 @@
 // The lake-backed executor: plans each query against the lake's
 // committed segment set and executes it in parallel. The filter is
 // compiled into a lake.Predicate so the lake's planner can prune whole
-// segments on zone maps and microindex postings and order the row
+// segments on zone maps and segment postings and order the row
 // predicates cheapest-column-first; publisher filters resolve into
 // torrent-ID sets from the lake's metadata records. Execution
 // partitions the surviving segments across per-segment scan workers,
@@ -143,8 +143,8 @@ type Explain struct {
 	Segments int `json:"segments"`
 	// PrunedZone counts segments dismissed by zone maps alone.
 	PrunedZone int `json:"pruned_zone"`
-	// PrunedPostings counts zone-admitted segments dismissed by exact
-	// microindex postings.
+	// PrunedPostings counts zone-admitted segments dismissed by their
+	// exact postings.
 	PrunedPostings int `json:"pruned_postings"`
 	// Opened lists the segment files the scan would read.
 	Opened []string `json:"opened"`

@@ -112,9 +112,9 @@ type Filter struct {
 	Publishers []string `json:"publishers,omitempty"`
 	// IPs restricts to observations of these exact peer address strings
 	// — the point-lookup filter ("every observation of IP x"). The lake
-	// executor pushes it down to per-segment microindex postings, so
-	// only segments that actually observed one of the addresses are
-	// opened.
+	// executor pushes it down to each segment's sorted address
+	// dictionary, so only segments that actually observed one of the
+	// addresses are opened.
 	IPs []string `json:"ips,omitempty"`
 	// ISPs restricts to observations whose peer address resolves to one
 	// of these providers.

@@ -55,9 +55,9 @@ func BenchmarkLakeIngest(b *testing.B) {
 }
 
 // BenchmarkLakeScanCompressed measures full-scan decode throughput over
-// a 1M-observation lake of v2 compressed segments: one op scans every
-// row of every segment. The lake's total on-disk footprint (segments +
-// microindexes + journal) is reported as the disk-bytes metric, so
+// a 1M-observation lake of compressed segments: one op scans every
+// row of every segment. The lake's Stats.TotalBytes (segments +
+// journal) is reported as the disk-bytes metric, so
 // BENCH_lake_<date>.json records the compression trajectory alongside
 // the scan cost.
 func BenchmarkLakeScanCompressed(b *testing.B) {

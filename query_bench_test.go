@@ -126,7 +126,7 @@ func BenchmarkQueryLakeParallel(b *testing.B) {
 
 // BenchmarkQueryPointLookup measures a single-IP lookup against a
 // 1M-observation lake whose segments hold mostly disjoint address sets:
-// the planner's microindex postings pass prunes every segment but the
+// the planner's postings pass prunes every segment but the
 // one holding the address, so an op is one postings consult (cached
 // after the first op) plus one segment scan.
 func BenchmarkQueryPointLookup(b *testing.B) {
@@ -170,7 +170,7 @@ func BenchmarkQueryPointLookup(b *testing.B) {
 }
 
 // benchQuery is the timed loop shared by the query benchmarks. One
-// untimed warm-up run populates the lake's per-file caches (microindex
+// untimed warm-up run populates the lake's per-file caches (segment
 // postings, torrent metadata), so the measured ops — and the alloc
 // ceilings on them — reflect steady state rather than first-touch
 // decode cost.
