@@ -101,9 +101,9 @@
 // holds JOURNAL, seg-*.obs and meta-*.jsonl and nothing else; a lake in
 // an older format is refused at Open, not migrated. Because the history
 // is on disk, any committed version can be served
-// again: Lake.OpenAt pins a read-only view and query Filter.AsOf pins
-// a single scan (btpub-query -as-of, "as_of" on POST /api/v1/query),
-// replaying a query reproducibly while ingest continues; unavailable
+// again: Predicate.AsOf (query Filter.AsOf, btpub-query -as-of, "as_of"
+// on POST /api/v1/query) pins a scan and TorrentRecordsAsOf the
+// records, replaying a query reproducibly while ingest continues; unavailable
 // versions fail with a typed VersionUnavailableError, never a wrong
 // answer. Segments compress their columns stdlib-only — GCD-scaled
 // delta-varint timestamps, dictionary-coded torrent IDs and IPs, raw
@@ -250,8 +250,8 @@
 // (analysis.NewFromLakeVersion) at the same version, and mode=full is
 // pinned to exactly the journal-diff retirement condition. On the
 // 1M-observation bench lake the incremental fold runs ~20x faster
-// than the full rebuild; the benchmark itself fails below 10x and its
-// allocs/op ceiling is gated like the others (make bench-serve).
+// than the full rebuild; the benchmark itself fails below 10x or past
+// its allocs/op ceiling.
 //
 // internal/alert turns each refresh into online fake/scam detection, a
 // TorrentGuard-style classifier running at ingest instead of post-hoc:
@@ -294,7 +294,7 @@
 // deletion lands on the resolved identity (so mn08-style "ip:<addr>"
 // publishers can carry the signal), Facts.AliasClusters links usernames
 // through shared identified seeder IPs and propagates the fake signals
-// across each cluster, and Facts.MergeAliases folds clusters into
+// across each cluster, and Facts.MergeAliasClusters folds clusters into
 // operator-level entities before group building and business
 // classification. Scenario worlds honour the same sharded-vs-serial
 // byte-identity contract, and TestAdversarialScenarioRecovery gates the
@@ -336,15 +336,15 @@
 // every Fuzz* target — discovered by listing, seeded from the
 // checked-in corpora under each package's testdata/fuzz/ — and a
 // dirty-working-tree check; the bench-smoke job runs a 1x pass of the
-// campaign, lake, query-engine and snapshot-refresh benchmarks whose
-// allocs/op are gated
-// against checked-in ceilings (ci/bench-ceilings.txt, enforced by
-// cmd/benchjson) so allocation regressions fail loudly. A nightly
-// workflow (.github/workflows/nightly.yml) fuzzes every target for 5
-// minutes, runs the exhaustive kill-point torture (make test-faults),
-// and runs the full benchmark suite — `make bench` (E1–E15)
-// plus bench-campaign/bench-lake/bench-query/bench-serve — uploading the
-// BENCH_<date>.json records as artifacts, the perf trajectory. See
-// README.md for the shard/worker knobs on each binary and the measured
-// speedups.
+// campaign, lake, query-engine and snapshot-refresh benchmarks, each of
+// which fails itself past the allocs/op ceiling written beside it
+// (meterAllocs, allocs_test.go), so allocation regressions fail loudly.
+// The pipeline's performance ledger is bench/ (bash bench/run.sh,
+// declared by BENCHMARK.json): end to end and layer by layer, with the
+// machine context. A nightly workflow (.github/workflows/nightly.yml)
+// fuzzes every target for 5 minutes, runs the exhaustive kill-point
+// torture (make test-faults), and runs bench/ over all four workloads,
+// untraced and traced, plus `make bench` (E1–E15), uploading both
+// outputs as the run's artifact. See README.md for the shard/worker
+// knobs on each binary and the measured speedups.
 package btpub

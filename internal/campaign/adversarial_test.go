@@ -230,7 +230,7 @@ func TestAdversarialScenarioRecovery(t *testing.T) {
 	// Business classification over the merged view: altruists stay
 	// altruists, and at least one merged alias operator classifies as a
 	// portal promoter.
-	merged := facts.MergeAliases()
+	merged := facts.MergeAliasClusters(facts.AliasClusters())
 	groups := merged.BuildGroups(0, 0)
 	mon, err := webmon.NewDirectory(res.World, 1)
 	if err != nil {

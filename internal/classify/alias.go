@@ -110,23 +110,18 @@ func (f *Facts) AliasClusters() []AliasCluster {
 	return out
 }
 
-// MergeAliases returns a view of the facts with every alias cluster folded
-// into one operator-level UserFacts keyed by the cluster's first username:
-// torrent lists and IP sets union, Downloads is recounted as distinct
-// downloader IPs over the combined torrents, and the fake signals
-// propagate across the cluster. Group building and business classification
-// over the merged facts therefore rank and label operators, not accounts —
-// an aliasing operator whose accounts individually sit below the top cut
-// surfaces, and a fake cohort is evicted wholesale. Facts with no alias
-// clusters are returned unchanged; unclustered users are shared, not
-// copied.
-func (f *Facts) MergeAliases() *Facts {
-	return f.MergeAliasClusters(f.AliasClusters())
-}
-
-// MergeAliasClusters is MergeAliases over clusters the caller already
-// computed with AliasClusters, so a consumer needing both views (the
-// serve layer caches the clusters alongside the merged facts) pays the
+// MergeAliasClusters returns a view of the facts with every alias
+// cluster (as computed by AliasClusters) folded into one operator-level
+// UserFacts keyed by the cluster's first username: torrent lists and IP
+// sets union, Downloads is recounted as distinct downloader IPs over the
+// combined torrents, and the fake signals propagate across the cluster.
+// Group building and business classification over the merged facts
+// therefore rank and label operators, not accounts — an aliasing
+// operator whose accounts individually sit below the top cut surfaces,
+// and a fake cohort is evicted wholesale. No clusters returns the facts
+// unchanged; unclustered users are shared, not copied. Taking the
+// clusters as an argument lets a consumer needing both views (the serve
+// layer caches the clusters alongside the merged facts) pay the
 // union-find once.
 func (f *Facts) MergeAliasClusters(clusters []AliasCluster) *Facts {
 	if len(clusters) == 0 {

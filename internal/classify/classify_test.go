@@ -399,7 +399,7 @@ func TestAliasClustersAndMerge(t *testing.T) {
 		t.Fatalf("ghost cohort = %+v, want fake (deleted accounts)", ghosts)
 	}
 
-	merged := f.MergeAliases()
+	merged := f.MergeAliasClusters(f.AliasClusters())
 	op := merged.Users["cloak0"]
 	if op == nil || len(op.TorrentIDs) != 9 || len(op.IPs) != 2 {
 		t.Fatalf("merged operator = %+v", op)

@@ -167,26 +167,6 @@ func (d *Dataset) ByTorrentID() map[int]*TorrentRecord {
 	return out
 }
 
-// ObservationsByTorrent groups observations per torrent, each group sorted
-// by time. Kept for convenience; hot paths should walk ObsIndex spans
-// instead of materializing structs.
-func (d *Dataset) ObservationsByTorrent() map[int][]Observation {
-	ix := d.Obs.Index()
-	out := map[int][]Observation{}
-	for t := 0; t < ix.Torrents(); t++ {
-		span := ix.Span(t)
-		if len(span) == 0 {
-			continue
-		}
-		obs := make([]Observation, len(span))
-		for i, oi := range span {
-			obs[i] = d.Obs.At(int(oi))
-		}
-		out[t] = obs
-	}
-	return out
-}
-
 // Merge combines shard datasets into one canonical dataset. Torrent
 // records are ordered by (Published, InfoHash) and renumbered, each part's
 // observations are remapped to the new torrent IDs, observations are

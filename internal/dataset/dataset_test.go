@@ -105,21 +105,6 @@ func TestCounters(t *testing.T) {
 	}
 }
 
-func TestObservationsByTorrentSorted(t *testing.T) {
-	d := &Dataset{Name: "x", Start: t0, End: t0.Add(time.Hour)}
-	d.AddObservation(Observation{TorrentID: 5, IP: "1.1.1.1", At: t0.Add(30 * time.Minute)})
-	d.AddObservation(Observation{TorrentID: 5, IP: "1.1.1.2", At: t0.Add(10 * time.Minute)})
-	d.AddObservation(Observation{TorrentID: 6, IP: "1.1.1.3", At: t0.Add(20 * time.Minute)})
-	byT := d.ObservationsByTorrent()
-	if len(byT) != 2 {
-		t.Fatalf("groups = %d", len(byT))
-	}
-	obs5 := byT[5]
-	if len(obs5) != 2 || obs5[0].At.After(obs5[1].At) {
-		t.Fatalf("torrent 5 observations not sorted: %+v", obs5)
-	}
-}
-
 func TestByTorrentID(t *testing.T) {
 	d := sampleDataset()
 	idx := d.ByTorrentID()

@@ -149,7 +149,7 @@ func (lk *Lake) compact() error {
 	}
 	lk.maybeCheckpointLocked()
 	// With Retain set the victim files stay on disk, so versions that
-	// predate the fold remain scannable through OpenAt / as_of.
+	// predate the fold remain scannable through as_of.
 	if lk.opt.Retain {
 		return nil
 	}

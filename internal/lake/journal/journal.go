@@ -5,7 +5,7 @@
 // before it, an opaque payload (the lake encodes its commit deltas and
 // checkpoint snapshots as JSON) and a CRC-32C footer. Replaying the
 // records from the latest checkpoint reconstructs the lake state at any
-// committed version — that is what Lake.OpenAt / as_of time travel fold.
+// committed version — that is what as_of time travel folds.
 //
 // All integers are little-endian. Layout:
 //

@@ -10,8 +10,8 @@
 // flush, import, compaction or salvage appends one fsynced, CRC- and
 // chain-protected record, Open replays the journal to head (periodic
 // checkpoint records bound replay cost), and any committed version
-// remains addressable — Lake.OpenAt and Predicate.AsOf pin scans to
-// historical states while ingest continues. Readers scan committed
+// remains addressable — Predicate.AsOf and TorrentRecordsAsOf pin reads
+// to historical states while ingest continues. Readers scan committed
 // segments in parallel with predicate pushdown (see scan.go) while a
 // compactor folds small segments together in canonical Merge order (see
 // compact.go), committing each fold as a retire+add record. One process
@@ -60,7 +60,7 @@ type Options struct {
 	// a checkpoint record snapshotting the full state (default 64).
 	CheckpointEvery int
 	// Retain keeps files retired by compaction on disk instead of
-	// vacuuming them, so OpenAt / as_of scans of pre-compaction versions
+	// vacuuming them, so as_of reads of pre-compaction versions
 	// keep working. Off by default: history remains queryable back to
 	// the last compaction, and older pins fail with
 	// *VersionUnavailableError.
@@ -270,8 +270,8 @@ var errClosed = errors.New("lake: closed")
 
 // Version returns the journal head version; it increases on every flush,
 // import and compaction, so cached readers can cheaply detect staleness,
-// and any value it ever returned can be pinned with OpenAt or
-// Predicate.AsOf (subject to vacuuming, see Options.Retain).
+// and any value it ever returned can be pinned with Predicate.AsOf
+// (subject to vacuuming, see Options.Retain).
 func (lk *Lake) Version() uint64 {
 	lk.mu.Lock()
 	defer lk.mu.Unlock()
@@ -808,6 +808,19 @@ func (lk *Lake) TorrentRecordsAsOf(version uint64) ([]*dataset.TorrentRecord, []
 		return nil, nil, err
 	}
 	return lk.readMetaLocked(man)
+}
+
+// VersionUnavailableError reports a pinned version the lake cannot
+// serve: never committed, older than the journal's opening checkpoint,
+// or referencing segments a post-compaction vacuum already deleted.
+type VersionUnavailableError struct {
+	Version uint64
+	Head    uint64
+	Reason  string
+}
+
+func (e *VersionUnavailableError) Error() string {
+	return fmt.Sprintf("lake: version %d unavailable (head %d): %s", e.Version, e.Head, e.Reason)
 }
 
 // pinned resolves the committed state a scan should run against: version

@@ -1,5 +1,5 @@
 // White-box format tests: compressed segments actually compress, and the
-// journal pins (OpenAt / Predicate.AsOf) replay historical versions
+// journal pins (Predicate.AsOf) replay historical versions
 // exactly — including what happens to pinned versions after compaction.
 package lake
 
@@ -86,10 +86,11 @@ func fillLake(t *testing.T, lk *Lake, base, n int) {
 	}
 }
 
-func countRows(t *testing.T, scan func(context.Context, Predicate, func(*Batch) error) error, pred Predicate) int {
+// countRows counts the rows a scan of pred streams.
+func countRows(t *testing.T, lk *Lake, pred Predicate) int {
 	t.Helper()
 	var rows atomic.Int64 // scans call back from several goroutines
-	if err := scan(context.Background(), pred, func(b *Batch) error {
+	if err := lk.Scan(context.Background(), pred, func(b *Batch) error {
 		rows.Add(int64(b.Len()))
 		return nil
 	}); err != nil {
@@ -98,10 +99,15 @@ func countRows(t *testing.T, scan func(context.Context, Predicate, func(*Batch) 
 	return int(rows.Load())
 }
 
-// TestTimeTravel: OpenAt and Predicate.AsOf pin scans to a committed
-// version while ingest continues; as_of head is identical to unpinned;
-// unavailable versions fail typed; compaction vacuums pinned history
-// unless Retain keeps it.
+// countRowsErr scans and returns the error (countRows fails the test).
+func countRowsErr(lk *Lake, pred Predicate) error {
+	return lk.Scan(context.Background(), pred, func(b *Batch) error { return nil })
+}
+
+// TestTimeTravel: Predicate.AsOf and TorrentRecordsAsOf pin reads to a
+// committed version while ingest continues; as_of head is identical to
+// unpinned; unavailable versions fail typed; compaction vacuums pinned
+// history unless Retain keeps it.
 func TestTimeTravel(t *testing.T) {
 	ctx := context.Background()
 	dir := filepath.Join(t.TempDir(), "lake")
@@ -123,24 +129,14 @@ func TestTimeTravel(t *testing.T) {
 		t.Fatalf("version did not advance: %d", lk.Version())
 	}
 
-	// The pinned view replays exactly the 500-row state.
-	v, err := lk.OpenAt(pin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Version() != pin {
-		t.Fatalf("view version %d, want %d", v.Version(), pin)
-	}
-	if rows := countRows(t, v.Scan, Predicate{}); rows != 500 {
-		t.Fatalf("pinned scan saw %d rows, want 500", rows)
-	}
-	if rows := countRows(t, lk.Scan, Predicate{AsOf: pin}); rows != 500 {
+	// The pin replays exactly the 500-row state.
+	if rows := countRows(t, lk, Predicate{AsOf: pin}); rows != 500 {
 		t.Fatalf("as_of scan saw %d rows, want 500", rows)
 	}
-	if rows := countRows(t, lk.Scan, Predicate{}); rows != 800 {
+	if rows := countRows(t, lk, Predicate{}); rows != 800 {
 		t.Fatalf("head scan saw %d rows, want 800", rows)
 	}
-	mat, err := v.Materialize(ctx, Predicate{})
+	mat, err := lk.Materialize(ctx, Predicate{AsOf: pin})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,23 +159,23 @@ func TestTimeTravel(t *testing.T) {
 
 	// Versions the journal cannot serve fail with the typed error.
 	var vu *VersionUnavailableError
-	if _, err := lk.OpenAt(lk.Version() + 10); !errors.As(err, &vu) {
-		t.Fatalf("future version: %v", err)
-	}
 	if err := countRowsErr(lk, Predicate{AsOf: lk.Version() + 10}); !errors.As(err, &vu) {
 		t.Fatalf("future as_of scan: %v", err)
 	}
+	if _, _, err := lk.TorrentRecordsAsOf(lk.Version() + 10); !errors.As(err, &vu) {
+		t.Fatalf("future as_of records: %v", err)
+	}
 
-	// Compaction without Retain vacuums the segments old versions need.
+	// Compaction without Retain vacuums the segments old versions need:
+	// the pin fails typed, it never silently returns wrong data.
 	if err := lk.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lk.OpenAt(pin); !errors.As(err, &vu) {
-		t.Fatalf("vacuumed version error = %v", err)
+	if err := countRowsErr(lk, Predicate{AsOf: pin}); !errors.As(err, &vu) {
+		t.Fatalf("vacuumed as_of scan: %v", err)
 	}
-	// The already-open view fails on read, not silently returns wrong data.
-	if err := v.Scan(ctx, Predicate{}, func(b *Batch) error { return nil }); err == nil {
-		t.Fatal("vacuumed view scanned successfully")
+	if _, _, err := lk.TorrentRecordsAsOf(pin); !errors.As(err, &vu) {
+		t.Fatalf("vacuumed as_of records: %v", err)
 	}
 
 	// Checkpoints were crossed (CheckpointEvery: 3); the journal still
@@ -193,13 +189,9 @@ func TestTimeTravel(t *testing.T) {
 	}
 }
 
-// countRowsErr scans and returns the error (countRows fails the test).
-func countRowsErr(lk *Lake, pred Predicate) error {
-	return lk.Scan(context.Background(), pred, func(b *Batch) error { return nil })
-}
-
 // TestTimeTravelRetain: with Retain set, compaction keeps retired
-// segments on disk, so pinned versions stay scannable afterwards.
+// segments on disk, so pinned versions stay scannable afterwards, also
+// from a reopened handle.
 func TestTimeTravelRetain(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "lake")
 	lk, err := Open(dir, Options{FlushRows: 128, Retain: true})
@@ -213,14 +205,10 @@ func TestTimeTravelRetain(t *testing.T) {
 	if err := lk.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	v, err := lk.OpenAt(pin)
-	if err != nil {
-		t.Fatalf("retained version unavailable after compaction: %v", err)
+	if rows := countRows(t, lk, Predicate{AsOf: pin}); rows != 500 {
+		t.Fatalf("retained as_of scan saw %d rows, want 500", rows)
 	}
-	if rows := countRows(t, v.Scan, Predicate{}); rows != 500 {
-		t.Fatalf("retained pinned scan saw %d rows, want 500", rows)
-	}
-	if rows := countRows(t, lk.Scan, Predicate{}); rows != 800 {
+	if rows := countRows(t, lk, Predicate{}); rows != 800 {
 		t.Fatalf("head scan saw %d rows, want 800", rows)
 	}
 
@@ -233,11 +221,7 @@ func TestTimeTravelRetain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lk2.Close()
-	v, err = lk2.OpenAt(pin)
-	if err != nil {
-		t.Fatalf("retained version lost across reopen: %v", err)
-	}
-	if rows := countRows(t, v.Scan, Predicate{}); rows != 500 {
-		t.Fatalf("reopened pinned scan saw %d rows, want 500", rows)
+	if rows := countRows(t, lk2, Predicate{AsOf: pin}); rows != 500 {
+		t.Fatalf("reopened as_of scan saw %d rows, want 500", rows)
 	}
 }

@@ -54,13 +54,6 @@ type Account struct {
 	uploads []*Entry // campaign-window uploads, in publish order
 }
 
-// Uploads returns the account's campaign-window uploads in publish order.
-func (a *Account) Uploads() []*Entry {
-	out := make([]*Entry, len(a.uploads))
-	copy(out, a.uploads)
-	return out
-}
-
 // TotalUploads is the account's all-time upload count (history + window).
 func (a *Account) TotalUploads() int { return a.PreCampaignCount + len(a.uploads) }
 
@@ -233,18 +226,6 @@ func (p *Portal) Account(username string) (*Account, error) {
 		return nil, ErrNotFound
 	}
 	return acc, nil
-}
-
-// AccountStatus reports whether the username ever existed and whether it is
-// currently suspended, without the visibility filtering of Account.
-func (p *Portal) AccountStatus(username string) (exists, suspended bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	acc := p.accounts[username]
-	if acc == nil {
-		return false, false
-	}
-	return true, acc.Suspended
 }
 
 // Recent returns the most recent non-removed entries, newest first,

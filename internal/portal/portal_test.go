@@ -120,9 +120,8 @@ func TestRemoveHidesEntryAndSuspendsAccount(t *testing.T) {
 	if _, err := p.Account("fakeuser"); !errors.Is(err, ErrNotFound) {
 		t.Fatal("suspended account still visible")
 	}
-	exists, suspended := p.AccountStatus("fakeuser")
-	if !exists || !suspended {
-		t.Fatalf("status = exists=%v suspended=%v", exists, suspended)
+	if st := p.Stats(); st.Accounts != 1 || st.Suspended != 1 {
+		t.Fatalf("stats = %+v, want the one account suspended", st)
 	}
 	// Publishing again under the suspended account fails.
 	e2 := makeEntry(t, 2, "fakeuser")
@@ -246,9 +245,6 @@ func TestAccountHistoryAndStats(t *testing.T) {
 	}
 	if acc.TotalUploads() != 153 {
 		t.Fatalf("total uploads = %d, want 153", acc.TotalUploads())
-	}
-	if len(acc.Uploads()) != 3 {
-		t.Fatalf("window uploads = %d", len(acc.Uploads()))
 	}
 	if !acc.FirstUpload.Equal(first) {
 		t.Fatalf("first upload = %v, want %v", acc.FirstUpload, first)

@@ -64,9 +64,6 @@ func (s *Stream) Uint64() uint64 { return s.r.Uint64() }
 // Bool returns true with probability p.
 func (s *Stream) Bool(p float64) bool { return s.r.Float64() < p }
 
-// Perm returns a random permutation of [0, n).
-func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }
-
 // Shuffle randomises the order of n elements using swap.
 func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
 
@@ -124,48 +121,6 @@ func (s *Stream) Poisson(mean float64) int {
 		}
 		k++
 	}
-}
-
-// Zipf draws ranks in [0, n) with probability proportional to
-// 1/(rank+1)^skew. It panics if n <= 0 or skew <= 0.
-type Zipf struct {
-	cdf []float64
-	s   *Stream
-}
-
-// NewZipf builds a Zipf sampler over n ranks with exponent skew.
-func NewZipf(s *Stream, n int, skew float64) *Zipf {
-	if n <= 0 {
-		panic("rng: Zipf needs n > 0")
-	}
-	if skew <= 0 {
-		panic("rng: Zipf needs skew > 0")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), skew)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{cdf: cdf, s: s}
-}
-
-// Rank returns the next rank in [0, n).
-func (z *Zipf) Rank() int {
-	u := z.s.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // WeightedChoice selects index i with probability weights[i]/sum(weights).

@@ -10,7 +10,6 @@ package simclock
 
 import (
 	"container/heap"
-	"errors"
 	"sync"
 	"time"
 )
@@ -139,26 +138,9 @@ func (s *Sim) AdvanceTo(t time.Time) {
 	s.mu.Unlock()
 }
 
-// ErrNoEvents is returned by Step when the queue is empty.
-var ErrNoEvents = errors.New("simclock: no scheduled events")
-
-// Step fires exactly the next scheduled event, advancing the clock to its
-// deadline. It reports the fired deadline.
-func (s *Sim) Step() (time.Time, error) {
-	e := s.pop(maxTime)
-	if e == nil {
-		return time.Time{}, ErrNoEvents
-	}
-	e.fn(e.at)
-	return e.at, nil
-}
-
 // Len reports the number of scheduled events still pending.
 func (s *Sim) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.events)
 }
-
-// maxTime is far enough in the future to act as "no limit".
-var maxTime = time.Unix(1<<61, 0)

@@ -114,26 +114,6 @@ func TestAdvanceToPastIsNoOp(t *testing.T) {
 	}
 }
 
-func TestStep(t *testing.T) {
-	c := NewSim(Epoch)
-	if _, err := c.Step(); err != ErrNoEvents {
-		t.Fatalf("Step on empty queue: err = %v, want ErrNoEvents", err)
-	}
-	at := Epoch.Add(5 * time.Hour)
-	fired := false
-	c.Schedule(at, func(time.Time) { fired = true })
-	got, err := c.Step()
-	if err != nil {
-		t.Fatalf("Step: %v", err)
-	}
-	if !got.Equal(at) || !fired {
-		t.Fatalf("Step fired at %v (fired=%v), want %v", got, fired, at)
-	}
-	if !c.Now().Equal(at) {
-		t.Fatalf("clock after Step = %v, want %v", c.Now(), at)
-	}
-}
-
 func TestAfterSchedulesRelative(t *testing.T) {
 	c := NewSim(Epoch)
 	c.Advance(time.Hour)

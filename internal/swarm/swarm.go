@@ -434,31 +434,3 @@ func (sw *Swarm) SeederIntervals(min int) []Interval {
 // TotalArrivals reports how many downloader arrivals the swarm will ever
 // see (ground truth, not crawler-observed).
 func (sw *Swarm) TotalArrivals() int { return len(sw.peers) }
-
-// PeakConcurrent computes the maximum simultaneous membership over the
-// swarm's whole life (used by tests and the Appendix A validation, which
-// needs the N in P = 1-(1-W/N)^m).
-func (sw *Swarm) PeakConcurrent() int {
-	type event struct {
-		at    time.Time
-		delta int
-	}
-	evs := make([]event, 0, 2*len(sw.peers))
-	for _, p := range sw.peers {
-		evs = append(evs, event{p.Arrive, +1}, event{p.Depart, -1})
-	}
-	sort.Slice(evs, func(i, j int) bool {
-		if !evs[i].at.Equal(evs[j].at) {
-			return evs[i].at.Before(evs[j].at)
-		}
-		return evs[i].delta < evs[j].delta
-	})
-	peak, cur := 0, 0
-	for _, e := range evs {
-		cur += e.delta
-		if cur > peak {
-			peak = cur
-		}
-	}
-	return peak
-}

@@ -338,13 +338,6 @@ func TestProgressSemantics(t *testing.T) {
 	}
 }
 
-func TestPeakConcurrentNonZero(t *testing.T) {
-	sw := newSwarm(t, defaultParams())
-	if pk := sw.PeakConcurrent(); pk <= 0 {
-		t.Fatalf("peak = %d", pk)
-	}
-}
-
 func TestNewRejectsBadParams(t *testing.T) {
 	pool := &fakePool{}
 	p := defaultParams()

@@ -94,13 +94,6 @@ func WriteMessage(w io.Writer, m *Message) error {
 	return err
 }
 
-// WriteKeepAlive sends the zero-length keep-alive message.
-func WriteKeepAlive(w io.Writer) error {
-	var hdr [4]byte
-	_, err := w.Write(hdr[:])
-	return err
-}
-
 // ReadMessage parses the next message; keep-alives return (nil, nil).
 func ReadMessage(r io.Reader) (*Message, error) {
 	var lenBuf [4]byte

@@ -66,12 +66,12 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 }
 
+// keepAlive is the zero-length keep-alive message: a bare length prefix.
+var keepAlive = []byte{0, 0, 0, 0}
+
 func TestKeepAlive(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteKeepAlive(&buf); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := ReadMessage(&buf)
+	buf := bytes.NewBuffer(keepAlive)
+	msg, err := ReadMessage(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,8 +288,8 @@ func TestProbeSkipsKeepAlives(t *testing.T) {
 			return
 		}
 		_ = WriteHandshake(server, &Handshake{InfoHash: theirs.InfoHash})
-		_ = WriteKeepAlive(server)
-		_ = WriteKeepAlive(server)
+		_, _ = server.Write(keepAlive)
+		_, _ = server.Write(keepAlive)
 		bf := FromProgress(8, 1)
 		_ = WriteMessage(server, &Message{ID: MsgBitfield, Payload: bf})
 	}()

@@ -36,7 +36,11 @@ func queryBenchDataset() *dataset.Dataset {
 
 // BenchmarkQueryLake measures the lake executor end to end on a
 // 1M-observation lake: plan compilation, zone-map pruning, segment
-// decode, streamed aggregation. Setup (ingest) is untimed.
+// decode, streamed aggregation. Setup (ingest) is untimed. Zone maps
+// prune all but 1-2 segments and the collector memoizes group keys:
+// measured ~510 allocs/op, ~710 on a cold 1x pass (~6.5k while every
+// dictionary entry was its own allocation); the ceiling carries ~50%+
+// headroom.
 func BenchmarkQueryLake(b *testing.B) {
 	ds := queryBenchDataset()
 	lk, err := lake.Open(filepath.Join(b.TempDir(), "lake"), lake.Options{})
@@ -57,7 +61,7 @@ func BenchmarkQueryLake(b *testing.B) {
 	}
 	q := queryBenchQuery(ds.Start, ds.NumObservations())
 	ctx := context.Background()
-	b.ResetTimer()
+	m := meterAllocs(b, 1500)
 	for i := 0; i < b.N; i++ {
 		res, err := ex.Execute(ctx, q)
 		if err != nil {
@@ -67,6 +71,7 @@ func BenchmarkQueryLake(b *testing.B) {
 			b.Fatal("benchmark query matched nothing")
 		}
 	}
+	m.check()
 }
 
 // queryBenchLake ingests the shared 1M-observation fixture into a
@@ -108,10 +113,13 @@ func queryBenchFullQuery() query.Query {
 
 // BenchmarkQueryLakeSerial runs the full-lake grouped aggregate with
 // one scan worker — the baseline BenchmarkQueryLakeParallel is read
-// against.
+// against. All ~8 segments are opened after the untimed warm-up run;
+// measured ~42.2k allocs/op, the per-group distinct-IP sets (~90.2k
+// before PR 16, half of it per-address dictionary strings). The
+// ceiling carries ~50% headroom.
 func BenchmarkQueryLakeSerial(b *testing.B) {
 	_, ex := queryBenchLake(b)
-	benchQuery(b, ex.WithWorkers(1), queryBenchFullQuery())
+	benchQuery(b, ex.WithWorkers(1), queryBenchFullQuery(), 65_000)
 }
 
 // BenchmarkQueryLakeParallel runs the identical full-lake grouped
@@ -119,16 +127,22 @@ func BenchmarkQueryLakeSerial(b *testing.B) {
 // collector per worker, deterministic merge). Results are byte-identical
 // to the serial run — TestExecutorEquivalence enforces that — so the
 // ns/op ratio between this pair is pure scan-parallelism speedup.
+// Measured ~61k allocs/op on two cores, growing with worker count (one
+// collector per worker + merge re-interning), so the ceiling carries
+// multi-core headroom on top of the usual ~50%.
 func BenchmarkQueryLakeParallel(b *testing.B) {
 	_, ex := queryBenchLake(b)
-	benchQuery(b, ex, queryBenchFullQuery())
+	benchQuery(b, ex, queryBenchFullQuery(), 200_000)
 }
 
 // BenchmarkQueryPointLookup measures a single-IP lookup against a
 // 1M-observation lake whose segments hold mostly disjoint address sets:
 // the planner's postings pass prunes every segment but the
 // one holding the address, so an op is one postings consult (cached
-// after the first op) plus one segment scan.
+// after the first op) plus one segment scan: measured ~65 allocs/op
+// (~131k while the opened segment's ~125k dictionary entries were one
+// allocation each). The ceiling carries ~3x headroom: the count is small
+// enough for runtime noise to show.
 func BenchmarkQueryPointLookup(b *testing.B) {
 	t0 := time.Date(2010, 4, 6, 0, 0, 0, 0, time.UTC)
 	lk, err := lake.Open(filepath.Join(b.TempDir(), "lake"), lake.Options{})
@@ -166,21 +180,21 @@ func BenchmarkQueryPointLookup(b *testing.B) {
 		Filter:  query.Filter{IPs: []string{target}},
 		GroupBy: query.GroupBy{Key: query.ByTorrent},
 		Aggs:    []string{query.AggObservations},
-	})
+	}, 200)
 }
 
 // benchQuery is the timed loop shared by the query benchmarks. One
 // untimed warm-up run populates the lake's per-file caches (segment
-// postings, torrent metadata), so the measured ops — and the alloc
-// ceilings on them — reflect steady state rather than first-touch
+// postings, torrent metadata), so the measured ops — and the ceiling
+// allocs/op on them — reflect steady state rather than first-touch
 // decode cost.
-func benchQuery(b *testing.B, ex *query.Lake, q query.Query) {
+func benchQuery(b *testing.B, ex *query.Lake, q query.Query, ceiling uint64) {
 	b.Helper()
 	ctx := context.Background()
 	if _, err := ex.Execute(ctx, q); err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
+	m := meterAllocs(b, ceiling)
 	for i := 0; i < b.N; i++ {
 		res, err := ex.Execute(ctx, q)
 		if err != nil {
@@ -190,11 +204,13 @@ func benchQuery(b *testing.B, ex *query.Lake, q query.Query) {
 			b.Fatal("benchmark query matched nothing")
 		}
 	}
+	m.check()
 }
 
 // BenchmarkQueryMemory runs the identical query through the in-memory
 // executor over the same 1M observations — the baseline the lake
-// executor's pushdown is measured against.
+// executor's pushdown is measured against. Measured ~450 allocs/op; the
+// ceiling carries ~50%+ headroom.
 func BenchmarkQueryMemory(b *testing.B) {
 	ds := queryBenchDataset()
 	db, err := geoip.DefaultDB()
@@ -207,7 +223,7 @@ func BenchmarkQueryMemory(b *testing.B) {
 	}
 	q := queryBenchQuery(ds.Start, ds.NumObservations())
 	ctx := context.Background()
-	b.ResetTimer()
+	m := meterAllocs(b, 1500)
 	for i := 0; i < b.N; i++ {
 		res, err := ex.Execute(ctx, q)
 		if err != nil {
@@ -217,4 +233,5 @@ func BenchmarkQueryMemory(b *testing.B) {
 			b.Fatal("benchmark query matched nothing")
 		}
 	}
+	m.check()
 }
