@@ -25,7 +25,6 @@ func main() {
 	md := flag.Float64("mean-downloads", 250, "mean downloader arrivals per torrent")
 	style := flag.String("style", "pb10", "dataset style: pb10, pb09 or mn08")
 	shards := flag.Int("shards", runtime.NumCPU(), "parallel world shards")
-	workers := flag.Int("workers", 2, "concurrent announces per crawler vantage")
 	out := flag.String("out", "", "output dataset path (default <style>.jsonl; \"-\" skips the JSONL)")
 	lakeDir := flag.String("lake", "", "also persist the campaign into this lake directory")
 	flag.Parse()
@@ -40,7 +39,7 @@ func main() {
 	}
 	spec := campaign.Spec{
 		Scale: *scale, Seed: *seed, MeanDownloads: *md, Style: st,
-		Shards: *shards, Workers: *workers,
+		Shards: *shards,
 	}
 	if *lakeDir != "" {
 		lk, err := lake.Open(*lakeDir, lake.Options{Compact: lake.CompactOptions{Auto: true}})

@@ -1,8 +1,9 @@
 // btpub-ecosystem serves the synthetic BitTorrent world over real sockets:
 // the portal (RSS, pages, .torrent files) and tracker over HTTP, and the
 // peer gateway over TCP, with virtual time advancing at a configurable
-// speedup. A crawler (btpub-crawl network mode or examples/livecrawl) can
-// then measure it across the wire.
+// speedup, for any outside client to browse, announce to or probe. No
+// program in the tree connects to it: btpub-crawl crawls in process, and
+// examples/livecrawl starts its own per-shard servers.
 package main
 
 import (
@@ -64,7 +65,6 @@ func main() {
 	mux.Handle("/page/", ph)
 	mux.Handle("/user/", ph)
 	mux.Handle("/announce", th)
-	mux.Handle("/scrape", th)
 
 	gw, err := net.Listen("tcp", *gwAddr)
 	if err != nil {

@@ -1,9 +1,9 @@
 // btpub-experiments regenerates every table and figure of the paper from
 // an end-to-end simulated campaign and writes the paper-vs-measured
-// comparison to EXPERIMENTS.md (and stdout). With -sweep it fans a grid of
-// scenarios (style × seed) out over the sharded campaign engine under one
-// shared worker budget, the way the follow-up studies re-ran the
-// measurement across portals and months.
+// comparison to EXPERIMENTS.md (and stdout). With -sweep it runs a grid of
+// scenarios (style × seed) one campaign after another, each sharded across
+// all cores, the way the follow-up studies re-ran the measurement across
+// portals and months.
 package main
 
 import (
@@ -27,10 +27,8 @@ func main() {
 	seed := flag.Uint64("seed", 1, "scenario seed")
 	md := flag.Float64("mean-downloads", 350, "mean downloader arrivals per torrent")
 	shards := flag.Int("shards", runtime.NumCPU(), "parallel world shards per campaign")
-	workers := flag.Int("workers", 2, "concurrent announces per crawler vantage")
 	sweep := flag.String("sweep", "", "comma-separated styles to sweep (e.g. pb10,pb09,mn08); empty = single pb10 run")
 	seeds := flag.String("seeds", "", "comma-separated seeds for the sweep grid (default: -seed)")
-	budget := flag.Int("budget", runtime.NumCPU(), "shared worker budget across all sweep campaigns")
 	scenarios := flag.String("scenarios", "", "adversarial publisher profiles (comma-separated: alias,churn,blitz,purge; or all)")
 	out := flag.String("out", "EXPERIMENTS.md", "output file (empty = stdout only)")
 	flag.Parse()
@@ -41,15 +39,15 @@ func main() {
 	}
 
 	if *sweep != "" {
-		runSweep(*sweep, *seeds, *scale, *seed, *md, *shards, *workers, *budget, adv, *out)
+		runSweep(*sweep, *seeds, *scale, *seed, *md, *shards, adv, *out)
 		return
 	}
 
-	log.Printf("running pb10-style campaign: scale=%.3f seed=%d meanDownloads=%.0f shards=%d workers=%d scenarios=%v",
-		*scale, *seed, *md, *shards, *workers, adv)
+	log.Printf("running pb10-style campaign: scale=%.3f seed=%d meanDownloads=%.0f shards=%d scenarios=%v",
+		*scale, *seed, *md, *shards, adv)
 	res, err := campaign.Run(campaign.Spec{
 		Scale: *scale, Seed: *seed, MeanDownloads: *md,
-		Shards: *shards, Workers: *workers, Scenarios: adv,
+		Shards: *shards, Scenarios: adv,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -80,9 +78,9 @@ func writeReport(res *campaign.Result, out string) {
 	}
 }
 
-// runSweep executes the style × seed grid concurrently and reports the
-// full experiment suite for the first pb10 run of the grid.
-func runSweep(sweep, seedList string, scale float64, seed uint64, md float64, shards, workers, budget int, adv population.Scenario, out string) {
+// runSweep executes the style × seed grid one campaign at a time and
+// reports the full experiment suite for the first pb10 run of the grid.
+func runSweep(sweep, seedList string, scale float64, seed uint64, md float64, shards int, adv population.Scenario, out string) {
 	seedVals := []uint64{seed}
 	if seedList != "" {
 		seedVals = nil
@@ -107,34 +105,34 @@ func runSweep(sweep, seedList string, scale float64, seed uint64, md float64, sh
 			}
 			specs = append(specs, campaign.Spec{
 				Scale: scale, Seed: sv, MeanDownloads: md, Style: style,
-				Shards: shards, Workers: workers, Scenarios: adv,
-				DatasetName: name,
+				Shards: shards, Scenarios: adv, DatasetName: name,
 			})
 		}
 	}
-	log.Printf("sweeping %d campaigns (scale=%.3f, %d shards each, budget %d)",
-		len(specs), scale, shards, budget)
-	results := campaign.RunMany(specs, budget)
+	log.Printf("sweeping %d campaigns (scale=%.3f, %d shards each)", len(specs), scale, shards)
 
-	var primary *campaign.Result
+	var first, primary *campaign.Result
 	fmt.Printf("| dataset | torrents | with IP | observations | dropped | distinct IPs | queries | wall time |\n")
 	fmt.Printf("|---|---|---|---|---|---|---|---|\n")
-	for _, sr := range results {
-		if sr.Err != nil {
-			log.Fatalf("%s seed %d: %v", sr.Spec.Style, sr.Spec.Seed, sr.Err)
+	for _, spec := range specs {
+		res, err := campaign.Run(spec)
+		if err != nil {
+			log.Fatalf("%s seed %d: %v", spec.Style, spec.Seed, err)
 		}
-		res := sr.Result
 		st := res.Stats()
 		fmt.Printf("| %s | %d | %d | %d | %d | %d | %d | %v |\n",
 			res.Dataset.Name, len(res.Dataset.Torrents), res.Dataset.TorrentsWithIP(),
 			res.Dataset.NumObservations(), res.Dataset.DroppedObservations,
 			res.Dataset.DistinctIPs(), st.TrackerQueries, res.Elapsed)
-		if primary == nil && sr.Spec.Style == campaign.PB10 {
+		if first == nil {
+			first = res
+		}
+		if primary == nil && spec.Style == campaign.PB10 {
 			primary = res
 		}
 	}
 	if primary == nil {
-		primary = results[0].Result
+		primary = first
 	}
 	writeReport(primary, out)
 }

@@ -2,8 +2,6 @@
 // invariants behind byte-identical sharded campaigns, lake crash-safety
 // via the vfs.FS seam, and the /api/v1 error envelope, machine-checked.
 //
-// Standalone (the mode make lint and CI use):
-//
 //	btpub-vet ./...                 # allowlist ci/lint-allow.txt applied
 //	btpub-vet -noallow ./...        # full debt report, allowlist ignored
 //	btpub-vet -allow other.txt ./internal/lake/...
@@ -11,42 +9,18 @@
 // Exit status is 0 only when every finding is allowlisted and every
 // allowlist entry still suppresses something; a stale entry is itself a
 // failure, so grandfathered debt cannot linger invisibly.
-//
-// As a vet tool (per-package, driven by the go command):
-//
-//	go vet -vettool=$(go env GOPATH)/bin/btpub-vet ./...
-//
-// In this mode the go command invokes the binary once per package with
-// a JSON config file; findings print in the usual file:line:col form.
-// The allowlist is not consulted (pass -allow with an absolute path to
-// apply one); staleness needs the whole-tree view and is standalone-only.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strings"
 
 	"btpub/internal/lint"
 )
 
 func main() {
-	// The go command probes vet tools with -V=full before first use
-	// (caching results keyed on the reported version) and with -flags to
-	// learn which tool flags it may forward from its own command line.
-	if len(os.Args) == 2 && os.Args[1] == "-V=full" {
-		fmt.Printf("btpub-vet version 1\n")
-		return
-	}
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		fmt.Println(`[{"Name":"allow","Bool":false,"Usage":"allowlist file"},{"Name":"noallow","Bool":true,"Usage":"ignore the allowlist"}]`)
-		return
-	}
-
-	allow := flag.String("allow", "", "allowlist file (default: the module's ci/lint-allow.txt in standalone mode)")
+	allow := flag.String("allow", "", "allowlist file (default: the module's ci/lint-allow.txt)")
 	noallow := flag.Bool("noallow", false, "ignore the allowlist and report every finding (nightly debt report)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: btpub-vet [-allow file | -noallow] [package pattern ...]\n\nAnalyzers:\n")
@@ -56,14 +30,10 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if args := flag.Args(); len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(vetUnit(args[0], *allow))
-	}
-	os.Exit(standalone(flag.Args(), *allow, *noallow))
+	os.Exit(run(flag.Args(), *allow, *noallow))
 }
 
-func standalone(patterns []string, allow string, noallow bool) int {
+func run(patterns []string, allow string, noallow bool) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -89,92 +59,4 @@ func standalone(patterns []string, allow string, noallow bool) int {
 		return 1
 	}
 	return 0
-}
-
-// vetConfig is the per-package JSON the go command hands a -vettool
-// (the unitchecker protocol).
-type vetConfig struct {
-	ID                        string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// vetUnit analyzes one package as directed by the go command. The
-// export-data "facts" file the protocol requires is written empty: the
-// suite has no cross-package facts.
-func vetUnit(cfgFile, allowFile string) int {
-	buf, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "btpub-vet: %v\n", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(buf, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "btpub-vet: parsing %s: %v\n", cfgFile, err)
-		return 2
-	}
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte("btpub-vet has no facts\n"), 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "btpub-vet: %v\n", err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	pkg, err := lint.CheckUnit(cfg.ImportPath, cfg.Dir, cfg.GoFiles, cfg.ImportMap, cfg.PackageFile)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "btpub-vet: %v\n", err)
-		return 2
-	}
-	findings := lint.Check(pkg, lint.All)
-	if allowFile != "" {
-		al, err := lint.ParseAllowlist(allowFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "btpub-vet: %v\n", err)
-			return 2
-		}
-		findings = filterBySuffix(al, findings)
-	}
-	sort.Slice(findings, func(i, j int) bool { return findings[i].Pos.Offset < findings[j].Pos.Offset })
-	for _, f := range findings {
-		fmt.Fprintln(os.Stderr, f.String())
-	}
-	if len(findings) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// filterBySuffix applies an allowlist in vet-tool mode, where file
-// paths are absolute and the module root is not known: an entry covers
-// a finding when the module-relative entry path is a suffix of the
-// absolute finding path.
-func filterBySuffix(al *lint.Allowlist, findings []lint.Finding) []lint.Finding {
-	var kept []lint.Finding
-	for _, f := range findings {
-		name := strings.ReplaceAll(f.Pos.Filename, "\\", "/")
-		ok := false
-		for _, e := range al.Entries {
-			if e.Analyzer == f.Analyzer && strings.HasSuffix(name, "/"+e.Path) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			kept = append(kept, f)
-		}
-	}
-	return kept
 }

@@ -25,20 +25,18 @@
 //     campaign package's determinism test enforces this for all three
 //     dataset styles (pb10/pb09/mn08).
 //
-//   - Announce workers (campaign.Spec.Workers / crawler.Config.Workers):
+//   - Announce slots (campaign.Spec.Workers / crawler.Config.Workers):
 //     inside each crawler every vantage (one of the paper's independent
 //     crawling machines) owns Workers slots, and an announce runs on the
 //     goroutine that asked for it while holding one — the crawler starts
-//     no goroutine. Under the sim driver each query completes before the
-//     clock proceeds, so a simulated run is the same for any Workers;
-//     under real-time drivers the slots bound concurrent tracker and
-//     wire traffic, and Close cancels and waits for the announces in
-//     flight.
+//     no goroutine. The one driver, SimDriver, completes each query
+//     before the clock proceeds, so no run depends on Workers; Close
+//     cancels and waits for the announce in flight.
 //
-// campaign.RunMany executes a whole grid of Specs (style × scale × seed)
-// concurrently under one shared worker budget — the multi-campaign
-// fan-out the follow-up studies (TorrentGuard, the multimedia-evolution
-// study) needed.
+// btpub-experiments -sweep runs a grid of Specs (style × seed) one
+// campaign after another, each sharded across all cores — the
+// multi-campaign re-run the follow-up studies (TorrentGuard, the
+// multimedia-evolution study) needed.
 //
 // # Columnar observation store
 //
@@ -315,10 +313,9 @@
 // context.Background/TODO outside main/run in package main), envelope
 // (lakeserve handlers write error statuses only through the envelope
 // helpers), and errfmtverb (fmt.Errorf wraps error operands with %w).
-// cmd/btpub-vet drives them standalone (what `make lint` runs) and as
-// a `go vet -vettool` unitchecker. Deliberate exceptions — the
-// crawler's RealDriver wall clock for network mode, lifecycle root
-// contexts — are grandfathered in ci/lint-allow.txt with a mandatory
+// cmd/btpub-vet drives them over the whole module (what `make lint`
+// runs). Deliberate exceptions — the wall-clock Pump that serves the
+// world over real sockets, lifecycle root contexts — are grandfathered in ci/lint-allow.txt with a mandatory
 // reason per line; a stale entry (its finding fixed) itself fails the
 // run, so the debt list only shrinks, and the nightly lint-debt job
 // publishes the unfiltered report. Fixture packages under

@@ -1,10 +1,12 @@
 // Livecrawl: the whole measurement over real sockets, sharded. Each world
 // shard gets its own HTTP portal+tracker, TCP wire gateway and crawler —
 // the crawler fetches the RSS feed, downloads .torrent files, announces,
-// and performs wire-protocol handshakes across localhost, with a bounded
-// number of concurrent announces per vantage — while virtual time runs at
-// high speed. The per-shard datasets merge into one canonical dataset at the
-// end, exactly like the in-process campaign engine.
+// and performs wire-protocol handshakes across localhost — while virtual
+// time runs at high speed. Each crawler runs on its shard's sim clock
+// (SimDriver, advanced by the ecosystem's Pump), which fires one callback
+// at a time, so a shard has at most one announce in flight. The per-shard
+// datasets merge into one canonical dataset at the end, exactly like the
+// in-process campaign engine.
 package main
 
 import (
@@ -37,7 +39,7 @@ type shard struct {
 	stop    func()
 }
 
-func startShard(world *population.World, db *geoip.DB, consumption map[int][]ecosystem.ConsumptionEvent, index, count, workers int) (*shard, error) {
+func startShard(world *population.World, db *geoip.DB, consumption map[int][]ecosystem.ConsumptionEvent, index, count int) (*shard, error) {
 	clock := simclock.NewSim(world.Start)
 
 	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
@@ -71,7 +73,6 @@ func startShard(world *population.World, db *geoip.DB, consumption map[int][]eco
 	mux.Handle("/page/", ph)
 	mux.Handle("/user/", ph)
 	mux.Handle("/announce", th)
-	mux.Handle("/scrape", th)
 	go func() { _ = http.Serve(httpLn, mux) }()
 	go func() { _ = eco.ServeGateway(gwLn) }()
 
@@ -82,8 +83,7 @@ func startShard(world *population.World, db *geoip.DB, consumption map[int][]eco
 
 	cr, err := crawler.New(
 		crawler.Config{DatasetName: "livecrawl", RecordUsernames: true,
-			Workers: workers,
-			End:     world.Start.Add(36 * 24 * time.Hour)},
+			End: world.Start.Add(36 * 24 * time.Hour)},
 		&crawler.SimDriver{Sim: clock},
 		&crawler.HTTPPortal{BaseURL: base},
 		&crawler.HTTPTracker{Vantages: crawler.DefaultVantages(3)},
@@ -102,7 +102,6 @@ func startShard(world *population.World, db *geoip.DB, consumption map[int][]eco
 
 func main() {
 	shardCount := flag.Int("shards", runtime.NumCPU(), "parallel world shards, each on its own sockets")
-	workers := flag.Int("workers", 2, "concurrent announces per crawler vantage")
 	flag.Parse()
 	if *shardCount < 1 {
 		*shardCount = 1
@@ -122,7 +121,7 @@ func main() {
 	consumption := ecosystem.PlanConsumption(world, 42)
 	shards := make([]*shard, *shardCount)
 	for i := range shards {
-		if shards[i], err = startShard(world, db, consumption, i, *shardCount, *workers); err != nil {
+		if shards[i], err = startShard(world, db, consumption, i, *shardCount); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -17,14 +17,13 @@ import (
 
 func main() {
 	shards := flag.Int("shards", runtime.NumCPU(), "parallel world shards")
-	workers := flag.Int("workers", 2, "concurrent announces per crawler vantage")
 	flag.Parse()
 
 	// A 1%-scale Pirate-Bay-2010 world: ~380 torrents over a virtual month.
 	// The merged dataset is byte-identical whatever -shards is set to.
 	res, err := campaign.Run(campaign.Spec{
 		Scale: 0.01, MeanDownloads: 200, Seed: 7,
-		Shards: *shards, Workers: *workers,
+		Shards: *shards,
 	})
 	if err != nil {
 		log.Fatal(err)

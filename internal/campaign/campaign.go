@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"runtime"
 	"sync"
 	"time"
 
@@ -88,19 +87,16 @@ type Spec struct {
 	// the generated world (population.Scenario bitmask; 0 = cooperative
 	// world). See population.ParseScenarios for the profile names.
 	Scenarios population.Scenario
-	// DrainDays keeps crawling after the last publication so late swarms
-	// are drained (default 5).
-	DrainDays int
-	// Vantages overrides the crawler's vantage count (0 = default 3).
-	Vantages int
 	// DatasetName overrides the Style name.
 	DatasetName string
 	// Shards splits the world into this many deterministic shards, each
 	// crawled by its own goroutine (0 or 1 = serial). The merged dataset is
 	// byte-identical for any shard count at a fixed Seed.
 	Shards int
-	// Workers sets each shard crawler's concurrent announces per vantage
-	// (0 = 1).
+	// Workers is passed through as each shard crawler's Config.Workers.
+	// No driver in the tree can make the value matter: every shard crawls
+	// on its own sim clock, which fires one callback at a time. It stays
+	// because bench/ sets it.
 	Workers int
 	// Lake, when non-nil, persists the campaign into the lake. A serial
 	// run (Shards <= 1) streams observations into the lake live while the
@@ -140,6 +136,10 @@ type Result struct {
 	Elapsed time.Duration
 }
 
+// drainDays keeps crawling after the last publication so late swarms are
+// drained.
+const drainDays = 5
+
 // Run executes the campaign: generate the world, stand up the ecosystem,
 // crawl it for the whole campaign window plus drain, run the final sweep,
 // and return the merged dataset. It is the synchronous entry point; use
@@ -151,15 +151,8 @@ func Run(spec Spec) (*Result, error) {
 // RunContext is Run with a caller-owned context threaded through to the
 // post-campaign enrichment sweep.
 func RunContext(ctx context.Context, spec Spec) (*Result, error) {
-	return runBudgeted(ctx, spec, nil)
-}
-
-func runBudgeted(ctx context.Context, spec Spec, budget chan struct{}) (*Result, error) {
 	if spec.Scale <= 0 {
 		return nil, errors.New("campaign: Scale must be positive")
-	}
-	if spec.DrainDays == 0 {
-		spec.DrainDays = 5
 	}
 	shards := spec.Shards
 	if shards <= 0 {
@@ -171,21 +164,8 @@ func runBudgeted(ctx context.Context, spec Spec, budget chan struct{}) (*Result,
 	wall := simclock.Real{}
 	start := wall.Now()
 
-	acquire := func() {
-		if budget != nil {
-			budget <- struct{}{}
-		}
-	}
-	release := func() {
-		if budget != nil {
-			<-budget
-		}
-	}
-
-	acquire()
 	db, err := geoip.DefaultDB()
 	if err != nil {
-		release()
 		return nil, err
 	}
 	params := population.DefaultParams(spec.Scale)
@@ -198,14 +178,12 @@ func runBudgeted(ctx context.Context, spec Spec, budget chan struct{}) (*Result,
 	params.Scenarios = spec.Scenarios
 	world, err := population.Generate(params, db)
 	if err != nil {
-		release()
 		return nil, err
 	}
 	// One consumption plan shared by every shard (it is a pure function of
 	// world and seed, so sharing it only saves work and memory).
 	consumption := ecosystem.PlanConsumption(world, params.Seed)
-	release()
-	end := world.Start.Add(time.Duration(params.CampaignDays+spec.DrainDays) * 24 * time.Hour)
+	end := world.Start.Add(time.Duration(population.CampaignDays+drainDays) * 24 * time.Hour)
 
 	name := spec.DatasetName
 	if name == "" {
@@ -227,8 +205,6 @@ func runBudgeted(ctx context.Context, spec Spec, budget chan struct{}) (*Result,
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			acquire()
-			defer release()
 			eco, cr, ds, err := runShard(ctx, spec, world, db, params.Seed, consumption, i, shards, end, name, stream)
 			runs[i] = ShardRun{Index: i, Eco: eco, Crawler: cr}
 			parts[i], errs[i] = ds, err
@@ -327,7 +303,6 @@ func runShard(ctx context.Context, spec Spec, world *population.World, db *geoip
 		DB:          db,
 		Clock:       clock,
 		Seed:        seed,
-		DrainDays:   spec.DrainDays + 5,
 		ShardIndex:  index,
 		ShardCount:  count,
 		Consumption: consumption,
@@ -345,7 +320,6 @@ func runShard(ctx context.Context, spec Spec, world *population.World, db *geoip
 		DatasetName:     name,
 		RecordUsernames: spec.Style != MN08,
 		SingleShot:      spec.Style == PB09,
-		Vantages:        spec.Vantages,
 		Workers:         spec.Workers,
 		End:             end,
 	}
@@ -359,7 +333,7 @@ func runShard(ctx context.Context, spec Spec, world *population.World, db *geoip
 	cr, err := crawler.New(cfg,
 		&crawler.SimDriver{Sim: clock},
 		&crawler.InProcessPortal{P: eco.Portal},
-		&crawler.InProcessTracker{T: trk, Vantages: crawler.DefaultVantages(max(cfg.Vantages, 3))},
+		&crawler.InProcessTracker{T: trk, Vantages: crawler.DefaultVantages(3)},
 		prober,
 	)
 	if err != nil {
@@ -375,7 +349,7 @@ func runShard(ctx context.Context, spec Spec, world *population.World, db *geoip
 
 	// Post-campaign enrichment: page re-checks and user pages.
 	if err := cr.FinalSweep(ctx, func(rec *dataset.TorrentRecord) string {
-		return "http://portal.sim/page/" + rec.InfoHash
+		return crawler.SimPortalURL + "/page/" + rec.InfoHash
 	}); err != nil {
 		return nil, nil, nil, err
 	}
@@ -390,35 +364,5 @@ func (r *Result) Stats() crawler.Counters {
 			out = out.Add(s.Crawler.Stats())
 		}
 	}
-	return out
-}
-
-// SweepResult pairs one grid point of a sweep with its outcome.
-type SweepResult struct {
-	Spec   Spec
-	Result *Result
-	Err    error
-}
-
-// RunMany executes a grid of campaign specs concurrently under one shared
-// worker budget: across all specs, at most budget goroutines generate
-// worlds or run shards at any moment (0 = runtime.NumCPU()). Results align
-// index-for-index with specs.
-func RunMany(specs []Spec, budget int) []SweepResult {
-	if budget <= 0 {
-		budget = runtime.NumCPU()
-	}
-	sem := make(chan struct{}, budget)
-	out := make([]SweepResult, len(specs))
-	var wg sync.WaitGroup
-	for i, spec := range specs {
-		wg.Add(1)
-		go func(i int, spec Spec) {
-			defer wg.Done()
-			res, err := runBudgeted(context.Background(), spec, sem)
-			out[i] = SweepResult{Spec: spec, Result: res, Err: err}
-		}(i, spec)
-	}
-	wg.Wait()
 	return out
 }

@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"strings"
 	"testing"
@@ -239,7 +241,7 @@ func TestDatasetWindowStamps(t *testing.T) {
 	if !ds.Start.Equal(res.World.Start) {
 		t.Fatalf("start = %v, want %v", ds.Start, res.World.Start)
 	}
-	wantEnd := res.World.Start.Add(time.Duration(res.World.Params.CampaignDays+res.Spec.DrainDays) * 24 * time.Hour)
+	wantEnd := res.World.Start.Add(time.Duration(population.CampaignDays+drainDays) * 24 * time.Hour)
 	if !ds.End.Equal(wantEnd) {
 		t.Fatalf("end = %v, want %v", ds.End, wantEnd)
 	}
@@ -281,10 +283,21 @@ func TestCrawlObservedDownloadSharesRoughlyMatchGroundTruth(t *testing.T) {
 	}
 }
 
+// crawlDigests pins the SHA-256 of each serial run's Dataset.Write
+// bytes, so a change that moves the world or the crawl in every shard
+// count alike — which the serial-vs-sharded comparison cannot see —
+// still fails. A deliberate change to the simulation updates them.
+var crawlDigests = map[string]string{
+	"pb10":             "6166829a36c71cef99141c77c27f66718d959e4a27acdbcc0f52a23cfd03c4f2",
+	"pb09":             "c43688223c85f633b13496c028fce886017d3d89eb5aea991ce651ede58a54ae",
+	"mn08":             "616a59f898a991073195e15fa8b9f64bd744caf5a23c1ceb42fc932707eb513e",
+	"pb10-adversarial": "84b99ed09dbaefb0758ad497b609d89cf420c0ab43d1e03f88b026e30c56aa94",
+}
+
 // TestShardedRunByteIdentical is the determinism gate of the sharded
 // engine: for every style — and for the adversarial scenario world — a
-// 4-shard run with pooled workers must serialise byte-for-byte
-// identically to the serial run at the same seed.
+// 4-shard run must serialise byte-for-byte identically to the serial run
+// at the same seed, and the serial run must hash to its pinned digest.
 func TestShardedRunByteIdentical(t *testing.T) {
 	type tc struct {
 		name   string
@@ -311,6 +324,10 @@ func TestShardedRunByteIdentical(t *testing.T) {
 			var a, b bytes.Buffer
 			if err := serial.Dataset.Write(&a); err != nil {
 				t.Fatal(err)
+			}
+			sum := sha256.Sum256(a.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != crawlDigests[tc.name] {
+				t.Errorf("serial crawl digest = %s, pinned %s", got, crawlDigests[tc.name])
 			}
 			if err := sharded.Dataset.Write(&b); err != nil {
 				t.Fatal(err)

@@ -276,13 +276,6 @@ func (f *Facts) BuildGroups(topK, sampleSize int) *Groups {
 	return g
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // ---------------------------------------------------------------------
 // Section 3.3 cross-analysis
 // ---------------------------------------------------------------------
@@ -415,13 +408,6 @@ func (f *Facts) Cross(k int) CrossAnalysis {
 		out.MultiISPAvgIPs = sMulti / float64(nMulti)
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ---------------------------------------------------------------------

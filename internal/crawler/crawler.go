@@ -14,9 +14,9 @@
 //     from several vantage points, recording every returned IP address;
 //  4. stop monitoring a torrent after 10 consecutive empty replies.
 //
-// The engine is event-driven over an abstract Driver, so the same code
-// runs deterministically on the simulation clock and in real time against
-// live HTTP endpoints.
+// The engine is event-driven over an abstract Driver; the one driver,
+// SimDriver, runs it deterministically on the simulation clock, against
+// in-process clients or live HTTP endpoints alike.
 package crawler
 
 import (
@@ -60,36 +60,40 @@ type TrackerClient interface {
 	Announce(ctx context.Context, announceURL string, ih metainfo.Hash, vantage int, numWant int) (*tracker.AnnounceResponse, error)
 }
 
+// The instrument's fixed settings, Section 2's numbers.
+const (
+	// rssPoll is the feed polling period.
+	rssPoll = 10 * time.Minute
+	// queryInterval is the per-vantage tracker query period (the tracker
+	// enforces at least 10 min).
+	queryInterval = 15 * time.Minute
+	// emptyToStop is the consecutive-empty-replies stop rule.
+	emptyToStop = 10
+	// numWant is the peer count requested per query, the tracker maximum.
+	numWant = 200
+	// identifyMaxPeers bounds swarm size for initial-seeder identification.
+	identifyMaxPeers = 20
+	// dedupWindow drops repeat sightings of the same IP in the same
+	// torrent within the window. Session stitching uses a 4 h gap, so
+	// sub-window repeats carry no analysis signal; thinning keeps dataset
+	// size proportional to distinct peer-sessions, not to query volume.
+	dedupWindow = 45 * time.Minute
+)
+
 // Config tunes the instrument. The defaults reproduce the pb10 campaign;
 // SingleShot reproduces pb09 (one tracker query per torrent) and
 // RecordUsernames=false reproduces mn08 (no username information).
 type Config struct {
 	DatasetName string
 
-	// RSSPoll is the feed polling period (default 10 min).
-	RSSPoll time.Duration
-	// QueryInterval is the per-vantage tracker query period (default
-	// 15 min; the tracker enforces at least 10).
-	QueryInterval time.Duration
 	// Vantages is the number of crawling machines (default 3). They query
 	// with staggered phases, multiplying the effective sampling rate the
 	// way the paper's geographically distributed machines did.
 	Vantages int
-	// EmptyToStop is the consecutive-empty-replies stop rule (default 10).
-	EmptyToStop int
-	// NumWant is the peer count requested per query (default 200, the
-	// tracker maximum).
-	NumWant int
-	// IdentifyMaxPeers bounds swarm size for initial-seeder identification
-	// (default 20, per Section 2).
-	IdentifyMaxPeers int
-	// Workers is the number of concurrent announces per vantage (default
-	// 1). A query and its wire probes run on the calling goroutine while it
-	// holds one of the owning vantage's Workers slots, mirroring the
-	// paper's independent crawling machines. The sim driver fires one
-	// callback at a time, so a sim run never has two announces in flight
-	// and is the same run for any value; with real-time drivers the slots
-	// bound concurrent tracker and wire traffic.
+	// Workers is the number of announce slots per vantage (default 1). No
+	// driver in the tree can make the value matter: every crawl runs on
+	// SimDriver, whose clock fires one callback at a time, so no vantage
+	// ever has two announces in flight. It stays because bench/ sets it.
 	Workers int
 	// SingleShot stops after the first tracker query per torrent (pb09).
 	SingleShot bool
@@ -97,12 +101,6 @@ type Config struct {
 	RecordUsernames bool
 	// End stops all crawling activity at this instant (campaign end).
 	End time.Time
-	// DedupWindow drops repeat sightings of the same IP in the same
-	// torrent within the window (default 45 min). Session stitching uses a
-	// 4 h gap, so sub-window repeats carry no analysis signal; thinning
-	// keeps dataset size proportional to distinct peer-sessions, not to
-	// query volume.
-	DedupWindow time.Duration
 	// Sink, when non-nil, mirrors every stored observation to an external
 	// consumer (e.g. a lake writer) at the moment it is recorded, in
 	// recording order. Called with the crawler's dataset lock held: it
@@ -115,29 +113,11 @@ func (c *Config) setDefaults() {
 	if c.DatasetName == "" {
 		c.DatasetName = "crawl"
 	}
-	if c.RSSPoll <= 0 {
-		c.RSSPoll = 10 * time.Minute
-	}
-	if c.QueryInterval <= 0 {
-		c.QueryInterval = 15 * time.Minute
-	}
 	if c.Vantages <= 0 {
 		c.Vantages = 3
 	}
-	if c.EmptyToStop <= 0 {
-		c.EmptyToStop = 10
-	}
-	if c.NumWant <= 0 {
-		c.NumWant = 200
-	}
-	if c.IdentifyMaxPeers <= 0 {
-		c.IdentifyMaxPeers = 20
-	}
 	if c.Workers <= 0 {
 		c.Workers = 1
-	}
-	if c.DedupWindow <= 0 {
-		c.DedupWindow = 45 * time.Minute
 	}
 }
 
@@ -166,8 +146,8 @@ func (a Counters) Add(b Counters) Counters {
 	}
 }
 
-// counterSet is the race-safe internal form of Counters: announces on
-// different vantages bump these concurrently in network mode.
+// counterSet is the race-safe internal form of Counters: Stats may read
+// them from another goroutine while the driver runs announces.
 type counterSet struct {
 	rssPolls          atomic.Int64
 	torrentsSeen      atomic.Int64
@@ -307,7 +287,7 @@ func (c *Crawler) pollRSS(now time.Time) {
 			}
 		}
 	}
-	c.driver.Schedule(now.Add(c.cfg.RSSPoll), c.pollRSS)
+	c.driver.Schedule(now.Add(rssPoll), c.pollRSS)
 }
 
 // handleNewTorrent processes a freshly announced feed item.
@@ -373,10 +353,10 @@ func (c *Crawler) handleNewTorrent(now time.Time, item *portal.FeedItem) {
 	}
 	// Staggered periodic queries from every vantage.
 	for v := 1; v < c.cfg.Vantages; v++ {
-		offset := time.Duration(v) * c.cfg.QueryInterval / time.Duration(c.cfg.Vantages)
+		offset := time.Duration(v) * queryInterval / time.Duration(c.cfg.Vantages)
 		c.driver.Schedule(now.Add(offset), st.requery[v])
 	}
-	c.driver.Schedule(now.Add(c.cfg.QueryInterval), st.requery[0])
+	c.driver.Schedule(now.Add(queryInterval), st.requery[0])
 }
 
 // torrentState is the per-torrent monitoring state.
@@ -437,13 +417,13 @@ func (c *Crawler) acquire(vantage int) bool {
 // reschedule books the vantage's next query for the torrent.
 func (c *Crawler) reschedule(now time.Time, st *torrentState, vantage int) {
 	if !c.cfg.SingleShot {
-		c.driver.Schedule(now.Add(c.cfg.QueryInterval), st.requery[vantage])
+		c.driver.Schedule(now.Add(queryInterval), st.requery[vantage])
 	}
 }
 
 // announceOnce performs the announce and books the vantage's next query.
 func (c *Crawler) announceOnce(ctx context.Context, now time.Time, st *torrentState, vantage int, first bool) {
-	resp, err := c.tracker.Announce(ctx, st.announce, st.ih, vantage, c.cfg.NumWant)
+	resp, err := c.tracker.Announce(ctx, st.announce, st.ih, vantage, numWant)
 	c.ctr.trackerQueries.Add(1)
 
 	if err != nil {
@@ -471,7 +451,7 @@ func (c *Crawler) announceOnce(ctx context.Context, now time.Time, st *torrentSt
 			st.rec.FirstSeenSeeders = resp.Seeders
 			st.rec.FirstSeenPeers = resp.Seeders + resp.Leechers
 			c.mu.Unlock()
-			if resp.Seeders == 1 && resp.Seeders+resp.Leechers < c.cfg.IdentifyMaxPeers {
+			if resp.Seeders == 1 && resp.Seeders+resp.Leechers < identifyMaxPeers {
 				c.identifySeeder(ctx, st, resp.Peers)
 			}
 		}
@@ -486,7 +466,7 @@ func (c *Crawler) announceOnce(ctx context.Context, now time.Time, st *torrentSt
 	st.empty = 0
 	fresh := resp.Peers[:0]
 	for _, p := range resp.Peers {
-		if last, ok := st.lastSeen[p.IP]; ok && now.Sub(last) < c.cfg.DedupWindow {
+		if last, ok := st.lastSeen[p.IP]; ok && now.Sub(last) < dedupWindow {
 			continue
 		}
 		st.lastSeen[p.IP] = now
@@ -511,9 +491,9 @@ func (c *Crawler) noteEmpty(st *torrentState) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.empty++
-	if st.empty >= c.cfg.EmptyToStop*c.cfg.Vantages && !st.stopped {
+	if st.empty >= emptyToStop*c.cfg.Vantages && !st.stopped {
 		// Each vantage contributes replies; stop after the equivalent of
-		// EmptyToStop empty rounds across the aggregate.
+		// emptyToStop empty rounds across the aggregate.
 		st.stopped = true
 		c.ctr.monitoringStopped.Add(1)
 	}

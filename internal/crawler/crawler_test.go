@@ -12,25 +12,17 @@ import (
 
 	"btpub/internal/metainfo"
 	"btpub/internal/portal"
+	"btpub/internal/sessions"
 	"btpub/internal/simclock"
 	"btpub/internal/swarm"
 	"btpub/internal/tracker"
 )
 
+// TestConfigDefaults: the dedup window must stay below the session
+// gap, or thinning would merge what stitching keeps apart.
 func TestConfigDefaults(t *testing.T) {
-	var c Config
-	c.setDefaults()
-	if c.RSSPoll != 10*time.Minute || c.QueryInterval != 15*time.Minute {
-		t.Fatalf("poll/query defaults = %v/%v", c.RSSPoll, c.QueryInterval)
-	}
-	if c.Vantages != 3 || c.EmptyToStop != 10 || c.NumWant != 200 {
-		t.Fatalf("defaults = %+v", c)
-	}
-	if c.IdentifyMaxPeers != 20 {
-		t.Fatalf("IdentifyMaxPeers = %d, want the paper's 20", c.IdentifyMaxPeers)
-	}
-	if c.DedupWindow <= 0 || c.DedupWindow >= 4*time.Hour {
-		t.Fatalf("DedupWindow = %v must stay far below the 4h session gap", c.DedupWindow)
+	if gap := sessions.PaperThreshold(); dedupWindow >= gap {
+		t.Fatalf("dedupWindow = %v must stay below the %v session gap", dedupWindow, gap)
 	}
 }
 

@@ -28,21 +28,6 @@ func (d *SimDriver) Schedule(at time.Time, fn func(now time.Time)) {
 	d.Sim.Schedule(at, fn)
 }
 
-// RealDriver runs the crawler in real time (network mode).
-type RealDriver struct{}
-
-// Now implements Driver.
-func (RealDriver) Now() time.Time { return time.Now() }
-
-// Schedule implements Driver.
-func (RealDriver) Schedule(at time.Time, fn func(now time.Time)) {
-	d := time.Until(at)
-	if d < 0 {
-		d = 0
-	}
-	time.AfterFunc(d, func() { fn(time.Now()) })
-}
-
 // InProcessPortal adapts a *portal.Portal without sockets. The rendering
 // and scraping codepaths are still exercised: the feed is generated as XML
 // and parsed back, pages are rendered to HTML and scraped. Because the
@@ -51,10 +36,6 @@ func (RealDriver) Schedule(at time.Time, fn func(now time.Time)) {
 // happens when the index actually changed.
 type InProcessPortal struct {
 	P *portal.Portal
-	// BaseURL appears in generated links (default "http://portal.sim").
-	BaseURL string
-	// Window is the RSS window size (default portal.DefaultRSSWindow).
-	Window int
 
 	mu       sync.Mutex
 	cacheRev uint64
@@ -62,12 +43,9 @@ type InProcessPortal struct {
 	cached   []portal.FeedItem
 }
 
-func (c *InProcessPortal) base() string {
-	if c.BaseURL == "" {
-		return "http://portal.sim"
-	}
-	return c.BaseURL
-}
+// SimPortalURL is the root of every link an InProcessPortal's feed
+// carries, and so of the page URLs its FinalSweep callers build.
+const SimPortalURL = "http://portal.sim"
 
 // FetchRSS implements PortalClient. Callers must not mutate the returned
 // items (the crawler copies each item it processes).
@@ -80,11 +58,7 @@ func (c *InProcessPortal) FetchRSS(context.Context) ([]portal.FeedItem, error) {
 		return items, nil
 	}
 	c.mu.Unlock()
-	w := c.Window
-	if w <= 0 {
-		w = portal.DefaultRSSWindow
-	}
-	raw, err := c.P.RSS(c.base(), w)
+	raw, err := c.P.RSS(SimPortalURL, portal.DefaultRSSWindow)
 	if err != nil {
 		return nil, err
 	}

@@ -41,16 +41,9 @@ type Config struct {
 	Clock *simclock.Sim
 	// TrackerURL is the announce URL embedded in .torrent files.
 	TrackerURL string
-	// PortalName labels the portal ("SimBay" by default).
-	PortalName string
 	// Seed decorrelates ecosystem randomness (consumer draws, sampling)
 	// from the world generation.
 	Seed uint64
-	// NATFraction of consumers is unreachable for wire probes (default 0.35).
-	NATFraction float64
-	// DrainDays extends swarm life past the campaign so late torrents
-	// still develop (default 10).
-	DrainDays int
 	// ShardIndex/ShardCount restrict this ecosystem to one shard of the
 	// world: only publishers with ID % ShardCount == ShardIndex (and their
 	// torrents) exist here. Sharding by publisher keeps each publisher's
@@ -64,6 +57,17 @@ type Config struct {
 	// redo (and hold) N copies of the same plan.
 	Consumption map[int][]ConsumptionEvent
 }
+
+// The simulated world's fixed settings.
+const (
+	// portalName labels the portal.
+	portalName = "SimBay"
+	// natFraction of consumers is unreachable for wire probes.
+	natFraction = 0.35
+	// drainDays extends swarm life past the campaign so late torrents
+	// still develop.
+	drainDays = 10
+)
 
 // ownsPublisher reports whether this ecosystem's shard includes pubID.
 func (c *Config) ownsPublisher(pubID int) bool {
@@ -117,16 +121,7 @@ func New(cfg Config) (*Ecosystem, error) {
 	if cfg.TrackerURL == "" {
 		cfg.TrackerURL = "http://tracker.sim/announce"
 	}
-	if cfg.PortalName == "" {
-		cfg.PortalName = "SimBay"
-	}
-	if cfg.NATFraction == 0 {
-		cfg.NATFraction = 0.35
-	}
-	if cfg.DrainDays == 0 {
-		cfg.DrainDays = 10
-	}
-	p, err := portal.New(cfg.PortalName, cfg.Clock)
+	p, err := portal.New(portalName, cfg.Clock)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +133,7 @@ func New(cfg Config) (*Ecosystem, error) {
 		swarms: map[metainfo.Hash]*swarmState{},
 		byID:   map[int]*swarmState{},
 	}
-	e.pool = newConsumerPool(cfg.DB, cfg.NATFraction)
+	e.pool = newConsumerPool(cfg.DB)
 
 	// Register portal accounts with their pre-campaign history (owned
 	// publishers only: a sharded portal serves exactly its shard's feed and
@@ -225,7 +220,7 @@ func PlanConsumption(w *population.World, seed uint64) map[int][]ConsumptionEven
 	if n == 0 {
 		return out
 	}
-	days := float64(w.Params.CampaignDays)
+	days := float64(population.CampaignDays)
 	for _, pub := range w.Publishers {
 		if pub.ConsumeRate <= 0 {
 			continue
@@ -271,7 +266,7 @@ func (e *Ecosystem) publish(tor *population.Torrent, pl *planner, cons []Consump
 	}
 
 	horizon := e.cfg.World.Start.
-		Add(time.Duration(e.cfg.World.Params.CampaignDays+e.cfg.DrainDays) * 24 * time.Hour).
+		Add(time.Duration(population.CampaignDays+drainDays) * 24 * time.Hour).
 		Sub(now)
 	if horizon < 24*time.Hour {
 		horizon = 24 * time.Hour
@@ -316,7 +311,7 @@ func (e *Ecosystem) publish(tor *population.Torrent, pl *planner, cons []Consump
 		Removed:          removal,
 		Fake:             tor.Fake,
 		ContentSizeBytes: tor.SizeBytes,
-		NATFraction:      e.cfg.NATFraction,
+		NATFraction:      natFraction,
 		SeedProb:         0.5,
 		MeanSeedHours:    6,
 		AbortProb:        0.15,
@@ -507,11 +502,10 @@ type consumerPool struct {
 	db      *geoip.DB
 	isps    []string
 	weights []float64
-	nat     float64
 }
 
-func newConsumerPool(db *geoip.DB, natFraction float64) *consumerPool {
-	cp := &consumerPool{db: db, nat: natFraction}
+func newConsumerPool(db *geoip.DB) *consumerPool {
+	cp := &consumerPool{db: db}
 	for _, name := range db.ISPNames() {
 		isp := db.ISPByName(name)
 		if isp.Type != geoip.Commercial {
@@ -533,7 +527,7 @@ func (cp *consumerPool) DrawConsumer(s *rng.Stream) (netip.Addr, bool) {
 		// The registry is static; failure here is a programming error.
 		panic("ecosystem: draw consumer: " + err.Error())
 	}
-	return addr, s.Bool(cp.nat)
+	return addr, s.Bool(natFraction)
 }
 
 // ---------------------------------------------------------------------

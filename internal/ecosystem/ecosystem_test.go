@@ -123,8 +123,9 @@ func TestSnapshotClampsBackwardsTime(t *testing.T) {
 	if _, _, _, err := e.Snapshot(entry.InfoHash, now, 10); err != nil {
 		t.Fatal(err)
 	}
-	// A request stamped slightly in the past must not error (network mode
-	// concurrency) — it is served at the swarm's latest time.
+	// A request stamped slightly in the past must not error (over real
+	// sockets, HTTP handlers race the Pump) — it is served at the
+	// swarm's latest time.
 	if _, _, _, err := e.Snapshot(entry.InfoHash, now.Add(-time.Hour), 10); err != nil {
 		t.Fatalf("backwards snapshot: %v", err)
 	}

@@ -95,8 +95,8 @@ var _ Prober = (*GatewayProber)(nil)
 
 // Pump advances the simulation clock in real time: every tick the clock
 // jumps forward by speedup × elapsed wall time, firing publication and
-// moderation events. Returns a stop function. Used by network mode, where
-// remote crawlers live in wall-clock time.
+// moderation events. Returns a stop function. Used where the world is
+// served over real sockets (examples/livecrawl, btpub-ecosystem).
 func (e *Ecosystem) Pump(speedup float64, tick time.Duration) (stop func()) {
 	if tick <= 0 {
 		tick = 100 * time.Millisecond

@@ -1,7 +1,7 @@
 // Package lint is btpub's custom analyzer suite: it mechanizes the
 // invariants the repo otherwise enforces only by convention and by
 // after-the-fact tests. See doc.go for the catalogue of analyzers and
-// cmd/btpub-vet for the driver (standalone or via go vet -vettool).
+// cmd/btpub-vet for the driver.
 package lint
 
 import (
@@ -9,7 +9,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -88,11 +87,9 @@ func ByName(name string) *Analyzer {
 }
 
 // Check runs every in-scope analyzer of the suite over the package and
-// returns the findings sorted by position. Findings in _test.go files
-// are dropped: every invariant in the suite is about production code
-// (tests may pin wall clocks, own root contexts, or poke the real FS at
-// will), and test files only reach an analyzer under go vet -vettool,
-// which feeds test variants the standalone loader never lists.
+// returns the findings sorted by position. Test files never reach it:
+// every invariant in the suite is about production code, and the loader
+// never lists _test.go files.
 func Check(pkg *Package, analyzers []*Analyzer) []Finding {
 	var out []Finding
 	for _, a := range analyzers {
@@ -109,9 +106,6 @@ func Check(pkg *Package, analyzers []*Analyzer) []Finding {
 		}
 		a.Run(pass)
 	}
-	out = slices.DeleteFunc(out, func(f Finding) bool {
-		return strings.HasSuffix(f.Pos.Filename, "_test.go")
-	})
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {

@@ -6,7 +6,7 @@ import (
 	"path/filepath"
 )
 
-// RunResult is the outcome of a standalone suite run.
+// RunResult is the outcome of a suite run.
 type RunResult struct {
 	// Findings are the unsuppressed diagnostics, with filenames
 	// rewritten slash-separated and module-relative.
@@ -25,8 +25,8 @@ type RunResult struct {
 func (r *RunResult) Ok() bool { return len(r.Findings) == 0 && len(r.Stale) == 0 }
 
 // Run loads the patterns from dir (""=cwd), applies the whole suite,
-// and filters through the allowlist file (""=none). It is the
-// standalone btpub-vet engine, callable from tests.
+// and filters through the allowlist file (""=none). It is the btpub-vet
+// engine, callable from tests.
 func Run(dir string, patterns []string, allowFile string) (*RunResult, error) {
 	loader := NewLoader(dir)
 	pkgs, err := loader.Load(patterns...)

@@ -14,41 +14,52 @@ import (
 
 func mathExp(x float64) float64 { return math.Exp(x) }
 
-// Params are the generative knobs. Defaults reproduce the pb10 campaign
-// shape; Scale shrinks the universe proportionally for tests and benches.
+// CampaignDays is the length of the pb10 campaign the world spans.
+const CampaignDays = 30
+
+// The pb10 calibration: world size, class shares and entity counts.
+const (
+	// totalTorrents at Scale = 1.0 (pb10 observed 38.4K torrents).
+	totalTorrents = 38400
+
+	// Class shares of published content (the remainder goes to regular
+	// publishers). Calibrated to Sections 3.3 and 5.1.
+	fakeContentShare     = 0.30
+	portalContentShare   = 0.18
+	webContentShare      = 0.08
+	altruistContentShare = 0.115
+
+	// Entity counts at Scale = 1.0.
+	fakeEntities  = 20   // agencies/malware operations
+	portalCount   = 22   // top portal publishers
+	webCount      = 20   // top web publishers
+	altruistCount = 44   // top altruistic publishers
+	regularCount  = 2900 // regular publishers
+	fakeUsernames = 1030 // across all fake entities
+
+	// ovhShareOfHosted is the fraction of hosted top publishers at OVH
+	// (paper: >50 %).
+	ovhShareOfHosted = 0.55
+)
+
+// hostedTopShare is the fraction of top publishers on hosting providers
+// (paper: 42 %). It is a var, not a const: drawTopIPPlan subtracts 0.34
+// from it, and the exact constant arithmetic (0.08) differs from the
+// float64 runtime result (0.07999999999999996) the calibrated worlds
+// were generated with.
+var hostedTopShare = 0.42
+
+// Params are the generative knobs callers vary. DefaultParams fills in
+// the pb10 values; Scale shrinks the universe proportionally for tests
+// and benches.
 type Params struct {
 	Seed  uint64
 	Scale float64 // 1.0 = full pb10 size
 
-	CampaignDays int
-
-	// TotalTorrents at Scale = 1.0 (pb10 observed 38.4K torrents).
-	TotalTorrents int
-
-	// Class shares of published content (must sum to <= 1; the remainder
-	// goes to regular publishers). Calibrated to Sections 3.3 and 5.1.
-	FakeContentShare     float64 // 0.30
-	PortalContentShare   float64 // 0.18
-	WebContentShare      float64 // 0.08
-	AltruistContentShare float64 // 0.115
-
-	// Entity counts at Scale = 1.0.
-	FakeEntities  int // ~20 agencies/malware operations
-	PortalCount   int // 22
-	WebCount      int // 20
-	AltruistCount int // 44
-	RegularCount  int // 2900
-	FakeUsernames int // ~1030 across all fake entities
 	// MeanDownloads is the target mean number of downloader arrivals per
 	// torrent over the campaign (sets absolute swarm sizes; the paper's
 	// pb10 implies ~700, which is expensive — tests use less).
 	MeanDownloads float64
-
-	// HostedTopShare is the fraction of top publishers on hosting
-	// providers (paper: 42 %), OVHShareOfHosted the fraction of those at
-	// OVH (paper: >50 %).
-	HostedTopShare   float64
-	OVHShareOfHosted float64
 
 	// Scenarios switches on adversarial publisher behaviour profiles
 	// (zero = the cooperative base world). Scenario draws come from their
@@ -64,23 +75,9 @@ func DefaultParams(scale float64) Params {
 		scale = 0.01
 	}
 	return Params{
-		Seed:                 1007_2327, // arXiv id of the paper
-		Scale:                scale,
-		CampaignDays:         30,
-		TotalTorrents:        38400,
-		FakeContentShare:     0.30,
-		PortalContentShare:   0.18,
-		WebContentShare:      0.08,
-		AltruistContentShare: 0.115,
-		FakeEntities:         20,
-		PortalCount:          22,
-		WebCount:             20,
-		AltruistCount:        44,
-		RegularCount:         2900,
-		FakeUsernames:        1030,
-		MeanDownloads:        140,
-		HostedTopShare:       0.42,
-		OVHShareOfHosted:     0.55,
+		Seed:          1007_2327, // arXiv id of the paper
+		Scale:         scale,
+		MeanDownloads: 140,
 	}
 }
 
@@ -208,14 +205,8 @@ func Generate(p Params, db *geoip.DB) (*World, error) {
 	if db == nil {
 		return nil, errors.New("population: nil geoip DB")
 	}
-	if p.CampaignDays <= 0 {
-		return nil, fmt.Errorf("population: CampaignDays = %d", p.CampaignDays)
-	}
 	if p.Scale <= 0 {
 		return nil, fmt.Errorf("population: Scale = %v", p.Scale)
-	}
-	if s := p.FakeContentShare + p.PortalContentShare + p.WebContentShare + p.AltruistContentShare; s >= 1 {
-		return nil, fmt.Errorf("population: class shares sum to %v >= 1", s)
 	}
 
 	root := rng.New(p.Seed, "population")
@@ -225,29 +216,29 @@ func Generate(p Params, db *geoip.DB) (*World, error) {
 	// the invariant behind the paper's ~11 uploads per throwaway account)
 	// rather than the entity headcount, so the fake seeding signature
 	// survives down-scaling.
-	fakePerEntity := float64(p.TotalTorrents) * p.FakeContentShare /
-		float64(p.FakeEntities) // ≈ 576 at the paper's numbers
-	nFake := int(math.Round(p.FakeContentShare * float64(p.TotalTorrents) * p.Scale / fakePerEntity))
+	fakePerEntity := float64(totalTorrents) * fakeContentShare /
+		float64(fakeEntities) // ≈ 576 at the paper's numbers
+	nFake := int(math.Round(fakeContentShare * float64(totalTorrents) * p.Scale / fakePerEntity))
 	if nFake < 1 {
 		nFake = 1
 	}
-	nPortal := scaled(p.PortalCount, p.Scale, 3)
-	nWeb := scaled(p.WebCount, p.Scale, 3)
-	nAlt := scaled(p.AltruistCount, p.Scale, 4)
-	nReg := scaled(p.RegularCount, p.Scale, 40)
-	nFakeUsers := scaled(p.FakeUsernames, p.Scale, 30)
+	nPortal := scaled(portalCount, p.Scale, 3)
+	nWeb := scaled(webCount, p.Scale, 3)
+	nAlt := scaled(altruistCount, p.Scale, 4)
+	nReg := scaled(regularCount, p.Scale, 40)
+	nFakeUsers := scaled(fakeUsernames, p.Scale, 30)
 
-	total := int(math.Round(float64(p.TotalTorrents) * p.Scale))
+	total := int(math.Round(float64(totalTorrents) * p.Scale))
 	if total < 100 {
 		total = 100
 	}
 	counts := map[Class]int{
 		FakeAntipiracy: 0, // filled below with FakeMalware
-		TopPortal:      int(math.Round(p.PortalContentShare * float64(total))),
-		TopWeb:         int(math.Round(p.WebContentShare * float64(total))),
-		TopAltruistic:  int(math.Round(p.AltruistContentShare * float64(total))),
+		TopPortal:      int(math.Round(portalContentShare * float64(total))),
+		TopWeb:         int(math.Round(webContentShare * float64(total))),
+		TopAltruistic:  int(math.Round(altruistContentShare * float64(total))),
 	}
-	fakeTotal := int(math.Round(p.FakeContentShare * float64(total)))
+	fakeTotal := int(math.Round(fakeContentShare * float64(total)))
 	regTotal := total - fakeTotal - counts[TopPortal] - counts[TopWeb] - counts[TopAltruistic]
 
 	// ---------------------------------------------------------------
@@ -310,7 +301,7 @@ func (g *generator) addPublisher(pub *Publisher, torrents int) {
 	}
 	g.plan[pub.ID] = torrents
 	if torrents > 0 {
-		pub.PubRate = float64(torrents) / float64(g.p.CampaignDays)
+		pub.PubRate = float64(torrents) / float64(CampaignDays)
 	}
 }
 
@@ -383,7 +374,7 @@ func (g *generator) makeFakeEntities(n, usernames, totalTorrents int) {
 			ConsumeRate: 0,
 			CatWeights:  catMix(class, true),
 		}
-		ensureSeedCapacity(pub, perEntity[i], g.p.CampaignDays)
+		ensureSeedCapacity(pub, perEntity[i], CampaignDays)
 		g.addPublisher(pub, perEntity[i])
 	}
 }
@@ -398,7 +389,7 @@ type topIPPlan struct {
 func (g *generator) drawTopIPPlan(s *rng.Stream) topIPPlan {
 	// Paper: 25 % single IP, 34 % hosting pool (5.7 IPs avg), 24 % dynamic
 	// single commercial ISP (13.8 avg), 16 % multi-homed (7.7 avg). Hosting
-	// total must come out at HostedTopShare (42 %), so the single-IP cases
+	// total must come out at hostedTopShare (42 %), so the single-IP cases
 	// split between hosting and commercial.
 	u := s.Float64()
 	switch {
@@ -409,8 +400,8 @@ func (g *generator) drawTopIPPlan(s *rng.Stream) topIPPlan {
 	case u < 0.34+0.24+0.16:
 		return topIPPlan{hosted: false, policy: IPMultiHome, nIPs: 5 + s.IntN(6)} // mean ~7.5
 	default:
-		// 26 % single-IP; hosting share tops up to HostedTopShare.
-		hostedNeeded := g.p.HostedTopShare - 0.34
+		// 26 % single-IP; hosting share tops up to hostedTopShare.
+		hostedNeeded := hostedTopShare - 0.34
 		hosted := s.Bool(hostedNeeded / 0.26)
 		return topIPPlan{hosted: hosted, policy: IPStatic, nIPs: 1}
 	}
@@ -422,7 +413,7 @@ func (g *generator) drawTopIPPlan(s *rng.Stream) topIPPlan {
 func (g *generator) pickHostingISP(s *rng.Stream) string {
 	seq := g.hostedSeq
 	g.hostedSeq++
-	if float64(seq%9) < g.p.OVHShareOfHosted*9 {
+	if float64(seq%9) < ovhShareOfHosted*9 {
 		return geoip.OVH
 	}
 	others := []string{geoip.Keyweb, geoip.NetDirect, geoip.NOC, geoip.SoftLayer}
@@ -573,13 +564,13 @@ func (g *generator) makeTopPublishers(class Class, n, totalTorrents int) {
 
 		// Historical activity for Table 4: the account has been publishing
 		// at a similar rate since creation.
-		rate := float64(perPub[i]) / float64(g.p.CampaignDays)
-		hist := rate * (lifetime - float64(g.p.CampaignDays)) * s.Uniform(0.6, 1.1)
+		rate := float64(perPub[i]) / float64(CampaignDays)
+		hist := rate * (lifetime - float64(CampaignDays)) * s.Uniform(0.6, 1.1)
 		if hist > 0 {
 			pub.HistoricalTorrents = int(hist)
 		}
 
-		ensureSeedCapacity(pub, perPub[i], g.p.CampaignDays)
+		ensureSeedCapacity(pub, perPub[i], CampaignDays)
 		g.addPublisher(pub, perPub[i])
 	}
 }
@@ -671,7 +662,7 @@ func (g *generator) makeSite(s *rng.Stream, username string, class Class, campai
 	}
 	// Expected daily downloader audience this publisher attracts: its
 	// publishing rate times the (above-average) popularity of its torrents.
-	audience := float64(campaignTorrents) / float64(g.p.CampaignDays) * g.p.MeanDownloads * 1.35
+	audience := float64(campaignTorrents) / float64(CampaignDays) * g.p.MeanDownloads * 1.35
 	organic := s.LogNormalMedian(15000, 1.8)
 	visits := organic + s.Uniform(0.10, 0.25)*audience
 	rpm := s.Uniform(1.8, 3.4) // USD per 1000 visits
@@ -748,7 +739,7 @@ func (g *generator) pickRegularISP(s *rng.Stream) string {
 // ---------------------------------------------------------------------
 
 func (g *generator) makeTorrents() error {
-	campaign := time.Duration(g.p.CampaignDays) * 24 * time.Hour
+	campaign := time.Duration(CampaignDays) * 24 * time.Hour
 	for _, pub := range g.w.Publishers {
 		count := g.plan[pub.ID]
 		if count == 0 {

@@ -73,7 +73,7 @@ func (g *generator) applyAliasing() {
 			DailyOnline:   24 * time.Hour,
 		}
 		pub.ConsumeRate = 0
-		ensureSeedCapacity(pub, g.plan[pub.ID], g.p.CampaignDays)
+		ensureSeedCapacity(pub, g.plan[pub.ID], CampaignDays)
 	}
 }
 
@@ -160,7 +160,7 @@ func (g *generator) addStickyFakes(total int) {
 	if k < 2 {
 		k = 2
 	}
-	campaign := time.Duration(g.p.CampaignDays) * 24 * time.Hour
+	campaign := time.Duration(CampaignDays) * 24 * time.Hour
 	for i := 0; i < k; i++ {
 		class := FakeAntipiracy
 		if i%2 == 1 {
@@ -192,7 +192,7 @@ func (g *generator) addStickyFakes(total int) {
 			},
 			CatWeights: catMix(class, true),
 		}
-		ensureSeedCapacity(pub, torrents, g.p.CampaignDays)
+		ensureSeedCapacity(pub, torrents, CampaignDays)
 		g.addPublisher(pub, torrents)
 	}
 }

@@ -214,13 +214,6 @@ func Run(res *campaign.Result) (*Report, error) {
 	return r, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Render produces the EXPERIMENTS.md body.
 func (r *Report) Render() string {
 	var b strings.Builder

@@ -15,8 +15,8 @@ import (
 	"btpub/internal/metainfo"
 )
 
-// Client announces to an HTTP tracker; it is what the crawler uses in
-// network mode.
+// Client announces to an HTTP tracker; it is what the crawler's
+// HTTPTracker uses over real sockets (examples/livecrawl).
 type Client struct {
 	// HTTP is the underlying client (http.DefaultClient when nil).
 	HTTP *http.Client

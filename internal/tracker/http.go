@@ -12,22 +12,19 @@ import (
 	"btpub/internal/metainfo"
 )
 
-// Handler exposes the tracker over HTTP at /announce and /scrape with the
-// standard BitTorrent query encoding.
+// Handler exposes the tracker over HTTP at /announce with the standard
+// BitTorrent query encoding.
 type Handler struct {
 	T *Tracker
 }
 
 // ServeHTTP implements http.Handler.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Path {
-	case "/announce":
-		h.serveAnnounce(w, r)
-	case "/scrape":
-		h.serveScrape(w, r)
-	default:
+	if r.URL.Path != "/announce" {
 		http.NotFound(w, r)
+		return
 	}
+	h.serveAnnounce(w, r)
 }
 
 func (h *Handler) serveAnnounce(w http.ResponseWriter, r *http.Request) {
@@ -53,43 +50,6 @@ func (h *Handler) serveAnnounce(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body, err := EncodeAnnounceResponse(resp, req.Compact)
-	if err != nil {
-		writeFailure(w, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=iso-8859-1")
-	_, _ = w.Write(body)
-}
-
-func (h *Handler) serveScrape(w http.ResponseWriter, r *http.Request) {
-	raw, err := splitQueryValues(r.URL.RawQuery, "info_hash")
-	if err != nil || len(raw) == 0 {
-		writeFailure(w, "scrape requires info_hash")
-		return
-	}
-	hashes := make([]metainfo.Hash, 0, len(raw))
-	for _, v := range raw {
-		ih, err := hashFromQuery(v)
-		if err != nil {
-			writeFailure(w, err.Error())
-			return
-		}
-		hashes = append(hashes, ih)
-	}
-	entries, err := h.T.Scrape(hashes)
-	if err != nil {
-		writeFailure(w, err.Error())
-		return
-	}
-	files := bencode.Dict{}
-	for ih, e := range entries {
-		files[string(ih[:])] = bencode.Dict{
-			"complete":   int64(e.Seeders),
-			"incomplete": int64(e.Leechers),
-			"downloaded": int64(0),
-		}
-	}
-	body, err := bencode.Marshal(bencode.Dict{"files": files})
 	if err != nil {
 		writeFailure(w, err.Error())
 		return

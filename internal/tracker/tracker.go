@@ -84,7 +84,7 @@ type PeerAddr struct {
 	Port uint16
 }
 
-// Tracker is the announce/scrape engine, independent of HTTP transport.
+// Tracker is the announce engine, independent of HTTP transport.
 type Tracker struct {
 	store Store
 	now   func() time.Time
@@ -159,32 +159,6 @@ func (t *Tracker) checkRate(req *AnnounceRequest, now time.Time) error {
 	}
 	t.last[key] = now
 	return nil
-}
-
-// ScrapeEntry is per-swarm scrape data.
-type ScrapeEntry struct {
-	Seeders  int
-	Leechers int
-}
-
-// Scrape returns counts for the requested hashes.
-func (t *Tracker) Scrape(hashes []metainfo.Hash) (map[metainfo.Hash]ScrapeEntry, error) {
-	if len(hashes) == 0 {
-		return nil, errors.New("tracker: scrape needs at least one info-hash")
-	}
-	now := t.now()
-	out := make(map[metainfo.Hash]ScrapeEntry, len(hashes))
-	for _, ih := range hashes {
-		_, s, l, err := t.store.Snapshot(ih, now, 0)
-		if err != nil {
-			if errors.Is(err, ErrUnknownSwarm) {
-				continue // scrape silently skips unknown hashes
-			}
-			return nil, err
-		}
-		out[ih] = ScrapeEntry{Seeders: s, Leechers: l}
-	}
-	return out, nil
 }
 
 // peerPort derives a stable synthetic listen port for a peer address.

@@ -160,25 +160,6 @@ func TestStoppedEventBypassesRateLimit(t *testing.T) {
 	}
 }
 
-func TestScrape(t *testing.T) {
-	st := &stubStore{ih: testHash(1), seeders: 2, leechers: 9}
-	tr, _ := newTestTracker(t, st)
-	out, err := tr.Scrape([]metainfo.Hash{testHash(1), testHash(9)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 {
-		t.Fatalf("scrape entries = %d, want 1 (unknown skipped)", len(out))
-	}
-	e := out[testHash(1)]
-	if e.Seeders != 2 || e.Leechers != 9 {
-		t.Fatalf("scrape = %+v", e)
-	}
-	if _, err := tr.Scrape(nil); err == nil {
-		t.Fatal("empty scrape accepted")
-	}
-}
-
 func TestCompactPeersRoundTrip(t *testing.T) {
 	in := []PeerAddr{
 		{netip.MustParseAddr("11.0.0.1"), 6881},
