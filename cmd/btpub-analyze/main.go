@@ -161,7 +161,8 @@ func loadDataset(ctx context.Context, in, lakeDir, imp string) (*dataset.Dataset
 			return nil, err
 		}
 		defer lk.Close()
-		return lk.Materialize(ctx, lake.Predicate{})
+		ds, _, err := lk.Materialize(ctx, lake.Predicate{})
+		return ds, err
 	case imp != "":
 		ds, err := dataset.Load(in)
 		if err != nil {
@@ -175,10 +176,17 @@ func loadDataset(ctx context.Context, in, lakeDir, imp string) (*dataset.Dataset
 		if err := lk.ImportDataset(ds); err != nil {
 			return nil, err
 		}
+		// Auto-compaction only ever follows a flush, so a server that just
+		// reads this lake would scan every import chunk forever: fold them
+		// here, as a settled lake would be.
+		if err := lk.Compact(); err != nil {
+			return nil, err
+		}
 		st := lk.Stats()
 		log.Printf("imported %s into lake %s: v%d, %d segments, %d observations, %d torrents total",
 			in, imp, st.Version, st.Segments, st.Observations, st.Torrents)
-		return lk.Materialize(ctx, lake.Predicate{})
+		ds, _, err = lk.Materialize(ctx, lake.Predicate{})
+		return ds, err
 	default:
 		return dataset.Load(in)
 	}

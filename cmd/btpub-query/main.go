@@ -211,8 +211,8 @@ func execute(ctx context.Context, q query.Query, lakeDir, remote string, timeout
 }
 
 // explainLocal plans the query against a local lake and prints the
-// plan: predicate order, segment pruning (zone maps vs the segments'
-// own postings), and the scan parallelism Execute would use.
+// plan: predicate order and segment pruning (zone maps vs the segments'
+// own postings).
 func explainLocal(ctx context.Context, q query.Query, lakeDir string, asJSON bool) error {
 	lk, err := lake.Open(lakeDir, lake.Options{})
 	if err != nil {
@@ -253,7 +253,6 @@ func explainLocal(ctx context.Context, q query.Query, lakeDir string, asJSON boo
 			fmt.Printf("    %s\n", f)
 		}
 	}
-	fmt.Printf("workers:         %d\n", pl.Workers)
 	return nil
 }
 

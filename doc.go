@@ -100,7 +100,7 @@
 // an older format is refused at Open, not migrated. Because the history
 // is on disk, any committed version can be served
 // again: Predicate.AsOf (query Filter.AsOf, btpub-query -as-of, "as_of"
-// on POST /api/v1/query) pins a scan and TorrentRecordsAsOf the
+// on POST /api/v1/query) pins a scan and TorrentRecords the
 // records, replaying a query reproducibly while ingest continues; unavailable
 // versions fail with a typed VersionUnavailableError, never a wrong
 // answer. Segments compress their columns stdlib-only — GCD-scaled
@@ -113,9 +113,9 @@
 // the free zone-map pass and opens only segments that contain the key;
 // an opened segment finds a wanted address by binary search. Scan
 // prunes segments on the journal's zone maps and those postings alone
-// and decodes survivors in parallel; a background compactor folds small
-// segments in the canonical Merge order while concurrent readers keep
-// their snapshot. Materialize canonicalises the
+// and decodes survivors in committed order on the caller's goroutine;
+// a background compactor folds small segments in the canonical Merge
+// order while concurrent readers keep their snapshot. Materialize canonicalises the
 // committed state back into a dataset.Dataset that is byte-identical to
 // the imported JSONL for any flush size and compaction history (golden
 // tests enforce this); btpub-analyze feeds it to the index-once
@@ -150,13 +150,10 @@
 // cheapest-column-first ordering of the row predicates (time, then
 // seeder bit, then torrent ID, then IP; each opened segment rewrites
 // the IP predicate into a bitset over its dictionary positions) — then
-// partitions the surviving segments across scan workers
-// (Lake.WithWorkers; default GOMAXPROCS), one collector per worker,
-// merged deterministically and finished under one total row order, so
-// results are byte-identical for every worker count. Lake.Explain
-// (btpub-query -explain) reports the plan — predicate order, per-stage
-// segment pruning, worker count — without executing. Grouped rows
-// order deterministically (OrderBy field, then key), paginate via
+// streams the surviving segments into one collector, finished under one
+// total row order. Lake.Explain (btpub-query -explain) reports the plan
+// — predicate order and per-stage segment pruning — without executing.
+// Grouped rows order deterministically (OrderBy field, then key), paginate via
 // opaque cursors signed against the query, and every invalid query
 // yields a structured *query.Error (FuzzQueryDecode holds the decoder
 // to that).
@@ -328,8 +325,8 @@
 // job), so
 // cheap failures never cost a race run: the test job runs the race
 // detector (including the lake's reader-during-compaction tests, the
-// sampled kill-point torture and the parallel-executor equivalence
-// gate), 15-second fuzz smokes of
+// sampled kill-point torture and the executor equivalence gate's as_of
+// pins under a concurrent writer), 15-second fuzz smokes of
 // every Fuzz* target — discovered by listing, seeded from the
 // checked-in corpora under each package's testdata/fuzz/ — and a
 // dirty-working-tree check; the bench-smoke job runs a 1x pass of the

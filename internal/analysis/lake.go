@@ -20,7 +20,7 @@ import (
 // narrows the view (zero Predicate = everything); topK <= 0 picks the
 // paper's 3 % rule, as in New.
 func NewFromLakeVersion(ctx context.Context, lk *lake.Lake, db *geoip.DB, pred lake.Predicate, topK int) (*Analysis, uint64, error) {
-	ds, v, err := lk.MaterializeVersion(ctx, pred)
+	ds, v, err := lk.Materialize(ctx, pred)
 	if err != nil {
 		return nil, 0, err
 	}

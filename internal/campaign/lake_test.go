@@ -43,7 +43,7 @@ func TestLakePersistence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mat, err := lk.Materialize(context.Background(), lake.Predicate{})
+			mat, _, err := lk.Materialize(context.Background(), lake.Predicate{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +75,7 @@ func TestLakeAccumulatesCampaigns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, err := lk.Materialize(context.Background(), lake.Predicate{})
+	mat, _, err := lk.Materialize(context.Background(), lake.Predicate{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -224,7 +224,7 @@ func TestMaintainerEquivalenceLive(t *testing.T) {
 
 	// After the full replay the lake must materialize the original
 	// dataset exactly, and the maintained snapshot must match it.
-	mat, err := lk.Materialize(ctx, lake.Predicate{})
+	mat, _, err := lk.Materialize(ctx, lake.Predicate{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -571,15 +571,3 @@ func (e *Ecosystem) PublishedSwarms() int {
 	defer e.mu.Unlock()
 	return len(e.swarms)
 }
-
-// TotalArrivals sums ground-truth downloader arrivals over all published
-// swarms (Table 1 scale validation).
-func (e *Ecosystem) TotalArrivals() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := 0
-	for _, st := range e.swarms {
-		n += st.sw.TotalArrivals()
-	}
-	return n
-}

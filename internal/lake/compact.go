@@ -95,23 +95,18 @@ func (lk *Lake) compact() error {
 	lk.scanMu.RLock()
 	merged := newBuilder()
 	st := &merged.store
-	ips := st.IPs()
 	for _, sm := range victims {
 		d, err := lk.readSegment(sm)
 		if err != nil {
 			lk.scanMu.RUnlock()
 			return fmt.Errorf("lake: compact: %w", err)
 		}
-		remap := make([]uint32, len(d.ips))
-		for i := range remap {
-			remap[i] = ips.InternString(d.ips[i])
-		}
-		for i := int32(0); i < int32(d.rows()); i++ {
-			st.AppendRaw(d.tids[i], remap[d.ipIdx[i]], d.atNs[i], d.seeder(i))
-			merged.zone.add(d.tids[i], d.atNs[i])
-		}
+		appendSegRows(st, d, nil)
 	}
 	lk.scanMu.RUnlock()
+	for i := 0; i < st.Len(); i++ {
+		merged.zone.add(int32(st.TorrentID(i)), st.UnixNano(i))
+	}
 	st.SortCanonical()
 
 	// Write the compacted segment, then commit the fold as one journal

@@ -195,9 +195,8 @@ func (lk *Lake) ReadAll(ctx context.Context) (*DiffData, error) {
 	return out, nil
 }
 
-// readIntoLocked loads meta files and segments into out, remapping each
-// segment's local intern indices into out's table once per distinct
-// address. Callers hold scanMu.R.
+// readIntoLocked loads meta files and segments into out, in the order
+// given. Callers hold scanMu.R.
 func (lk *Lake) readIntoLocked(ctx context.Context, meta []string, segs []segMeta, out *DiffData) error {
 	for _, f := range meta {
 		if err := ctx.Err(); err != nil {
@@ -210,7 +209,6 @@ func (lk *Lake) readIntoLocked(ctx context.Context, meta []string, segs []segMet
 		out.Torrents = append(out.Torrents, torrents...)
 		out.Users = append(out.Users, users...)
 	}
-	ips := out.Obs.IPs()
 	for _, sm := range segs {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -219,13 +217,7 @@ func (lk *Lake) readIntoLocked(ctx context.Context, meta []string, segs []segMet
 		if err != nil {
 			return err
 		}
-		remap := make([]uint32, len(seg.ips))
-		for i, ip := range seg.ips {
-			remap[i] = ips.InternString(ip)
-		}
-		for i := 0; i < seg.rows(); i++ {
-			out.Obs.AppendRaw(seg.tids[i], remap[seg.ipIdx[i]], seg.atNs[i], seg.seeder(int32(i)))
-		}
+		appendSegRows(&out.Obs, seg, nil)
 	}
 	return nil
 }

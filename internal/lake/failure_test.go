@@ -373,7 +373,7 @@ func TestConcurrentReadersDuringCompaction(t *testing.T) {
 					t.Errorf("reader %d: scan saw %d rows outside [%d, %d]", r, seen, floor, ceil)
 					return
 				}
-				if _, err := lk.Materialize(context.Background(), lake.Predicate{TorrentIDs: []int{0, 1}}); err != nil {
+				if _, _, err := lk.Materialize(context.Background(), lake.Predicate{TorrentIDs: []int{0, 1}}); err != nil {
 					t.Errorf("reader %d materialize: %v", r, err)
 					return
 				}

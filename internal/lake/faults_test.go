@@ -127,15 +127,15 @@ func faultWorkload(fsys vfs.FS, record func(*lake.Lake)) error {
 	note()
 
 	// Query stage: a point lookup (reads segment postings) and a
-	// time-window scan. Single worker keeps the read order deterministic.
+	// time-window scan, each reading its segments in committed order.
 	ctx := context.Background()
 	point := lake.Predicate{IPs: []string{faultObs(5).IP}}
-	if err := lk.ScanWorkers(ctx, point, 1, func(int, *lake.Batch) error { return nil }); err != nil {
+	if err := lk.Scan(ctx, point, func(*lake.Batch) error { return nil }); err != nil {
 		return err
 	}
 	t0 := faultObs(0).At
 	window := lake.Predicate{MinTime: t0.Add(30 * time.Second), MaxTime: t0.Add(200 * time.Second), TorrentIDs: []int{1, 3}}
-	if err := lk.ScanWorkers(ctx, window, 1, func(int, *lake.Batch) error { return nil }); err != nil {
+	if err := lk.Scan(ctx, window, func(*lake.Batch) error { return nil }); err != nil {
 		return err
 	}
 
@@ -227,7 +227,7 @@ func checkRecovered(t *testing.T, desc string, fsys vfs.FS, committed map[int64]
 		seeder bool
 	}
 	var rows []row
-	err = lk.ScanWorkers(context.Background(), lake.Predicate{}, 1, func(_ int, b *lake.Batch) error {
+	err = lk.Scan(context.Background(), lake.Predicate{}, func(b *lake.Batch) error {
 		for i := 0; i < b.Len(); i++ {
 			rows = append(rows, row{b.UnixNano(i), b.TorrentID(i), b.IP(i), b.Seeder(i)})
 		}
@@ -247,7 +247,7 @@ func checkRecovered(t *testing.T, desc string, fsys vfs.FS, committed map[int64]
 		}
 	}
 	// Torrent records commit atomically with the first flush: all or none.
-	recs, _, err := lk.TorrentRecords()
+	recs, _, err := lk.TorrentRecords(0)
 	if err != nil {
 		t.Fatalf("%s: TorrentRecords after crash: %v", desc, err)
 	}

@@ -10,10 +10,10 @@
 // flush, import, compaction or salvage appends one fsynced, CRC- and
 // chain-protected record, Open replays the journal to head (periodic
 // checkpoint records bound replay cost), and any committed version
-// remains addressable — Predicate.AsOf and TorrentRecordsAsOf pin reads
-// to historical states while ingest continues. Readers scan committed
-// segments in parallel with predicate pushdown (see scan.go) while a
-// compactor folds small segments together in canonical Merge order (see
+// remains addressable — Predicate.AsOf and TorrentRecords pin reads to
+// historical states while ingest continues. Readers scan committed
+// segments with predicate pushdown (see scan.go) while a compactor
+// folds small segments together in canonical Merge order (see
 // compact.go), committing each fold as a retire+add record. One process
 // owns a lake directory at a time; within that process every method is
 // safe for concurrent use.
@@ -731,19 +731,13 @@ func (lk *Lake) ImportDataset(ds *dataset.Dataset) error {
 // Materialize reads the committed lake back into one in-memory dataset:
 // meta records plus every observation matching pred, canonicalised by
 // dataset.Merge so the result is independent of segment boundaries,
-// flush sizes and compaction history. With a zero Predicate and a lake
-// holding exactly one imported canonical dataset, the result is that
-// dataset, byte for byte.
-func (lk *Lake) Materialize(ctx context.Context, pred Predicate) (*dataset.Dataset, error) {
-	ds, _, err := lk.MaterializeVersion(ctx, pred)
-	return ds, err
-}
-
-// MaterializeVersion is Materialize plus the committed manifest version
-// the scan actually used — the exact staleness stamp for caches built
-// over the result. Reading Version() separately around the call can be
-// off by any commits that land in between.
-func (lk *Lake) MaterializeVersion(ctx context.Context, pred Predicate) (*dataset.Dataset, uint64, error) {
+// flush sizes and compaction history. It also returns the committed
+// version the scan used — the exact staleness stamp for caches built
+// over the result; reading Version() separately around the call can be
+// off by any commits that land in between. With a zero Predicate and a
+// lake holding exactly one imported canonical dataset, the result is
+// that dataset, byte for byte.
+func (lk *Lake) Materialize(ctx context.Context, pred Predicate) (*dataset.Dataset, uint64, error) {
 	lk.scanMu.RLock()
 	defer lk.scanMu.RUnlock()
 	man, err := lk.pinned(pred.AsOf)
@@ -771,15 +765,8 @@ func (lk *Lake) MaterializeVersion(ctx context.Context, pred Predicate) (*datase
 	}
 	raw.Users = users
 
-	var mu sync.Mutex
-	err = lk.scanManifest(ctx, man, pred, 0, func(_ int, b *Batch) error {
-		mu.Lock()
-		defer mu.Unlock()
-		store := &raw.Obs
-		ips := store.IPs()
-		for k := 0; k < b.Len(); k++ {
-			store.AppendRaw(int32(b.TorrentID(k)), ips.InternString(b.IP(k)), b.UnixNano(k), b.Seeder(k))
-		}
+	err = lk.scanManifest(ctx, man, pred, func(b *Batch) error {
+		appendSegRows(&raw.Obs, b.seg, b.rows)
 		return nil
 	})
 	if err != nil {
@@ -791,16 +778,32 @@ func (lk *Lake) MaterializeVersion(ctx context.Context, pred Predicate) (*datase
 	return out, man.Version, nil
 }
 
-// TorrentRecords reads every committed torrent record (and user records)
-// from the lake's meta files.
-func (lk *Lake) TorrentRecords() ([]*dataset.TorrentRecord, []dataset.UserRecord, error) {
-	return lk.TorrentRecordsAsOf(0)
+// appendSegRows copies a decoded segment's rows — the listed ones, or
+// all of them when rows is nil — into dst, remapping the segment's IP
+// dictionary into dst's intern table once per segment, not once per row.
+func appendSegRows(dst *dataset.ObsStore, d *segData, rows []int32) {
+	ips := dst.IPs()
+	remap := make([]uint32, len(d.ips))
+	for i, ip := range d.ips {
+		remap[i] = ips.InternString(ip)
+	}
+	add := func(i int32) { dst.AppendRaw(d.tids[i], remap[d.ipIdx[i]], d.atNs[i], d.seeder(i)) }
+	if rows == nil {
+		for i := int32(0); i < int32(d.rows()); i++ {
+			add(i)
+		}
+		return
+	}
+	for _, i := range rows {
+		add(i)
+	}
 }
 
-// TorrentRecordsAsOf is TorrentRecords against the state committed at
-// version (0 = head): records committed after that version are absent,
-// exactly as a reader at the time would have seen the lake.
-func (lk *Lake) TorrentRecordsAsOf(version uint64) ([]*dataset.TorrentRecord, []dataset.UserRecord, error) {
+// TorrentRecords reads the torrent (and user) records committed at
+// version (0 = head) from the lake's meta files: records committed after
+// that version are absent, exactly as a reader at the time would have
+// seen the lake.
+func (lk *Lake) TorrentRecords(version uint64) ([]*dataset.TorrentRecord, []dataset.UserRecord, error) {
 	lk.scanMu.RLock()
 	defer lk.scanMu.RUnlock()
 	man, err := lk.pinned(version)

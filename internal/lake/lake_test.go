@@ -93,7 +93,7 @@ func TestImportMaterializeByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer lk.Close()
-			mat, err := lk.Materialize(ctx, lake.Predicate{})
+			mat, _, err := lk.Materialize(ctx, lake.Predicate{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestImportMaterializeByteIdentical(t *testing.T) {
 			if err := lk.Compact(); err != nil {
 				t.Fatal(err)
 			}
-			mat, err = lk.Materialize(ctx, lake.Predicate{})
+			mat, _, err = lk.Materialize(ctx, lake.Predicate{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,7 +192,7 @@ func TestIncrementalImportOffsets(t *testing.T) {
 	if st.Torrents != 8 || st.Observations != 8 {
 		t.Fatalf("stats = %+v, want 8 torrents / 8 observations", st)
 	}
-	mat, err := lk.Materialize(context.Background(), lake.Predicate{})
+	mat, _, err := lk.Materialize(context.Background(), lake.Predicate{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,10 +241,10 @@ func TestZoneMapSkip(t *testing.T) {
 		MinTime:    t0.Add(time.Duration(total-20_000) * time.Second),
 		TorrentIDs: []int{1, 2, 3},
 	}
-	var matched atomic.Int64 // Scan calls back from several goroutines
+	matched := 0
 	before := lk.Stats()
 	err = lk.Scan(context.Background(), pred, func(b *lake.Batch) error {
-		matched.Add(int64(b.Len()))
+		matched += b.Len()
 		return nil
 	})
 	if err != nil {
@@ -270,8 +270,8 @@ func TestZoneMapSkip(t *testing.T) {
 			want++
 		}
 	}
-	if got := int(matched.Load()); got != want {
-		t.Fatalf("matched %d rows, want %d", got, want)
+	if matched != want {
+		t.Fatalf("matched %d rows, want %d", matched, want)
 	}
 
 }
@@ -416,6 +416,60 @@ func TestSeederPushdown(t *testing.T) {
 	}
 	if n != 10 {
 		t.Fatalf("seeder rows = %d, want 10", n)
+	}
+}
+
+// TestScanSequential: Scan runs its callback on the caller's goroutine,
+// one batch at a time — a call never overlaps another — and hands the
+// segments over in commit order, so on a lake written in time order
+// each batch starts no earlier than the previous one ended.
+func TestScanSequential(t *testing.T) {
+	t0 := time.Date(2010, 4, 6, 0, 0, 0, 0, time.UTC)
+	lk, err := lake.Open(filepath.Join(t.TempDir(), "lake"), lake.Options{FlushRows: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lk.Close()
+	const segs = 16
+	for i := 0; i < segs*256; i++ {
+		if err := lk.Append(dataset.Observation{
+			TorrentID: i % 50,
+			IP:        fmt.Sprintf("10.0.%d.%d", i/250, i%250),
+			At:        t0.Add(time.Duration(i) * time.Second),
+			Seeder:    i%7 == 0,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lk.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := lk.Stats(); st.Segments != segs {
+		t.Fatalf("segments = %d, want %d", st.Segments, segs)
+	}
+	var inFlight atomic.Int32
+	batches, rows := 0, 0
+	prevLast := t0.UnixNano()
+	err = lk.Scan(context.Background(), lake.Predicate{}, func(b *lake.Batch) error {
+		defer inFlight.Add(-1)
+		if n := inFlight.Add(1); n != 1 {
+			t.Errorf("batch %d entered with %d callbacks in flight", batches, n)
+		}
+		// Hold the batch long enough that an overlapping call would land.
+		time.Sleep(time.Millisecond)
+		if first := b.UnixNano(0); first < prevLast {
+			t.Errorf("batch %d starts at %d, before the previous batch's last row %d", batches, first, prevLast)
+		}
+		prevLast = b.UnixNano(b.Len() - 1)
+		batches++
+		rows += b.Len()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batches != segs || rows != segs*256 {
+		t.Fatalf("scan delivered %d batches, %d rows; want %d, %d", batches, rows, segs, segs*256)
 	}
 }
 

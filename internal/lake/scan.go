@@ -1,6 +1,6 @@
-// Planned, parallel predicate scans over committed segments. A scan is
-// executed in three stages. First the planner prunes on metadata alone:
-// the manifest's zone maps (time range, torrent-ID range) cost nothing to
+// Planned predicate scans over committed segments. A scan is executed
+// in three stages. First the planner prunes on metadata alone: the
+// manifest's zone maps (time range, torrent-ID range) cost nothing to
 // consult, and the segments they admit are then held against their
 // postings — the segment's own sorted address and torrent-ID
 // dictionaries, memoized per immutable file — which prove membership
@@ -12,17 +12,14 @@
 // zone map already proves is elided, and IP predicates are rewritten to
 // the segment's dictionary positions (a binary search per wanted
 // address) so the per-row test is an integer bitset probe, not a string
-// compare. Third, surviving segments are decoded and filtered by a
-// bounded worker pool; ScanWorkers exposes the worker identity so
-// callers can keep per-worker state lock-free.
+// compare. Third, surviving segments are decoded and filtered one after
+// another, in committed order, on the caller's goroutine.
 package lake
 
 import (
 	"context"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 	"time"
 )
 
@@ -247,9 +244,6 @@ func (b *Batch) IP(k int) string { return b.seg.ips[b.seg.ipIdx[b.rows[k]]] }
 // UnixNano returns match k's timestamp in unix nanoseconds.
 func (b *Batch) UnixNano(k int) int64 { return b.seg.atNs[b.rows[k]] }
 
-// Time returns match k's timestamp (UTC instant).
-func (b *Batch) Time(k int) time.Time { return time.Unix(0, b.seg.atNs[b.rows[k]]).UTC() }
-
 // Seeder reports match k's seeder flag.
 func (b *Batch) Seeder(k int) bool { return b.seg.seeder(b.rows[k]) }
 
@@ -329,96 +323,45 @@ func (lk *Lake) PlanScan(pred Predicate) (ScanPlan, error) {
 	return out, nil
 }
 
-// Scan streams every committed observation matching pred to fn, reading
-// surviving segments in parallel. fn may be called concurrently from
-// several goroutines and must be safe for that; returning an error (or a
-// context cancellation) stops the scan. The scan sees the manifest
+// Scan streams every committed observation matching pred to fn, one
+// batch per segment with matches. fn runs on the caller's goroutine, one
+// batch at a time, in the manifest's segment order; returning an error
+// (or a context cancellation) stops the scan. The scan sees the manifest
 // committed at call time — segments sealed afterwards are not included,
 // and compaction can never yank a file out from under an active scan.
 func (lk *Lake) Scan(ctx context.Context, pred Predicate, fn func(*Batch) error) error {
-	return lk.ScanWorkers(ctx, pred, 0, func(_ int, b *Batch) error { return fn(b) })
-}
-
-// ScanWorkers is Scan with explicit scan parallelism and worker
-// identity: segments are partitioned across `workers` goroutines
-// (0 = GOMAXPROCS) and fn is invoked as fn(worker, batch) with
-// 0 <= worker < workers, at most one call per worker at a time — so a
-// caller can keep per-worker aggregation state without any locking.
-func (lk *Lake) ScanWorkers(ctx context.Context, pred Predicate, workers int, fn func(worker int, b *Batch) error) error {
 	lk.scanMu.RLock()
 	defer lk.scanMu.RUnlock()
 	man, err := lk.pinned(pred.AsOf)
 	if err != nil {
 		return err
 	}
-	return lk.scanManifest(ctx, man, pred, workers, fn)
+	return lk.scanManifest(ctx, man, pred, fn)
 }
 
 // scanManifest runs the planned scan over an already-snapshotted
 // manifest. Callers hold scanMu.R.
-func (lk *Lake) scanManifest(ctx context.Context, man *manifest, pred Predicate, workers int, fn func(int, *Batch) error) error {
+func (lk *Lake) scanManifest(ctx context.Context, man *manifest, pred Predicate, fn func(*Batch) error) error {
 	c := pred.compile()
 	plan := lk.planManifest(man, &c)
 	lk.segsSkipped.Add(int64(plan.prunedZone))
 	lk.segsSkippedIdx.Add(int64(plan.prunedIdx))
-	if len(plan.candidates) == 0 {
-		return ctx.Err()
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(plan.candidates) {
-		workers = len(plan.candidates)
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		firstEr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() { firstEr = err; cancel() })
-	}
-	jobs := make(chan segMeta)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for sm := range jobs {
-				if ctx.Err() != nil {
-					return
-				}
-				d, err := lk.readSegment(sm)
-				if err != nil {
-					fail(err)
-					return
-				}
-				lk.segsRead.Add(1)
-				rows := c.matchRows(d, c.segOrder(sm.zone))
-				if len(rows) == 0 {
-					continue
-				}
-				if err := fn(w, &Batch{seg: d, rows: rows}); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}(w)
-	}
 	for _, sm := range plan.candidates {
-		select {
-		case jobs <- sm:
-		case <-ctx.Done():
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		if ctx.Err() != nil {
-			break
+		d, err := lk.readSegment(sm)
+		if err != nil {
+			return err
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstEr != nil {
-		return firstEr
+		lk.segsRead.Add(1)
+		rows := c.matchRows(d, c.segOrder(sm.zone))
+		if len(rows) == 0 {
+			continue
+		}
+		if err := fn(&Batch{seg: d, rows: rows}); err != nil {
+			return err
+		}
 	}
 	return ctx.Err()
 }

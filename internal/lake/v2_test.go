@@ -104,7 +104,7 @@ func countRowsErr(lk *Lake, pred Predicate) error {
 	return lk.Scan(context.Background(), pred, func(b *Batch) error { return nil })
 }
 
-// TestTimeTravel: Predicate.AsOf and TorrentRecordsAsOf pin reads to a
+// TestTimeTravel: Predicate.AsOf and TorrentRecords pin reads to a
 // committed version while ingest continues; as_of head is identical to
 // unpinned; unavailable versions fail typed; compaction vacuums pinned
 // history unless Retain keeps it.
@@ -118,7 +118,7 @@ func TestTimeTravel(t *testing.T) {
 	defer lk.Close()
 	fillLake(t, lk, 0, 500)
 	pin := lk.Version()
-	pinned, err := lk.Materialize(ctx, Predicate{AsOf: pin})
+	pinned, _, err := lk.Materialize(ctx, Predicate{AsOf: pin})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestTimeTravel(t *testing.T) {
 	if rows := countRows(t, lk, Predicate{}); rows != 800 {
 		t.Fatalf("head scan saw %d rows, want 800", rows)
 	}
-	mat, err := lk.Materialize(ctx, Predicate{AsOf: pin})
+	mat, _, err := lk.Materialize(ctx, Predicate{AsOf: pin})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +145,11 @@ func TestTimeTravel(t *testing.T) {
 	}
 
 	// as_of the current head is byte-identical to an unpinned read.
-	head, err := lk.Materialize(ctx, Predicate{})
+	head, _, err := lk.Materialize(ctx, Predicate{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	headPinned, err := lk.Materialize(ctx, Predicate{AsOf: lk.Version()})
+	headPinned, _, err := lk.Materialize(ctx, Predicate{AsOf: lk.Version()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestTimeTravel(t *testing.T) {
 	if err := countRowsErr(lk, Predicate{AsOf: lk.Version() + 10}); !errors.As(err, &vu) {
 		t.Fatalf("future as_of scan: %v", err)
 	}
-	if _, _, err := lk.TorrentRecordsAsOf(lk.Version() + 10); !errors.As(err, &vu) {
+	if _, _, err := lk.TorrentRecords(lk.Version() + 10); !errors.As(err, &vu) {
 		t.Fatalf("future as_of records: %v", err)
 	}
 
@@ -174,7 +174,7 @@ func TestTimeTravel(t *testing.T) {
 	if err := countRowsErr(lk, Predicate{AsOf: pin}); !errors.As(err, &vu) {
 		t.Fatalf("vacuumed as_of scan: %v", err)
 	}
-	if _, _, err := lk.TorrentRecordsAsOf(pin); !errors.As(err, &vu) {
+	if _, _, err := lk.TorrentRecords(pin); !errors.As(err, &vu) {
 		t.Fatalf("vacuumed as_of records: %v", err)
 	}
 

@@ -18,20 +18,23 @@ import (
 	"btpub/internal/query"
 )
 
-// campaignFixture runs one adversarial campaign and imports it into a
-// many-segment lake, shared by every equivalence assertion. The lake
-// executor is held in all three parallelism shapes the engine supports:
-// serial (one worker), default (GOMAXPROCS) and explicitly parallel
-// (more workers than this machine has cores, so the merge path is
-// exercised even on small runners).
+// campaignFixture runs one adversarial campaign and imports it into two
+// lakes, shared by every equivalence assertion: one of many small
+// segments, and the same import after Compact — the one-segment shape
+// every served lake converges to.
 type campaignFixture struct {
-	ds  *dataset.Dataset
-	lk  *lake.Lake
-	db  *geoip.DB
-	mem *query.Memory
-	lkx *query.Lake // default parallelism
-	lks *query.Lake // serial: one scan worker
-	lkp *query.Lake // parallel: 8 scan workers
+	ds    *dataset.Dataset
+	db    *geoip.DB
+	mem   *query.Memory
+	lakes []fixtureLake
+}
+
+// fixtureLake is one lake shape of the fixture and its executor; every
+// equivalence case must hold for each against the in-memory executor.
+type fixtureLake struct {
+	name string
+	lk   *lake.Lake
+	ex   *query.Lake
 }
 
 var (
@@ -56,16 +59,6 @@ func newFixture(t *testing.T) *campaignFixture {
 	if fixtureErr != nil {
 		t.Fatal(fixtureErr)
 	}
-	// Small segments force many zone-map entries, so pushdown paths and
-	// batch-boundary handling actually get exercised.
-	lk, err := lake.Open(filepath.Join(t.TempDir(), "lake"), lake.Options{FlushRows: 1 << 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { lk.Close() })
-	if err := lk.ImportDataset(fixtureDS); err != nil {
-		t.Fatal(err)
-	}
 	db, err := geoip.DefaultDB()
 	if err != nil {
 		t.Fatal(err)
@@ -74,31 +67,35 @@ func newFixture(t *testing.T) *campaignFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lkx, err := query.NewLake(lk, db)
-	if err != nil {
-		t.Fatal(err)
+	f := &campaignFixture{ds: fixtureDS, db: db, mem: mem}
+	for _, compact := range []bool{false, true} {
+		// Small segments force many zone-map entries, so pushdown paths
+		// and batch-boundary handling actually get exercised.
+		lk, err := lake.Open(filepath.Join(t.TempDir(), "lake"), lake.Options{FlushRows: 1 << 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { lk.Close() })
+		if err := lk.ImportDataset(fixtureDS); err != nil {
+			t.Fatal(err)
+		}
+		name := "lake-segments"
+		if compact {
+			if err := lk.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			name = "lake-compacted"
+		}
+		if n := lk.Stats().Segments; compact != (n == 1) {
+			t.Fatalf("%s fixture has %d segments", name, n)
+		}
+		ex, err := query.NewLake(lk, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.lakes = append(f.lakes, fixtureLake{name: name, lk: lk, ex: ex})
 	}
-	return &campaignFixture{
-		ds: fixtureDS, lk: lk, db: db, mem: mem,
-		lkx: lkx, lks: lkx.WithWorkers(1), lkp: lkx.WithWorkers(8),
-	}
-}
-
-// lakeExecutors names the fixture's lake executor variants; every
-// equivalence case must hold for each of them against the in-memory
-// executor.
-func (f *campaignFixture) lakeExecutors() []struct {
-	name string
-	ex   *query.Lake
-} {
-	return []struct {
-		name string
-		ex   *query.Lake
-	}{
-		{"lake-serial", f.lks},
-		{"lake-default", f.lkx},
-		{"lake-parallel", f.lkp},
-	}
+	return f
 }
 
 // someIPs picks a few distinct observed addresses, so IP point-lookup
@@ -275,7 +272,7 @@ func TestExecutorEquivalence(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := mustJSON(t, exec(t, f.mem, ctx, tc.q))
-			for _, le := range f.lakeExecutors() {
+			for _, le := range f.lakes {
 				if got := mustJSON(t, exec(t, le.ex, ctx, tc.q)); got != want {
 					t.Errorf("%s diverges from memory:\nmemory: %.2000s\nlake:   %.2000s", le.name, want, got)
 				}
@@ -311,7 +308,7 @@ func TestExecutorEquivalenceCursorWalk(t *testing.T) {
 		mres := exec(t, f.mem, ctx, q)
 		want := mustJSON(t, mres)
 		var lres *query.Result
-		for _, le := range f.lakeExecutors() {
+		for _, le := range f.lakes {
 			lres = exec(t, le.ex, ctx, q)
 			if got := mustJSON(t, lres); got != want {
 				t.Fatalf("page %d: %s diverges:\nmemory: %s\nlake:   %s", page, le.name, want, got)
@@ -330,25 +327,32 @@ func TestExecutorEquivalenceCursorWalk(t *testing.T) {
 	}
 }
 
-// TestExecutorEquivalenceAsOf pins a query to the journal head version,
-// then keeps appending and committing new observations while replaying
-// the pinned query: every replay must be byte-identical to the result
-// captured before the writes started, as_of head must equal unpinned,
-// and the in-memory executor must reject pinning outright.
+// TestExecutorEquivalenceAsOf pins a query to each fixture lake's journal
+// head version, then keeps appending and committing new observations
+// while replaying the pinned query: every replay must be byte-identical
+// to the result captured before the writes started, as_of head must
+// equal unpinned, and the in-memory executor must reject pinning
+// outright.
 func TestExecutorEquivalenceAsOf(t *testing.T) {
 	f := newFixture(t)
+	for _, fl := range f.lakes {
+		t.Run(fl.name, func(t *testing.T) { testAsOf(t, f, fl) })
+	}
+}
+
+func testAsOf(t *testing.T, f *campaignFixture, fl fixtureLake) {
 	ctx := context.Background()
 	q := query.Query{
 		GroupBy: query.GroupBy{Key: query.ByPublisher},
 		Aggs:    []string{query.AggObservations, query.AggDistinctIPs, query.AggSeeders},
 		OrderBy: query.OrderBy{Field: query.AggObservations, Desc: true},
 	}
-	want := mustJSON(t, exec(t, f.lkx, ctx, q))
+	want := mustJSON(t, exec(t, fl.ex, ctx, q))
 
-	pin := f.lk.Version()
+	pin := fl.lk.Version()
 	qPin := q
 	qPin.Filter.AsOf = pin
-	if got := mustJSON(t, exec(t, f.lkx, ctx, qPin)); got != want {
+	if got := mustJSON(t, exec(t, fl.ex, ctx, qPin)); got != want {
 		t.Fatalf("as_of head diverges from unpinned:\nunpinned: %.2000s\npinned:   %.2000s", want, got)
 	}
 
@@ -360,7 +364,7 @@ func TestExecutorEquivalenceAsOf(t *testing.T) {
 	// Nor can the lake serve a version that does not exist yet.
 	qFuture := q
 	qFuture.Filter.AsOf = pin + 1_000
-	if _, err := f.lkx.Execute(ctx, qFuture); !errors.As(err, &qe) || qe.Code != "bad_query" {
+	if _, err := fl.ex.Execute(ctx, qFuture); !errors.As(err, &qe) || qe.Code != "bad_query" {
 		t.Fatalf("future as_of not rejected as bad_query: %v", err)
 	}
 
@@ -380,7 +384,7 @@ func TestExecutorEquivalenceAsOf(t *testing.T) {
 			default:
 			}
 			at = at.Add(time.Second)
-			if err := f.lk.Append(dataset.Observation{
+			if err := fl.lk.Append(dataset.Observation{
 				TorrentID: f.ds.Obs.TorrentID(0),
 				IP:        fmt.Sprintf("192.0.2.%d", i%250),
 				At:        at,
@@ -390,7 +394,7 @@ func TestExecutorEquivalenceAsOf(t *testing.T) {
 				return
 			}
 			if i%512 == 511 {
-				if err := f.lk.Flush(); err != nil {
+				if err := fl.lk.Flush(); err != nil {
 					t.Errorf("writer flush: %v", err)
 					return
 				}
@@ -398,24 +402,22 @@ func TestExecutorEquivalenceAsOf(t *testing.T) {
 		}
 	}()
 	for iter := 0; iter < 10; iter++ {
-		for _, le := range f.lakeExecutors() {
-			if got := mustJSON(t, exec(t, le.ex, ctx, qPin)); got != want {
-				t.Errorf("iter %d: pinned %s drifted under concurrent ingest", iter, le.name)
-			}
+		if got := mustJSON(t, exec(t, fl.ex, ctx, qPin)); got != want {
+			t.Errorf("iter %d: pinned query drifted under concurrent ingest", iter)
 		}
 	}
 	close(stop)
 	wg.Wait()
-	if err := f.lk.Flush(); err != nil {
+	if err := fl.lk.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if f.lk.Version() <= pin {
+	if fl.lk.Version() <= pin {
 		t.Fatalf("writer committed nothing (version still %d) — the replay loop pinned nothing real", pin)
 	}
-	if got := mustJSON(t, exec(t, f.lkx, ctx, qPin)); got != want {
+	if got := mustJSON(t, exec(t, fl.ex, ctx, qPin)); got != want {
 		t.Fatal("pinned result drifted after the writer finished")
 	}
-	if got := mustJSON(t, exec(t, f.lkx, ctx, q)); got == want {
+	if got := mustJSON(t, exec(t, fl.ex, ctx, q)); got == want {
 		t.Fatal("unpinned result did not change — the writer's commits are invisible")
 	}
 }

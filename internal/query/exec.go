@@ -110,51 +110,31 @@ type geoRec struct {
 	isp, country string
 }
 
-// envMeta is the immutable part of an environment — torrent metadata
-// pre-resolved once from the records the caller supplies, plus the geo
-// DB. It is shared across every fork of an env, so parallel workers
-// resolve publishers and categories off one table.
-type envMeta struct {
+// env resolves observation context: torrent metadata pre-resolved once
+// from the records the caller supplies, and peer geo memoized per
+// distinct address string.
+type env struct {
 	db   *geoip.DB
 	pubs map[int32]string // torrent ID -> publisher key
 	cats map[int32]string // torrent ID -> normalized content type
-}
-
-// env resolves observation context. Geo lookups are memoized per
-// distinct address string in a per-env map — fork gives each parallel
-// worker its own memo over the shared metadata, so no lock guards the
-// hot path.
-type env struct {
-	*envMeta
-	geo map[string]geoRec
+	geo  map[string]geoRec
 }
 
 func newEnv(db *geoip.DB, recs []*dataset.TorrentRecord, p *plan) *env {
-	m := &envMeta{db: db}
+	e := &env{db: db}
 	if p.needsMeta() {
-		m.pubs = make(map[int32]string, len(recs))
-		m.cats = make(map[int32]string, len(recs))
+		e.pubs = make(map[int32]string, len(recs))
+		e.cats = make(map[int32]string, len(recs))
 		for _, rec := range recs {
 			tid := int32(rec.TorrentID)
-			m.pubs[tid] = rec.PublisherKey()
-			m.cats[tid] = analysis.NormalizeCategory(rec.Category)
+			e.pubs[tid] = rec.PublisherKey()
+			e.cats[tid] = analysis.NormalizeCategory(rec.Category)
 		}
 	}
-	e := &env{envMeta: m}
 	if p.needsGeo() {
 		e.geo = make(map[string]geoRec)
 	}
 	return e
-}
-
-// fork returns an env sharing this one's metadata with its own geo
-// memo, safe to use from a different goroutine.
-func (e *env) fork() *env {
-	f := &env{envMeta: e.envMeta}
-	if e.geo != nil {
-		f.geo = make(map[string]geoRec)
-	}
-	return f
 }
 
 // geoOf resolves (and memoizes) one peer address. Unresolvable
@@ -205,18 +185,15 @@ type obsKey struct {
 	seeder bool
 }
 
-// collector consumes observations (any order, any partitioning),
-// applies the full filter, and produces the final deterministic rows.
-// It is not safe for concurrent use; parallel executors feed one
-// collector per worker and fold them together with merge — aggregates
-// are commutative and finish imposes the total row order, so the final
-// rows are independent of how observations were partitioned.
+// collector consumes observations in any order, applies the full
+// filter, and produces the final deterministic rows: aggregates are
+// commutative and finish imposes the total row order. It is not safe
+// for concurrent use; each execution feeds its own.
 type collector struct {
 	p   *plan
 	env *env
 
 	ipIDs  map[string]uint32 // collector-local address intern
-	ipStrs []string          // reverse of ipIDs, for cross-collector remap
 	groups map[string]*groupState
 	obs    []obsKey
 
@@ -366,41 +343,7 @@ func (c *collector) internIP(ip string) uint32 {
 	}
 	id := uint32(len(c.ipIDs))
 	c.ipIDs[ip] = id
-	c.ipStrs = append(c.ipStrs, ip)
 	return id
-}
-
-// merge folds another collector's partial state into this one. Distinct
-// sets carry the other collector's local intern IDs, so entries are
-// re-interned through this collector's table; counts add, sets union —
-// the result is exactly what one collector fed every observation would
-// hold.
-func (c *collector) merge(o *collector) {
-	if c.p.q.Select == SelectObservations {
-		c.obs = append(c.obs, o.obs...)
-		return
-	}
-	for key, og := range o.groups {
-		gs := c.group(key)
-		gs.obs += og.obs
-		gs.seeders += og.seeders
-		for id := range og.ips {
-			gs.ips[c.internIP(o.ipStrs[id])] = struct{}{}
-		}
-		for tid := range og.tids {
-			gs.tids[tid] = struct{}{}
-		}
-		for tid, sw := range og.swarms {
-			dst := gs.swarms[tid]
-			if dst == nil {
-				dst = map[uint32]struct{}{}
-				gs.swarms[tid] = dst
-			}
-			for id := range sw {
-				dst[c.internIP(o.ipStrs[id])] = struct{}{}
-			}
-		}
-	}
 }
 
 // finish sorts, paginates and renders the result.

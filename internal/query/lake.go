@@ -1,21 +1,16 @@
 // The lake-backed executor: plans each query against the lake's
-// committed segment set and executes it in parallel. The filter is
-// compiled into a lake.Predicate so the lake's planner can prune whole
-// segments on zone maps and segment postings and order the row
-// predicates cheapest-column-first; publisher filters resolve into
-// torrent-ID sets from the lake's metadata records. Execution
-// partitions the surviving segments across per-segment scan workers,
-// each feeding its own lock-free collector; the partial collectors are
-// merged into one and finished there, so the final rows are — by
-// construction — byte-identical to a serial scan feeding a single
-// collector. A grouped aggregate over a million-observation lake never
-// materializes a dataset.
+// committed segment set and streams the surviving segments into one
+// collector. The filter is compiled into a lake.Predicate so the lake's
+// planner can prune whole segments on zone maps and segment postings and
+// order the row predicates cheapest-column-first; publisher filters
+// resolve into torrent-ID sets from the lake's metadata records. A
+// grouped aggregate over a million-observation lake never materializes
+// a dataset.
 package query
 
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 
 	"btpub/internal/dataset"
@@ -25,27 +20,25 @@ import (
 
 // metaCache caches the lake's parsed torrent records per manifest
 // version. Torrent metadata is append-only, so a version match means
-// the cached records are exact; derived executors (WithWorkers) share
-// one cache.
+// the cached records are exact; mu serializes concurrent requests.
 type metaCache struct {
 	mu   sync.Mutex
-	lk   *lake.Lake
 	ver  uint64
 	recs []*dataset.TorrentRecord
 }
 
-// get returns the committed torrent records, cached per lake version.
-func (m *metaCache) get() ([]*dataset.TorrentRecord, error) {
+// get returns lk's committed torrent records, cached per lake version.
+func (m *metaCache) get(lk *lake.Lake) ([]*dataset.TorrentRecord, error) {
 	// Read the version before the records: a commit landing in between
 	// stamps the cache with an older version than its content, which
 	// costs one redundant reload — never a stale read.
-	v := m.lk.Version()
+	v := lk.Version()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.recs != nil && m.ver == v {
 		return m.recs, nil
 	}
-	recs, _, err := m.lk.TorrentRecords()
+	recs, _, err := lk.TorrentRecords(0)
 	if err != nil {
 		return nil, err
 	}
@@ -56,42 +49,20 @@ func (m *metaCache) get() ([]*dataset.TorrentRecord, error) {
 	return recs, nil
 }
 
-// Lake executes queries against a persistent observation lake.
+// Lake executes queries against a persistent observation lake. It is
+// safe for concurrent use.
 type Lake struct {
-	lk *lake.Lake
-	db *geoip.DB
-	// workers is the scan parallelism: 0 = GOMAXPROCS, 1 = serial.
-	workers int
-	meta    *metaCache
+	lk   *lake.Lake
+	db   *geoip.DB
+	meta metaCache
 }
 
-// NewLake wraps a lake for querying. The executor scans in parallel
-// with GOMAXPROCS workers; WithWorkers derives differently-parallel
-// executors from the same handle.
+// NewLake wraps a lake for querying.
 func NewLake(lk *lake.Lake, db *geoip.DB) (*Lake, error) {
 	if lk == nil || db == nil {
 		return nil, errors.New("query: lake and geo DB required")
 	}
-	return &Lake{lk: lk, db: db, meta: &metaCache{lk: lk}}, nil
-}
-
-// WithWorkers returns an executor over the same lake running n scan
-// workers per query (0 = GOMAXPROCS, 1 = a fully serial scan). The
-// derived executor shares the metadata cache; results are identical for
-// every n — only the wall-clock changes.
-func (e *Lake) WithWorkers(n int) *Lake {
-	if n < 0 {
-		n = 0
-	}
-	return &Lake{lk: e.lk, db: e.db, workers: n, meta: e.meta}
-}
-
-// resolveWorkers returns the actual scan parallelism for one execution.
-func (e *Lake) resolveWorkers() int {
-	if e.workers > 0 {
-		return e.workers
-	}
-	return runtime.GOMAXPROCS(0)
+	return &Lake{lk: lk, db: db}, nil
 }
 
 // Execute answers one query.
@@ -100,20 +71,8 @@ func (e *Lake) Execute(ctx context.Context, q Query) (*Result, error) {
 	if perr != nil {
 		return nil, perr
 	}
-	pred := compilePred(p, recs)
-	env := newEnv(e.db, recs, p)
-
-	// One collector per scan worker: ScanWorkers guarantees at most one
-	// in-flight callback per worker index, so no lock guards add(); the
-	// partials are folded together once the scan completes.
-	nw := e.resolveWorkers()
-	parts := make([]*collector, nw)
-	parts[0] = newCollector(p, env)
-	for i := 1; i < nw; i++ {
-		parts[i] = newCollector(p, env.fork())
-	}
-	err := e.lk.ScanWorkers(ctx, pred, nw, func(w int, b *lake.Batch) error {
-		c := parts[w]
+	c := newCollector(p, newEnv(e.db, recs, p))
+	err := e.lk.Scan(ctx, compilePred(p, recs), func(b *lake.Batch) error {
 		for k := 0; k < b.Len(); k++ {
 			c.add(int32(b.TorrentID(k)), b.IP(k), b.UnixNano(k), b.Seeder(k))
 		}
@@ -122,20 +81,14 @@ func (e *Lake) Execute(ctx context.Context, q Query) (*Result, error) {
 	if err != nil {
 		return nil, mapLakeErr(err)
 	}
-	root := parts[0]
-	for _, o := range parts[1:] {
-		root.merge(o)
-	}
-	return root.finish()
+	return c.finish()
 }
 
 // Explain describes how Execute would answer the query without reading
-// any observation data: the planned predicate order, the fate of every
-// committed segment (zone-map pruned, postings pruned, opened) and the
-// scan parallelism. It is the payload behind `btpub-query -explain`.
+// any observation data: the planned predicate order and the fate of
+// every committed segment (zone-map pruned, postings pruned, opened). It
+// is the payload behind `btpub-query -explain`.
 type Explain struct {
-	// Workers is the scan parallelism Execute would use.
-	Workers int `json:"workers"`
 	// Predicates lists the active row-predicate columns in planned
 	// (cheapest-first) evaluation order.
 	Predicates []string `json:"predicates"`
@@ -171,7 +124,6 @@ func (e *Lake) Explain(ctx context.Context, q Query) (*Explain, error) {
 		return nil, mapLakeErr(err)
 	}
 	ex := &Explain{
-		Workers:            e.resolveWorkers(),
 		Predicates:         sp.Predicates,
 		Segments:           sp.Segments,
 		PrunedZone:         sp.PrunedZone,
@@ -179,9 +131,6 @@ func (e *Lake) Explain(ctx context.Context, q Query) (*Explain, error) {
 		Opened:             sp.Opened,
 		Rows:               sp.Rows,
 		PushdownTorrentIDs: -1,
-	}
-	if ex.Workers > len(sp.Opened) && len(sp.Opened) > 0 {
-		ex.Workers = len(sp.Opened)
 	}
 	if pred.TorrentIDs != nil {
 		ex.PushdownTorrentIDs = len(pred.TorrentIDs)
@@ -205,9 +154,9 @@ func (e *Lake) prepare(q Query) (*plan, []*dataset.TorrentRecord, error) {
 			// A pinned query must resolve publishers against the metadata
 			// committed at that version, not today's; the per-head-version
 			// cache cannot serve it.
-			recs, _, err = e.lk.TorrentRecordsAsOf(q.Filter.AsOf)
+			recs, _, err = e.lk.TorrentRecords(q.Filter.AsOf)
 		} else {
-			recs, err = e.meta.get()
+			recs, err = e.meta.get(e.lk)
 		}
 		if err != nil {
 			return nil, nil, mapLakeErr(err)

@@ -42,23 +42,7 @@ func queryBenchDataset() *dataset.Dataset {
 // dictionary entry was its own allocation); the ceiling carries ~50%+
 // headroom.
 func BenchmarkQueryLake(b *testing.B) {
-	ds := queryBenchDataset()
-	lk, err := lake.Open(filepath.Join(b.TempDir(), "lake"), lake.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer lk.Close()
-	if err := lk.ImportDataset(ds); err != nil {
-		b.Fatal(err)
-	}
-	db, err := geoip.DefaultDB()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ex, err := query.NewLake(lk, db)
-	if err != nil {
-		b.Fatal(err)
-	}
+	ds, ex := queryBenchLake(b)
 	q := queryBenchQuery(ds.Start, ds.NumObservations())
 	ctx := context.Background()
 	m := meterAllocs(b, 1500)
@@ -98,41 +82,20 @@ func queryBenchLake(b *testing.B) (*dataset.Dataset, *query.Lake) {
 	return ds, ex
 }
 
-// queryBenchFullQuery is the full-lake grouped aggregate the
-// serial-vs-parallel pair runs: no time filter, so every segment is
-// opened and the scan cost dominates — the shape where partitioning
-// segments across workers pays.
-func queryBenchFullQuery() query.Query {
-	return query.Query{
+// BenchmarkQueryLakeFull runs a grouped aggregate with no time filter
+// over the uncompacted import, so every segment is opened and the scan
+// cost dominates. All ~8 segments are opened after the untimed warm-up
+// run; measured ~42.2k allocs/op, the per-group distinct-IP sets
+// (~90.2k before PR 16, half of it per-address dictionary strings). The
+// ceiling carries ~50% headroom.
+func BenchmarkQueryLakeFull(b *testing.B) {
+	_, ex := queryBenchLake(b)
+	benchQuery(b, ex, query.Query{
 		GroupBy: query.GroupBy{Key: query.ByTorrent},
 		Aggs:    []string{query.AggObservations, query.AggDistinctIPs, query.AggSeeders},
 		OrderBy: query.OrderBy{Field: query.AggObservations, Desc: true},
 		Limit:   100,
-	}
-}
-
-// BenchmarkQueryLakeSerial runs the full-lake grouped aggregate with
-// one scan worker — the baseline BenchmarkQueryLakeParallel is read
-// against. All ~8 segments are opened after the untimed warm-up run;
-// measured ~42.2k allocs/op, the per-group distinct-IP sets (~90.2k
-// before PR 16, half of it per-address dictionary strings). The
-// ceiling carries ~50% headroom.
-func BenchmarkQueryLakeSerial(b *testing.B) {
-	_, ex := queryBenchLake(b)
-	benchQuery(b, ex.WithWorkers(1), queryBenchFullQuery(), 65_000)
-}
-
-// BenchmarkQueryLakeParallel runs the identical full-lake grouped
-// aggregate with GOMAXPROCS scan workers (per-segment partitioning, one
-// collector per worker, deterministic merge). Results are byte-identical
-// to the serial run — TestExecutorEquivalence enforces that — so the
-// ns/op ratio between this pair is pure scan-parallelism speedup.
-// Measured ~61k allocs/op on two cores, growing with worker count (one
-// collector per worker + merge re-interning), so the ceiling carries
-// multi-core headroom on top of the usual ~50%.
-func BenchmarkQueryLakeParallel(b *testing.B) {
-	_, ex := queryBenchLake(b)
-	benchQuery(b, ex, queryBenchFullQuery(), 200_000)
+	}, 65_000)
 }
 
 // BenchmarkQueryPointLookup measures a single-IP lookup against a
