@@ -166,10 +166,8 @@ func run() error {
 		}()
 	}
 	st := lk.Stats()
-	log.Printf("serving lake %s (v%d, %d segments, %d observations, %d torrents) on http://%s",
-		*dir, st.Version, st.Segments, st.Observations, st.Torrents, *addr)
-	log.Printf("journal: head v%d, checkpoint v%d, %d commits, %d bytes on disk",
-		st.Version, st.CheckpointVersion, st.Commits, st.TotalBytes)
+	log.Printf("serving lake %s (v%d, %d segments, %d observations, %d torrents, %d bytes on disk) on http://%s",
+		*dir, st.Version, st.Segments, st.Observations, st.Torrents, st.TotalBytes, *addr)
 
 	// Serve behind an http.Server so a signal drains in-flight requests
 	// (long lake scans included) via Shutdown instead of killing them

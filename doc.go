@@ -87,10 +87,10 @@
 // CRC-32C footer — recorded in an append-only
 // commit journal. The journal is
 // the source of truth and the commit history at once: one fsynced,
-// CRC-32C-framed record per committed version, versions strictly
-// monotone, each record hash-chained over its parent, with periodic
-// self-contained checkpoint records (Options.CheckpointEvery, default
-// 64) bounding replay. A crash at any instant leaves the previous
+// CRC-32C-framed record per committed version, versions dense from 1
+// (record v is version v, one record kind), each record hash-chained
+// over its parent; the state at version v is the fold of the first v
+// records. A crash at any instant leaves the previous
 // committed state: Open replays the journal to head, repairs a torn
 // tail (complete-frame corruption is refused), deletes orphans, and
 // size-checks referenced segments; Verify runs a full CRC-and-decode
@@ -193,7 +193,7 @@
 // or parked mid-serve. TestKillPointTorture records the full op
 // sequence of a reopen->flush->query->compact->reindex workload
 // (starting from a closed lake with committed rows so a journal replay
-// runs under fire, with checkpoints forced inside the window; a flush
+// runs under fire; a flush
 // or a compaction is one segment create/write/sync/close, then the
 // journal append) and replays it with a
 // crash at every op index (clean and torn), asserting the survivor

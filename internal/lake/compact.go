@@ -139,10 +139,9 @@ func (lk *Lake) compact() error {
 	next.Segments = append(keep, out)
 	pay.AddSegments = append(pay.AddSegments, out)
 	next.Version++
-	if err := lk.commitLocked(next, pay, false); err != nil {
+	if err := lk.commitLocked(next, pay); err != nil {
 		return err
 	}
-	lk.maybeCheckpointLocked()
 	// With Retain set the victim files stay on disk, so versions that
 	// predate the fold remain scannable through as_of.
 	if lk.opt.Retain {

@@ -18,8 +18,6 @@ import (
 )
 
 // Diff summarizes the journal records with from < version <= to.
-// Checkpoint records are skipped: they repeat the head state at their
-// version and carry no deltas.
 type Diff struct {
 	From uint64 `json:"from"`
 	To   uint64 `json:"to"`
@@ -62,10 +60,9 @@ func versionInfo(m *manifest) VersionInfo {
 }
 
 // DiffVersions reports what changed between two committed versions
-// (to = 0 means the current head). Both versions must be committed and
-// still in the journal; otherwise a *VersionUnavailableError explains
-// which side failed, and the caller's only correct move is a full
-// rebuild.
+// (to = 0 means the current head). Both versions must be committed;
+// otherwise a *VersionUnavailableError explains which side failed, and
+// the caller's only correct move is a full rebuild.
 func (lk *Lake) DiffVersions(from, to uint64) (*Diff, error) {
 	lk.mu.Lock()
 	defer lk.mu.Unlock()
@@ -86,36 +83,21 @@ func (lk *Lake) diffLocked(from, to uint64) (*Diff, []segMeta, error) {
 	if from > to {
 		return nil, nil, &VersionUnavailableError{Version: from, Head: head, Reason: "newer than the diff target"}
 	}
-	seen := func(v uint64) bool {
-		for _, h := range lk.hist {
-			if h.version == v {
-				return true
-			}
-		}
-		return false
-	}
-	if from == 0 || !seen(from) {
-		// Version 0 is "nothing committed yet" and a version below the
-		// journal's opening record was never recorded — neither is a state
-		// a snapshot can be advanced from.
-		return nil, nil, &VersionUnavailableError{Version: from, Head: head, Reason: "predates the journal"}
-	}
-	if !seen(to) {
-		return nil, nil, &VersionUnavailableError{Version: to, Head: head, Reason: "predates the journal"}
+	if from == 0 {
+		// Version 0 is "nothing committed yet", not a state a snapshot
+		// can be advanced from.
+		return nil, nil, &VersionUnavailableError{Version: from, Head: head, Reason: "nothing is committed at version 0"}
 	}
 	d := &Diff{From: from, To: to}
 	var added []segMeta
-	for _, h := range lk.hist {
-		if h.version <= from || h.version > to || h.checkpoint {
-			continue
-		}
-		for _, s := range h.pay.AddSegments {
+	for _, pay := range lk.hist[from:to] {
+		for _, s := range pay.AddSegments {
 			d.AddedSegments = append(d.AddedSegments, s.File)
 			d.AddedRows += int64(s.Rows)
 			added = append(added, s)
 		}
-		d.RetiredSegments = append(d.RetiredSegments, h.pay.RetireSegments...)
-		d.AddedMeta = append(d.AddedMeta, h.pay.AddMeta...)
+		d.RetiredSegments = append(d.RetiredSegments, pay.RetireSegments...)
+		d.AddedMeta = append(d.AddedMeta, pay.AddMeta...)
 	}
 	return d, added, nil
 }
@@ -198,16 +180,9 @@ func (lk *Lake) ReadAll(ctx context.Context) (*DiffData, error) {
 // readIntoLocked loads meta files and segments into out, in the order
 // given. Callers hold scanMu.R.
 func (lk *Lake) readIntoLocked(ctx context.Context, meta []string, segs []segMeta, out *DiffData) error {
-	for _, f := range meta {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		torrents, users, err := lk.readMetaFilesLocked([]string{f})
-		if err != nil {
-			return err
-		}
-		out.Torrents = append(out.Torrents, torrents...)
-		out.Users = append(out.Users, users...)
+	var err error
+	if out.Torrents, out.Users, err = lk.readMetaLocked(meta); err != nil {
+		return err
 	}
 	for _, sm := range segs {
 		if err := ctx.Err(); err != nil {
@@ -220,10 +195,4 @@ func (lk *Lake) readIntoLocked(ctx context.Context, meta []string, segs []segMet
 		appendSegRows(&out.Obs, seg, nil)
 	}
 	return nil
-}
-
-// readMetaFilesLocked loads specific meta files. Callers hold scanMu.R.
-func (lk *Lake) readMetaFilesLocked(files []string) ([]*dataset.TorrentRecord, []dataset.UserRecord, error) {
-	man := &manifest{Meta: files}
-	return lk.readMetaLocked(man)
 }

@@ -4,9 +4,8 @@
 // operation sequence; then, for each operation index k, the workload is
 // replayed against a fresh identically-seeded faultfs with a crash
 // injected at k. The volume starts as a closed lake already holding
-// committed rows, so the first Open replays a journal under fire; a
-// small CheckpointEvery makes the later commits cross checkpoint
-// boundaries too. After every crash the surviving volume must reopen without
+// committed rows, so the first Open replays a journal under fire. After
+// every crash the surviving volume must reopen without
 // Salvage, pass Verify, and hold exactly a committed prefix of the
 // appended observations — never a torn or reordered middle state, and
 // never fewer rows than a version the journal acknowledged.
@@ -89,8 +88,6 @@ func faultWorkload(fsys vfs.FS, record func(*lake.Lake)) error {
 	lk, err := lake.Open("sim", lake.Options{
 		FS:        fsys,
 		FlushRows: faultFlushAt,
-		// Checkpoint aggressively so the workload crosses checkpoints.
-		CheckpointEvery: 2,
 		// No Auto compaction: background work would race the op counter.
 		Compact: lake.CompactOptions{MinSegments: 1 << 30},
 	})

@@ -19,6 +19,7 @@ func FuzzJournalDecode(f *testing.F) {
 	f.Add(flipped)
 	torn := Encode([]Record{{Version: 1}, {Version: 2, Payload: []byte("x")}})
 	f.Add(torn[:len(torn)-3])
+	f.Add(append([]byte(magicV1), Encode(sampleRecs())[len(magic):]...))
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		recs, err := Decode(buf)
 		if err != nil {

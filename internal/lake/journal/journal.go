@@ -1,30 +1,26 @@
 // Package journal is the lake's append-only commit log, the on-disk
 // source of truth. One file holds a magic header followed by framed records, one fsynced
-// record per lake commit. Each record carries a monotonically increasing
-// version, a checkpoint flag, the SHA-256 chain hash of everything
-// before it, an opaque payload (the lake encodes its commit deltas and
-// checkpoint snapshots as JSON) and a CRC-32C footer. Replaying the
-// records from the latest checkpoint reconstructs the lake state at any
-// committed version — that is what as_of time travel folds.
+// record per lake commit. Each record carries its version, the SHA-256
+// chain hash of everything before it, an opaque payload (the lake
+// encodes its commit deltas as JSON) and a CRC-32C footer. Versions are
+// dense: the first record is version 1 and each one after it is its
+// predecessor's plus one, so the record for version v is the journal's
+// v-th and the state at v is the fold of the first v records — that is
+// what as_of time travel folds.
 //
 // All integers are little-endian. Layout:
 //
-//	magic "BTLKJL1\n"                       8 bytes
+//	magic "BTLKJL2\n"                       8 bytes
 //	then per record:
-//	  length  u32   of flags..payload       4
-//	  flags   u8    bit0 = checkpoint       1
+//	  length  u32   of version..payload     4
 //	  version u64                           8
 //	  parent  [32]byte chain hash           32
-//	  payload length-41 bytes
+//	  payload length-40 bytes
 //	  crc32c  u32   over length..payload    4
 //
-// The chain hash after a record is SHA-256(parent ‖ flags ‖ version ‖
-// payload); the first record's parent is all zeros. A record's version
-// must be exactly one greater than its predecessor's — except checkpoint
-// records, which snapshot the state *at* a version and therefore repeat
-// it — and the first record must either open at version 1 or be a
-// checkpoint (journals of lakes migrated from the pre-journal format open
-// mid-history, so that snapshot must be self-contained).
+// The chain hash after a record is SHA-256(parent ‖ version ‖ payload);
+// the first record's parent is all zeros. A journal in format 1
+// ("BTLKJL1\n", which also held checkpoint records) is refused by name.
 //
 // Durability model: records are appended with one fsync each, so a crash
 // can only lose or tear the final, unacknowledged record. Open repairs
@@ -51,27 +47,24 @@ const (
 	// the lake like any other tmp).
 	TmpName = "JOURNAL.tmp"
 
-	magic = "BTLKJL1\n"
+	magic = "BTLKJL2\n"
+	// magicV1 opened format-1 journals, whose frames carried a flags byte
+	// marking checkpoint records.
+	magicV1 = "BTLKJL1\n"
 
 	// frameFixed is the length of the framed fields between the length
-	// prefix and the payload: flags + version + parent hash.
-	frameFixed = 1 + 8 + 32
+	// prefix and the payload: version + parent hash.
+	frameFixed = 8 + 32
 	// maxPayload bounds a single record, so a corrupt length field can
 	// never drive a multi-gigabyte allocation.
 	maxPayload = 1 << 30
-
-	flagCheckpoint = 0x01
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Record is one committed journal entry.
 type Record struct {
-	// Checkpoint marks a self-contained snapshot of the state at
-	// Version, rather than a delta on top of the previous record.
-	Checkpoint bool
-	// Version is the committed lake version this record establishes
-	// (checkpoints repeat the version they snapshot).
+	// Version is the committed lake version this record establishes.
 	Version uint64
 	// Payload is the commit body; the journal treats it as opaque bytes.
 	Payload []byte
@@ -93,38 +86,20 @@ func (e *CorruptError) Error() string {
 func chainNext(parent [32]byte, rec Record) [32]byte {
 	h := sha256.New()
 	h.Write(parent[:])
-	var hdr [9]byte
-	if rec.Checkpoint {
-		hdr[0] = flagCheckpoint
-	}
-	binary.LittleEndian.PutUint64(hdr[1:], rec.Version)
-	h.Write(hdr[:])
+	var ver [8]byte
+	binary.LittleEndian.PutUint64(ver[:], rec.Version)
+	h.Write(ver[:])
 	h.Write(rec.Payload)
 	var out [32]byte
 	h.Sum(out[:0])
 	return out
 }
 
-// checkOrder validates one record's version against its predecessor
-// (prev = 0, first = true for the opening record).
-func checkOrder(rec Record, prev uint64, first bool) error {
-	if first {
-		if rec.Version == 0 {
-			return fmt.Errorf("first record has version 0")
-		}
-		if rec.Version != 1 && !rec.Checkpoint {
-			return fmt.Errorf("first record opens at version %d but is not a checkpoint", rec.Version)
-		}
-		return nil
-	}
-	if rec.Checkpoint {
-		if rec.Version != prev {
-			return fmt.Errorf("checkpoint at version %d does not snapshot the preceding version %d", rec.Version, prev)
-		}
-		return nil
-	}
-	if rec.Version != prev+1 {
-		return fmt.Errorf("version %d follows %d (want %d)", rec.Version, prev, prev+1)
+// checkOrder validates the version of a record that follows n others:
+// versions are dense from 1, so it must be n+1.
+func checkOrder(rec Record, n int) error {
+	if want := uint64(n) + 1; rec.Version != want {
+		return fmt.Errorf("record %d has version %d (want %d)", n+1, rec.Version, want)
 	}
 	return nil
 }
@@ -133,11 +108,6 @@ func checkOrder(rec Record, prev uint64, first bool) error {
 func appendFrame(buf []byte, parent [32]byte, rec Record) []byte {
 	start := len(buf)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(frameFixed+len(rec.Payload)))
-	var flags byte
-	if rec.Checkpoint {
-		flags = flagCheckpoint
-	}
-	buf = append(buf, flags)
 	buf = binary.LittleEndian.AppendUint64(buf, rec.Version)
 	buf = append(buf, parent[:]...)
 	buf = append(buf, rec.Payload...)
@@ -154,12 +124,15 @@ func parse(buf []byte) (recs []Record, validLen int, err error) {
 	if len(buf) < len(magic) {
 		return nil, 0, nil // torn (or empty) header: nothing committed
 	}
-	if string(buf[:len(magic)]) != magic {
+	switch string(buf[:len(magic)]) {
+	case magic:
+	case magicV1:
+		return nil, 0, fmt.Errorf("journal format 1 (with checkpoint records) is no longer read; rebuild the lake from its source data")
+	default:
 		return nil, 0, &CorruptError{Offset: 0, Reason: "bad magic"}
 	}
 	p := len(magic)
 	var chain [32]byte
-	var prev uint64
 	for p < len(buf) {
 		if p+4 > len(buf) {
 			return recs, p, nil // torn length prefix
@@ -176,25 +149,19 @@ func parse(buf []byte) (recs []Record, validLen int, err error) {
 		if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(buf[p+4+flen:]); got != want {
 			return nil, p, &CorruptError{Offset: p, Reason: fmt.Sprintf("CRC mismatch (stored %08x, computed %08x)", want, got)}
 		}
-		flags := body[4]
-		if flags&^byte(flagCheckpoint) != 0 {
-			return nil, p, &CorruptError{Offset: p, Reason: fmt.Sprintf("unknown flags %#02x", flags)}
-		}
 		rec := Record{
-			Checkpoint: flags&flagCheckpoint != 0,
-			Version:    binary.LittleEndian.Uint64(body[5:]),
-			Payload:    append([]byte(nil), body[4+frameFixed:]...),
+			Version: binary.LittleEndian.Uint64(body[4:]),
+			Payload: append([]byte(nil), body[4+frameFixed:]...),
 		}
-		if err := checkOrder(rec, prev, len(recs) == 0); err != nil {
+		if err := checkOrder(rec, len(recs)); err != nil {
 			return nil, p, &CorruptError{Offset: p, Reason: err.Error()}
 		}
 		var parent [32]byte
-		copy(parent[:], body[13:13+32])
+		copy(parent[:], body[12:12+32])
 		if parent != chain {
 			return nil, p, &CorruptError{Offset: p, Reason: "parent hash does not chain to the preceding record"}
 		}
 		chain = chainNext(chain, rec)
-		prev = rec.Version
 		recs = append(recs, rec)
 		p = end
 	}
@@ -310,15 +277,8 @@ func writeFileSync(fsys vfs.FS, name string, data []byte) error {
 // callers must not modify it.
 func (j *Journal) Records() []Record { return j.recs }
 
-// Head returns the highest committed version (0 = empty journal).
-func (j *Journal) Head() uint64 {
-	if len(j.recs) == 0 {
-		return 0
-	}
-	return j.recs[len(j.recs)-1].Version
-}
-
-// Len returns the number of committed records.
+// Len returns the number of committed records, which is also the head
+// version (0 = empty journal).
 func (j *Journal) Len() int { return len(j.recs) }
 
 // Size returns the journal's on-disk byte length.
@@ -331,11 +291,7 @@ func (j *Journal) Size() int64 { return j.onDisk }
 // being buried under the new frame; a tail torn by a crash is repaired
 // by the next Open.
 func (j *Journal) Append(rec Record) error {
-	var prev uint64
-	if len(j.recs) > 0 {
-		prev = j.recs[len(j.recs)-1].Version
-	}
-	if err := checkOrder(rec, prev, len(j.recs) == 0); err != nil {
+	if err := checkOrder(rec, len(j.recs)); err != nil {
 		return fmt.Errorf("journal %s: %w", j.name, err)
 	}
 	sz, err := j.fs.Size(j.name)

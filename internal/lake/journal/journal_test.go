@@ -5,21 +5,21 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"btpub/internal/vfs/faultfs"
 )
 
-// sampleRecs is a small, rule-abiding history: an opening checkpoint
-// landing mid-history (as the journals of migrated lakes open), deltas,
-// and a mid-stream checkpoint repeating its version.
+// sampleRecs is a small, rule-abiding history: versions 1..5, one
+// record each, one of them with an empty payload.
 func sampleRecs() []Record {
 	return []Record{
-		{Checkpoint: true, Version: 7, Payload: []byte(`{"snap":7}`)},
-		{Version: 8, Payload: []byte(`{"delta":8}`)},
-		{Version: 9, Payload: []byte(`{"delta":9}`)},
-		{Checkpoint: true, Version: 9, Payload: []byte(`{"snap":9}`)},
-		{Version: 10, Payload: []byte(`{"delta":10}`)},
+		{Version: 1, Payload: []byte(`{"delta":1}`)},
+		{Version: 2, Payload: []byte(`{"delta":2}`)},
+		{Version: 3},
+		{Version: 4, Payload: []byte(`{"delta":4}`)},
+		{Version: 5, Payload: []byte(`{"delta":5}`)},
 	}
 }
 
@@ -37,7 +37,7 @@ func recsEqual(a, b []Record) bool {
 		return false
 	}
 	for i := range a {
-		if a[i].Checkpoint != b[i].Checkpoint || a[i].Version != b[i].Version || !bytes.Equal(a[i].Payload, b[i].Payload) {
+		if a[i].Version != b[i].Version || !bytes.Equal(a[i].Payload, b[i].Payload) {
 			return false
 		}
 	}
@@ -50,13 +50,13 @@ func TestAppendReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Len() != 0 || j.Head() != 0 || j.Size() != 0 {
-		t.Fatalf("fresh journal not empty: len %d head %d size %d", j.Len(), j.Head(), j.Size())
+	if j.Len() != 0 || j.Size() != 0 {
+		t.Fatalf("fresh journal not empty: len %d size %d", j.Len(), j.Size())
 	}
 	want := sampleRecs()
 	mustAppendAll(t, j, want)
-	if j.Head() != 10 || j.Len() != len(want) {
-		t.Fatalf("head %d len %d after appends", j.Head(), j.Len())
+	if j.Len() != len(want) {
+		t.Fatalf("len %d after %d appends", j.Len(), len(want))
 	}
 
 	j2, err := Open(fs, Name)
@@ -101,7 +101,7 @@ func TestTornTailRepaired(t *testing.T) {
 	want := sampleRecs()
 	img := Encode(want)
 	// A crash mid-append keeps a prefix of the new frame's bytes.
-	next := appendFrame(nil, chainAfter(want), Record{Version: 11, Payload: []byte(`{"delta":11}`)})
+	next := appendFrame(nil, chainAfter(want), Record{Version: 6, Payload: []byte(`{"delta":6}`)})
 	for cut := 1; cut < len(next); cut += 7 {
 		fs := faultfs.New(1)
 		writeRaw(t, fs, Name, append(append([]byte(nil), img...), next[:cut]...))
@@ -187,6 +187,24 @@ func TestHardCorruptionRefused(t *testing.T) {
 	}
 }
 
+// TestFormat1Refused: a journal in format 1, whose frames carried a
+// checkpoint flag byte, is refused with an error that names the format —
+// not reported as corruption, not repaired, not touched.
+func TestFormat1Refused(t *testing.T) {
+	img := append([]byte(magicV1), 0x2a, 0, 0, 0, 1)
+	if _, err := Decode(img); err == nil || !strings.Contains(err.Error(), "format 1") {
+		t.Fatalf("Decode: %v", err)
+	}
+	fs := faultfs.New(1)
+	writeRaw(t, fs, Name, img)
+	if _, err := Open(fs, Name); err == nil || !strings.Contains(err.Error(), "format 1") {
+		t.Fatalf("Open: %v", err)
+	}
+	if buf, err := fs.ReadFile(Name); err != nil || !bytes.Equal(buf, img) {
+		t.Fatalf("refused journal was touched: %v", err)
+	}
+}
+
 func TestOrderRulesOnAppend(t *testing.T) {
 	cases := []struct {
 		name string
@@ -195,12 +213,9 @@ func TestOrderRulesOnAppend(t *testing.T) {
 	}{
 		{"opens at 1", []Record{{Version: 1}}, true},
 		{"opens at 0", []Record{{Version: 0}}, false},
-		{"opens mid-history without checkpoint", []Record{{Version: 5}}, false},
-		{"opens mid-history with checkpoint", []Record{{Checkpoint: true, Version: 5}}, true},
+		{"opens mid-history", []Record{{Version: 5}}, false},
 		{"skips a version", []Record{{Version: 1}, {Version: 3}}, false},
 		{"repeats a version", []Record{{Version: 1}, {Version: 1}}, false},
-		{"checkpoint repeats head", []Record{{Version: 1}, {Checkpoint: true, Version: 1}}, true},
-		{"checkpoint at wrong version", []Record{{Version: 1}, {Checkpoint: true, Version: 2}}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -236,7 +251,7 @@ func TestFailedAppendNotBuried(t *testing.T) {
 	// the frame's bytes reach the file but the append reports failure, so
 	// the on-disk length now disagrees with the journal's append offset.
 	fs.FailAt(fs.Ops()+4, faultfs.ErrNoSpace)
-	bad := Record{Version: 11, Payload: []byte(`{"delta":11}`)}
+	bad := Record{Version: 6, Payload: []byte(`{"delta":6}`)}
 	if err := j.Append(bad); err == nil {
 		t.Fatal("injected sync error did not surface")
 	}
@@ -251,7 +266,7 @@ func TestFailedAppendNotBuried(t *testing.T) {
 	if err != nil {
 		t.Fatalf("image corrupt after retried append: %v", err)
 	}
-	if len(recs) != 6 || recs[5].Version != 11 {
+	if len(recs) != 6 || recs[5].Version != 6 {
 		t.Fatalf("retried append produced %d records (head %d)", len(recs), recs[len(recs)-1].Version)
 	}
 }

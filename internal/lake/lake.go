@@ -8,11 +8,11 @@
 // lake directory holds those two file kinds and the source of truth, an
 // append-only commit journal (internal/lake/journal and commits.go): every
 // flush, import, compaction or salvage appends one fsynced, CRC- and
-// chain-protected record, Open replays the journal to head (periodic
-// checkpoint records bound replay cost), and any committed version
-// remains addressable — Predicate.AsOf and TorrentRecords pin reads to
-// historical states while ingest continues. Readers scan committed
-// segments with predicate pushdown (see scan.go) while a compactor
+// chain-protected record — one record per version, so record v is
+// version v — and Open replays the journal to head. Any committed
+// version remains addressable: Predicate.AsOf and TorrentRecords pin
+// reads to historical states while ingest continues. Readers scan
+// committed segments with predicate pushdown (see scan.go) while a compactor
 // folds small segments together in canonical Merge order (see
 // compact.go), committing each fold as a retire+add record. One process
 // owns a lake directory at a time; within that process every method is
@@ -55,10 +55,6 @@ type Options struct {
 	// Data in the dropped segments is lost; everything else stays
 	// readable.
 	Salvage bool
-	// CheckpointEvery bounds journal replay cost: after this many delta
-	// commits since the last checkpoint, the next commit is followed by
-	// a checkpoint record snapshotting the full state (default 64).
-	CheckpointEvery int
 	// Retain keeps files retired by compaction on disk instead of
 	// vacuuming them, so as_of reads of pre-compaction versions
 	// keep working. Off by default: history remains queryable back to
@@ -75,9 +71,6 @@ type Options struct {
 func (o *Options) setDefaults() {
 	if o.FlushRows <= 0 {
 		o.FlushRows = 1 << 17
-	}
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 64
 	}
 	o.Compact.setDefaults()
 }
@@ -99,9 +92,7 @@ type Lake struct {
 	mu      sync.Mutex
 	man     *manifest
 	jr      *journal.Journal
-	hist    []histRec // replayed + appended journal records, for time travel
-	ckptVer uint64    // version of the latest checkpoint record (0 = none)
-	sinceCk int       // delta commits since the latest checkpoint
+	hist    []*commitPayload // hist[v-1] is version v's record, for time travel
 	bld     *builder
 	pendT   []*dataset.TorrentRecord
 	pendU   []dataset.UserRecord
@@ -130,8 +121,8 @@ type Lake struct {
 // Open opens (or creates) the lake in dir. Crash recovery happens here:
 // a torn journal tail is repaired (a crash mid-append can only lose the
 // record being written, never a committed one), the journal is replayed
-// into the live state from its latest checkpoint, segment and meta files
-// not referenced by committed state are deleted, and every referenced
+// into the live state, segment and meta files not referenced by
+// committed state are deleted, and every referenced
 // segment is size-checked against its entry (Options.Salvage turns a
 // failing segment into a logged drop — committed as a retire record —
 // instead of an error).
@@ -160,10 +151,7 @@ func Open(dir string, opt Options) (*Lake, error) {
 	if err != nil {
 		return nil, err
 	}
-	man, err := foldHist(hist, len(hist), false)
-	if err != nil {
-		return nil, err
-	}
+	man := foldHist(hist)
 	// Validate referenced segments before touching anything else.
 	var keep []segMeta
 	var retire []string
@@ -227,17 +215,10 @@ func Open(dir string, opt Options) (*Lake, error) {
 		}
 	}
 	lk := &Lake{dir: dir, fs: fsys, opt: opt, man: man, bld: newBuilder(), jr: jr, hist: hist}
-	for i := len(hist) - 1; i >= 0; i-- {
-		if hist[i].checkpoint {
-			lk.ckptVer = hist[i].version
-			break
-		}
-		lk.sinceCk++
-	}
 	if len(retire) > 0 {
 		next := lk.man // Open owns the state; no clone needed yet
 		next.Version++
-		if err := lk.commitLocked(next, &commitPayload{RetireSegments: retire}, false); err != nil {
+		if err := lk.commitLocked(next, &commitPayload{RetireSegments: retire}); err != nil {
 			return nil, err
 		}
 	}
@@ -291,15 +272,13 @@ type Stats struct {
 	Name  string    `json:"name"`
 	Start time.Time `json:"start"`
 	End   time.Time `json:"end"`
-	// Version is the journal head version; CheckpointVersion the version
-	// of the latest checkpoint record (0 until one is written); Commits
-	// the number of journal records replay would read; TotalBytes the
-	// on-disk footprint of live segments and the journal (meta files are
-	// not counted).
-	Version           uint64 `json:"version"`
-	CheckpointVersion uint64 `json:"checkpoint_version"`
-	Commits           int64  `json:"commits"`
-	TotalBytes        int64  `json:"total_bytes"`
+	// Version is the journal head version; Commits the number of journal
+	// records Open replays, one per version, so it equals Version;
+	// TotalBytes the on-disk footprint of live segments and the journal
+	// (meta files are not counted).
+	Version    uint64 `json:"version"`
+	Commits    int64  `json:"commits"`
+	TotalBytes int64  `json:"total_bytes"`
 
 	Segments     int   `json:"segments"`
 	Observations int64 `json:"observations"`
@@ -324,10 +303,9 @@ func (lk *Lake) Stats() Stats {
 		Name: m.Name, Start: m.Start, End: m.End,
 		Version: m.Version, Segments: len(m.Segments),
 		Observations: m.Rows, Torrents: m.Torrents, Users: m.Users,
-		Dropped:           m.Dropped,
-		CheckpointVersion: lk.ckptVer,
-		Commits:           int64(lk.jr.Len()),
-		TotalBytes:        lk.jr.Size(),
+		Dropped:    m.Dropped,
+		Commits:    int64(lk.jr.Len()),
+		TotalBytes: lk.jr.Size(),
 	}
 	for _, s := range m.Segments {
 		st.TotalBytes += s.Bytes
@@ -507,7 +485,7 @@ func (lk *Lake) flushLocked(autoCompact bool) error {
 		return nil
 	}
 	next.Version++
-	if err := lk.commitLocked(next, pay, false); err != nil {
+	if err := lk.commitLocked(next, pay); err != nil {
 		lk.lastErr = err
 		return err
 	}
@@ -517,7 +495,6 @@ func (lk *Lake) flushLocked(autoCompact bool) error {
 	if sealedMeta {
 		lk.pendT, lk.pendU = nil, nil
 	}
-	lk.maybeCheckpointLocked()
 	if autoCompact && lk.opt.Compact.Auto && lk.compactEligibleLocked() {
 		lk.startCompactLocked()
 	}
@@ -528,39 +505,18 @@ func (lk *Lake) flushLocked(autoCompact bool) error {
 // installs next as the live state. Callers hold mu, own next (a clone or
 // a state no reader shares), and have already written and fsynced every
 // file the record references. On failure the live state is unchanged.
-func (lk *Lake) commitLocked(next *manifest, pay *commitPayload, checkpoint bool) error {
+func (lk *Lake) commitLocked(next *manifest, pay *commitPayload) error {
 	payloadScalars(pay, next)
 	data, err := json.Marshal(pay)
 	if err != nil {
 		return err
 	}
-	rec := journal.Record{Checkpoint: checkpoint, Version: next.Version, Payload: data}
-	if err := lk.jr.Append(rec); err != nil {
+	if err := lk.jr.Append(journal.Record{Version: next.Version, Payload: data}); err != nil {
 		return err
 	}
 	lk.man = next
-	lk.hist = append(lk.hist, histRec{version: next.Version, checkpoint: checkpoint, pay: pay})
-	if checkpoint {
-		lk.ckptVer = next.Version
-		lk.sinceCk = 0
-	} else {
-		lk.sinceCk++
-	}
+	lk.hist = append(lk.hist, pay)
 	return nil
-}
-
-// maybeCheckpointLocked appends a checkpoint record once CheckpointEvery
-// delta commits have accumulated. A checkpoint repeats the head version
-// with the full state, bounding replay; it is an optimization, so a
-// failed append is logged and the lake keeps going — replay just starts
-// from an older checkpoint.
-func (lk *Lake) maybeCheckpointLocked() {
-	if lk.sinceCk < lk.opt.CheckpointEvery {
-		return
-	}
-	if err := lk.commitLocked(lk.man.clone(), checkpointPayload(lk.man), true); err != nil {
-		log.Printf("lake: checkpoint at version %d failed: %v", lk.man.Version, err)
-	}
 }
 
 // writeFileSync writes data and fsyncs before closing, so the manifest
@@ -746,7 +702,7 @@ func (lk *Lake) Materialize(ctx context.Context, pred Predicate) (*dataset.Datas
 	}
 
 	raw := &dataset.Dataset{Name: man.Name, Start: man.Start, End: man.End}
-	torrents, users, err := lk.readMetaLocked(man)
+	torrents, users, err := lk.readMetaLocked(man.Meta)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -810,12 +766,12 @@ func (lk *Lake) TorrentRecords(version uint64) ([]*dataset.TorrentRecord, []data
 	if err != nil {
 		return nil, nil, err
 	}
-	return lk.readMetaLocked(man)
+	return lk.readMetaLocked(man.Meta)
 }
 
 // VersionUnavailableError reports a pinned version the lake cannot
-// serve: never committed, older than the journal's opening checkpoint,
-// or referencing segments a post-compaction vacuum already deleted.
+// serve: never committed, or referencing segments a post-compaction
+// vacuum already deleted.
 type VersionUnavailableError struct {
 	Version uint64
 	Head    uint64
@@ -826,19 +782,14 @@ func (e *VersionUnavailableError) Error() string {
 	return fmt.Sprintf("lake: version %d unavailable (head %d): %s", e.Version, e.Head, e.Reason)
 }
 
-// pinned resolves the committed state a scan should run against: version
-// 0 (or the current head) means the live state, anything else a fold of
-// the journal history. Callers hold scanMu.R, which keeps the resolved
-// files on disk until the scan finishes.
+// pinned resolves the committed state a scan should run against, as a
+// private copy: version 0 (or the current head) means the live state,
+// anything else the fold of the journal's first version records.
+// Callers hold scanMu.R, which keeps the resolved files on disk until
+// the scan finishes.
 func (lk *Lake) pinned(version uint64) (*manifest, error) {
 	lk.mu.Lock()
 	defer lk.mu.Unlock()
-	return lk.stateAtLocked(version)
-}
-
-// stateAtLocked folds the journal history into the state committed at
-// version (0 = head). The result is a private copy. Callers hold mu.
-func (lk *Lake) stateAtLocked(version uint64) (*manifest, error) {
 	head := lk.man.Version
 	if version == 0 || version == head {
 		return lk.man.clone(), nil
@@ -846,19 +797,7 @@ func (lk *Lake) stateAtLocked(version uint64) (*manifest, error) {
 	if version > head {
 		return nil, &VersionUnavailableError{Version: version, Head: head, Reason: "not committed yet"}
 	}
-	n := 0
-	for i, h := range lk.hist {
-		if h.version <= version {
-			n = i + 1
-		}
-	}
-	if n == 0 || lk.hist[n-1].version != version {
-		return nil, &VersionUnavailableError{Version: version, Head: head, Reason: "predates the journal"}
-	}
-	m, err := foldHist(lk.hist, n, false)
-	if err != nil {
-		return nil, err
-	}
+	m := foldHist(lk.hist[:version])
 	// Compaction retires this version's segments eventually; unless
 	// Options.Retain holds them, a vacuum may already have deleted them.
 	for _, s := range m.Segments {
@@ -871,11 +810,12 @@ func (lk *Lake) stateAtLocked(version uint64) (*manifest, error) {
 	return m, nil
 }
 
-// readMetaLocked loads the manifest's meta files. Callers hold scanMu.R.
-func (lk *Lake) readMetaLocked(man *manifest) ([]*dataset.TorrentRecord, []dataset.UserRecord, error) {
+// readMetaLocked loads meta files, in the order given. Callers hold
+// scanMu.R.
+func (lk *Lake) readMetaLocked(files []string) ([]*dataset.TorrentRecord, []dataset.UserRecord, error) {
 	var torrents []*dataset.TorrentRecord
 	var users []dataset.UserRecord
-	for _, f := range man.Meta {
+	for _, f := range files {
 		buf, err := lk.fs.ReadFile(f)
 		if err != nil {
 			return nil, nil, fmt.Errorf("lake: meta file %s: %w", f, err)
@@ -891,9 +831,8 @@ func (lk *Lake) readMetaLocked(man *manifest) ([]*dataset.TorrentRecord, []datas
 }
 
 // Verify checks the whole lake: the on-disk journal is strictly
-// re-decoded (rejecting torn tails, CRC damage, version regressions and
-// parent-hash breaks), folded with every checkpoint cross-checked
-// against replay, and held against the live state; then every committed
+// re-decoded (rejecting torn tails, CRC damage, version gaps and
+// parent-hash breaks), folded, and held against the live state; then every committed
 // segment is read, CRC-checked and decoded — which proves its header
 // zone and postings against its rows — and its journal entry's zone
 // maps, the copy scans prune on, are held against the file's. One error
@@ -942,10 +881,7 @@ func verifyJournal(buf []byte, man *manifest) []error {
 	if err != nil {
 		return []error{err}
 	}
-	folded, err := foldHist(hist, len(hist), true)
-	if err != nil {
-		return []error{err}
-	}
+	folded := foldHist(hist)
 	if folded.Version != man.Version {
 		return []error{fmt.Errorf("lake: verify: journal head is version %d, live state is %d", folded.Version, man.Version)}
 	}

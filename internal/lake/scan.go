@@ -40,9 +40,8 @@ type Predicate struct {
 	// AsOf pins the scan to the state committed at this journal version
 	// (0 = the current head): segments sealed after it are invisible, so
 	// a query replays byte-identically while ingest continues. Pinning a
-	// version that predates the journal — or whose segments compaction
-	// has vacuumed (see Options.Retain) — fails with
-	// *VersionUnavailableError.
+	// version not committed yet — or whose segments compaction has
+	// vacuumed (see Options.Retain) — fails with *VersionUnavailableError.
 	AsOf uint64
 }
 

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -111,7 +112,7 @@ func countRowsErr(lk *Lake, pred Predicate) error {
 func TestTimeTravel(t *testing.T) {
 	ctx := context.Background()
 	dir := filepath.Join(t.TempDir(), "lake")
-	lk, err := Open(dir, Options{FlushRows: 128, CheckpointEvery: 3})
+	lk, err := Open(dir, Options{FlushRows: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +179,10 @@ func TestTimeTravel(t *testing.T) {
 		t.Fatalf("vacuumed as_of records: %v", err)
 	}
 
-	// Checkpoints were crossed (CheckpointEvery: 3); the journal still
-	// replays, and stats expose the checkpoint.
+	// The journal holds one record per version, and stats expose it.
 	st := lk.Stats()
-	if st.CheckpointVersion == 0 || st.Commits == 0 || st.TotalBytes == 0 {
-		t.Fatalf("journal stats not exposed: %+v", st)
+	if st.Commits != int64(st.Version) || st.TotalBytes == 0 {
+		t.Fatalf("journal stats: %d commits for head v%d, %d bytes", st.Commits, st.Version, st.TotalBytes)
 	}
 	if errs := lk.Verify(ctx); len(errs) != 0 {
 		t.Fatalf("verify after compaction: %v", errs)
@@ -224,4 +224,114 @@ func TestTimeTravelRetain(t *testing.T) {
 	if rows := countRows(t, lk2, Predicate{AsOf: pin}); rows != 500 {
 		t.Fatalf("reopened as_of scan saw %d rows, want 500", rows)
 	}
+}
+
+// TestEveryVersionReplays: the journal is the history. A workload of
+// flushes, meta commits and compactions records the live state right
+// after each commit; then, for every version, the fold a pin resolves —
+// on the writing handle and again after a reopen — is exactly that
+// state, each one-version diff names exactly the files the commit added
+// and retired, and the journal holds one record per version.
+func TestEveryVersionReplays(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "lake")
+	lk, err := Open(dir, Options{FlushRows: 1 << 20, Retain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { lk.Close() }()
+	t0 := time.Date(2010, 4, 6, 0, 0, 0, 0, time.UTC)
+	states := []*manifest{{}} // states[v] is the live state right after version v
+	commit := func(op func() error) {
+		t.Helper()
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		m := liveManifest(lk)
+		if m.Version != uint64(len(states)) {
+			t.Fatalf("commit produced version %d, want %d", m.Version, len(states))
+		}
+		states = append(states, m)
+	}
+	for round := 0; round < 6; round++ {
+		lk.ExtendWindow("replay", t0, t0.Add(time.Duration(round+1)*time.Hour))
+		commit(func() error { fillLake(t, lk, round*100, 100); return nil })
+		if round%2 == 0 {
+			commit(func() error {
+				if err := lk.AddTorrents([]*dataset.TorrentRecord{{TorrentID: round, Title: fmt.Sprint(round)}}); err != nil {
+					return err
+				}
+				return lk.Flush()
+			})
+		}
+		if round == 2 || round == 5 {
+			commit(lk.Compact)
+		}
+	}
+	head := uint64(len(states) - 1)
+
+	files := func(m *manifest) map[string]bool {
+		out := map[string]bool{}
+		for _, s := range m.Segments {
+			out[s.File] = true
+		}
+		for _, f := range m.Meta {
+			out[f] = true
+		}
+		return out
+	}
+	minus := func(a, b *manifest) map[string]bool {
+		out := files(a)
+		for f := range files(b) {
+			delete(out, f)
+		}
+		return out
+	}
+	check := func(lk *Lake, when string) {
+		t.Helper()
+		if st := lk.Stats(); st.Version != head || st.Commits != int64(head) {
+			t.Fatalf("%s: head v%d with %d journal records, want v%d with %d", when, st.Version, st.Commits, head, head)
+		}
+		for v := uint64(1); v <= head; v++ {
+			got, err := lk.pinned(v)
+			if err != nil {
+				t.Fatalf("%s: pin v%d: %v", when, v, err)
+			}
+			if !reflect.DeepEqual(got, states[v]) {
+				t.Fatalf("%s: v%d folds to\n%+v\nwant the state committed then\n%+v", when, v, got, states[v])
+			}
+			if v == head {
+				continue
+			}
+			d, err := lk.DiffVersions(v, v+1)
+			if err != nil {
+				t.Fatalf("%s: diff v%d..v%d: %v", when, v, v+1, err)
+			}
+			added := map[string]bool{}
+			for _, f := range append(d.AddedSegments, d.AddedMeta...) {
+				added[f] = true
+			}
+			retired := map[string]bool{}
+			for _, f := range d.RetiredSegments {
+				retired[f] = true
+			}
+			if !reflect.DeepEqual(added, minus(states[v+1], states[v])) || !reflect.DeepEqual(retired, minus(states[v], states[v+1])) {
+				t.Fatalf("%s: diff v%d..v%d = %+v", when, v, v+1, d)
+			}
+		}
+		var vu *VersionUnavailableError
+		if _, err := lk.DiffVersions(0, head); !errors.As(err, &vu) {
+			t.Fatalf("%s: diff from v0: %v", when, err)
+		}
+		if _, err := lk.pinned(head + 1); !errors.As(err, &vu) {
+			t.Fatalf("%s: pin past head: %v", when, err)
+		}
+	}
+	check(lk, "live")
+	if err := lk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if lk, err = Open(dir, Options{Retain: true}); err != nil {
+		t.Fatal(err)
+	}
+	check(lk, "reopened")
 }
