@@ -1,5 +1,5 @@
-// Benchmarks regenerating every table and figure of the paper (DESIGN.md
-// §4, experiments E1-E15). One shared campaign is crawled once; each bench
+// Benchmarks regenerating every table and figure of the paper
+// (experiments E1-E15). One shared campaign is crawled once; each bench
 // then measures the cost of regenerating its artifact from the dataset, so
 // `go test -bench=. -benchmem` doubles as the experiment runner.
 package btpub

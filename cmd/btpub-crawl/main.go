@@ -5,7 +5,8 @@
 // live while crawling, sharded runs import the merged dataset afterwards,
 // and successive crawls into the same lake accumulate with offset
 // torrent IDs (the incremental-archive workflow of the follow-up
-// studies).
+// studies). With -sockets every shard is crawled over loopback sockets —
+// HTTP portal and tracker, TCP wire gateway — and writes the same bytes.
 package main
 
 import (
@@ -27,6 +28,7 @@ func main() {
 	shards := flag.Int("shards", runtime.NumCPU(), "parallel world shards")
 	out := flag.String("out", "", "output dataset path (default <style>.jsonl; \"-\" skips the JSONL)")
 	lakeDir := flag.String("lake", "", "also persist the campaign into this lake directory")
+	sockets := flag.Bool("sockets", false, "crawl each shard over loopback HTTP and TCP sockets")
 	flag.Parse()
 
 	st, err := campaign.ParseStyle(*style)
@@ -39,7 +41,7 @@ func main() {
 	}
 	spec := campaign.Spec{
 		Scale: *scale, Seed: *seed, MeanDownloads: *md, Style: st,
-		Shards: *shards,
+		Shards: *shards, Sockets: *sockets,
 	}
 	if *lakeDir != "" {
 		lk, err := lake.Open(*lakeDir, lake.Options{Compact: lake.CompactOptions{Auto: true}})

@@ -33,6 +33,13 @@
 //     before the clock proceeds, so no run depends on Workers; Close
 //     cancels and waits for the announce in flight.
 //
+//   - Sockets (campaign.Spec.Sockets / btpub-crawl -sockets): each shard
+//     serves its portal and tracker over a loopback HTTP server and its
+//     peers over the ecosystem's TCP gateway, crawled through HTTPPortal,
+//     HTTPTracker and GatewayProber. The same sim clock drives both
+//     transports and every request is answered at its callback's
+//     instant, so the dataset is byte-identical to the in-process crawl.
+//
 // btpub-experiments -sweep runs a grid of Specs (style × seed) one
 // campaign after another, each sharded across all cores — the
 // multi-campaign re-run the follow-up studies (TorrentGuard, the
@@ -311,8 +318,9 @@
 // (lakeserve handlers write error statuses only through the envelope
 // helpers), and errfmtverb (fmt.Errorf wraps error operands with %w).
 // cmd/btpub-vet drives them over the whole module (what `make lint`
-// runs). Deliberate exceptions — the wall-clock Pump that serves the
-// world over real sockets, lifecycle root contexts — are grandfathered in ci/lint-allow.txt with a mandatory
+// runs). Deliberate exceptions — the peer gateway's wall-clock
+// connection deadline, lifecycle root contexts — are grandfathered in
+// ci/lint-allow.txt with a mandatory
 // reason per line; a stale entry (its finding fixed) itself fails the
 // run, so the debt list only shrinks, and the nightly lint-debt job
 // publishes the unfiltered report. Fixture packages under

@@ -12,12 +12,24 @@
 // purely from (Seed, torrent ID), and the per-shard datasets are merged
 // into one canonically ordered dataset, so the output is byte-identical
 // for any shard count (and any GOMAXPROCS) at a fixed Seed.
+//
+// # Sockets
+//
+// With Spec.Sockets every shard serves its portal and tracker over a
+// loopback HTTP server and its peers over the ecosystem's TCP gateway, and
+// the crawler reaches them through the same clients a crawl of real
+// servers would use. Nothing else changes: the shard's sim clock still
+// fires one callback at a time, each request is answered at that
+// callback's instant, and the dataset is byte-identical to the in-process
+// run.
 package campaign
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"net/http"
 	"net/netip"
 	"sync"
 	"time"
@@ -28,6 +40,7 @@ import (
 	"btpub/internal/geoip"
 	"btpub/internal/lake"
 	"btpub/internal/population"
+	"btpub/internal/portal"
 	"btpub/internal/simclock"
 	"btpub/internal/tracker"
 )
@@ -109,6 +122,10 @@ type Spec struct {
 	// import path reserves its ID range atomically, but two concurrent
 	// live streams would claim the same base.
 	Lake *lake.Lake
+	// Sockets crawls each shard over loopback sockets (HTTP portal and
+	// tracker, TCP wire gateway) instead of in-process clients. The
+	// dataset is the same; only the transport differs.
+	Sockets bool
 }
 
 // ShardRun exposes one shard's live pipeline for ground-truth access.
@@ -298,10 +315,23 @@ func persistToLake(lk *lake.Lake, stream *lakeStream, raw, merged *dataset.Datas
 // the shard's private sim clock, and returns the shard dataset.
 func runShard(ctx context.Context, spec Spec, world *population.World, db *geoip.DB, seed uint64, consumption map[int][]ecosystem.ConsumptionEvent, index, count int, end time.Time, name string, stream *lakeStream) (*ecosystem.Ecosystem, *crawler.Crawler, *dataset.Dataset, error) {
 	clock := simclock.NewSim(world.Start)
+	// The .torrent files name the tracker the crawler announces to, so the
+	// loopback listeners must exist before the ecosystem does.
+	var lb *loopback
+	trackerURL := ""
+	if spec.Sockets {
+		var err error
+		if lb, err = listenLoopback(); err != nil {
+			return nil, nil, nil, err
+		}
+		defer lb.close()
+		trackerURL = lb.base + "/announce"
+	}
 	eco, err := ecosystem.New(ecosystem.Config{
 		World:       world,
 		DB:          db,
 		Clock:       clock,
+		TrackerURL:  trackerURL,
 		Seed:        seed,
 		ShardIndex:  index,
 		ShardCount:  count,
@@ -326,16 +356,23 @@ func runShard(ctx context.Context, spec Spec, world *population.World, db *geoip
 	if stream != nil {
 		cfg.Sink = stream.sink
 	}
-	var prober ecosystem.Prober
-	if spec.Style != PB09 {
-		prober = &ecosystem.InProcessProber{E: eco}
-	}
-	cr, err := crawler.New(cfg,
-		&crawler.SimDriver{Sim: clock},
-		&crawler.InProcessPortal{P: eco.Portal},
-		&crawler.InProcessTracker{T: trk, Vantages: crawler.DefaultVantages(3)},
-		prober,
+	portalURL := crawler.SimPortalURL
+	var (
+		pc     crawler.PortalClient  = &crawler.InProcessPortal{P: eco.Portal}
+		tc     crawler.TrackerClient = &crawler.InProcessTracker{T: trk, Vantages: crawler.DefaultVantages(3)}
+		prober ecosystem.Prober      = &ecosystem.InProcessProber{E: eco}
 	)
+	if lb != nil {
+		lb.serve(eco, trk)
+		portalURL = lb.base
+		pc = &crawler.HTTPPortal{BaseURL: lb.base}
+		tc = &crawler.HTTPTracker{Vantages: crawler.DefaultVantages(3)}
+		prober = &ecosystem.GatewayProber{Addr: lb.gw.Addr().String()}
+	}
+	if spec.Style == PB09 {
+		prober = nil
+	}
+	cr, err := crawler.New(cfg, &crawler.SimDriver{Sim: clock}, pc, tc, prober)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -349,11 +386,62 @@ func runShard(ctx context.Context, spec Spec, world *population.World, db *geoip
 
 	// Post-campaign enrichment: page re-checks and user pages.
 	if err := cr.FinalSweep(ctx, func(rec *dataset.TorrentRecord) string {
-		return crawler.SimPortalURL + "/page/" + rec.InfoHash
+		return portalURL + "/page/" + rec.InfoHash
 	}); err != nil {
 		return nil, nil, nil, err
 	}
 	return eco, cr, cr.Dataset(), nil
+}
+
+// loopback is one shard's socket endpoints: an HTTP server carrying the
+// portal and the tracker, and the ecosystem's peer gateway.
+type loopback struct {
+	web, gw net.Listener
+	base    string // http://<web address>
+	srv     http.Server
+	done    sync.WaitGroup
+}
+
+func listenLoopback() (*loopback, error) {
+	web, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, fmt.Errorf("campaign: listen: %w", err)
+	}
+	gw, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		web.Close()
+		return nil, fmt.Errorf("campaign: listen: %w", err)
+	}
+	return &loopback{web: web, gw: gw, base: "http://" + web.Addr().String()}, nil
+}
+
+// serve starts answering on both listeners; close stops them.
+func (lb *loopback) serve(eco *ecosystem.Ecosystem, trk *tracker.Tracker) {
+	ph, th := &portal.Handler{P: eco.Portal}, &tracker.Handler{T: trk}
+	lb.srv.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/announce" {
+			th.ServeHTTP(w, r)
+			return
+		}
+		ph.ServeHTTP(w, r)
+	})
+	lb.done.Add(2)
+	go func() {
+		defer lb.done.Done()
+		_ = lb.srv.Serve(lb.web) // returns once close shuts the server
+	}()
+	go func() {
+		defer lb.done.Done()
+		_ = eco.ServeGateway(lb.gw) // returns once close shuts the listener
+	}()
+}
+
+// close shuts both endpoints and waits for their accept loops to return.
+func (lb *loopback) close() {
+	_ = lb.srv.Close() // also closes lb.web
+	_ = lb.web.Close() // for a server that never started serving
+	_ = lb.gw.Close()
+	lb.done.Wait()
 }
 
 // Stats aggregates crawler counters across every shard.

@@ -332,17 +332,70 @@ func TestShardedRunByteIdentical(t *testing.T) {
 			if err := sharded.Dataset.Write(&b); err != nil {
 				t.Fatal(err)
 			}
-			if bytes.Equal(a.Bytes(), b.Bytes()) {
+			sameLines(t, "serial", "sharded", a.String(), b.String())
+		})
+	}
+}
+
+// sameLines fails the test at the first line where two serialised
+// datasets differ.
+func sameLines(t *testing.T, aName, bName, a, b string) {
+	t.Helper()
+	if a == b {
+		return
+	}
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if al[i] != bl[i] {
+			t.Fatalf("outputs differ (%s %d lines, %s %d); first at line %d:\n%s: %s\n%s: %s",
+				aName, len(al), bName, len(bl), i+1, aName, al[i], bName, bl[i])
+		}
+	}
+	t.Fatalf("outputs differ in length: %s %d lines, %s %d", aName, len(al), bName, len(bl))
+}
+
+// TestSocketsByteIdentical is the oracle of network mode: a crawl over
+// loopback sockets (HTTP portal and tracker, TCP wire gateway, two
+// shards) must serialise byte-for-byte like the in-process crawl of the
+// same world. The world is small (100 torrents) so the socket runs stay
+// cheap; the pinned paper-scale spec runs nightly.
+func TestSocketsByteIdentical(t *testing.T) {
+	for _, style := range []Style{PB10, PB09} {
+		t.Run(style.String(), func(t *testing.T) {
+			spec := Spec{Scale: 0.002, MeanDownloads: 15, Style: style, Seed: 42}
+			inProcess, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Sockets, spec.Shards = true, 2
+			sockets, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var a, b bytes.Buffer
+			if err := inProcess.Dataset.Write(&a); err != nil {
+				t.Fatal(err)
+			}
+			if err := sockets.Dataset.Write(&b); err != nil {
+				t.Fatal(err)
+			}
+			sameLines(t, "in-process", "sockets", a.String(), b.String())
+			if style != PB10 {
 				return
 			}
-			al, bl := strings.Split(a.String(), "\n"), strings.Split(b.String(), "\n")
-			for i := 0; i < len(al) && i < len(bl); i++ {
-				if al[i] != bl[i] {
-					t.Fatalf("outputs differ (serial %d lines, sharded %d); first at line %d:\nserial:  %s\nsharded: %s",
-						len(al), len(bl), i+1, al[i], bl[i])
+			// pb10 must have crossed every socket client: the gateway
+			// prober, the portal's user pages and its removal signal.
+			st := sockets.Stats()
+			removed := 0
+			for _, rec := range sockets.Dataset.Torrents {
+				if rec.Removed {
+					removed++
 				}
 			}
-			t.Fatalf("outputs differ in length: serial %d lines, sharded %d", len(al), len(bl))
+			if st.WireProbes == 0 || st.PublishersByIP == 0 || len(sockets.Dataset.Users) == 0 || removed == 0 {
+				t.Fatalf("socket crawl skipped a client: %d probes, %d publisher IPs, %d users, %d removed",
+					st.WireProbes, st.PublishersByIP, len(sockets.Dataset.Users), removed)
+			}
 		})
 	}
 }

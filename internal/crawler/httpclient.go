@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/netip"
+	"net/url"
+	"sync"
 
 	"btpub/internal/metainfo"
 	"btpub/internal/portal"
@@ -13,45 +15,85 @@ import (
 )
 
 // HTTPPortal is the network-mode PortalClient: it talks to a live portal
-// over HTTP and scrapes its pages, exactly like the paper's crawler.
+// over HTTP and scrapes its pages, exactly like the paper's crawler. Like
+// InProcessPortal it parses the feed only when it changed: it sends the
+// last feed's ETag as If-None-Match and reuses the parsed items on a 304.
 type HTTPPortal struct {
 	BaseURL string
-	HTTP    *http.Client
+
+	mu     sync.Mutex
+	etag   string
+	cached []portal.FeedItem
 }
 
-func (c *HTTPPortal) client() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
-}
-
-func (c *HTTPPortal) get(ctx context.Context, url string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+// do sends a GET for target, with If-None-Match when etag is set. A 404 is
+// portal.ErrNotFound; any status but 200 (or 304 to a conditional GET) is
+// an error. The caller closes the response body.
+func (c *HTTPPortal) do(ctx context.Context, target, etag string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.client().Do(req)
+	if etag != "" {
+		req.Header.Set("If-None-Match", etag)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
+	switch {
+	case resp.StatusCode == http.StatusOK:
+		return resp, nil
+	case resp.StatusCode == http.StatusNotModified && etag != "":
+		return resp, nil
+	case resp.StatusCode == http.StatusNotFound:
+		err = portal.ErrNotFound
+	default:
+		err = fmt.Errorf("crawler: GET %s -> %d", target, resp.StatusCode)
+	}
+	resp.Body.Close()
+	return nil, err
+}
+
+func readBody(resp *http.Response) ([]byte, error) {
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, portal.ErrNotFound
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("crawler: GET %s -> %d", url, resp.StatusCode)
-	}
 	return io.ReadAll(io.LimitReader(resp.Body, 8<<20))
 }
 
-// FetchRSS implements PortalClient.
-func (c *HTTPPortal) FetchRSS(ctx context.Context) ([]portal.FeedItem, error) {
-	body, err := c.get(ctx, c.BaseURL+"/rss")
+func (c *HTTPPortal) get(ctx context.Context, target string) ([]byte, error) {
+	resp, err := c.do(ctx, target, "")
 	if err != nil {
 		return nil, err
 	}
-	return portal.ParseRSS(body)
+	return readBody(resp)
+}
+
+// FetchRSS implements PortalClient. Callers must not mutate the returned
+// items (the crawler copies each item it processes).
+func (c *HTTPPortal) FetchRSS(ctx context.Context) ([]portal.FeedItem, error) {
+	c.mu.Lock()
+	etag, items := c.etag, c.cached
+	c.mu.Unlock()
+	resp, err := c.do(ctx, c.BaseURL+"/rss", etag)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode == http.StatusNotModified {
+		resp.Body.Close()
+		return items, nil
+	}
+	etag = resp.Header.Get("ETag")
+	body, err := readBody(resp)
+	if err != nil {
+		return nil, err
+	}
+	if items, err = portal.ParseRSS(body); err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	c.etag, c.cached = etag, items
+	c.mu.Unlock()
+	return items, nil
 }
 
 // FetchTorrent implements PortalClient.
@@ -68,9 +110,11 @@ func (c *HTTPPortal) FetchPage(ctx context.Context, url string) (*portal.PageDat
 	return portal.ParsePage(body)
 }
 
-// FetchUserPage implements PortalClient.
+// FetchUserPage implements PortalClient. The portal accepts any non-empty
+// username, so the name is path-escaped: a '?', '#', '%' or '/' in it
+// must not address another page.
 func (c *HTTPPortal) FetchUserPage(ctx context.Context, username string) (*portal.UserPageData, error) {
-	body, err := c.get(ctx, c.BaseURL+"/user/"+username)
+	body, err := c.get(ctx, c.BaseURL+"/user/"+url.PathEscape(username))
 	if err != nil {
 		return nil, err
 	}
@@ -84,12 +128,11 @@ var _ PortalClient = (*HTTPPortal)(nil)
 // paper's geographically distributed machines.
 type HTTPTracker struct {
 	Vantages []netip.Addr
-	HTTP     *http.Client
 }
 
 // Announce implements TrackerClient.
 func (c *HTTPTracker) Announce(ctx context.Context, announceURL string, ih metainfo.Hash, vantage, numWant int) (*tracker.AnnounceResponse, error) {
-	cl := &tracker.Client{HTTP: c.HTTP}
+	cl := &tracker.Client{}
 	if len(c.Vantages) > 0 {
 		cl.Vantage = c.Vantages[vantage%len(c.Vantages)]
 	}

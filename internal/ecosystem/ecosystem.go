@@ -384,9 +384,8 @@ func mainCategory(c population.Category) string {
 // tracker.Store implementation
 // ---------------------------------------------------------------------
 
-// Snapshot implements tracker.Store over the simulated swarms. Queries are
-// clamped to each swarm's latest observed time so concurrent network-mode
-// requests cannot run the swarm clock backwards.
+// Snapshot implements tracker.Store over the simulated swarms. It records
+// now as the swarm's latest time, the instant PeerState answers probes at.
 func (e *Ecosystem) Snapshot(ih metainfo.Hash, now time.Time, maxPeers int) ([]swarm.Member, int, int, error) {
 	e.mu.Lock()
 	st := e.swarms[ih]
@@ -396,9 +395,6 @@ func (e *Ecosystem) Snapshot(ih metainfo.Hash, now time.Time, maxPeers int) ([]s
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if now.Before(st.lastNow) {
-		now = st.lastNow
-	}
 	st.lastNow = now
 	seeders, leechers, err := st.sw.Counts(now)
 	if err != nil {

@@ -115,22 +115,6 @@ func TestSnapshotUnknownHash(t *testing.T) {
 	}
 }
 
-func TestSnapshotClampsBackwardsTime(t *testing.T) {
-	e := buildSmall(t)
-	e.Clock().Advance(5 * 24 * time.Hour)
-	entry := e.Portal.Recent(1)[0]
-	now := e.Clock().Now()
-	if _, _, _, err := e.Snapshot(entry.InfoHash, now, 10); err != nil {
-		t.Fatal(err)
-	}
-	// A request stamped slightly in the past must not error (over real
-	// sockets, HTTP handlers race the Pump) — it is served at the
-	// swarm's latest time.
-	if _, _, _, err := e.Snapshot(entry.InfoHash, now.Add(-time.Hour), 10); err != nil {
-		t.Fatalf("backwards snapshot: %v", err)
-	}
-}
-
 func TestFreshSwarmHasSingleSeederPublisher(t *testing.T) {
 	e := buildSmall(t)
 	// Walk the clock in small steps and look at newborn swarms: most

@@ -18,8 +18,8 @@ import (
 // every reachable peer behind one TCP endpoint: the client sends a one-line
 // preamble naming the peer it wants ("PEER <ip>\n") and then speaks the
 // standard BitTorrent wire protocol. The preamble is the only deviation
-// from the real protocol and is documented in DESIGN.md's substitution
-// table.
+// from the real protocol and is documented in the README's "Over sockets"
+// paragraph (The sharded campaign engine).
 
 // ServeGateway accepts peer-gateway connections until the listener closes.
 func (e *Ecosystem) ServeGateway(l net.Listener) error {
@@ -67,17 +67,14 @@ func (b *bufferedConn) Read(p []byte) (int, error) { return b.r.Read(p) }
 type GatewayProber struct {
 	// Addr is the gateway's TCP endpoint.
 	Addr string
-	// Timeout bounds one probe (default 5s).
-	Timeout time.Duration
 }
+
+// probeTimeout bounds one gateway probe.
+const probeTimeout = 5 * time.Second
 
 // Probe implements Prober.
 func (p *GatewayProber) Probe(ctx context.Context, addr netip.Addr, ih metainfo.Hash, numPieces int) (*wire.ProbeResult, error) {
-	timeout := p.Timeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	d := net.Dialer{Timeout: timeout}
+	d := net.Dialer{Timeout: probeTimeout}
 	conn, err := d.DialContext(ctx, "tcp", p.Addr)
 	if err != nil {
 		return nil, err
@@ -88,34 +85,7 @@ func (p *GatewayProber) Probe(ctx context.Context, addr netip.Addr, ih metainfo.
 	}
 	var myID [20]byte
 	copy(myID[:], "-BTPUB0-netcrawler00")
-	return wire.Probe(conn, ih, myID, numPieces, timeout)
+	return wire.Probe(conn, ih, myID, numPieces, probeTimeout)
 }
 
 var _ Prober = (*GatewayProber)(nil)
-
-// Pump advances the simulation clock in real time: every tick the clock
-// jumps forward by speedup × elapsed wall time, firing publication and
-// moderation events. Returns a stop function. Used where the world is
-// served over real sockets (examples/livecrawl, btpub-ecosystem).
-func (e *Ecosystem) Pump(speedup float64, tick time.Duration) (stop func()) {
-	if tick <= 0 {
-		tick = 100 * time.Millisecond
-	}
-	done := make(chan struct{})
-	go func() {
-		last := time.Now()
-		t := time.NewTicker(tick)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case now := <-t.C:
-				delta := now.Sub(last)
-				last = now
-				e.clock.Advance(time.Duration(float64(delta) * speedup))
-			}
-		}
-	}()
-	return func() { close(done) }
-}

@@ -94,10 +94,10 @@ func scaled(n int, scale float64, min int) int {
 //
 //	λ0 = D · base · publisherFactor · torrentFactor   [arrivals/day]
 //
-// with log-normal publisher and torrent factors. See DESIGN.md §5 for how
-// these were chosen to satisfy both the share constraints (fake 25 % of
-// downloads from 30 % of content; top 50 % from 37 %) and the median
-// constraints of Figure 3 (top ≈ 7× All, fake lowest).
+// with log-normal publisher and torrent factors, chosen to satisfy both the
+// share constraints (fake 25 % of downloads from 30 % of content; top 50 %
+// from 37 %) and the median constraints of Figure 3 (top ≈ 7× All, fake
+// lowest).
 type classPopularity struct {
 	base     float64 // median λ0 as a fraction of MeanDownloads per day
 	pubSigma float64 // publisher-level log-normal sigma

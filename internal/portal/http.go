@@ -22,13 +22,12 @@ const DefaultRSSWindow = 60
 //	GET /torrent/<hash>.torrent   the .torrent file
 //	GET /page/<hash>              torrent detail page (HTML)
 //	GET /user/<username>          account page (HTML)
+//
+// Feed links are rooted at the request's Host. The feed's ETag is the
+// portal's Revision, so a poller that sends it back as If-None-Match gets
+// 304 Not Modified until the index changes.
 type Handler struct {
 	P *Portal
-	// BaseURL is the externally visible root used in feed links; when
-	// empty, links are derived from the request Host.
-	BaseURL string
-	// RSSWindow overrides DefaultRSSWindow when > 0.
-	RSSWindow int
 }
 
 // ServeHTTP implements http.Handler.
@@ -47,19 +46,17 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (h *Handler) base(r *http.Request) string {
-	if h.BaseURL != "" {
-		return h.BaseURL
-	}
-	return "http://" + r.Host
-}
-
 func (h *Handler) serveRSS(w http.ResponseWriter, r *http.Request) {
-	window := h.RSSWindow
-	if window <= 0 {
-		window = DefaultRSSWindow
+	// Read the revision before rendering: a mutation in between then
+	// leaves the ETag older than the body, which costs the poller one
+	// more full fetch, never a stale cache.
+	etag := `"` + strconv.FormatUint(h.P.Revision(), 10) + `"`
+	w.Header().Set("ETag", etag)
+	if r.Header.Get("If-None-Match") == etag {
+		w.WriteHeader(http.StatusNotModified)
+		return
 	}
-	body, err := h.P.RSS(h.base(r), window)
+	body, err := h.P.RSS("http://"+r.Host, DefaultRSSWindow)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

@@ -449,3 +449,58 @@ func TestNewRequiresClock(t *testing.T) {
 		t.Fatal("nil clock accepted")
 	}
 }
+
+// TestRSSConditionalGET: the feed's ETag is the portal revision, so a
+// matching If-None-Match answers 304 until a publish, a takedown or an
+// account suspension — every mutation the feed can show — moves it.
+func TestRSSConditionalGET(t *testing.T) {
+	p, _ := newTestPortal(t)
+	first := makeEntry(t, 1, "alice")
+	if _, err := p.Publish(first); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(&Handler{P: p})
+	defer srv.Close()
+
+	get := func(etag string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, srv.URL+"/rss", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if etag != "" {
+			req.Header.Set("If-None-Match", etag)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		return resp.StatusCode, resp.Header.Get("ETag")
+	}
+	code, etag := get("")
+	if code != http.StatusOK || etag == "" {
+		t.Fatalf("/rss -> %d, ETag %q", code, etag)
+	}
+	if code, _ := get(etag); code != http.StatusNotModified {
+		t.Fatalf("unchanged feed with matching If-None-Match -> %d, want 304", code)
+	}
+	second := makeEntry(t, 2, "bob")
+	for _, m := range []struct {
+		name   string
+		mutate func() error
+	}{
+		{"publish", func() error { _, err := p.Publish(second); return err }},
+		{"remove", func() error { return p.Remove(second.InfoHash) }},
+		{"suspend", func() error { return p.SuspendAccount("alice") }},
+	} {
+		if err := m.mutate(); err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		code, next := get(etag)
+		if code != http.StatusOK || next == etag {
+			t.Fatalf("after %s: %d with ETag %q (was %q), want 200 and a new ETag", m.name, code, next, etag)
+		}
+		etag = next
+	}
+}

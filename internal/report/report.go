@@ -222,7 +222,7 @@ func (r *Report) Render() string {
 		r.Spec.Style, r.Spec.Scale, r.Spec.Seed, r.Spec.MeanDownloads,
 		time.Now().UTC().Format(time.RFC3339))
 	b.WriteString("Absolute numbers are scenario-scaled; the reproduction claim is shape-level\n")
-	b.WriteString("(orderings, ratios, crossovers). See DESIGN.md §5.\n\n")
+	b.WriteString("(orderings, ratios, crossovers).\n\n")
 	b.WriteString("| Experiment | Metric | Paper | Measured | Shape |\n")
 	b.WriteString("|---|---|---|---|---|\n")
 	for _, row := range r.Rows {

@@ -4,8 +4,8 @@
 // To reproduce them in seconds, every component in this repository reads time
 // through the Clock interface instead of calling time.Now directly. A Sim
 // clock advances only when told to (or when a scheduled event fires), which
-// makes runs deterministic; a Real clock delegates to the time package and is
-// used when the ecosystem is served over real sockets.
+// makes runs deterministic; a Real clock delegates to the time package and
+// serves only wall-clock telemetry (a campaign's Elapsed).
 package simclock
 
 import (
@@ -122,7 +122,9 @@ func (s *Sim) Advance(d time.Duration) {
 }
 
 // AdvanceTo moves the clock to t (no-op if t is in the past), firing events
-// along the way.
+// along the way. A callback runs without the clock's lock held, so it — and
+// any goroutine it waits on, such as a server answering its request — may
+// call Now, which reports the callback's deadline.
 func (s *Sim) AdvanceTo(t time.Time) {
 	for {
 		e := s.pop(t)

@@ -15,11 +15,9 @@ import (
 	"btpub/internal/metainfo"
 )
 
-// Client announces to an HTTP tracker; it is what the crawler's
-// HTTPTracker uses over real sockets (examples/livecrawl).
+// Client announces to an HTTP tracker over http.DefaultClient; it is what
+// the crawler's HTTPTracker uses over real sockets (btpub-crawl -sockets).
 type Client struct {
-	// HTTP is the underlying client (http.DefaultClient when nil).
-	HTTP *http.Client
 	// Vantage identifies the crawling machine; sent as X-Vantage-Addr so a
 	// simulated tracker can rate-limit per vantage point even when all
 	// vantages share 127.0.0.1.
@@ -65,11 +63,7 @@ func (c *Client) Announce(ctx context.Context, announceURL string, ih metainfo.H
 	if c.Vantage.IsValid() {
 		req.Header.Set("X-Vantage-Addr", c.Vantage.String())
 	}
-	hc := c.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	httpResp, err := hc.Do(req)
+	httpResp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
