@@ -251,7 +251,7 @@ func benchCampaign(b *testing.B, scenarios population.Scenario, ceiling uint64) 
 	for i := 0; i < b.N; i++ {
 		res, err := campaign.Run(campaign.Spec{
 			Scale: 0.1, MeanDownloads: 200, Seed: 11,
-			Shards: runtime.NumCPU(), Workers: 2,
+			Shards:    runtime.NumCPU(),
 			Scenarios: scenarios,
 		})
 		if err != nil {

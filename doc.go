@@ -25,13 +25,14 @@
 //     campaign package's determinism test enforces this for all three
 //     dataset styles (pb10/pb09/mn08).
 //
-//   - Announce slots (campaign.Spec.Workers / crawler.Config.Workers):
-//     inside each crawler every vantage (one of the paper's independent
-//     crawling machines) owns Workers slots, and an announce runs on the
-//     goroutine that asked for it while holding one — the crawler starts
-//     no goroutine. The one driver, SimDriver, completes each query
-//     before the clock proceeds, so no run depends on Workers; Close
-//     cancels and waits for the announce in flight.
+//   - One crawl goroutine per shard: the crawler is a single-goroutine
+//     state machine on its shard's simclock.Sim. Every poll, fetch,
+//     announce and probe runs inside a clock callback on the goroutine
+//     advancing the clock, so the crawler holds no lock and starts no
+//     goroutine; its vantages (the paper's independent crawling
+//     machines) take turns on that clock, and each query's full effect
+//     is recorded before the clock proceeds. The campaign's context
+//     governs the crawl (campaign.RunContext); Spec.Workers is ignored.
 //
 //   - Sockets (campaign.Spec.Sockets / btpub-crawl -sockets): each shard
 //     serves its portal and tracker over a loopback HTTP server and its
@@ -347,6 +348,6 @@
 // fuzzes every target for 5 minutes, runs the exhaustive kill-point
 // torture (make test-faults), and runs bench/ over all four workloads,
 // untraced and traced, plus `make bench` (E1–E15), uploading both
-// outputs as the run's artifact. See README.md for the shard/worker
+// outputs as the run's artifact. See README.md for the shard
 // knobs on each binary and the measured speedups.
 package btpub

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"strings"
 	"time"
 )
 
@@ -26,31 +27,20 @@ type LogNotifier struct {
 // Notify implements Notifier.
 func (n *LogNotifier) Notify(_ context.Context, alerts []Alert) error {
 	for _, a := range alerts {
-		n.Log.Printf("alert %s %s score=%.2f v%d: %s", a.State, a.ID, a.Score, a.UpdatedVersion, joinReasons(a.Reasons))
+		n.Log.Printf("alert %s %s score=%.2f v%d: %s", a.State, a.ID, a.Score, a.UpdatedVersion, strings.Join(a.Reasons, "; "))
 	}
 	return nil
 }
 
-func joinReasons(reasons []string) string {
-	switch len(reasons) {
-	case 0:
-		return ""
-	case 1:
-		return reasons[0]
-	}
-	out := reasons[0]
-	for _, r := range reasons[1:] {
-		out += "; " + r
-	}
-	return out
-}
+// webhookTimeout bounds one webhook delivery, connect to response.
+const webhookTimeout = 10 * time.Second
+
+var webhookClient = &http.Client{Timeout: webhookTimeout}
 
 // WebhookNotifier POSTs the changed alerts as one JSON array per batch —
 // the btpub-serve -alert-webhook wiring.
 type WebhookNotifier struct {
 	URL string
-	// Client defaults to a 10s-timeout client.
-	Client *http.Client
 }
 
 // Notify implements Notifier.
@@ -64,11 +54,7 @@ func (n *WebhookNotifier) Notify(ctx context.Context, alerts []Alert) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	client := n.Client
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
-	}
-	resp, err := client.Do(req)
+	resp, err := webhookClient.Do(req)
 	if err != nil {
 		return err
 	}

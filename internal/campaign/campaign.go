@@ -106,10 +106,7 @@ type Spec struct {
 	// crawled by its own goroutine (0 or 1 = serial). The merged dataset is
 	// byte-identical for any shard count at a fixed Seed.
 	Shards int
-	// Workers is passed through as each shard crawler's Config.Workers.
-	// No driver in the tree can make the value matter: every shard crawls
-	// on its own sim clock, which fires one callback at a time. It stays
-	// because bench/ sets it.
+	// Workers is ignored; it stays because bench/ sets it.
 	Workers int
 	// Lake, when non-nil, persists the campaign into the lake. A serial
 	// run (Shards <= 1) streams observations into the lake live while the
@@ -160,13 +157,14 @@ const drainDays = 5
 // Run executes the campaign: generate the world, stand up the ecosystem,
 // crawl it for the whole campaign window plus drain, run the final sweep,
 // and return the merged dataset. It is the synchronous entry point; use
-// RunContext to make the enrichment sweep cancellable.
+// RunContext to make the crawl cancellable.
 func Run(spec Spec) (*Result, error) {
 	return RunContext(context.Background(), spec)
 }
 
-// RunContext is Run with a caller-owned context threaded through to the
-// post-campaign enrichment sweep.
+// RunContext is Run with a caller-owned context threaded through every
+// shard's crawl and post-campaign enrichment sweep; once it is cancelled
+// the crawlers stop querying and the run returns its error.
 func RunContext(ctx context.Context, spec Spec) (*Result, error) {
 	if spec.Scale <= 0 {
 		return nil, errors.New("campaign: Scale must be positive")
@@ -257,26 +255,21 @@ func RunContext(ctx context.Context, spec Spec) (*Result, error) {
 // lakeStream adapts a lake writer to the crawler's observation sink: the
 // crawler's local torrent IDs are offset past the lake's existing
 // contents, and the first append error is kept for the end of the run
-// (the sink signature has no error path). Most appends are two interned
-// column pushes; every FlushRows-th append seals a segment (encode +
-// fsync + manifest commit) while the crawler holds its dataset lock —
-// a bounded, amortised stall accepted in exchange for the observations
+// (the sink signature has no error path). Only a serial run streams, so
+// the sink runs on the one shard's crawl goroutine. Most appends are two
+// interned column pushes; every FlushRows-th append seals a segment
+// (encode + fsync + manifest commit) inside the crawler's clock callback
+// — a bounded, amortised stall accepted in exchange for the observations
 // being durable and servable mid-crawl.
 type lakeStream struct {
 	lk   *lake.Lake
 	base int
-
-	mu  sync.Mutex
-	err error
+	err  error
 }
 
 func (ls *lakeStream) sink(tid int, addr netip.Addr, at time.Time, seeder bool) {
-	if err := ls.lk.AppendAddr(ls.base+tid, addr, at, seeder); err != nil {
-		ls.mu.Lock()
-		if ls.err == nil {
-			ls.err = err
-		}
-		ls.mu.Unlock()
+	if err := ls.lk.AppendAddr(ls.base+tid, addr, at, seeder); err != nil && ls.err == nil {
+		ls.err = err
 	}
 }
 
@@ -289,11 +282,8 @@ func persistToLake(lk *lake.Lake, stream *lakeStream, raw, merged *dataset.Datas
 	if stream == nil {
 		return lk.ImportDataset(merged)
 	}
-	stream.mu.Lock()
-	err := stream.err
-	stream.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("campaign: lake stream: %w", err)
+	if stream.err != nil {
+		return fmt.Errorf("campaign: lake stream: %w", stream.err)
 	}
 	recs := make([]*dataset.TorrentRecord, len(raw.Torrents))
 	for i, t := range raw.Torrents {
@@ -350,7 +340,6 @@ func runShard(ctx context.Context, spec Spec, world *population.World, db *geoip
 		DatasetName:     name,
 		RecordUsernames: spec.Style != MN08,
 		SingleShot:      spec.Style == PB09,
-		Workers:         spec.Workers,
 		End:             end,
 	}
 	if stream != nil {
@@ -372,17 +361,19 @@ func runShard(ctx context.Context, spec Spec, world *population.World, db *geoip
 	if spec.Style == PB09 {
 		prober = nil
 	}
-	cr, err := crawler.New(cfg, &crawler.SimDriver{Sim: clock}, pc, tc, prober)
+	cr, err := crawler.New(cfg, clock, pc, tc, prober)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	defer cr.Close()
-	if err := cr.Start(); err != nil {
+	if err := cr.Start(ctx); err != nil {
 		return nil, nil, nil, err
 	}
 
 	// Replay the whole campaign; crawler and ecosystem share the clock.
 	clock.AdvanceTo(end.Add(time.Hour))
+	if err := ctx.Err(); err != nil {
+		return nil, nil, nil, err
+	}
 
 	// Post-campaign enrichment: page re-checks and user pages.
 	if err := cr.FinalSweep(ctx, func(rec *dataset.TorrentRecord) string {

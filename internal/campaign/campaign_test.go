@@ -2,8 +2,10 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -31,6 +33,17 @@ func run(t *testing.T, style Style) *Result {
 func TestRunRejectsBadSpec(t *testing.T) {
 	if _, err := Run(Spec{}); err == nil {
 		t.Fatal("zero scale accepted")
+	}
+}
+
+// TestRunContextCancelled: the campaign's context governs the crawl; a
+// cancelled run returns the context's error, not a truncated dataset.
+func TestRunContextCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := RunContext(ctx, Spec{Scale: 0.002, MeanDownloads: 15, Seed: 42})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
@@ -316,7 +329,7 @@ func TestShardedRunByteIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			serial := tc.serial(t) // cached serial run, same Spec otherwise
 			spec := tc.spec
-			spec.Shards, spec.Workers = 4, 2
+			spec.Shards = 4
 			sharded, err := Run(spec)
 			if err != nil {
 				t.Fatal(err)

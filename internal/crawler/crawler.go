@@ -14,9 +14,12 @@
 //     from several vantage points, recording every returned IP address;
 //  4. stop monitoring a torrent after 10 consecutive empty replies.
 //
-// The engine is event-driven over an abstract Driver; the one driver,
-// SimDriver, runs it deterministically on the simulation clock, against
-// in-process clients or live HTTP endpoints alike.
+// The crawler is a single-goroutine state machine on its shard's
+// simclock.Sim: every poll, fetch, announce and probe runs inside a clock
+// callback on the goroutine advancing the clock, so the crawler holds no
+// lock and starts no goroutine. The vantages take turns on that one
+// clock, and a query's full effect is recorded before the clock
+// proceeds, against in-process clients or live HTTP endpoints alike.
 package crawler
 
 import (
@@ -24,22 +27,15 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"btpub/internal/dataset"
 	"btpub/internal/ecosystem"
 	"btpub/internal/metainfo"
 	"btpub/internal/portal"
+	"btpub/internal/simclock"
 	"btpub/internal/tracker"
 )
-
-// Driver schedules crawler work on some notion of time.
-type Driver interface {
-	Now() time.Time
-	Schedule(at time.Time, fn func(now time.Time))
-}
 
 // PortalClient is the crawler's view of a BitTorrent portal.
 type PortalClient interface {
@@ -90,11 +86,6 @@ type Config struct {
 	// with staggered phases, multiplying the effective sampling rate the
 	// way the paper's geographically distributed machines did.
 	Vantages int
-	// Workers is the number of announce slots per vantage (default 1). No
-	// driver in the tree can make the value matter: every crawl runs on
-	// SimDriver, whose clock fires one callback at a time, so no vantage
-	// ever has two announces in flight. It stays because bench/ sets it.
-	Workers int
 	// SingleShot stops after the first tracker query per torrent (pb09).
 	SingleShot bool
 	// RecordUsernames toggles username capture (false for mn08).
@@ -103,9 +94,9 @@ type Config struct {
 	End time.Time
 	// Sink, when non-nil, mirrors every stored observation to an external
 	// consumer (e.g. a lake writer) at the moment it is recorded, in
-	// recording order. Called with the crawler's dataset lock held: it
-	// must be fast and must not call back into the crawler. TorrentIDs
-	// are crawler-local; callers offset them into a global space.
+	// recording order, on the goroutine advancing the clock: it must not
+	// call back into the crawler. TorrentIDs are crawler-local; callers
+	// offset them into a global space.
 	Sink func(tid int, addr netip.Addr, at time.Time, seeder bool)
 }
 
@@ -115,9 +106,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.Vantages <= 0 {
 		c.Vantages = 3
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
 	}
 }
 
@@ -146,118 +134,63 @@ func (a Counters) Add(b Counters) Counters {
 	}
 }
 
-// counterSet is the race-safe internal form of Counters: Stats may read
-// them from another goroutine while the driver runs announces.
-type counterSet struct {
-	rssPolls          atomic.Int64
-	torrentsSeen      atomic.Int64
-	trackerQueries    atomic.Int64
-	rateLimited       atomic.Int64
-	wireProbes        atomic.Int64
-	publishersByIP    atomic.Int64
-	monitoringStopped atomic.Int64
-}
-
-func (c *counterSet) snapshot() Counters {
-	return Counters{
-		RSSPolls:          int(c.rssPolls.Load()),
-		TorrentsSeen:      int(c.torrentsSeen.Load()),
-		TrackerQueries:    int(c.trackerQueries.Load()),
-		RateLimited:       int(c.rateLimited.Load()),
-		WireProbes:        int(c.wireProbes.Load()),
-		PublishersByIP:    int(c.publishersByIP.Load()),
-		MonitoringStopped: int(c.monitoringStopped.Load()),
-	}
-}
-
-// Crawler is the measurement engine.
+// Crawler is the measurement engine. It is not safe for concurrent use:
+// after Start only the goroutine advancing its clock may touch it.
 type Crawler struct {
 	cfg     Config
-	driver  Driver
+	clock   *simclock.Sim
 	portal  PortalClient
 	tracker TrackerClient
 	prober  ecosystem.Prober // may be nil: skip wire identification
 
-	// ctx is the root of every fetch, announce and probe; Close cancels it.
-	ctx    context.Context
-	cancel context.CancelFunc
-	// slots[v] is vantage v's counting semaphore, capacity Config.Workers:
-	// an announce holds one element for as long as it runs.
-	slots     []chan struct{}
-	closeOnce sync.Once
-
-	ctr counterSet
-
-	mu      sync.Mutex
-	ds      *dataset.Dataset
-	known   map[string]bool // feed GUID -> seen
-	started bool
+	// ctx is Start's context: every fetch, announce and probe runs under
+	// it, and once it is cancelled the crawler stops querying.
+	ctx   context.Context
+	ctr   Counters
+	ds    *dataset.Dataset
+	known map[string]bool // feed GUID -> seen
 }
 
-// New builds a crawler. prober may be nil, in which case publisher IPs are
-// never identified (username-only datasets).
-func New(cfg Config, driver Driver, pc PortalClient, tc TrackerClient, prober ecosystem.Prober) (*Crawler, error) {
-	if driver == nil || pc == nil || tc == nil {
-		return nil, errors.New("crawler: driver, portal and tracker clients are required")
+// New builds a crawler on clock. prober may be nil, in which case
+// publisher IPs are never identified (username-only datasets).
+func New(cfg Config, clock *simclock.Sim, pc PortalClient, tc TrackerClient, prober ecosystem.Prober) (*Crawler, error) {
+	if clock == nil || pc == nil || tc == nil {
+		return nil, errors.New("crawler: clock, portal and tracker clients are required")
 	}
 	cfg.setDefaults()
-	c := &Crawler{
+	return &Crawler{
 		cfg:     cfg,
-		driver:  driver,
+		clock:   clock,
 		portal:  pc,
 		tracker: tc,
 		prober:  prober,
-		slots:   make([]chan struct{}, cfg.Vantages),
 		ds:      &dataset.Dataset{Name: cfg.DatasetName},
 		known:   map[string]bool{},
-	}
-	c.ctx, c.cancel = context.WithCancel(context.Background())
-	for v := range c.slots {
-		c.slots[v] = make(chan struct{}, cfg.Workers)
-	}
-	return c, nil
+	}, nil
 }
 
-// Close cancels in-flight announces and probes and returns once they have
-// finished: filling every vantage's slots succeeds only after each holder
-// has released, and leaves none for a later query to take. The collected
-// dataset and counters stay readable.
-func (c *Crawler) Close() {
-	c.closeOnce.Do(func() {
-		c.cancel()
-		for _, slot := range c.slots {
-			for i := 0; i < cap(slot); i++ {
-				slot <- struct{}{}
-			}
-		}
-	})
-}
-
-// Start begins polling at the driver's current time. Must be called once.
-func (c *Crawler) Start() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.started {
+// Start begins polling at the clock's current time; ctx governs the whole
+// crawl. Must be called once.
+func (c *Crawler) Start(ctx context.Context) error {
+	if c.ctx != nil {
 		return errors.New("crawler: already started")
 	}
-	c.started = true
-	c.ds.Start = c.driver.Now()
-	c.driver.Schedule(c.driver.Now(), c.pollRSS)
+	c.ctx = ctx
+	c.ds.Start = c.clock.Now()
+	c.clock.Schedule(c.ds.Start, c.pollRSS)
 	return nil
 }
 
-// Dataset snapshots the crawl result so far. The End stamp is set to the
-// current driver time.
+// Dataset returns the crawl result so far. The End stamp is set to the
+// current clock time.
 func (c *Crawler) Dataset() *dataset.Dataset {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ds.End = c.driver.Now()
+	c.ds.End = c.clock.Now()
 	return c.ds
 }
 
 // Stats returns activity counters.
 func (c *Crawler) Stats() Counters {
-	return c.ctr.snapshot()
+	return c.ctr
 }
 
 func (c *Crawler) ended(now time.Time) bool {
@@ -267,33 +200,26 @@ func (c *Crawler) ended(now time.Time) bool {
 // pollRSS fires on every feed poll tick.
 func (c *Crawler) pollRSS(now time.Time) {
 	if c.ended(now) || c.ctx.Err() != nil {
-		// Campaign over or crawler closed: stop re-arming the poll loop.
+		// Campaign over or cancelled: stop re-arming the poll loop.
 		return
 	}
-	ctx := c.ctx
-	items, err := c.portal.FetchRSS(ctx)
-	c.ctr.rssPolls.Add(1)
+	items, err := c.portal.FetchRSS(c.ctx)
+	c.ctr.RSSPolls++
 	if err == nil {
 		for i := range items {
 			item := items[i]
-			c.mu.Lock()
-			seen := c.known[item.GUID]
-			if !seen {
+			if !c.known[item.GUID] {
 				c.known[item.GUID] = true
-			}
-			c.mu.Unlock()
-			if !seen {
 				c.handleNewTorrent(now, &item)
 			}
 		}
 	}
-	c.driver.Schedule(now.Add(rssPoll), c.pollRSS)
+	c.clock.Schedule(now.Add(rssPoll), c.pollRSS)
 }
 
 // handleNewTorrent processes a freshly announced feed item.
 func (c *Crawler) handleNewTorrent(now time.Time, item *portal.FeedItem) {
-	ctx := c.ctx
-	raw, err := c.portal.FetchTorrent(ctx, item.TorrentURL)
+	raw, err := c.portal.FetchTorrent(c.ctx, item.TorrentURL)
 	if err != nil {
 		return // removed between feed generation and fetch
 	}
@@ -319,18 +245,16 @@ func (c *Crawler) handleNewTorrent(now time.Time, item *portal.FeedItem) {
 	}
 	// Scrape the detail page for the description textbox and file list
 	// (promo-URL channels ii and iii).
-	if page, err := c.portal.FetchPage(ctx, item.PageURL); err == nil {
+	if page, err := c.portal.FetchPage(c.ctx, item.PageURL); err == nil {
 		rec.Description = page.Description
 		if len(page.Files) > 1 {
 			rec.BundledFiles = page.Files[1:]
 		}
 	}
 
-	c.mu.Lock()
 	rec.TorrentID = len(c.ds.Torrents)
 	c.ds.AddTorrent(rec)
-	c.mu.Unlock()
-	c.ctr.torrentsSeen.Add(1)
+	c.ctr.TorrentsSeen++
 
 	st := &torrentState{
 		rec:       rec,
@@ -354,9 +278,9 @@ func (c *Crawler) handleNewTorrent(now time.Time, item *portal.FeedItem) {
 	// Staggered periodic queries from every vantage.
 	for v := 1; v < c.cfg.Vantages; v++ {
 		offset := time.Duration(v) * queryInterval / time.Duration(c.cfg.Vantages)
-		c.driver.Schedule(now.Add(offset), st.requery[v])
+		c.clock.Schedule(now.Add(offset), st.requery[v])
 	}
-	c.driver.Schedule(now.Add(queryInterval), st.requery[0])
+	c.clock.Schedule(now.Add(queryInterval), st.requery[0])
 }
 
 // torrentState is the per-torrent monitoring state.
@@ -368,68 +292,34 @@ type torrentState struct {
 	// requery holds the per-vantage reschedule callbacks, allocated once.
 	requery []func(time.Time)
 
-	mu        sync.Mutex
-	empty     int
-	stopped   bool
-	firstDone bool
+	empty   int
+	stopped bool
 	// lastSeen is keyed by the parsed address: dedup never needs the
 	// string form, so repeat sightings cost no allocation.
 	lastSeen map[netip.Addr]time.Time
 }
 
-// queryTracker runs one announce for one torrent on the caller's
-// goroutine, inside one of the vantage's slots, so callers driven by the
-// sim clock observe the query's full effect before the clock proceeds.
-func (c *Crawler) queryTracker(now time.Time, st *torrentState, vantage int, first bool) {
-	if c.ended(now) {
-		return
-	}
-	st.mu.Lock()
-	if st.stopped {
-		st.mu.Unlock()
-		return
-	}
-	st.mu.Unlock()
-	if !c.acquire(vantage) {
-		return
-	}
-	c.announceOnce(c.ctx, now, st, vantage, first)
-	<-c.slots[vantage]
-}
-
-// acquire takes one of the vantage's slots, waiting while Workers
-// announces hold them all. It reports false, holding nothing, once the
-// crawler is closed.
-func (c *Crawler) acquire(vantage int) bool {
-	select {
-	case c.slots[vantage] <- struct{}{}:
-		if c.ctx.Err() != nil {
-			// Won the slot of an announce that Close just cancelled.
-			<-c.slots[vantage]
-			return false
-		}
-		return true
-	case <-c.ctx.Done():
-		return false
-	}
-}
-
 // reschedule books the vantage's next query for the torrent.
 func (c *Crawler) reschedule(now time.Time, st *torrentState, vantage int) {
 	if !c.cfg.SingleShot {
-		c.driver.Schedule(now.Add(queryInterval), st.requery[vantage])
+		c.clock.Schedule(now.Add(queryInterval), st.requery[vantage])
 	}
 }
 
-// announceOnce performs the announce and books the vantage's next query.
-func (c *Crawler) announceOnce(ctx context.Context, now time.Time, st *torrentState, vantage int, first bool) {
-	resp, err := c.tracker.Announce(ctx, st.announce, st.ih, vantage, numWant)
-	c.ctr.trackerQueries.Add(1)
+// queryTracker runs one announce for one torrent from one vantage and
+// books that vantage's next query. first marks the torrent's first
+// contact, whose swarm snapshot drives initial-seeder identification.
+func (c *Crawler) queryTracker(now time.Time, st *torrentState, vantage int, first bool) {
+	if c.ended(now) || st.stopped || c.ctx.Err() != nil {
+		return
+	}
+	resp, err := c.tracker.Announce(c.ctx, st.announce, st.ih, vantage, numWant)
+	c.ctr.TrackerQueries++
 
 	if err != nil {
 		var fe *tracker.ErrFailure
 		if errors.As(err, &fe) && fe.IsRateLimited() || errors.Is(err, tracker.ErrTooSoon) {
-			c.ctr.rateLimited.Add(1)
+			c.ctr.RateLimited++
 			c.reschedule(now, st, vantage)
 			return
 		}
@@ -442,18 +332,10 @@ func (c *Crawler) announceOnce(ctx context.Context, now time.Time, st *torrentSt
 	// Record the first-contact swarm snapshot and attempt initial-seeder
 	// identification (Section 2's single-seeder small-swarm rule).
 	if first {
-		st.mu.Lock()
-		alreadyDone := st.firstDone
-		st.firstDone = true
-		st.mu.Unlock()
-		if !alreadyDone {
-			c.mu.Lock()
-			st.rec.FirstSeenSeeders = resp.Seeders
-			st.rec.FirstSeenPeers = resp.Seeders + resp.Leechers
-			c.mu.Unlock()
-			if resp.Seeders == 1 && resp.Seeders+resp.Leechers < identifyMaxPeers {
-				c.identifySeeder(ctx, st, resp.Peers)
-			}
+		st.rec.FirstSeenSeeders = resp.Seeders
+		st.rec.FirstSeenPeers = resp.Seeders + resp.Leechers
+		if resp.Seeders == 1 && resp.Seeders+resp.Leechers < identifyMaxPeers {
+			c.identifySeeder(st, resp.Peers)
 		}
 	}
 
@@ -462,19 +344,12 @@ func (c *Crawler) announceOnce(ctx context.Context, now time.Time, st *torrentSt
 		c.reschedule(now, st, vantage)
 		return
 	}
-	st.mu.Lock()
 	st.empty = 0
-	fresh := resp.Peers[:0]
 	for _, p := range resp.Peers {
 		if last, ok := st.lastSeen[p.IP]; ok && now.Sub(last) < dedupWindow {
 			continue
 		}
 		st.lastSeen[p.IP] = now
-		fresh = append(fresh, p)
-	}
-	st.mu.Unlock()
-	c.mu.Lock()
-	for _, p := range fresh {
 		// Columnar append: the address string is computed only the first
 		// time this crawler sees the IP, then shared via the intern table.
 		c.ds.Obs.AppendAddr(st.rec.TorrentID, p.IP, now, false)
@@ -482,34 +357,31 @@ func (c *Crawler) announceOnce(ctx context.Context, now time.Time, st *torrentSt
 			c.cfg.Sink(st.rec.TorrentID, p.IP, now, false)
 		}
 	}
-	c.mu.Unlock()
 	c.reschedule(now, st, vantage)
 }
 
 // noteEmpty advances the 10-consecutive-empty-replies stop rule.
 func (c *Crawler) noteEmpty(st *torrentState) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	st.empty++
 	if st.empty >= emptyToStop*c.cfg.Vantages && !st.stopped {
 		// Each vantage contributes replies; stop after the equivalent of
 		// emptyToStop empty rounds across the aggregate.
 		st.stopped = true
-		c.ctr.monitoringStopped.Add(1)
+		c.ctr.MonitoringStopped++
 	}
 }
 
 // identifySeeder probes the returned peers over the wire protocol and
 // records the address of the unique seeder, when reachable.
-func (c *Crawler) identifySeeder(ctx context.Context, st *torrentState, peers []tracker.PeerAddr) {
+func (c *Crawler) identifySeeder(st *torrentState, peers []tracker.PeerAddr) {
 	if c.prober == nil {
 		return
 	}
 	var seederIP netip.Addr
 	found := 0
 	for _, p := range peers {
-		res, err := c.prober.Probe(ctx, p.IP, st.ih, st.numPieces)
-		c.ctr.wireProbes.Add(1)
+		res, err := c.prober.Probe(c.ctx, p.IP, st.ih, st.numPieces)
+		c.ctr.WireProbes++
 		if err != nil {
 			continue // NATed or gone
 		}
@@ -521,46 +393,39 @@ func (c *Crawler) identifySeeder(ctx context.Context, st *torrentState, peers []
 	// Only a unique, reachable complete peer counts as the identified
 	// initial publisher.
 	if found == 1 {
-		c.ctr.publishersByIP.Add(1)
-		c.mu.Lock()
-		now := c.driver.Now()
+		c.ctr.PublishersByIP++
+		now := c.clock.Now()
 		st.rec.PublisherIP = seederIP.String()
 		c.ds.Obs.AppendAddr(st.rec.TorrentID, seederIP, now, true)
 		if c.cfg.Sink != nil {
 			c.cfg.Sink(st.rec.TorrentID, seederIP, now, true)
 		}
-		c.mu.Unlock()
 	}
 }
 
 // FinalSweep enriches the dataset after the campaign: re-checks every
 // recorded torrent's page (removed pages mark the record Removed — the
 // fake-content signal) and, when usernames were recorded, scrapes every
-// username's account page for the longitudinal analysis (Table 4).
-// Suspended accounts yield a UserRecord with Exists=false.
+// username's account page for the longitudinal analysis (Table 4), in the
+// order of each username's first torrent. Suspended accounts yield a
+// UserRecord with Exists=false.
 func (c *Crawler) FinalSweep(ctx context.Context, pageURL func(rec *dataset.TorrentRecord) string) error {
-	c.mu.Lock()
-	torrents := append([]*dataset.TorrentRecord(nil), c.ds.Torrents...)
-	c.mu.Unlock()
-
-	usernames := map[string]bool{}
-	for _, rec := range torrents {
+	for _, rec := range c.ds.Torrents {
 		if _, err := c.portal.FetchPage(ctx, pageURL(rec)); err != nil {
 			if errors.Is(err, portal.ErrNotFound) {
-				c.mu.Lock()
 				rec.Removed = true
-				c.mu.Unlock()
 				continue
 			}
 			return fmt.Errorf("crawler: final sweep page: %w", err)
 		}
 	}
-	for _, rec := range torrents {
-		if rec.Username != "" {
-			usernames[rec.Username] = true
+	swept := map[string]bool{}
+	for _, t := range c.ds.Torrents {
+		u := t.Username
+		if u == "" || swept[u] {
+			continue
 		}
-	}
-	for u := range usernames {
+		swept[u] = true
 		up, err := c.portal.FetchUserPage(ctx, u)
 		rec := dataset.UserRecord{Username: u}
 		switch {
@@ -574,9 +439,7 @@ func (c *Crawler) FinalSweep(ctx context.Context, pageURL func(rec *dataset.Torr
 			rec.FirstUpload = up.FirstUpload
 			rec.TotalUploads = up.UploadCount
 		}
-		c.mu.Lock()
 		c.ds.Users = append(c.ds.Users, rec)
-		c.mu.Unlock()
 	}
 	return nil
 }

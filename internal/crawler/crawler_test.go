@@ -2,14 +2,14 @@ package crawler
 
 import (
 	"context"
+	"errors"
 	"net/netip"
-	"runtime"
+	"reflect"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"btpub/internal/dataset"
 	"btpub/internal/metainfo"
 	"btpub/internal/portal"
 	"btpub/internal/sessions"
@@ -63,24 +63,16 @@ func TestDefaultVantagesDistinct(t *testing.T) {
 	}
 }
 
-func TestSimDriverSchedules(t *testing.T) {
-	sim := simclock.NewSim(simclock.Epoch)
-	d := &SimDriver{Sim: sim}
-	fired := false
-	d.Schedule(d.Now().Add(time.Hour), func(time.Time) { fired = true })
-	sim.Advance(2 * time.Hour)
-	if !fired {
-		t.Fatal("SimDriver did not fire")
-	}
-}
-
 func TestCrawlerRequiresClients(t *testing.T) {
 	if _, err := New(Config{}, nil, nil, nil, nil); err == nil {
 		t.Fatal("nil dependencies accepted")
 	}
 }
 
-func TestStartTwiceFails(t *testing.T) {
+// simCrawler builds a crawler over an empty in-process portal and
+// tracker on a fresh sim clock.
+func simCrawler(t *testing.T) (*Crawler, *simclock.Sim) {
+	t.Helper()
 	sim := simclock.NewSim(simclock.Epoch)
 	p, err := portal.New("t", sim)
 	if err != nil {
@@ -90,201 +82,96 @@ func TestStartTwiceFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, err := New(Config{},
-		&SimDriver{Sim: sim},
+	cr, err := New(Config{}, sim,
 		&InProcessPortal{P: p},
 		&InProcessTracker{T: trk, Vantages: DefaultVantages(2)},
 		nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cr.Start(); err != nil {
+	return cr, sim
+}
+
+func TestStartTwiceFails(t *testing.T) {
+	cr, _ := simCrawler(t)
+	if err := cr.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := cr.Start(); err == nil {
+	if err := cr.Start(context.Background()); err == nil {
 		t.Fatal("second Start accepted")
 	}
 }
 
-// nopDriver satisfies Driver for tests that call queryTracker directly:
-// the follow-up queries announceOnce books are dropped.
-type nopDriver struct{}
-
-func (nopDriver) Now() time.Time                      { return simclock.Epoch }
-func (nopDriver) Schedule(time.Time, func(time.Time)) {}
-
-// funcTracker is a TrackerClient whose announce is the test's own code,
-// run wherever the crawler runs an announce: inside a vantage slot.
-type funcTracker func(ctx context.Context, vantage int)
-
-func (f funcTracker) Announce(ctx context.Context, _ string, _ metainfo.Hash, vantage, _ int) (*tracker.AnnounceResponse, error) {
-	f(ctx, vantage)
-	return nil, tracker.ErrTooSoon
+// TestCancelledContextStopsCrawl: Start's context governs the crawl; once
+// it is cancelled the poll loop stops re-arming itself.
+func TestCancelledContextStopsCrawl(t *testing.T) {
+	cr, sim := simCrawler(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	if err := cr.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sim.Advance(time.Hour)
+	polls := cr.Stats().RSSPolls
+	if polls == 0 {
+		t.Fatal("no feed poll in the first hour")
+	}
+	cancel()
+	sim.Advance(time.Hour)
+	if got := cr.Stats().RSSPolls; got != polls {
+		t.Fatalf("%d feed polls after cancel, want %d", got, polls)
+	}
+	if n := sim.Len(); n != 0 {
+		t.Fatalf("%d events still scheduled after cancel", n)
+	}
 }
 
-func slotCrawler(t *testing.T, vantages, workers int, announce funcTracker) *Crawler {
-	t.Helper()
-	c, err := New(Config{Vantages: vantages, Workers: workers}, nopDriver{}, &InProcessPortal{}, announce, nil)
+// userPages is a PortalClient that serves every detail page, knows every
+// account but "gone", and records the order of account lookups.
+type userPages struct{ asked []string }
+
+func (*userPages) FetchRSS(context.Context) ([]portal.FeedItem, error) { return nil, nil }
+func (*userPages) FetchTorrent(context.Context, string) ([]byte, error) {
+	return nil, errors.New("no torrents")
+}
+func (*userPages) FetchPage(context.Context, string) (*portal.PageData, error) {
+	return &portal.PageData{}, nil
+}
+func (u *userPages) FetchUserPage(_ context.Context, name string) (*portal.UserPageData, error) {
+	u.asked = append(u.asked, name)
+	if name == "gone" {
+		return nil, portal.ErrNotFound
+	}
+	return &portal.UserPageData{UploadCount: len(name)}, nil
+}
+
+// TestFinalSweepUserOrder: account pages are swept once per username, in
+// the order of each username's first torrent, so the users a live lake
+// stream commits are the same bytes on every run.
+func TestFinalSweepUserOrder(t *testing.T) {
+	pc := &userPages{}
+	cr, err := New(Config{}, simclock.NewSim(simclock.Epoch), pc, &InProcessTracker{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
-}
-
-// query runs one announce on the calling goroutine, as a driver callback
-// would.
-func (c *Crawler) query(vantage int) {
-	c.queryTracker(simclock.Epoch, &torrentState{requery: make([]func(time.Time), c.cfg.Vantages)}, vantage, false)
-}
-
-// TestWorkerPoolRunsJobsPerVantage: each vantage owns its slots. With
-// every slot of vantage 0 held by a blocked announce, queries on the
-// other vantages still run to completion.
-func TestWorkerPoolRunsJobsPerVantage(t *testing.T) {
-	const vantages, workers = 3, 2
-	held := make(chan struct{}, workers)
-	unblock := make(chan struct{})
-	var ran [vantages]atomic.Int64
-	c := slotCrawler(t, vantages, workers, func(_ context.Context, v int) {
-		if v == 0 {
-			held <- struct{}{}
-			<-unblock
-		}
-		ran[v].Add(1)
-	})
-	defer c.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.query(0)
-		}()
+	for _, u := range []string{"carol", "", "alice", "gone", "carol", "bob", "alice"} {
+		cr.ds.AddTorrent(&dataset.TorrentRecord{TorrentID: len(cr.ds.Torrents), Username: u})
 	}
-	for i := 0; i < workers; i++ {
-		<-held
+	if err := cr.FinalSweep(context.Background(), func(*dataset.TorrentRecord) string { return "" }); err != nil {
+		t.Fatal(err)
 	}
-	for v := 1; v < vantages; v++ {
-		for i := 0; i < 5; i++ {
-			c.query(v)
+	want := []string{"carol", "alice", "gone", "bob"}
+	if !reflect.DeepEqual(pc.asked, want) {
+		t.Fatalf("user pages fetched in order %q, want %q", pc.asked, want)
+	}
+	var got []string
+	for _, u := range cr.Dataset().Users {
+		got = append(got, u.Username)
+		if u.Exists != (u.Username != "gone") {
+			t.Fatalf("user %q: Exists = %v", u.Username, u.Exists)
 		}
 	}
-	close(unblock)
-	wg.Wait()
-	for v, want := range [vantages]int64{workers, 5, 5} {
-		if got := ran[v].Load(); got != want {
-			t.Fatalf("vantage %d ran %d announces, want %d", v, got, want)
-		}
-	}
-}
-
-// TestWorkerPoolBoundsConcurrency: a vantage never has more than Workers
-// announces in flight, however many goroutines query it.
-func TestWorkerPoolBoundsConcurrency(t *testing.T) {
-	const workers = 2
-	var cur, peak atomic.Int64
-	c := slotCrawler(t, 1, workers, func(context.Context, int) {
-		n := cur.Add(1)
-		for {
-			old := peak.Load()
-			if n <= old || peak.CompareAndSwap(old, n) {
-				break
-			}
-		}
-		time.Sleep(time.Millisecond)
-		cur.Add(-1)
-	})
-	defer c.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.query(0)
-		}()
-	}
-	wg.Wait()
-	if got := peak.Load(); got > workers {
-		t.Fatalf("peak concurrency %d exceeds %d workers", got, workers)
-	}
-}
-
-// TestWorkerPoolCloseCancelsSubmit: Close cancels the in-flight announce,
-// a query waiting for its slot gives up with false, and Close returns
-// only after the in-flight announce has.
-func TestWorkerPoolCloseCancelsSubmit(t *testing.T) {
-	started := make(chan struct{})
-	finish := make(chan struct{})
-	var finished atomic.Bool
-	c := slotCrawler(t, 1, 1, func(ctx context.Context, _ int) {
-		close(started)
-		<-ctx.Done()
-		<-finish
-		finished.Store(true)
-	})
-	go c.query(0)
-	<-started
-	waiter := make(chan bool, 1)
-	go func() { waiter <- c.acquire(0) }()
-	// Let the waiter reach its select; it must see false under any
-	// interleaving with Close, the sleep only makes the blocked one likely.
-	time.Sleep(10 * time.Millisecond)
-	closed := make(chan struct{})
-	go func() {
-		c.Close()
-		close(closed)
-	}()
-	select {
-	case ok := <-waiter:
-		if ok {
-			t.Fatal("waiting query took a slot after Close")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("waiting query did not unblock on Close")
-	}
-	select {
-	case <-closed:
-		t.Fatal("Close returned with an announce in flight")
-	default:
-	}
-	close(finish)
-	<-closed
-	if !finished.Load() {
-		t.Fatal("Close returned before the in-flight announce did")
-	}
-	if c.acquire(0) {
-		t.Fatal("slot taken on a closed crawler")
-	}
-}
-
-// TestNewCloseStartsNoGoroutine: the crawler owns no goroutine — announces
-// run on whoever calls in.
-func TestNewCloseStartsNoGoroutine(t *testing.T) {
-	before := runtime.NumGoroutine()
-	c := slotCrawler(t, 3, 4, func(context.Context, int) {})
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("New started %d goroutine(s)", after-before)
-	}
-	c.Close()
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("Close left %d goroutine(s)", after-before)
-	}
-}
-
-// TestCloseTwiceReturns: the second Close finds the slots already full and
-// must not try to fill them again.
-func TestCloseTwiceReturns(t *testing.T) {
-	c := slotCrawler(t, 2, 2, func(context.Context, int) {})
-	c.Close()
-	done := make(chan struct{})
-	go func() {
-		c.Close()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("second Close hung")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("users recorded in order %q, want %q", got, want)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/netip"
 	"net/url"
-	"sync"
 
 	"btpub/internal/metainfo"
 	"btpub/internal/portal"
@@ -21,7 +20,6 @@ import (
 type HTTPPortal struct {
 	BaseURL string
 
-	mu     sync.Mutex
 	etag   string
 	cached []portal.FeedItem
 }
@@ -71,28 +69,24 @@ func (c *HTTPPortal) get(ctx context.Context, target string) ([]byte, error) {
 // FetchRSS implements PortalClient. Callers must not mutate the returned
 // items (the crawler copies each item it processes).
 func (c *HTTPPortal) FetchRSS(ctx context.Context) ([]portal.FeedItem, error) {
-	c.mu.Lock()
-	etag, items := c.etag, c.cached
-	c.mu.Unlock()
-	resp, err := c.do(ctx, c.BaseURL+"/rss", etag)
+	resp, err := c.do(ctx, c.BaseURL+"/rss", c.etag)
 	if err != nil {
 		return nil, err
 	}
 	if resp.StatusCode == http.StatusNotModified {
 		resp.Body.Close()
-		return items, nil
+		return c.cached, nil
 	}
-	etag = resp.Header.Get("ETag")
+	etag := resp.Header.Get("ETag")
 	body, err := readBody(resp)
 	if err != nil {
 		return nil, err
 	}
-	if items, err = portal.ParseRSS(body); err != nil {
+	items, err := portal.ParseRSS(body)
+	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
 	c.etag, c.cached = etag, items
-	c.mu.Unlock()
 	return items, nil
 }
 

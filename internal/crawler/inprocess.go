@@ -6,27 +6,11 @@ import (
 	"fmt"
 	"net/netip"
 	"strings"
-	"sync"
-	"time"
 
 	"btpub/internal/metainfo"
 	"btpub/internal/portal"
-	"btpub/internal/simclock"
 	"btpub/internal/tracker"
 )
-
-// SimDriver runs the crawler on the simulation clock.
-type SimDriver struct {
-	Sim *simclock.Sim
-}
-
-// Now implements Driver.
-func (d *SimDriver) Now() time.Time { return d.Sim.Now() }
-
-// Schedule implements Driver.
-func (d *SimDriver) Schedule(at time.Time, fn func(now time.Time)) {
-	d.Sim.Schedule(at, fn)
-}
 
 // InProcessPortal adapts a *portal.Portal without sockets. The rendering
 // and scraping codepaths are still exercised: the feed is generated as XML
@@ -37,7 +21,6 @@ func (d *SimDriver) Schedule(at time.Time, fn func(now time.Time)) {
 type InProcessPortal struct {
 	P *portal.Portal
 
-	mu       sync.Mutex
 	cacheRev uint64
 	cacheOK  bool
 	cached   []portal.FeedItem
@@ -51,13 +34,9 @@ const SimPortalURL = "http://portal.sim"
 // items (the crawler copies each item it processes).
 func (c *InProcessPortal) FetchRSS(context.Context) ([]portal.FeedItem, error) {
 	rev := c.P.Revision()
-	c.mu.Lock()
 	if c.cacheOK && c.cacheRev == rev {
-		items := c.cached
-		c.mu.Unlock()
-		return items, nil
+		return c.cached, nil
 	}
-	c.mu.Unlock()
 	raw, err := c.P.RSS(SimPortalURL, portal.DefaultRSSWindow)
 	if err != nil {
 		return nil, err
@@ -66,9 +45,7 @@ func (c *InProcessPortal) FetchRSS(context.Context) ([]portal.FeedItem, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
 	c.cacheRev, c.cacheOK, c.cached = rev, true, items
-	c.mu.Unlock()
 	return items, nil
 }
 

@@ -60,7 +60,8 @@ func runDeterminism(p *Pass) {
 
 // checkMapRange flags a range over a map whose iteration order can leak
 // into output: printing/writing inside the loop body, or appending to
-// an outer slice that is never sorted afterwards in the same function.
+// an outer slice or field that is never sorted afterwards in the same
+// function.
 // Iterating to build another map, to sum, or to collect-then-sort is
 // the legal pattern.
 func checkMapRange(p *Pass, fd *ast.FuncDecl, rs *ast.RangeStmt) {
@@ -87,14 +88,21 @@ func checkMapRange(p *Pass, fd *ast.FuncDecl, rs *ast.RangeStmt) {
 	})
 }
 
-// checkMapRangeAppend handles `s = append(s, ...)` inside a map range:
-// fine if s is sorted later in the function, a finding otherwise.
+// checkMapRangeAppend handles `s = append(s, ...)` and
+// `x.f = append(x.f, ...)` inside a map range: fine if the slice variable
+// (or the field) is sorted later in the function, or hangs off a
+// variable declared inside the loop; a finding otherwise.
 func checkMapRangeAppend(p *Pass, fd *ast.FuncDecl, rs *ast.RangeStmt, as *ast.AssignStmt) {
 	if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
 		return
 	}
-	lhs, ok := as.Lhs[0].(*ast.Ident)
-	if !ok {
+	var target, root *ast.Ident // the appended-to object's name, its base variable
+	switch lhs := as.Lhs[0].(type) {
+	case *ast.Ident:
+		target, root = lhs, lhs
+	case *ast.SelectorExpr:
+		target, root = lhs.Sel, baseIdent(lhs.X)
+	default:
 		return
 	}
 	call, ok := as.Rhs[0].(*ast.CallExpr)
@@ -108,16 +116,36 @@ func checkMapRangeAppend(p *Pass, fd *ast.FuncDecl, rs *ast.RangeStmt, as *ast.A
 	if _, isBuiltin := p.Info.Uses[id].(*types.Builtin); !isBuiltin {
 		return
 	}
-	obj := p.Info.ObjectOf(lhs)
-	if obj == nil || obj.Pos() >= rs.Pos() {
-		// Declared inside the loop: its scope ends with the iteration, the
-		// order cannot leak out through it.
+	obj := p.Info.ObjectOf(target)
+	if obj == nil {
 		return
+	}
+	if root != nil {
+		if ro := p.Info.ObjectOf(root); ro != nil && ro.Pos() >= rs.Pos() && ro.Pos() < rs.End() {
+			// Declared inside the loop: its scope ends with the iteration, the
+			// order cannot leak out through it.
+			return
+		}
 	}
 	if sortedAfter(p, fd, obj, rs.End()) {
 		return
 	}
-	p.Reportf(as.Pos(), "append to %s inside map iteration without a later sort: result order is random", lhs.Name)
+	p.Reportf(as.Pos(), "append to %s inside map iteration without a later sort: result order is random", types.ExprString(as.Lhs[0]))
+}
+
+// baseIdent returns the variable a selector chain hangs off (x in x.a.b),
+// or nil when the chain starts at a call, index or other expression.
+func baseIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }
 
 // sortedAfter reports whether obj is passed to a sort/slices function

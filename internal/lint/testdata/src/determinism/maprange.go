@@ -34,6 +34,25 @@ func collectSorted(w io.Writer, counts map[string]int) {
 	}
 }
 
+// roster carries a slice field.
+type roster struct{ names []string }
+
+// collectFieldUnsorted leaks iteration order through a struct field.
+func collectFieldUnsorted(r *roster, counts map[string]int) {
+	for name := range counts {
+		r.names = append(r.names, name) // want `append to r\.names inside map iteration without a later sort`
+	}
+}
+
+// collectFieldSorted is the legal pattern for a field: collect, then sort
+// the field.
+func collectFieldSorted(r *roster, counts map[string]int) {
+	for name := range counts {
+		r.names = append(r.names, name)
+	}
+	sort.Strings(r.names)
+}
+
 // aggregate never exposes order: reductions and map-to-map rebuilds are
 // order-independent.
 func aggregate(counts map[string]int) (int, map[string]bool) {
@@ -45,6 +64,9 @@ func aggregate(counts map[string]int) (int, map[string]bool) {
 		scratch := []string{name}
 		scratch = append(scratch, name) // loop-local: order cannot escape
 		_ = scratch
+		var local roster
+		local.names = append(local.names, name) // loop-local: order cannot escape
+		_ = local
 	}
 	return total, seen
 }
