@@ -239,11 +239,14 @@
 // work per refresh. internal/delta makes the refresh incremental, with
 // one build path: a Maintainer owns a snapshot lineage and, on each
 // Refresh, diffs the commit journal against the version it last served.
-// A purely additive diff (new segments and meta files, nothing retired)
-// folds just those rows into the live analysis and reports mode=delta
-// plus exactly which publisher identities changed; after any retirement
-// (compaction, salvage), and on the first build, the same fold runs
-// over the whole lake from an empty lineage and reports mode=full.
+// A diff of new segments and meta files folds just those rows into the
+// live analysis and reports mode=delta plus exactly which publisher
+// identities changed. A compaction commits as a rewrite — the same rows
+// in fewer files — so one whose victims the snapshot already holds
+// folds as an empty delta with nobody changed. After a content
+// retirement (salvage, or a compaction that consumed a segment flushed
+// since the served version), and on the first build, the same fold
+// runs over the whole lake from an empty lineage and reports mode=full.
 // Canonical order is total — dataset.Merge sorts stably, so records
 // sharing a (Published, InfoHash) key and users sharing a name keep
 // commit order — which is why no lake needs a second path. The fold is
@@ -251,7 +254,7 @@
 // campaign appending and the compactor churning, every maintained
 // snapshot must fingerprint byte-identical to the from-scratch oracle
 // (analysis.NewFromLakeVersion) at the same version, and mode=full is
-// pinned to exactly the journal-diff retirement condition. On the
+// pinned to exactly the journal diff's content-retirement condition. On the
 // 1M-observation bench lake the incremental fold runs ~20x faster
 // than the full rebuild; the benchmark itself fails below 10x or past
 // its allocs/op ceiling.

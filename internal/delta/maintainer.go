@@ -15,8 +15,13 @@
 // build at the same version, which the tests and the benchmark keep as
 // their oracle.
 //
-// There is one build path. Any retirement in the diff (compaction,
-// salvage) invalidates positional state, as does a base version that
+// There is one build path. A compaction is a journal rewrite — the same
+// rows in fewer files — and the lineage is keyed by canonical row
+// position and lake torrent ID, not by file, so the Maintainer folds
+// across it: a diff holding only rewrites folds as an empty delta, a
+// new version with Changed empty. A content retirement in the diff
+// (salvage, or a compaction that consumed rows added since the served
+// version) invalidates positional state, as does a base version that
 // left the journal; the Maintainer then folds the whole lake
 // (lake.ReadAll) into an empty lineage through the same function — and
 // the first build is exactly that too. Canonical order is total
@@ -138,9 +143,9 @@ func (m *Maintainer) Stats() Stats {
 
 // Refresh brings the snapshot to the lake's committed head: it folds the
 // journal diff since the served version into the lineage when that diff
-// is purely additive, and the whole lake into an empty lineage
-// otherwise. It returns the current snapshot unchanged when the head
-// hasn't moved.
+// is incremental (additions and neutral rewrites), and the whole lake
+// into an empty lineage otherwise. It returns the current snapshot
+// unchanged when the head hasn't moved.
 func (m *Maintainer) Refresh(ctx context.Context) (*Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -164,7 +169,7 @@ func (m *Maintainer) Refresh(ctx context.Context) (*Snapshot, error) {
 		case dd.Diff.To == m.snap.Version:
 			return m.snap, nil
 		case !dd.Diff.Incremental():
-			restart = fmt.Sprintf("%d segment(s) retired since v%d", len(dd.Diff.RetiredSegments), m.snap.Version)
+			restart = fmt.Sprintf("content retirement of %d segment(s) since v%d", len(dd.Diff.ContentRetired), m.snap.Version)
 		}
 	}
 	prev := &dataset.Dataset{}

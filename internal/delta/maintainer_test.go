@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -166,7 +167,8 @@ func requireOracleMatch(t *testing.T, lk *lake.Lake, db *geoip.DB, snap *delta.S
 // delta-maintained snapshot must be observably identical — analysis
 // fingerprint, rendered tables and canonical dataset bytes — to a
 // from-scratch analysis.NewFromLakeVersion build. Run under -race this
-// also exercises refreshes racing background compaction.
+// also exercises refreshes racing background compaction, and at least
+// one delta refresh must have folded across a compaction's rewrite.
 func TestMaintainerEquivalenceLive(t *testing.T) {
 	ds, db := campaignDataset(t)
 	dir := filepath.Join(t.TempDir(), "lake")
@@ -182,13 +184,24 @@ func TestMaintainerEquivalenceLive(t *testing.T) {
 	ctx := context.Background()
 	m := delta.NewMaintainer(lk, db, 0)
 	const chunks = 10
-	replay(t, lk, ds, chunks, func(chunk int) {
+	crossed := 0 // delta refreshes whose range held a (neutral) rewrite
+	check := func(chunk int) {
 		// Background compaction can commit between our refresh and the
 		// reference rebuild; retry until both see the same version.
 		for attempt := 0; ; attempt++ {
+			prev := m.Snapshot()
 			snap, err := m.Refresh(ctx)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if prev != nil && snap.Mode == delta.ModeDelta && snap.Version != prev.Version {
+				diff, err := lk.DiffVersions(prev.Version, snap.Version)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(diff.RetiredSegments) > 0 {
+					crossed++
+				}
 			}
 			ref, v, err := analysis.NewFromLakeVersion(ctx, lk, db, lake.Predicate{}, 0)
 			if err != nil {
@@ -211,16 +224,35 @@ func TestMaintainerEquivalenceLive(t *testing.T) {
 			}
 			return
 		}
+	}
+	replay(t, lk, ds, chunks, func(chunk int) {
+		check(chunk)
+		// Until a refresh has crossed a rewrite — the retry above does
+		// whenever a background compaction commits mid-check — compact
+		// what the snapshot already holds and check across that.
+		if crossed == 0 {
+			v := lk.Version()
+			if err := lk.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if lk.Version() != v {
+				check(chunk)
+			}
+		}
 	})
 
 	// Background compaction timing decides the delta/full mix here (the
 	// deterministic split is asserted in TestMaintainerFallbackExactly-
-	// OnRetirement); this run just must have refreshed at all.
+	// OnRetirement); this run must have built once and folded across a
+	// rewrite at least once.
 	st := m.Stats()
 	if st.FullRebuilds == 0 {
 		t.Fatal("no full rebuild recorded (the first build must be one)")
 	}
-	t.Logf("live run: %d delta refreshes, %d full rebuilds", st.DeltaRefreshes, st.FullRebuilds)
+	if crossed == 0 {
+		t.Fatal("no delta refresh crossed a compaction")
+	}
+	t.Logf("live run: %d delta refreshes (%d across a rewrite), %d full rebuilds", st.DeltaRefreshes, crossed, st.FullRebuilds)
 
 	// After the full replay the lake must materialize the original
 	// dataset exactly, and the maintained snapshot must match it.
@@ -243,43 +275,44 @@ func TestMaintainerEquivalenceLive(t *testing.T) {
 // TestMaintainerFallbackExactlyOnRetirement asserts the fallback
 // decision procedure and the delta path's equivalence deterministically:
 // after the first build, a refresh rebuilds from scratch exactly when
-// the journal diff from the snapshot's version shows retired segments,
-// and advances incrementally otherwise — and either way the snapshot is
-// observably identical to a from-scratch build at the same version.
-// Compaction is explicit here so every retirement is deterministic.
+// the journal diff from the snapshot's version shows a content
+// retirement, and advances incrementally otherwise — and either way the
+// snapshot is observably identical to a from-scratch build at the same
+// version. Compaction is explicit here so every retirement is
+// deterministic, and each kind is pinned:
+//   - (a) a compaction of segments the snapshot already holds is a
+//     neutral rewrite: ModeDelta with Changed empty;
+//   - (b) a compaction that consumed a segment flushed after the
+//     snapshot is a content retirement: ModeFull;
+//   - (c) salvage (a truncated segment dropped on reopen) is a content
+//     retirement: ModeFull.
 func TestMaintainerFallbackExactlyOnRetirement(t *testing.T) {
 	ds, db := campaignDataset(t)
 	dir := filepath.Join(t.TempDir(), "lake")
-	lk, err := lake.Open(dir, lake.Options{
+	opt := lake.Options{
 		FlushRows: 256,
 		Compact:   lake.CompactOptions{MinSegments: 2, TargetRows: 1 << 20},
-	})
+	}
+	lk, err := lake.Open(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lk.Close()
+	defer func() { lk.Close() }()
 
 	ctx := context.Background()
 	m := delta.NewMaintainer(lk, db, 0)
-	const chunks = 9
 	var fullFallbacks, deltas int
-	replay(t, lk, ds, chunks, func(chunk int) {
-		if chunk == 3 || chunk == 6 {
-			if err := lk.Compact(); err != nil {
-				t.Fatal(err)
-			}
-		}
+	refresh := func(chunk int) *delta.Snapshot {
+		t.Helper()
 		prev := m.Snapshot()
-		var expectFull bool
-		var retired []string
-		if prev == nil {
-			expectFull = true // first build
-		} else {
+		expectFull := prev == nil // first build
+		var contentRetired []string
+		if prev != nil {
 			diff, err := lk.DiffVersions(prev.Version, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			retired = diff.RetiredSegments
+			contentRetired = diff.ContentRetired
 			expectFull = !diff.Incremental()
 		}
 		snap, err := m.Refresh(ctx)
@@ -287,12 +320,12 @@ func TestMaintainerFallbackExactlyOnRetirement(t *testing.T) {
 			t.Fatal(err)
 		}
 		if prev != nil && snap.Version == prev.Version {
-			return // empty chunk: no commit, no decision taken
+			return snap // empty chunk: no commit, no decision taken
 		}
 		gotFull := snap.Mode == delta.ModeFull
 		if gotFull != expectFull {
-			t.Fatalf("chunk %d: refresh mode %s (reason %q), but journal diff retired %v",
-				chunk, snap.Mode, snap.Reason, retired)
+			t.Fatalf("chunk %d: refresh mode %s (reason %q), but journal diff content-retired %v",
+				chunk, snap.Mode, snap.Reason, contentRetired)
 		}
 		if prev != nil {
 			if gotFull {
@@ -302,16 +335,67 @@ func TestMaintainerFallbackExactlyOnRetirement(t *testing.T) {
 			}
 		}
 		requireOracleMatch(t, lk, db, snap, chunk)
-	})
-	if fullFallbacks == 0 {
-		t.Fatal("compaction never forced a fallback-to-full decision")
+		return snap
 	}
+	compact := func(chunk int) uint64 {
+		t.Helper()
+		before := lk.Version()
+		if err := lk.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if lk.Version() != before+1 {
+			t.Fatalf("chunk %d: compaction committed nothing", chunk)
+		}
+		return before + 1
+	}
+	const chunks = 9
+	replay(t, lk, ds, chunks, func(chunk int) {
+		switch chunk {
+		case 3: // (a): every victim is already in the snapshot.
+			refresh(chunk)
+			v := compact(chunk)
+			snap := refresh(chunk)
+			if snap.Version != v || snap.Mode != delta.ModeDelta || len(snap.Changed) != 0 || snap.ChangedAll {
+				t.Fatalf("chunk %d: refresh across a neutral compaction = v%d %s (%q), %d changed (all=%v); want v%d delta, none changed",
+					chunk, snap.Version, snap.Mode, snap.Reason, len(snap.Changed), snap.ChangedAll, v)
+			}
+		case 6: // (b): the victims include this chunk's unseen flushes.
+			compact(chunk)
+			if snap := refresh(chunk); snap.Mode != delta.ModeFull {
+				t.Fatalf("chunk %d: compaction of fresh segments refreshed as %s (%q)", chunk, snap.Mode, snap.Reason)
+			}
+		default:
+			refresh(chunk)
+		}
+	})
+
+	// (c): truncate a live segment and reopen with Salvage; the same
+	// maintainer refreshes over the new handle.
+	if err := lk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.obs"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments to truncate (%v)", err)
+	}
+	if err := os.Truncate(segs[0], 10); err != nil {
+		t.Fatal(err)
+	}
+	opt.Salvage = true
+	if lk, err = lake.Open(dir, opt); err != nil {
+		t.Fatal(err)
+	}
+	m.SetLake(lk)
+	if snap := refresh(chunks); snap.Mode != delta.ModeFull {
+		t.Fatalf("refresh across salvage = %s (%q)", snap.Mode, snap.Reason)
+	}
+
 	if deltas == 0 {
 		t.Fatal("no incremental refresh decision was exercised")
 	}
 	st := m.Stats()
-	if st.DeltaRefreshes != int64(deltas) || st.FullRebuilds != int64(fullFallbacks)+1 {
-		t.Fatalf("stats %+v disagree with observed decisions (%d delta, %d fallback + first build)",
+	if st.DeltaRefreshes != int64(deltas) || st.FullRebuilds != int64(fullFallbacks)+1 || fullFallbacks != 2 {
+		t.Fatalf("stats %+v disagree with observed decisions (%d delta, %d fallback + first build; want 2 fallbacks)",
 			st, deltas, fullFallbacks)
 	}
 	if fmt.Sprint(st.LastMode) == "" {
@@ -324,8 +408,8 @@ func TestMaintainerFallbackExactlyOnRetirement(t *testing.T) {
 // users sharing a username — the copies distinguishable, committed both
 // inside one commit and commits apart — is delta-maintained like any
 // other: every refresh is observably identical to the from-scratch build
-// at its version, before and after a compaction forces the fold to start
-// over from the empty lineage.
+// at its version, before and after a compaction of a freshly flushed
+// segment forces the fold to start over from the empty lineage.
 func TestMaintainerDuplicateSortKeys(t *testing.T) {
 	ds, db := campaignDataset(t)
 	const chunks = 8

@@ -1,10 +1,12 @@
 // Commit payloads: what the lake stores inside journal records. Every
 // record is one commit: the post-commit scalar state (absolute, so any
 // single record pins the counters) plus segment/meta deltas — files
-// added by a flush, segments retired by compaction or salvage. The
-// journal holds one record per version from version 1, so the state at
-// version v is the fold of its first v records, and the in-memory history
-// is indexed by version.
+// added by a flush, segments retired by compaction or salvage. A
+// compaction's record is marked as a rewrite: it adds exactly the rows
+// it retires, which decoding proves from the journal's own zone maps.
+// The journal holds one record per version from version 1, so the state
+// at version v is the fold of its first v records, and the in-memory
+// history is indexed by version.
 package lake
 
 import (
@@ -23,7 +25,11 @@ const payloadFormat = 3
 
 // commitPayload is the JSON body of one journal record. Scalars are the
 // absolute post-commit values; AddSegments/RetireSegments/AddMeta are
-// the commit's deltas.
+// the commit's deltas. Rewrite marks a compaction: its added segments
+// hold exactly the rows of the segments it retires, re-sorted, so no
+// observation appears or disappears. A retirement without the flag
+// (salvage, or a compaction written before the flag existed) may drop
+// rows.
 type commitPayload struct {
 	Format  int       `json:"format"`
 	Name    string    `json:"name,omitempty"`
@@ -40,6 +46,7 @@ type commitPayload struct {
 	AddSegments    []segMeta `json:"add_segments,omitempty"`
 	RetireSegments []string  `json:"retire_segments,omitempty"`
 	AddMeta        []string  `json:"add_meta,omitempty"`
+	Rewrite        bool      `json:"rewrite,omitempty"`
 }
 
 // payloadScalars copies a state's scalar fields into a payload.
@@ -52,52 +59,95 @@ func payloadScalars(pay *commitPayload, m *manifest) {
 
 // decodeHist parses the replayed journal records' payloads — the
 // in-memory history the lake folds for time travel, hist[v-1] holding
-// version v (the journal guarantees the versions are dense from 1).
-func decodeHist(recs []journal.Record) ([]*commitPayload, error) {
+// version v (the journal guarantees the versions are dense from 1) — and
+// folds them into the head state, refusing any record that does not
+// apply cleanly to its parent version (see applyCommit).
+func decodeHist(recs []journal.Record) ([]*commitPayload, *manifest, error) {
 	hist := make([]*commitPayload, 0, len(recs))
+	m := &manifest{}
 	for i, rec := range recs {
 		var pay commitPayload
 		if err := json.Unmarshal(rec.Payload, &pay); err != nil {
-			return nil, fmt.Errorf("lake: journal record %d (version %d): bad payload: %w", i, rec.Version, err)
+			return nil, nil, fmt.Errorf("lake: journal record %d (version %d): bad payload: %w", i, rec.Version, err)
 		}
 		if pay.Format != payloadFormat {
-			return nil, fmt.Errorf("lake: journal record %d (version %d) is lake format %d; this build reads and writes only format %d and migrates nothing",
+			return nil, nil, fmt.Errorf("lake: journal record %d (version %d) is lake format %d; this build reads and writes only format %d and migrates nothing",
 				i, rec.Version, pay.Format, payloadFormat)
+		}
+		if err := applyCommit(m, rec.Version, &pay); err != nil {
+			return nil, nil, err
 		}
 		hist = append(hist, &pay)
 	}
-	return hist, nil
+	return hist, m, nil
 }
 
-// applyCommit folds one record onto m, retires before adds.
-func applyCommit(m *manifest, version uint64, pay *commitPayload) {
+// applyCommit folds one record onto m, retires before adds. It refuses a
+// record that retires a segment not live in m, and a rewrite whose
+// output is not its victims' rows: the same row count, the same zone,
+// and no meta. On error m is half-applied and must be dropped.
+func applyCommit(m *manifest, version uint64, pay *commitPayload) error {
 	m.Version = version
 	m.Name, m.Start, m.End = pay.Name, pay.Start, pay.End
 	m.NextSeq, m.NextTID = pay.NextSeq, pay.NextTID
 	m.Rows, m.Torrents, m.Users, m.Dropped = pay.Rows, pay.Torrents, pay.Users, pay.Dropped
+	victims := emptyZone()
 	if len(pay.RetireSegments) > 0 {
-		gone := make(map[string]bool, len(pay.RetireSegments))
+		live := make(map[string]bool, len(m.Segments))
+		for _, s := range m.Segments {
+			live[s.File] = true
+		}
 		for _, f := range pay.RetireSegments {
-			gone[f] = true
+			if !live[f] {
+				return fmt.Errorf("lake: journal version %d retires segment %s, which is not live at version %d", version, f, version-1)
+			}
+			live[f] = false
 		}
 		keep := m.Segments[:0]
 		for _, s := range m.Segments {
-			if !gone[s.File] {
+			if live[s.File] {
 				keep = append(keep, s)
+			} else {
+				victims.union(s.zone)
 			}
 		}
 		m.Segments = keep
 	}
+	if pay.Rewrite {
+		if err := checkRewrite(version, pay, victims); err != nil {
+			return err
+		}
+	}
 	m.Segments = append(m.Segments, pay.AddSegments...)
 	m.Meta = append(m.Meta, pay.AddMeta...)
+	return nil
 }
 
-// foldHist replays hist — a history prefix, so the state at version
-// len(hist) — from the empty lake.
+// checkRewrite holds a rewrite record's output against the union of its
+// victims' zones.
+func checkRewrite(version uint64, pay *commitPayload, victims zone) error {
+	if len(pay.AddMeta) > 0 {
+		return fmt.Errorf("lake: journal version %d is a rewrite but adds meta file %s", version, pay.AddMeta[0])
+	}
+	out := emptyZone()
+	for _, s := range pay.AddSegments {
+		out.union(s.zone)
+	}
+	if out.Rows != victims.Rows {
+		return fmt.Errorf("lake: journal version %d is a rewrite but adds %d row(s) for the %d it retires", version, out.Rows, victims.Rows)
+	}
+	if out != victims {
+		return fmt.Errorf("lake: journal version %d is a rewrite but adds zone %+v for retired zone %+v", version, out, victims)
+	}
+	return nil
+}
+
+// foldHist replays hist — a validated history prefix, so the state at
+// version len(hist) — from the empty lake.
 func foldHist(hist []*commitPayload) *manifest {
 	m := &manifest{}
 	for i, pay := range hist {
-		applyCommit(m, uint64(i+1), pay)
+		_ = applyCommit(m, uint64(i+1), pay) // decodeHist refused every record that fails
 	}
 	return m
 }

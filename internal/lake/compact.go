@@ -4,9 +4,11 @@
 // the same (At, TorrentID, IP, Seeder) order dataset.Merge establishes —
 // so a compacted lake materializes identically to an uncompacted one.
 // Each fold commits one journal record retiring the victims and adding
-// the output; the old files are physically deleted only when no scan
-// holds them open (and never under Options.Retain, which keeps
-// pre-compaction versions scannable).
+// the output, marked as a rewrite: it changes which files hold the rows,
+// never which rows there are, so the snapshot maintainer (internal/delta)
+// folds across it instead of rebuilding (see diff.go). The old files are
+// physically deleted only when no scan holds them open (and never under
+// Options.Retain, which keeps pre-compaction versions scannable).
 package lake
 
 import (
@@ -124,7 +126,7 @@ func (lk *Lake) compact() error {
 		return err
 	}
 	gone := make(map[string]bool, len(victims))
-	pay := &commitPayload{}
+	pay := &commitPayload{Rewrite: true}
 	for _, v := range victims {
 		gone[v.File] = true
 		pay.RetireSegments = append(pay.RetireSegments, v.File)

@@ -1,13 +1,20 @@
 // Journal diffs: what changed between two committed versions. The delta
 // subsystem (internal/delta) asks the lake this question on every
-// refresh — a purely additive range (segments and meta files appended,
-// nothing retired) can be folded into the previous analysis snapshot
-// incrementally, while any retirement (compaction, salvage) invalidates
-// positional state and makes it fold the whole lake (ReadAll) from the
-// empty snapshot instead. DiffVersions answers from
-// the replayed journal history alone; ReadDiff additionally loads the
-// added rows and records under one scan lock, so the files it returns
-// can never be vacuumed mid-read.
+// refresh. A range the snapshot can fold — every observation and record
+// present at From still present at To — is advanced by reading only the
+// rows the range added; a content retirement makes it fold the whole
+// lake (ReadAll) from the empty snapshot instead.
+//
+// Compaction is not a content retirement. Its journal record is a
+// rewrite: the output holds exactly the victims' rows, re-sorted. A
+// rewrite whose victims were all present at From is neutral — its rows
+// are already in the snapshot, so the diff neither counts nor reads
+// them. What does force the rebuild is a retirement without the rewrite
+// flag (salvage drops rows) or a rewrite that consumed a segment added
+// inside the range (its fresh rows now sit inside the output, mixed with
+// old ones). DiffVersions answers from the replayed journal history
+// alone; ReadDiff additionally loads the added rows and records under
+// one scan lock, so the files it returns can never be vacuumed mid-read.
 package lake
 
 import (
@@ -23,19 +30,26 @@ type Diff struct {
 	To   uint64 `json:"to"`
 	// AddedSegments / AddedMeta list files committed in the range, in
 	// commit order. RetiredSegments lists segments any commit in the
-	// range removed (compaction folds, salvage drops).
+	// range removed (compaction folds, salvage drops). All three are the
+	// literal file deltas, rewrites included.
 	AddedSegments   []string `json:"added_segments,omitempty"`
 	RetiredSegments []string `json:"retired_segments,omitempty"`
 	AddedMeta       []string `json:"added_meta,omitempty"`
-	// AddedRows is the total observation count of the added segments.
+	// ContentRetired lists the retired segments whose commit the
+	// snapshot cannot fold across: a retirement not marked as a rewrite,
+	// or a rewrite that consumed a segment added inside the range. The
+	// neutral rewrites' victims are in RetiredSegments only.
+	ContentRetired []string `json:"content_retired,omitempty"`
+	// AddedRows is the total observation count of the segments that
+	// non-rewrite commits added — the rows new since From.
 	AddedRows int64 `json:"added_rows"`
 }
 
-// Incremental reports whether the range is purely additive: every
+// Incremental reports whether the range can be folded: every
 // observation and record present at From is still present, untouched,
 // at To. This is exactly the condition under which a snapshot built at
-// From can be advanced to To by merging in only the added files.
-func (d *Diff) Incremental() bool { return len(d.RetiredSegments) == 0 }
+// From can be advanced to To by merging in only the rows new since From.
+func (d *Diff) Incremental() bool { return len(d.ContentRetired) == 0 }
 
 // VersionInfo is the scalar committed state at one version — the
 // manifest fields an analysis snapshot stamps into its dataset.
@@ -70,8 +84,9 @@ func (lk *Lake) DiffVersions(from, to uint64) (*Diff, error) {
 	return d, err
 }
 
-// diffLocked computes the diff and collects the added segments' manifest
-// entries (for readers that want the rows). Callers hold mu.
+// diffLocked computes the diff and collects the manifest entries of the
+// segments non-rewrite commits added (for readers that want the new
+// rows). Callers hold mu.
 func (lk *Lake) diffLocked(from, to uint64) (*Diff, []segMeta, error) {
 	head := lk.man.Version
 	if to == 0 {
@@ -90,13 +105,24 @@ func (lk *Lake) diffLocked(from, to uint64) (*Diff, []segMeta, error) {
 	}
 	d := &Diff{From: from, To: to}
 	var added []segMeta
+	fresh := map[string]bool{} // segments non-rewrite commits added in the range
 	for _, pay := range lk.hist[from:to] {
-		for _, s := range pay.AddSegments {
-			d.AddedSegments = append(d.AddedSegments, s.File)
-			d.AddedRows += int64(s.Rows)
-			added = append(added, s)
+		neutral := pay.Rewrite
+		for _, f := range pay.RetireSegments {
+			neutral = neutral && !fresh[f]
+		}
+		if !neutral {
+			d.ContentRetired = append(d.ContentRetired, pay.RetireSegments...)
 		}
 		d.RetiredSegments = append(d.RetiredSegments, pay.RetireSegments...)
+		for _, s := range pay.AddSegments {
+			d.AddedSegments = append(d.AddedSegments, s.File)
+			if !pay.Rewrite {
+				fresh[s.File] = true
+				d.AddedRows += int64(s.Rows)
+				added = append(added, s)
+			}
+		}
 		d.AddedMeta = append(d.AddedMeta, pay.AddMeta...)
 	}
 	return d, added, nil
@@ -104,7 +130,7 @@ func (lk *Lake) diffLocked(from, to uint64) (*Diff, []segMeta, error) {
 
 // DiffData is ReadDiff's payload: the diff, the scalar state at its To
 // version, and — when the range is incremental — the added meta records
-// and the added segments' observations (commit order, own intern table).
+// and the observations new since From (commit order, own intern table).
 type DiffData struct {
 	Diff Diff
 	Info VersionInfo
@@ -115,12 +141,13 @@ type DiffData struct {
 }
 
 // ReadDiff computes the diff from a committed version to the head and,
-// when the range is purely additive, reads the added files under the
-// same scan lock — the returned rows are exactly the observations
-// appended between the two versions. When the diff shows retirements,
-// DiffData carries the diff and version info only (Incremental() is the
-// caller's signal to rebuild from scratch). A *VersionUnavailableError
-// means the base version is not advanceable at all.
+// when the range is incremental, reads the added meta files and the
+// segments non-rewrite commits added under the same scan lock — the
+// returned rows are exactly the observations appended between the two
+// versions. When the diff shows a content retirement, DiffData carries
+// the diff and version info only (Incremental() is the caller's signal
+// to rebuild from scratch). A *VersionUnavailableError means the base
+// version is not advanceable at all.
 func (lk *Lake) ReadDiff(ctx context.Context, from uint64) (*DiffData, error) {
 	lk.scanMu.RLock()
 	defer lk.scanMu.RUnlock()
@@ -138,10 +165,10 @@ func (lk *Lake) ReadDiff(ctx context.Context, from uint64) (*DiffData, error) {
 	if !d.Incremental() {
 		return out, nil
 	}
-	// Purely additive range: every added segment is still live in the
-	// head manifest (a retirement would have shown in the diff), and
-	// scanMu.R blocks vacuum, so the files cannot disappear mid-read.
-	// Meta files are never retired at all.
+	// Incremental range: every segment a non-rewrite commit added is
+	// still live in the head manifest (only a content retirement can
+	// consume one), and scanMu.R blocks vacuum, so the files cannot
+	// disappear mid-read. Meta files are never retired at all.
 	if err := lk.readIntoLocked(ctx, d.AddedMeta, added, out); err != nil {
 		return nil, err
 	}

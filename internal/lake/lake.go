@@ -147,11 +147,10 @@ func Open(dir string, opt Options) (*Lake, error) {
 			return nil, fmt.Errorf("lake: %s holds a pre-journal MANIFEST, which this build no longer reads", dir)
 		}
 	}
-	hist, err := decodeHist(jr.Records())
+	hist, man, err := decodeHist(jr.Records())
 	if err != nil {
 		return nil, err
 	}
-	man := foldHist(hist)
 	// Validate referenced segments before touching anything else.
 	var keep []segMeta
 	var retire []string
@@ -832,7 +831,9 @@ func (lk *Lake) readMetaLocked(files []string) ([]*dataset.TorrentRecord, []data
 
 // Verify checks the whole lake: the on-disk journal is strictly
 // re-decoded (rejecting torn tails, CRC damage, version gaps and
-// parent-hash breaks), folded, and held against the live state; then every committed
+// parent-hash breaks), folded (rejecting a retirement of a segment that
+// is not live, and a rewrite whose output is not its victims' rows), and
+// held against the live state; then every committed
 // segment is read, CRC-checked and decoded — which proves its header
 // zone and postings against its rows — and its journal entry's zone
 // maps, the copy scans prune on, are held against the file's. One error
@@ -877,11 +878,10 @@ func verifyJournal(buf []byte, man *manifest) []error {
 	if err != nil {
 		return []error{fmt.Errorf("lake: verify: %w", err)}
 	}
-	hist, err := decodeHist(recs)
+	_, folded, err := decodeHist(recs)
 	if err != nil {
 		return []error{err}
 	}
-	folded := foldHist(hist)
 	if folded.Version != man.Version {
 		return []error{fmt.Errorf("lake: verify: journal head is version %d, live state is %d", folded.Version, man.Version)}
 	}

@@ -90,6 +90,13 @@ func (z *zone) add(tid int32, atNs int64) {
 	}
 }
 
+// union widens z to cover o's rows too.
+func (z *zone) union(o zone) {
+	z.Rows += o.Rows
+	z.MinAtNs, z.MaxAtNs = min(z.MinAtNs, o.MinAtNs), max(z.MaxAtNs, o.MaxAtNs)
+	z.MinTID, z.MaxTID = min(z.MinTID, o.MinTID), max(z.MaxTID, o.MaxTID)
+}
+
 // postings are a segment's two dictionaries: what the planner needs to
 // prove a key absent without decoding a row.
 type postings struct {

@@ -1,17 +1,20 @@
 package lakeserve_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"btpub/internal/alert"
 	"btpub/internal/campaign"
 	"btpub/internal/dataset"
+	"btpub/internal/geoip"
 	"btpub/internal/lake"
 	"btpub/internal/lakeserve"
 	"btpub/internal/population"
@@ -167,6 +170,83 @@ func TestStatsDeltaCounters(t *testing.T) {
 	}
 	if stats["last_delta_segments"].(float64) < 1 || stats["last_delta_observations"].(float64) != 1 {
 		t.Fatalf("delta size counters wrong: %s", body)
+	}
+}
+
+// recordingNotifier counts the alerts the server delivered.
+type recordingNotifier struct {
+	mu     sync.Mutex
+	alerts int
+}
+
+func (n *recordingNotifier) Notify(_ context.Context, alerts []alert.Alert) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.alerts += len(alerts)
+	return nil
+}
+
+func (n *recordingNotifier) delivered() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.alerts
+}
+
+// TestCompactionRefreshesAsDelta is the serving seam of folding across
+// a compaction: the rewrite refreshes the snapshot in delta mode without
+// a full rebuild, re-scores nobody, so the alert feed past the cursor
+// stays empty and the notifier hears nothing.
+func TestCompactionRefreshesAsDelta(t *testing.T) {
+	lk := seedLake(t, lake.Options{FlushRows: 256})
+	db, err := geoip.DefaultDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	notes := &recordingNotifier{}
+	srv := httptest.NewServer((&lakeserve.Server{Lake: lk, Geo: db, AlertNotifier: notes}).Handler())
+	t.Cleanup(srv.Close)
+	stats := func() lakeserve.StatsResponse {
+		t.Helper()
+		_, body := get(t, srv.URL+"/api/v1/stats")
+		var st lakeserve.StatsResponse
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	feed := getFeed(t, srv.URL+"/api/v1/alerts") // the first (full) build
+	before, heard := stats(), notes.delivered()
+	if len(feed.Alerts) == 0 || heard != len(feed.Alerts) || before.FullRebuilds != 1 {
+		t.Fatalf("first build: %d alerts, %d notified, %d full rebuilds", len(feed.Alerts), heard, before.FullRebuilds)
+	}
+
+	v := lk.Version()
+	if err := lk.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if lk.Version() != v+1 {
+		t.Fatalf("compaction left the lake at v%d, want v%d", lk.Version(), v+1)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	after := stats()
+	for after.AnalysisVersion != lk.Version() {
+		if time.Now().After(deadline) {
+			t.Fatalf("snapshot never caught up with the compaction: %+v", after)
+		}
+		get(t, srv.URL+"/api/v1/tables/1")
+		time.Sleep(20 * time.Millisecond)
+		after = stats()
+	}
+	if after.FullRebuilds != before.FullRebuilds || after.LastMode != "delta" {
+		t.Fatalf("compaction refreshed as %s (%q), full rebuilds %d -> %d",
+			after.LastMode, after.LastReason, before.FullRebuilds, after.FullRebuilds)
+	}
+	if rest := getFeed(t, srv.URL+fmt.Sprintf("/api/v1/alerts?since=%d", feed.Version)); len(rest.Alerts) != 0 {
+		t.Fatalf("compaction moved %d alerts past the cursor: %+v", len(rest.Alerts), rest.Alerts)
+	}
+	if got := notes.delivered(); got != heard {
+		t.Fatalf("compaction notified %d alerts", got-heard)
 	}
 }
 
