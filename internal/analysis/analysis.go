@@ -29,10 +29,11 @@ type Analysis struct {
 	Groups *classify.Groups
 	ByID   map[int]*dataset.TorrentRecord
 
-	// idx is the immutable one-pass index (per-torrent observation spans,
-	// pre-resolved publisher geo records, per-user interned-IP sets) that
-	// every table/figure consumer reads instead of rebuilding maps or
-	// re-parsing addresses per call.
+	// idx is the immutable one-pass index (pre-resolved publisher geo
+	// records, per-user interned-IP sets, the per-IP observation
+	// inversion Seeding builds on first use) that every table/figure
+	// consumer reads instead of rebuilding maps or re-parsing addresses
+	// per call.
 	idx *index
 }
 
@@ -344,6 +345,7 @@ func (a *Analysis) Seeding(gap time.Duration) SeedingBehaviour {
 		tid  int32
 		atNs int64
 	}
+	a.idx.ipOnce.Do(func() { a.idx.buildIPOrder(a.DS.Torrents) })
 	stamp := make([]int32, a.idx.maxTID+1)
 	for i := range stamp {
 		stamp[i] = -1

@@ -1,16 +1,19 @@
 // The immutable one-pass index behind every table and figure. analysis.New
-// builds it once: per-torrent observation spans (via the dataset's
-// counting-sort index), a per-IP inversion of the same columns for the
-// seeding estimator, publisher geo records resolved exactly once, and the
-// ISP aggregates of Tables 2–3 and Section 6. The per-call map rebuilds
-// and ParseIP+Lookup loops the first version of this package did on every
-// invocation are gone — consumers only walk flat slices.
+// builds it once: publisher geo records resolved exactly once, per-user
+// interned-IP sets, and the ISP aggregates of Tables 2–3 and Section 6.
+// Per-torrent observation spans come from the dataset's own index, and
+// the per-IP inversion of the observation columns that only the seeding
+// estimator (Figure 4) reads is counting-sorted on its first call, so
+// snapshots that never serve Figure 4 never pay for it. The per-call map
+// rebuilds and ParseIP+Lookup loops the first version of this package
+// did on every invocation are gone — consumers only walk flat slices.
 package analysis
 
 import (
 	"net/netip"
 	"slices"
 	"strings"
+	"sync"
 
 	"btpub/internal/classify"
 	"btpub/internal/dataset"
@@ -32,24 +35,23 @@ type pubInfo struct {
 // index is the pre-computed, read-only view shared by all analysis calls.
 type index struct {
 	store *dataset.ObsStore
-	obsIx *dataset.ObsIndex
 	pub   []pubInfo
 
 	// ipStarts/ipOrder invert the observation columns by interned IP:
 	// observations of IP i are ipOrder[ipStarts[i]:ipStarts[i+1]], in time
 	// order. The seeding estimator walks a publisher's own sightings
 	// instead of scanning every observation of every torrent it fed.
+	// maxTID is the dataset's largest torrent ID (capacity for its stamp
+	// array). All three are built by ipOnce, on the first Seeding call.
+	ipOnce   sync.Once
 	ipStarts []int32
 	ipOrder  []int32
+	maxTID   int
 
 	// userIPIdx maps a username to the intern-table indices of its
 	// identified publisher IPs (only those actually observed; an IP never
 	// seen by the tracker cannot match any observation).
 	userIPIdx map[string][]uint32
-
-	// maxTID is the dataset's largest torrent ID (capacity for stamp
-	// arrays).
-	maxTID int
 
 	// ispRows is Table 2 fully computed and sorted (ISPTable truncates).
 	ispRows []ISPRow
@@ -65,13 +67,10 @@ func buildIndex(ds *dataset.Dataset, db *geoip.DB, facts *classify.Facts) *index
 	store := &ds.Obs
 	ix := &index{
 		store:     store,
-		obsIx:     store.Index(),
 		pub:       make([]pubInfo, len(ds.Torrents)),
 		userIPIdx: make(map[string][]uint32, len(facts.Users)),
-		maxTID:    ix0MaxTID(ds),
 	}
 	ix.buildPub(ds, db)
-	ix.buildIPOrder()
 	ix.buildISPAggregates()
 	ips := store.IPs()
 	for name, u := range facts.Users {
@@ -89,19 +88,6 @@ func buildIndex(ds *dataset.Dataset, db *geoip.DB, facts *classify.Facts) *index
 		}
 	}
 	return ix
-}
-
-func ix0MaxTID(ds *dataset.Dataset) int {
-	m := -1
-	for _, t := range ds.Torrents {
-		if t.TorrentID > m {
-			m = t.TorrentID
-		}
-	}
-	if n := ds.Obs.Index().Torrents() - 1; n > m {
-		m = n
-	}
-	return m
 }
 
 // buildPub parses and geo-resolves each torrent's publisher address once,
@@ -138,14 +124,20 @@ func (ix *index) buildPub(ds *dataset.Dataset, db *geoip.DB) {
 }
 
 // buildIPOrder counting-sorts observation indices by interned IP,
-// preserving time order within each IP.
-func (ix *index) buildIPOrder() {
+// preserving time order within each IP, and finds the largest torrent ID
+// over records and observations. Seeding calls it once per snapshot.
+func (ix *index) buildIPOrder(recs []*dataset.TorrentRecord) {
 	s := ix.store
 	n := s.Len()
 	nIPs := s.IPs().Len()
+	maxTID := -1
+	for _, t := range recs {
+		maxTID = max(maxTID, t.TorrentID)
+	}
 	starts := make([]int32, nIPs+1)
 	for i := 0; i < n; i++ {
 		starts[s.IPIndex(i)+1]++
+		maxTID = max(maxTID, s.TorrentID(i))
 	}
 	for i := 1; i <= nIPs; i++ {
 		starts[i] += starts[i-1]
@@ -158,7 +150,7 @@ func (ix *index) buildIPOrder() {
 		order[next[ip]] = int32(i)
 		next[ip]++
 	}
-	ix.ipStarts, ix.ipOrder = starts, order
+	ix.ipStarts, ix.ipOrder, ix.maxTID = starts, order, maxTID
 }
 
 // ipSpan returns the time-ordered observation indices of interned IP i.

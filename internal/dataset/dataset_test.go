@@ -268,7 +268,7 @@ func advanceBy(prev, batch *Dataset) *Dataset {
 		d.Append(local[o.TorrentID], o.IP, o.At.UnixNano(), o.Seeder)
 	}
 	out := &Dataset{Torrents: recs, Users: MergeUsers(prev.Users, batch.Users)}
-	AdvanceObs(&out.Obs, &prev.Obs, remapOld, &d, CanonicalIPOrder(prev.Obs.IPs()))
+	AdvanceObs(&out.Obs, &prev.Obs, remapOld, &d)
 	return out
 }
 

@@ -9,12 +9,17 @@
 //
 // Concurrency contract: AdvanceObs extends the previous store's intern
 // table in place (the maps are shared across the whole snapshot
-// lineage). The caller must serialize every advance over one lineage and
-// must guarantee that published snapshots never touch the table's maps —
-// they may read only the interned strings/addrs slices, whose already-
-// published elements are never rewritten. A lineage is abandoned (and a
-// fresh table built) whenever the caller starts over from the empty
-// dataset.
+// lineage), and on its append path it also grows the previous store's
+// columns and per-torrent index spans in place. The caller must
+// serialize every advance over one lineage and must guarantee that
+// published snapshots never touch the table's maps and are never
+// appended to — they may read only slice data up to their own lengths.
+// Already-published elements are never rewritten: new addresses, rows
+// and span entries are written only past the length every earlier
+// snapshot reads, and a store's spare capacity goes to at most one
+// successor (the first advance claims it; later ones copy). A lineage is
+// abandoned (and a fresh table built) whenever the caller starts over
+// from the empty dataset.
 package dataset
 
 import (
@@ -117,40 +122,37 @@ func (d *DeltaObs) Append(tid int32, ip string, atNs int64, seeder bool) {
 // Len returns the number of rows in the batch.
 func (d *DeltaObs) Len() int { return len(d.Tids) }
 
-// CanonicalIPOrder returns the table's intern indices ordered by address
-// string — the tie-break order of the canonical observation sort, in the
-// incrementally maintainable form AdvanceObs consumes and extends.
-func CanonicalIPOrder(t *IPTable) []uint32 {
-	out := make([]uint32, t.Len())
-	for i := range out {
-		out[i] = uint32(i)
-	}
-	slices.SortFunc(out, func(a, b uint32) int {
-		return strings.Compare(t.strs[a], t.strs[b])
-	})
-	return out
-}
-
 // AdvanceObs fills dst (which must be zero-valued) with a canonically
 // ordered observation store holding prev's rows — torrent IDs renumbered
-// through remapOld — plus the batch's rows. dst shares prev's intern
-// table, extended in place with the batch's new addresses (see the
-// package comment for the concurrency contract); all column arrays are
-// freshly allocated, so prev remains exactly as published.
+// through remapOld — plus the batch's rows, and returns each batch row's
+// index in dst's intern table. dst shares prev's intern table, extended
+// in place with the batch's new addresses (see the package comment for
+// the concurrency contract).
 //
-// sortedIPs must be CanonicalIPOrder of prev's table (maintained across
-// advances: pass the previous call's result back in). remapOld must be
-// monotonically increasing — Merge's record order depends only on record
-// content, so inserting records never reorders surviving ones — which is
-// what keeps prev's rows sorted under renumbering. A nil remapOld means
-// the identity. The result is observably identical to Merge over the
-// combined inputs; intern-table order (unobservable) may differ.
-func AdvanceObs(dst, prev *ObsStore, remapOld []int32, d *DeltaObs, sortedIPs []uint32) []uint32 {
+// When remapOld is the identity and the whole batch sorts after prev's
+// last row — a live crawl's steady state — dst's columns grow in place
+// past prev's length, and a built index of prev extends to dst. Only the
+// first advance from prev may grow into its tail: a second one gets a
+// private copy of the intern table and, like any batch that interleaves
+// with or renumbers prev's rows, fresh column arrays (dst's index then
+// builds on first use). Either way prev stays exactly as published.
+//
+// remapOld must be monotonically increasing — Merge's record order
+// depends only on record content, so inserting records never reorders
+// surviving ones — which is what keeps prev's rows sorted under
+// renumbering. A nil remapOld means the identity. The result is
+// observably identical to Merge over the combined inputs; intern-table
+// order (unobservable) may differ.
+func AdvanceObs(dst, prev *ObsStore, remapOld []int32, d *DeltaObs) []uint32 {
 	next := dst
-	next.ips = prev.ips
+	inPlace := prev.tail.CompareAndSwap(false, true)
+	if inPlace {
+		next.ips = prev.ips
+	} else {
+		next.ips = prev.ips.clone()
+	}
 	// Intern the batch's distinct addresses, reusing the already-parsed
-	// netip form. Indices at or above the previous table length are new.
-	prevIPs := uint32(next.ips.Len())
+	// netip form.
 	ipRemap := make([]uint32, d.Table.Len())
 	for i := range ipRemap {
 		s := d.Table.strs[i]
@@ -160,26 +162,15 @@ func AdvanceObs(dst, prev *ObsStore, remapOld []int32, d *DeltaObs, sortedIPs []
 			ipRemap[i] = next.ips.add(s, d.Table.addrs[i])
 		}
 	}
-	var fresh []uint32
-	for _, j := range ipRemap {
-		if j >= prevIPs {
-			fresh = append(fresh, j)
+	// The canonical IP tie-break is the address string.
+	strs := next.ips.strs
+	cmpIP := func(a, b uint32) int {
+		if a == b {
+			return 0
 		}
-	}
-	slices.Sort(fresh) // intern order; dedup below sorts by string
-	fresh = slices.Compact(fresh)
-	slices.SortFunc(fresh, func(a, b uint32) int {
-		return strings.Compare(next.ips.strs[a], next.ips.strs[b])
-	})
-	sortedIPs = mergeSortedIdx(sortedIPs, fresh, &next.ips)
-	rank := make([]uint32, next.ips.Len())
-	for pos, idx := range sortedIPs {
-		rank[idx] = uint32(pos)
+		return strings.Compare(strs[a], strs[b])
 	}
 
-	// Identity remap (records appended at the end of Published order)
-	// keeps prev's torrent IDs — and, combined with a batch that sorts
-	// entirely after prev's last row, enables the bulk-copy fast path.
 	identity := true
 	for i, v := range remapOld {
 		if v != int32(i) {
@@ -208,11 +199,8 @@ func AdvanceObs(dst, prev *ObsStore, remapOld []int32, d *DeltaObs, sortedIPs []
 		if dTid[a] != dTid[b] {
 			return int(dTid[a]) - int(dTid[b])
 		}
-		if ra, rb := rank[dIP[a]], rank[dIP[b]]; ra != rb {
-			if ra < rb {
-				return -1
-			}
-			return 1
+		if c := cmpIP(dIP[a], dIP[b]); c != 0 {
+			return c
 		}
 		sa, sb := d.Seeder[a], d.Seeder[b]
 		switch {
@@ -225,21 +213,6 @@ func AdvanceObs(dst, prev *ObsStore, remapOld []int32, d *DeltaObs, sortedIPs []
 		}
 	})
 
-	n := prev.Len()
-	total := n + m
-	tids := make([]int32, total)
-	ipIdx := make([]uint32, total)
-	atNs := make([]int64, total)
-	seed := make([]uint64, (total+63)/64)
-
-	appendDelta := func(k int, j int32) {
-		tids[k] = dTid[j]
-		ipIdx[k] = dIP[j]
-		atNs[k] = d.AtNs[j]
-		if d.Seeder[j] {
-			seed[k>>6] |= 1 << (uint(k) & 63)
-		}
-	}
 	// deltaBeforeOld reports whether delta row j sorts strictly before
 	// prev row i under the canonical key (ties keep prev first; equal
 	// keys mean identical rows, so either order serializes the same).
@@ -254,42 +227,43 @@ func AdvanceObs(dst, prev *ObsStore, remapOld []int32, d *DeltaObs, sortedIPs []
 		if dTid[j] != oldTid {
 			return dTid[j] < oldTid
 		}
-		if ra, rb := rank[dIP[j]], rank[prev.ipIdx[i]]; ra != rb {
-			return ra < rb
+		if c := cmpIP(dIP[j], prev.ipIdx[i]); c != 0 {
+			return c < 0
 		}
 		return prev.Seeder(i) && !d.Seeder[j]
 	}
 
-	fastAppend := identity && (n == 0 || m == 0 || !deltaBeforeOld(perm[0], n-1))
-	if fastAppend {
-		copy(tids, prev.tids)
-		copy(ipIdx, prev.ipIdx)
-		copy(atNs, prev.atNs)
+	n := prev.Len()
+	total := n + m
+	seed := make([]uint64, (total+63)/64)
+	var tids []int32
+	var ipIdx []uint32
+	var atNs []int64
+	appendDelta := func(k int, j int32) {
+		tids[k] = dTid[j]
+		ipIdx[k] = dIP[j]
+		atNs[k] = d.AtNs[j]
+		if d.Seeder[j] {
+			seed[k>>6] |= 1 << (uint(k) & 63)
+		}
+	}
+	if inPlace && identity && (n == 0 || m == 0 || !deltaBeforeOld(perm[0], n-1)) {
+		// Grow into prev's tail: the new rows land past prev's length.
+		tids = slices.Grow(prev.tids, m)[:total]
+		ipIdx = slices.Grow(prev.ipIdx, m)[:total]
+		atNs = slices.Grow(prev.atNs, m)[:total]
 		copy(seed, prev.seed) // bits beyond n are zero in prev
 		for k, j := range perm {
 			appendDelta(n+k, j)
 		}
-	} else {
-		i, j, k := 0, 0, 0
-		for i < n && j < m {
-			if deltaBeforeOld(perm[j], i) {
-				appendDelta(k, perm[j])
-				j++
-			} else {
-				tids[k] = prev.tids[i]
-				if !identity {
-					tids[k] = remapOld[prev.tids[i]]
-				}
-				ipIdx[k] = prev.ipIdx[i]
-				atNs[k] = prev.atNs[i]
-				if prev.Seeder(i) {
-					seed[k>>6] |= 1 << (uint(k) & 63)
-				}
-				i++
-			}
-			k++
+		if ix := prev.builtIndex(); ix != nil {
+			next.idx, next.idxLen = ix.extend(tids[n:], n), total
 		}
-		for ; i < n; i, k = i+1, k+1 {
+	} else {
+		tids = make([]int32, total)
+		ipIdx = make([]uint32, total)
+		atNs = make([]int64, total)
+		copyOld := func(k, i int) {
 			tids[k] = prev.tids[i]
 			if !identity {
 				tids[k] = remapOld[prev.tids[i]]
@@ -300,31 +274,23 @@ func AdvanceObs(dst, prev *ObsStore, remapOld []int32, d *DeltaObs, sortedIPs []
 				seed[k>>6] |= 1 << (uint(k) & 63)
 			}
 		}
+		i, j, k := 0, 0, 0
+		for ; i < n && j < m; k++ {
+			if deltaBeforeOld(perm[j], i) {
+				appendDelta(k, perm[j])
+				j++
+			} else {
+				copyOld(k, i)
+				i++
+			}
+		}
+		for ; i < n; i, k = i+1, k+1 {
+			copyOld(k, i)
+		}
 		for ; j < m; j, k = j+1, k+1 {
 			appendDelta(k, perm[j])
 		}
 	}
 	next.tids, next.ipIdx, next.atNs, next.seed = tids, ipIdx, atNs, seed
-	return sortedIPs
-}
-
-// mergeSortedIdx merges two string-ordered intern-index lists (fresh
-// indices are all new, so no duplicates exist across the lists).
-func mergeSortedIdx(sorted, fresh []uint32, t *IPTable) []uint32 {
-	if len(fresh) == 0 {
-		return sorted
-	}
-	out := make([]uint32, 0, len(sorted)+len(fresh))
-	i, j := 0, 0
-	for i < len(sorted) && j < len(fresh) {
-		if strings.Compare(t.strs[sorted[i]], t.strs[fresh[j]]) <= 0 {
-			out = append(out, sorted[i])
-			i++
-		} else {
-			out = append(out, fresh[j])
-			j++
-		}
-	}
-	out = append(out, sorted[i:]...)
-	return append(out, fresh[j:]...)
+	return dIP
 }

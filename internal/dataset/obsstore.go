@@ -12,7 +12,9 @@ package dataset
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -89,6 +91,18 @@ func (t *IPTable) InternAddr(a netip.Addr) uint32 {
 	return i
 }
 
+// clone returns a copy of t that shares its published entries but no
+// capacity or maps with it, so interning into the copy never writes
+// where t, or another table extended from t, reads.
+func (t *IPTable) clone() IPTable {
+	c := IPTable{strs: slices.Clip(t.strs), addrs: slices.Clip(t.addrs)}
+	c.byStr = make(map[string]uint32, len(c.strs))
+	for i, s := range c.strs {
+		c.byStr[s] = uint32(i)
+	}
+	return c
+}
+
 func (t *IPTable) add(s string, addr netip.Addr) uint32 {
 	if t.byStr == nil {
 		t.byStr = make(map[string]uint32)
@@ -111,6 +125,12 @@ type ObsStore struct {
 	ipIdx []uint32
 	atNs  []int64
 	seed  []uint64 // bitset, one bit per observation
+
+	// tail is set once AdvanceObs has claimed the spare capacity past Len
+	// in the intern table, the columns and the index spans for the one
+	// successor that grows into it; a later advance from this store
+	// copies instead.
+	tail atomic.Bool
 
 	idxMu  sync.Mutex
 	idx    *ObsIndex
@@ -249,30 +269,25 @@ func (s *ObsStore) grow(n int) {
 // One-pass per-torrent index
 // ---------------------------------------------------------------------
 
-// ObsIndex groups a store's observations by torrent via a counting sort:
-// Span(t) lists the indices of torrent t's observations in time order.
-// Built once per store state and shared by every analysis consumer.
+// ObsIndex groups a store's observations by torrent: Span(t) lists the
+// indices of torrent t's observations in time order. Built once per
+// store state and shared by every analysis consumer; AdvanceObs's append
+// path extends it to the successor store instead of rebuilding it.
 type ObsIndex struct {
-	order  []int32
-	starts []int32 // len = maxTorrentID+2; torrent t spans starts[t]..starts[t+1]
+	spans [][]int32 // spans[t]: torrent t's observation indices
 }
 
 // Span returns the time-ordered observation indices of torrent tid (empty
 // for unknown torrents).
 func (ix *ObsIndex) Span(tid int) []int32 {
-	if tid < 0 || tid+1 >= len(ix.starts) {
+	if tid < 0 || tid >= len(ix.spans) {
 		return nil
 	}
-	return ix.order[ix.starts[tid]:ix.starts[tid+1]]
+	return ix.spans[tid]
 }
 
 // Torrents returns the number of torrent ID slots (max torrent ID + 1).
-func (ix *ObsIndex) Torrents() int {
-	if len(ix.starts) == 0 {
-		return 0
-	}
-	return len(ix.starts) - 1
-}
+func (ix *ObsIndex) Torrents() int { return len(ix.spans) }
 
 // Index returns the per-torrent index for the store's current contents,
 // building it on first use and rebuilding only after appends.
@@ -287,6 +302,19 @@ func (s *ObsStore) Index() *ObsIndex {
 	return s.idx
 }
 
+// builtIndex returns the index when it is current, nil otherwise.
+func (s *ObsStore) builtIndex() *ObsIndex {
+	s.idxMu.Lock()
+	defer s.idxMu.Unlock()
+	if s.idxLen != len(s.tids) {
+		return nil
+	}
+	return s.idx
+}
+
+// buildIndex counting-sorts the observation indices by torrent into one
+// array and slices it into spans capped at their length, so extending a
+// span (ObsIndex.extend) never writes into its neighbour.
 func (s *ObsStore) buildIndex() *ObsIndex {
 	maxTID := -1
 	for _, t := range s.tids {
@@ -308,25 +336,41 @@ func (s *ObsStore) buildIndex() *ObsIndex {
 		order[next[t]] = int32(i)
 		next[t]++
 	}
-	ix := &ObsIndex{order: order, starts: starts}
-	// Appends normally arrive in time order (the sim clock replays events
-	// chronologically and Merge sorts canonically), so the stable counting
-	// sort leaves each span time-sorted already; repair any span that is
-	// not, so hand-built datasets index correctly too.
-	for t := 0; t <= maxTID; t++ {
-		span := order[starts[t]:starts[t+1]]
-		sorted := true
+	spans := make([][]int32, maxTID+1)
+	for t := range spans {
+		span := order[starts[t]:starts[t+1]:starts[t+1]]
+		// Appends normally arrive in time order (the sim clock replays
+		// events chronologically and Merge sorts canonically), so the
+		// stable counting sort leaves each span time-sorted already;
+		// repair any span that is not, so hand-built datasets index
+		// correctly too.
 		for i := 1; i < len(span); i++ {
 			if s.atNs[span[i]] < s.atNs[span[i-1]] {
-				sorted = false
+				insertionSortByTime(span, s.atNs)
 				break
 			}
 		}
-		if !sorted {
-			insertionSortByTime(span, s.atNs)
-		}
+		spans[t] = span
 	}
-	return ix
+	return &ObsIndex{spans: spans}
+}
+
+// extend returns the index of a store that holds ix's rows followed by
+// rows first, first+1, … of torrents tids, none earlier in time than
+// an indexed row, so every span stays time-ordered. The span headers are
+// copied; the rows are appended past the end of ix's spans, which ix
+// never reads — the caller must hold the store's tail (see AdvanceObs).
+func (ix *ObsIndex) extend(tids []int32, first int) *ObsIndex {
+	n := len(ix.spans)
+	for _, t := range tids {
+		n = max(n, int(t)+1)
+	}
+	spans := make([][]int32, n)
+	copy(spans, ix.spans)
+	for k, t := range tids {
+		spans[t] = append(spans[t], int32(first+k))
+	}
+	return &ObsIndex{spans: spans}
 }
 
 // insertionSortByTime stably sorts a span of observation indices by

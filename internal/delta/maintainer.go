@@ -3,17 +3,26 @@
 // analysis.New) re-reads and re-sorts the whole lake on every journal
 // version bump — O(lake) work per refresh — the Maintainer asks the
 // journal what changed (lake.ReadDiff) and folds only the added records
-// and observations into the previous immutable snapshot: records and
-// users merge-insert into the canonical orders, new observation rows
-// sort and merge into the canonical columns (dataset.AdvanceObs), and
-// the two O(observations) distinct-download aggregates are recounted
-// only for the torrents and publishers the delta touched
-// (classify.FactsSeed). Everything cheaper than
-// O(observations) is rebuilt per refresh, which keeps the equivalence
-// argument short: a maintained snapshot is observably identical —
-// analysis fingerprint and served table bodies — to that from-scratch
-// build at the same version, which the tests and the benchmark keep as
-// their oracle.
+// and observations into the previous immutable snapshot. The fold is
+// O(delta) wherever the work is O(observations): records and users
+// merge-insert into the canonical orders; new observation rows sort and
+// merge into the canonical columns (dataset.AdvanceObs), which in the
+// steady state (rows arriving after the last one) grow in place along
+// with the per-torrent index; and the two distinct-download aggregates
+// (classify.FactsSeed) bump only on an (IP, torrent) or (IP, identity)
+// pair the lineage has not counted yet. Everything O(torrents + users)
+// — the record copy, facts, groups, the business classification — is
+// rebuilt per refresh, which keeps the equivalence argument short: a
+// maintained snapshot is observably identical — analysis fingerprint
+// and served table bodies — to that from-scratch build at the same
+// version, which the tests and the benchmark keep as their oracle.
+//
+// The lineage a fold carries to the next is the lake→canonical torrent
+// ID map, the buffer of observations whose record has not landed, the
+// per-torrent and per-identity distinct-download counters, and behind
+// them, per interned IP, the sorted sets of lake torrent IDs and
+// identities it has been counted for (ipTorrents, ipIdents; a first
+// fold builds them in bulk with one counting sort).
 //
 // There is one build path. A compaction is a journal rewrite — the same
 // rows in fewer files — and the lineage is keyed by canonical row
@@ -29,10 +38,11 @@
 // record keys or usernames need no special case.
 //
 // Concurrency: Refresh calls are serialized by the Maintainer's lock and
-// are the only code that touches the shared intern table's maps;
-// published snapshots only ever read frozen slice data (see
-// internal/dataset's delta contract), so serving older snapshots while a
-// refresh runs is race-free.
+// are the only code that touches the shared intern table's maps or
+// writes past a published store's length; published snapshots only
+// ever read slice data up to their own lengths, which no later fold
+// rewrites (see internal/dataset's delta contract), so serving older
+// snapshots while a refresh runs is race-free.
 package delta
 
 import (
@@ -41,6 +51,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"time"
 
 	"btpub/internal/analysis"
 	"btpub/internal/classify"
@@ -86,6 +97,9 @@ type Stats struct {
 	LastReason        string `json:"last_refresh_reason,omitempty"`
 	LastDeltaSegments int    `json:"last_delta_segments"`
 	LastDeltaObs      int64  `json:"last_delta_observations"`
+	// LastRefreshMs is the wall time of the last Refresh that moved the
+	// version, fold and analysis build included.
+	LastRefreshMs float64 `json:"last_refresh_ms"`
 }
 
 // Maintainer owns a snapshot lineage over one lake.
@@ -105,8 +119,8 @@ type Maintainer struct {
 
 // lineage is the state a fold carries from one snapshot to the next. It
 // is in sync with exactly one canonical dataset: the intern table that
-// dataset's store shares, its sorted-IP order, the lake→canonical ID
-// map, the pending buffer and the distinct-download counters.
+// dataset's store shares, the lake→canonical ID map, the pending buffer
+// and the distinct-download counters with the pair sets behind them.
 type lineage struct {
 	lakeToCanon map[int]int32 // lake torrent ID → canonical torrent ID
 	// pending buffers observations whose torrent record has not been
@@ -114,10 +128,18 @@ type lineage struct {
 	// they are promoted the moment the record lands, and counted as
 	// dropped until then — exactly what Materialize reports. Its intern
 	// table is maintainer-private and append-only across refreshes.
-	pending   dataset.DeltaObs
-	sortedIPs []uint32       // canonical-IP order of the snapshot's table
-	counts    []int          // distinct downloader IPs per canonical tid
-	userDL    map[string]int // distinct downloader IPs per identity
+	pending dataset.DeltaObs
+	counts  []int          // distinct downloader IPs per canonical tid
+	userDL  map[string]int // distinct downloader IPs per identity
+	// ipTorrents[ip] and ipIdents[ip] are the sorted sets of lake torrent
+	// IDs and identity IDs the shared-table IP ip has been counted for:
+	// a placed row bumps counts or userDL only on a pair new to them.
+	// Both keys survive renumbering, and intern indices are stable
+	// because the table is append-only within a lineage.
+	ipTorrents [][]int32
+	ipIdents   [][]int32
+	identID    map[string]int32 // publisher identity → dense ID
+	idents     []string         // dense ID → identity
 }
 
 // NewMaintainer creates a maintainer; db must be non-nil (analysis
@@ -149,6 +171,7 @@ func (m *Maintainer) Stats() Stats {
 func (m *Maintainer) Refresh(ctx context.Context) (*Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	start := time.Now()
 	// restart says why the lineage cannot be advanced ("" = it can).
 	var restart string
 	var dd *lake.DiffData
@@ -180,7 +203,7 @@ func (m *Maintainer) Refresh(ctx context.Context) (*Snapshot, error) {
 		if dd, err = m.lk.ReadAll(ctx); err != nil {
 			return nil, err
 		}
-		m.lin = &lineage{lakeToCanon: map[int]int32{}, userDL: map[string]int{}}
+		m.lin = &lineage{lakeToCanon: map[int]int32{}, userDL: map[string]int{}, identID: map[string]int32{}}
 	}
 	an, changed, err := m.lin.fold(prev, dd, m.db, m.topK)
 	if err != nil {
@@ -202,6 +225,7 @@ func (m *Maintainer) Refresh(ctx context.Context) (*Snapshot, error) {
 	}
 	m.stats.LastMode, m.stats.LastReason = string(snap.Mode), snap.Reason
 	m.stats.LastDeltaSegments, m.stats.LastDeltaObs = snap.DeltaSegments, snap.DeltaObs
+	m.stats.LastRefreshMs = float64(time.Since(start).Microseconds()) / 1e3
 	m.snap = snap
 	return snap, nil
 }
@@ -224,12 +248,22 @@ func (l *lineage) fold(prev *dataset.Dataset, dd *lake.DiffData, db *geoip.DB, t
 
 	// Route rows: promote pending observations whose record just landed,
 	// place the diff's rows, buffer the still-recordless remainder.
-	var placed dataset.DeltaObs
+	// placedLake[j] is placed row j's lake torrent ID. Presizing the
+	// batch for every row keeps a first fold from regrowing it.
+	rows := l.pending.Len() + dd.Obs.Len()
+	placed := dataset.DeltaObs{
+		Tids: make([]int32, 0, rows), IPIdx: make([]uint32, 0, rows),
+		AtNs: make([]int64, 0, rows), Seeder: make([]bool, 0, rows),
+	}
+	placedLake := make([]int32, 0, rows)
+	// The pending table is maintainer-private and append-only, so rows
+	// that stay pending keep their intern index.
 	newPending := dataset.DeltaObs{Table: l.pending.Table}
 	for i := 0; i < l.pending.Len(); i++ {
 		lt := l.pending.Tids[i]
 		if ct, ok := l.lakeToCanon[int(lt)]; ok {
 			placed.Append(ct, l.pending.Table.String(l.pending.IPIdx[i]), l.pending.AtNs[i], l.pending.Seeder[i])
+			placedLake = append(placedLake, lt)
 		} else {
 			// Same table lineage: reuse the intern index directly.
 			newPending.Tids = append(newPending.Tids, lt)
@@ -243,6 +277,7 @@ func (l *lineage) fold(prev *dataset.Dataset, dd *lake.DiffData, db *geoip.DB, t
 		ip := dd.Obs.IPs().String(dd.Obs.IPIndex(i))
 		if ct, ok := l.lakeToCanon[lt]; ok {
 			placed.Append(ct, ip, dd.Obs.UnixNano(i), dd.Obs.Seeder(i))
+			placedLake = append(placedLake, int32(lt))
 		} else {
 			newPending.Append(int32(lt), ip, dd.Obs.UnixNano(i), dd.Obs.Seeder(i))
 		}
@@ -254,67 +289,154 @@ func (l *lineage) fold(prev *dataset.Dataset, dd *lake.DiffData, db *geoip.DB, t
 		Users:               dataset.MergeUsers(prev.Users, dd.Users),
 		DroppedObservations: newPending.Len() + int(dd.Info.Dropped),
 	}
-	l.sortedIPs = dataset.AdvanceObs(&ds.Obs, &prev.Obs, remapOld, &placed, l.sortedIPs)
+	placedIPs := dataset.AdvanceObs(&ds.Obs, &prev.Obs, remapOld, &placed)
 	l.pending = newPending
 
-	// Recount distinct downloads only where the fold landed: the touched
-	// torrents, and every identity owning a touched torrent or a new
-	// record. Untouched counters carry over (renumbered).
+	// Carry the per-torrent counters over (renumbered), then count the
+	// placed rows' new (IP, torrent) and (IP, identity) pairs.
 	counts := make([]int, len(mergedRecs))
 	for oldID, c := range l.counts {
 		counts[remapOld[oldID]] = c
 	}
 	l.counts = counts
-	ix := ds.Obs.Index()
-	stamp := make([]int32, ds.Obs.IPs().Len())
-	for i := range stamp {
-		stamp[i] = -1
+	owners := map[int32]int32{} // canonical tid → identity (-1: none)
+	owner := func(ct int32) int32 {
+		id, ok := owners[ct]
+		if !ok {
+			id = l.identity(mergedRecs[ct].PublisherKey())
+			owners[ct] = id
+		}
+		return id
 	}
-	epoch := int32(0)
-	distinct := func(tids ...int32) int {
-		mark, n := epoch, 0
-		epoch++
-		for _, tid := range tids {
-			for _, oi := range ix.Span(int(tid)) {
-				if ip := ds.Obs.IPIndex(int(oi)); stamp[ip] != mark {
-					stamp[ip] = mark
-					n++
-				}
+	if l.ipTorrents == nil {
+		ownerOf := make([]int32, len(mergedRecs))
+		for ct := range ownerOf {
+			ownerOf[ct] = owner(int32(ct))
+		}
+		l.countBulk(ds.Obs.IPs().Len(), placedIPs, placed.Tids, placedLake, ownerOf)
+	} else {
+		l.ipTorrents = growTo(l.ipTorrents, ds.Obs.IPs().Len())
+		l.ipIdents = growTo(l.ipIdents, ds.Obs.IPs().Len())
+		for j, ip := range placedIPs {
+			ct := placed.Tids[j]
+			if insertSorted(&l.ipTorrents[ip], placedLake[j]) {
+				counts[ct]++
+			}
+			if id := owner(ct); id >= 0 && insertSorted(&l.ipIdents[ip], id) {
+				l.userDL[l.idents[id]]++
 			}
 		}
-		return n
 	}
-	touched := make([]bool, len(mergedRecs))
-	for _, t := range placed.Tids {
-		touched[t] = true
-	}
+
+	// The fold touched every identity owning a placed row's torrent or a
+	// new record.
 	for _, id := range addIDs {
-		touched[id] = true
+		owner(id)
 	}
-	affected := make(map[string][]int32) // identity → every torrent it owns
-	for tid, rec := range mergedRecs {
-		if !touched[tid] {
-			continue
+	changed := make([]string, 0, len(owners))
+	for _, id := range owners {
+		if id >= 0 {
+			changed = append(changed, l.idents[id])
 		}
-		counts[tid] = distinct(int32(tid))
-		if name := rec.PublisherKey(); name != "" {
-			affected[name] = nil
-		}
-	}
-	for _, rec := range mergedRecs {
-		name := rec.PublisherKey()
-		if _, ok := affected[name]; ok && name != "" {
-			affected[name] = append(affected[name], int32(rec.TorrentID))
-		}
-	}
-	changed := make([]string, 0, len(affected))
-	for name, tids := range affected {
-		l.userDL[name] = distinct(tids...)
-		changed = append(changed, name)
 	}
 	slices.Sort(changed)
+	changed = slices.Compact(changed)
 
 	seed := &classify.FactsSeed{DownloadsByTorrent: counts, UserDownloads: l.userDL}
 	an, err := analysis.NewSeeded(ds, db, topK, seed)
 	return an, changed, err
+}
+
+// identity returns the dense ID of a publisher identity, registering it
+// on first sight; -1 for the empty (anonymous) key.
+func (l *lineage) identity(name string) int32 {
+	if name == "" {
+		return -1
+	}
+	id, ok := l.identID[name]
+	if !ok {
+		id = int32(len(l.idents))
+		l.identID[name] = id
+		l.idents = append(l.idents, name)
+	}
+	return id
+}
+
+// countBulk builds the per-IP pair sets and both counters from scratch
+// over the rows of a first fold: one counting sort of the rows by IP,
+// each IP's keys sorted and deduplicated into one shared backing array
+// per set — a few allocations however many rows, where inserting row by
+// row would allocate per IP. Each set is capped at its length, so a
+// later insert reallocates it instead of overwriting its neighbour.
+// ownerOf[ct] is canonical torrent ct's identity ID (-1: none).
+func (l *lineage) countBulk(nIPs int, ips []uint32, tids, lakeTids, ownerOf []int32) {
+	starts := make([]int32, nIPs+1)
+	for _, ip := range ips {
+		starts[ip+1]++
+	}
+	for i := 1; i <= nIPs; i++ {
+		starts[i] += starts[i-1]
+	}
+	order := make([]int32, len(ips))
+	next := slices.Clone(starts[:nIPs])
+	for j, ip := range ips {
+		order[next[ip]] = int32(j)
+		next[ip]++
+	}
+	userDL := make([]int, len(l.idents))
+	torBack := make([]int32, 0, len(ips))
+	idBack := make([]int32, 0, len(ips))
+	l.ipTorrents = make([][]int32, nIPs)
+	l.ipIdents = make([][]int32, nIPs)
+	var pairs []uint64 // lake tid << 32 | canonical tid
+	for ip := range nIPs {
+		rows := order[starts[ip]:starts[ip+1]]
+		pairs = pairs[:0]
+		for _, j := range rows {
+			pairs = append(pairs, uint64(lakeTids[j])<<32|uint64(tids[j]))
+		}
+		slices.Sort(pairs)
+		lo := len(torBack)
+		for k, p := range pairs {
+			if k == 0 || p>>32 != pairs[k-1]>>32 {
+				torBack = append(torBack, int32(p>>32))
+				l.counts[uint32(p)]++
+			}
+		}
+		l.ipTorrents[ip] = torBack[lo:len(torBack):len(torBack)]
+
+		lo = len(idBack)
+		for _, j := range rows {
+			if id := ownerOf[tids[j]]; id >= 0 {
+				idBack = append(idBack, id)
+			}
+		}
+		ids := idBack[lo:]
+		slices.Sort(ids)
+		idBack = idBack[:lo+len(slices.Compact(ids))]
+		for _, id := range idBack[lo:] {
+			userDL[id]++
+		}
+		l.ipIdents[ip] = idBack[lo:len(idBack):len(idBack)]
+	}
+	for id, n := range userDL {
+		l.userDL[l.idents[id]] = n
+	}
+}
+
+// insertSorted adds v to the sorted set *s, reporting whether it was new.
+func insertSorted(s *[]int32, v int32) bool {
+	i, found := slices.BinarySearch(*s, v)
+	if !found {
+		*s = slices.Insert(*s, i, v)
+	}
+	return !found
+}
+
+// growTo lengthens s with empty sets to n entries.
+func growTo(s [][]int32, n int) [][]int32 {
+	if n <= len(s) {
+		return s
+	}
+	return append(s, make([][]int32, n-len(s))...)
 }

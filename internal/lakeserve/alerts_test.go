@@ -123,7 +123,8 @@ func TestAlertsEndpoint(t *testing.T) {
 }
 
 // TestStatsDeltaCounters pins the wire names and the full→delta
-// progression of the refresh counters on /api/v1/stats.
+// progression of the refresh counters on /api/v1/stats, and that the
+// delta refresh's wall time is reported.
 func TestStatsDeltaCounters(t *testing.T) {
 	lk := seedLake(t, lake.Options{})
 	srv := newServer(t, lk)
@@ -134,7 +135,7 @@ func TestStatsDeltaCounters(t *testing.T) {
 	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"refresh_mode", "delta_refreshes", "full_rebuilds", "last_delta_segments", "last_delta_observations"} {
+	for _, key := range []string{"refresh_mode", "delta_refreshes", "full_rebuilds", "last_delta_segments", "last_delta_observations", "last_refresh_ms"} {
 		if _, ok := stats[key]; !ok {
 			t.Fatalf("stats missing %q: %s", key, body)
 		}
@@ -170,6 +171,9 @@ func TestStatsDeltaCounters(t *testing.T) {
 	}
 	if stats["last_delta_segments"].(float64) < 1 || stats["last_delta_observations"].(float64) != 1 {
 		t.Fatalf("delta size counters wrong: %s", body)
+	}
+	if stats["last_refresh_ms"].(float64) <= 0 {
+		t.Fatalf("delta refresh not timed: %s", body)
 	}
 }
 

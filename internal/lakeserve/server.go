@@ -273,9 +273,10 @@ type StatsResponse struct {
 	// X-Btpub-Snapshot-Stale header while this is true.
 	Stale bool `json:"stale"`
 	// The embedded maintainer counters: refresh_mode ("full"/"delta"),
-	// delta_refreshes, full_rebuilds, last_refresh_reason, and the size
-	// of the last folded delta (last_delta_segments,
-	// last_delta_observations).
+	// delta_refreshes, full_rebuilds, last_refresh_reason, the size of
+	// the last folded delta (last_delta_segments,
+	// last_delta_observations) and the wall time of the last refresh
+	// (last_refresh_ms).
 	delta.Stats
 }
 
