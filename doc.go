@@ -136,9 +136,16 @@
 // internal/lakeserve + cmd/btpub-serve expose the lake over HTTP while
 // writers append: analysis snapshots are cached per journal version
 // (stamped with the exact version the maintainer folded, so a commit
-// racing the build never forces a redundant rebuild; single-flight,
-// stale-while-revalidate), so many concurrent /tables
-// requests over a live lake cost one index build per committed version.
+// racing the build never forces a redundant rebuild; stale-while-
+// revalidate). One build lock (Server.buildMu) owns the build path —
+// maintainer refresh, alert evaluation, classification — and both the
+// synchronous first build and every background rebuild hold it, so
+// builds run one at a time in version order and a first request that
+// finds a background build running waits for it: many concurrent
+// /tables requests over a live lake cost one build per committed
+// version, on a cold start too. Every torrent ID the API emits or
+// accepts is the lake's (/torrents/recent included), never the
+// snapshot's canonical renumbering.
 // Migration from JSONL:
 // `btpub-analyze -in pb10.jsonl -import pb10.lake`, thereafter
 // `btpub-analyze -lake pb10.lake` / `btpub-serve -lake pb10.lake`.

@@ -238,31 +238,11 @@ func (s *ObsStore) push(tid int32, ipIdx uint32, atNs int64, seeder bool) {
 
 // grow pre-allocates capacity for n additional observations.
 func (s *ObsStore) grow(n int) {
-	if n <= 0 {
-		return
-	}
-	total := len(s.tids) + n
-	if cap(s.tids) < total {
-		tids := make([]int32, len(s.tids), total)
-		copy(tids, s.tids)
-		s.tids = tids
-	}
-	if cap(s.ipIdx) < total {
-		ips := make([]uint32, len(s.ipIdx), total)
-		copy(ips, s.ipIdx)
-		s.ipIdx = ips
-	}
-	if cap(s.atNs) < total {
-		ats := make([]int64, len(s.atNs), total)
-		copy(ats, s.atNs)
-		s.atNs = ats
-	}
-	words := (total + 63) / 64
-	if cap(s.seed) < words {
-		seed := make([]uint64, len(s.seed), words)
-		copy(seed, s.seed)
-		s.seed = seed
-	}
+	words := (len(s.tids) + n + 63) / 64
+	s.tids = slices.Grow(s.tids, n)
+	s.ipIdx = slices.Grow(s.ipIdx, n)
+	s.atNs = slices.Grow(s.atNs, n)
+	s.seed = slices.Grow(s.seed, max(words-len(s.seed), 0))
 }
 
 // ---------------------------------------------------------------------

@@ -74,6 +74,10 @@ const (
 type Snapshot struct {
 	An      *analysis.Analysis
 	Version uint64
+	// LakeIDs[ct] is the lake torrent ID of canonical record ct
+	// (An.DS.Torrents[ct]): the ID the lake's own readers (lake.Scan,
+	// internal/query) know that torrent by.
+	LakeIDs []int
 	// Mode says what the fold started from; Reason why it started over
 	// (ModeFull) or what it folded (ModeDelta).
 	Mode   Mode
@@ -205,14 +209,14 @@ func (m *Maintainer) Refresh(ctx context.Context) (*Snapshot, error) {
 		}
 		m.lin = &lineage{lakeToCanon: map[int]int32{}, userDL: map[string]int{}, identID: map[string]int32{}}
 	}
-	an, changed, err := m.lin.fold(prev, dd, m.db, m.topK)
+	an, lakeIDs, changed, err := m.lin.fold(prev, dd, m.db, m.topK)
 	if err != nil {
 		// The fold mutates the lineage as it goes; never advance from a
 		// half-applied one.
 		m.lin = nil
 		return nil, err
 	}
-	snap := &Snapshot{An: an, Version: dd.Info.Version}
+	snap := &Snapshot{An: an, Version: dd.Info.Version, LakeIDs: lakeIDs}
 	if restart != "" {
 		snap.Mode, snap.Reason, snap.ChangedAll = ModeFull, restart, true
 		m.stats.FullRebuilds++
@@ -232,18 +236,23 @@ func (m *Maintainer) Refresh(ctx context.Context) (*Snapshot, error) {
 
 // fold advances the canonical dataset prev — which the lineage must be
 // in sync with — by the records, users and observations in dd, and
-// builds the analysis over the result. It returns the sorted publisher
-// identities the fold touched. prev is left exactly as published; the
-// lineage is mutated throughout, so the caller must drop it on error.
-func (l *lineage) fold(prev *dataset.Dataset, dd *lake.DiffData, db *geoip.DB, topK int) (*analysis.Analysis, []string, error) {
+// builds the analysis over the result. It returns the canonical→lake
+// torrent IDs and the sorted publisher identities the fold touched. prev
+// is left exactly as published; the lineage is mutated throughout, so
+// the caller must drop it on error.
+func (l *lineage) fold(prev *dataset.Dataset, dd *lake.DiffData, db *geoip.DB, topK int) (*analysis.Analysis, []int, []string, error) {
 	mergedRecs, remapOld, addIDs := dataset.MergeRecords(prev.Torrents, dd.Torrents)
 
-	// Renumber the lake→canonical map, then register the new records.
+	// Renumber the lake→canonical map, then register the new records;
+	// lakeIDs is its inverse.
+	lakeIDs := make([]int, len(mergedRecs))
 	for k, v := range l.lakeToCanon {
 		l.lakeToCanon[k] = remapOld[v]
+		lakeIDs[remapOld[v]] = k
 	}
 	for j, r := range dd.Torrents {
 		l.lakeToCanon[r.TorrentID] = addIDs[j]
+		lakeIDs[addIDs[j]] = r.TorrentID
 	}
 
 	// Route rows: promote pending observations whose record just landed,
@@ -344,7 +353,7 @@ func (l *lineage) fold(prev *dataset.Dataset, dd *lake.DiffData, db *geoip.DB, t
 
 	seed := &classify.FactsSeed{DownloadsByTorrent: counts, UserDownloads: l.userDL}
 	an, err := analysis.NewSeeded(ds, db, topK, seed)
-	return an, changed, err
+	return an, lakeIDs, changed, err
 }
 
 // identity returns the dense ID of a publisher identity, registering it

@@ -1,18 +1,15 @@
-// The online detection wiring: every snapshot refresh runs through the
+// The online detection surface: every snapshot build runs through the
 // incremental maintainer (internal/delta) and feeds the identities it
-// touched to the alert engine (internal/alert), so detection cost tracks
-// the delta, not the lake. GET /api/v1/alerts serves the deduplicated
-// alert store with a since-version cursor and an optional long-poll.
+// touched to the alert engine (internal/alert; see build in server.go),
+// so detection cost tracks the delta, not the lake. GET /api/v1/alerts
+// serves the deduplicated alert store with a since-version cursor and an
+// optional long-poll.
 package lakeserve
 
 import (
 	"context"
-	"log"
 	"net/http"
 	"time"
-
-	"btpub/internal/alert"
-	"btpub/internal/delta"
 )
 
 // maxAlertWait bounds the wait= long-poll parameter. The effective wait
@@ -29,51 +26,6 @@ func (s *Server) Refresh() {
 	if cur := s.snap.Load(); cur == nil || s.stale(cur) {
 		s.refreshAsync()
 	}
-}
-
-// maintainer returns the incremental snapshot maintainer (and its alert
-// engine), built once.
-func (s *Server) maintainer() *delta.Maintainer {
-	s.maintOnce.Do(func() {
-		s.maint = delta.NewMaintainer(s.Lake, s.Geo, s.TopK)
-		s.alerts = alert.NewEngine()
-	})
-	return s.maint
-}
-
-// refreshSnapshot brings the analysis to the lake head via the
-// maintainer and, when the version moved, logs the refresh path and
-// runs alert evaluation over the identities it touched. Holding alertMu
-// across Refresh and Evaluate keeps evaluations strictly version-ordered
-// even when a synchronous first build races a background rebuild; it
-// adds no serialization the maintainer's own lock doesn't already have.
-// A slow Notifier back-pressures refresh — wrap it in a goroutine of
-// your own if delivery may stall.
-func (s *Server) refreshSnapshot(ctx context.Context) (*delta.Snapshot, error) {
-	m := s.maintainer()
-	s.alertMu.Lock()
-	defer s.alertMu.Unlock()
-	dsnap, err := m.Refresh(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if s.alertInit && dsnap.Version == s.alertVer {
-		return dsnap, nil // head unmoved: nothing new to judge
-	}
-	if dsnap.Mode == delta.ModeDelta {
-		log.Printf("lakeserve: snapshot refresh v%d mode=delta (+%d segments, +%d observations): %s",
-			dsnap.Version, dsnap.DeltaSegments, dsnap.DeltaObs, dsnap.Reason)
-	} else {
-		log.Printf("lakeserve: snapshot refresh v%d mode=full: %s", dsnap.Version, dsnap.Reason)
-	}
-	changed := s.alerts.Evaluate(dsnap)
-	s.alertInit, s.alertVer = true, dsnap.Version
-	if len(changed) > 0 && s.AlertNotifier != nil {
-		if err := s.AlertNotifier.Notify(ctx, changed); err != nil {
-			log.Printf("lakeserve: alert notifier failed (%d alerts): %v", len(changed), err)
-		}
-	}
-	return dsnap, nil
 }
 
 // handleAlerts is GET /api/v1/alerts: the alert feed past the since=
@@ -95,15 +47,12 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	// The snapshot path drives evaluation: this both builds the first
 	// snapshot and kicks a refresh when the lake moved, so the feed a
 	// client reads (or waits on) converges to the live lake.
-	snap, err := s.classified(r)
-	if err != nil {
+	if _, err := s.snapshotFor(w, r); err != nil {
 		fail(w, err)
 		return
 	}
-	s.markSnapshot(w, snap)
-	eng := s.alerts
 	if wait <= 0 {
-		writeJSON(w, eng.Since(since))
+		writeJSON(w, s.alerts.Since(since))
 		return
 	}
 	if dl, ok := r.Context().Deadline(); ok {
@@ -113,5 +62,5 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), wait)
 	defer cancel()
-	writeJSON(w, eng.Wait(ctx, since))
+	writeJSON(w, s.alerts.Wait(ctx, since))
 }

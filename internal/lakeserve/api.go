@@ -267,11 +267,9 @@ func (w *envelopeWriter) Write(b []byte) (int, error) {
 // The query endpoint
 // ---------------------------------------------------------------------
 
-// exec returns the lake-backed executor, built once.
+// execQuery returns the lake-backed executor.
 func (s *Server) execQuery() (*query.Lake, error) {
-	s.execOnce.Do(func() {
-		s.exec, s.execErr = query.NewLake(s.Lake, s.Geo)
-	})
+	s.setup()
 	return s.exec, s.execErr
 }
 

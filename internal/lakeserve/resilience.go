@@ -16,6 +16,10 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"btpub/internal/alert"
+	"btpub/internal/delta"
+	"btpub/internal/query"
 )
 
 const (
@@ -35,21 +39,25 @@ const (
 // responses — "shortly" in machine-readable form.
 const retryAfter = "1"
 
-// lifecycle returns the context background rebuilds run under. It is
-// distinct from any request context (a rebuild must not die with the
-// request that kicked it) but cancelled by Close, so rebuilds do not
-// outlive server shutdown.
-func (s *Server) lifecycle() context.Context {
-	s.lifeOnce.Do(func() {
+// setup builds, once, what the server's paths share: the incremental
+// snapshot maintainer with the alert engine behind it, the lake-backed
+// query executor, and the lifecycle context background rebuilds run
+// under. That context is distinct from any request context (a rebuild
+// must not die with the request that kicked it) but cancelled by Close,
+// so rebuilds do not outlive server shutdown.
+func (s *Server) setup() {
+	s.setupOnce.Do(func() {
+		s.maint = delta.NewMaintainer(s.Lake, s.Geo, s.TopK)
+		s.alerts = alert.NewEngine()
+		s.exec, s.execErr = query.NewLake(s.Lake, s.Geo)
 		s.lifeCtx, s.lifeStop = context.WithCancel(context.Background())
 	})
-	return s.lifeCtx
 }
 
 // Close cancels the server's background work (in-flight snapshot
 // rebuilds). Call it after http.Server.Shutdown has drained requests.
 func (s *Server) Close() {
-	s.lifecycle()
+	s.setup()
 	s.lifeStop()
 }
 
@@ -161,8 +169,10 @@ func (b *refreshState) success() {
 }
 
 // refreshAsync kicks at most one background snapshot rebuild, breaker
-// permitting. On failure the stale snapshot keeps serving and the
-// breaker opens with exponential backoff; on success it resets.
+// permitting. The rebuild takes buildMu, and skips the build when the
+// snapshot it waited behind is already current. On failure the stale
+// snapshot keeps serving and the breaker opens with exponential
+// backoff; on success it resets.
 func (s *Server) refreshAsync() {
 	if s.refresh.open() {
 		return
@@ -170,9 +180,15 @@ func (s *Server) refreshAsync() {
 	if !s.refreshing.CompareAndSwap(false, true) {
 		return
 	}
+	s.setup()
 	go func() {
 		defer s.refreshing.Store(false)
-		snap, err := s.build(s.lifecycle())
+		s.buildMu.Lock()
+		defer s.buildMu.Unlock()
+		if cur := s.snap.Load(); cur != nil && !s.stale(cur) {
+			return
+		}
+		snap, err := s.build(s.lifeCtx)
 		if err != nil {
 			base := s.RefreshBackoff
 			if base <= 0 {

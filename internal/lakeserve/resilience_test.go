@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,6 +23,7 @@ import (
 	"btpub/internal/geoip"
 	"btpub/internal/lake"
 	"btpub/internal/lakeserve"
+	"btpub/internal/population"
 	"btpub/internal/vfs/faultfs"
 )
 
@@ -343,5 +345,131 @@ func TestRequestTimeoutEnvelope(t *testing.T) {
 	}
 	if se.RetryAfter <= 0 {
 		t.Fatalf("client RetryAfter = %v, want > 0", se.RetryAfter)
+	}
+}
+
+// countingInspector counts Inspect calls per promoted URL; every site is
+// a private BitTorrent portal.
+type countingInspector struct {
+	mu    sync.Mutex
+	calls map[string]int
+}
+
+func (c *countingInspector) Inspect(url string) (population.BusinessType, string, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.calls[url]++
+	return population.BusinessPrivatePortal, "en", nil
+}
+
+// TestColdStartClassifiesOnce: a cold server's two first builds — the
+// background one /readyz kicks and the synchronous one the first data
+// request needs — classify the one lake version once, so the promoted
+// site is inspected once, whichever starts first. A request that finds
+// the background build parked on a lake read waits for its result; a
+// background build queued behind the request's build finds the snapshot
+// current and skips.
+func TestColdStartClassifiesOnce(t *testing.T) {
+	for _, order := range []string{"readyz-first", "request-first"} {
+		t.Run(order, func(t *testing.T) { coldStart(t, order == "readyz-first") })
+	}
+}
+
+func coldStart(t *testing.T, readyzFirst bool) {
+	fsys := faultfs.New(1)
+	lk, err := lake.Open("sim", lake.Options{FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lk.Close() })
+	t.Cleanup(fsys.UnblockReads) // registered after lk.Close: unblocks first
+	ds := &dataset.Dataset{Name: "cold-start-test", Start: serveT0, End: serveT0.Add(48 * time.Hour)}
+	for i := 0; i < 8; i++ {
+		ds.AddTorrent(&dataset.TorrentRecord{
+			TorrentID: i, InfoHash: fmt.Sprintf("%040d", i),
+			Title: fmt.Sprintf("Content.%d", i), Category: "Video > Movies",
+			FileName: fmt.Sprintf("content.%d.www.promo-site.com.avi", i),
+			Username: "promoter", PublisherIP: "11.0.0.1",
+			Published: serveT0.Add(time.Duration(i) * time.Hour),
+		})
+		ds.AddObservation(dataset.Observation{TorrentID: i, IP: fmt.Sprintf("20.0.0.%d", i+1), At: serveT0.Add(time.Duration(i) * time.Hour)})
+	}
+	if err := lk.ImportDataset(dataset.Merge("cold-start-test", ds)); err != nil {
+		t.Fatal(err)
+	}
+	insp := &countingInspector{calls: map[string]int{}}
+	srv := &lakeserve.Server{Lake: lk, MaxConcurrent: 1, RequestTimeout: -1}
+	srv.SetInspector(insp)
+	hs := newResilientServer(t, srv)
+
+	deadline := time.Now().Add(10 * time.Second)
+	kickReadyz := func() {
+		if code, _, body := getFull(t, hs.URL+"/readyz"); code != http.StatusServiceUnavailable {
+			t.Fatalf("cold /readyz = %d: %s", code, body)
+		}
+	}
+	awaitBlockedRead := func() {
+		for fsys.BlockedReads() < 1 {
+			if time.Now().After(deadline) {
+				t.Fatal("no build ever reached the blocked lake read")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// The first data request rides any 429 its slot probe below causes.
+	c := apiclient.New(hs.URL)
+	c.Retries = 50
+	c.RetryBase = 5 * time.Millisecond
+	done := make(chan error, 1)
+	request := func() {
+		go func() {
+			_, err := c.TopPublishers(t.Context(), 20)
+			done <- err
+		}()
+	}
+
+	fsys.BlockReads()
+	if readyzFirst {
+		kickReadyz()
+		awaitBlockedRead()
+		request()
+		// Once a probe of an unknown route (which touches no lake state)
+		// is shed, the request holds the only admission slot.
+		for {
+			if code, _, _ := getFull(t, hs.URL+"/api/v1/no-such-route"); code == http.StatusTooManyRequests {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the first data request never took the admission slot")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	} else {
+		request()
+		awaitBlockedRead()
+		kickReadyz()
+	}
+	// Give the second build a moment to reach the snapshot path, then
+	// heal the reads and let both builds settle.
+	time.Sleep(50 * time.Millisecond)
+	fsys.UnblockReads()
+	if err := <-done; err != nil {
+		t.Fatalf("first data request: %v", err)
+	}
+	for {
+		var st lakeserve.StatsResponse
+		if _, _, body := getFull(t, hs.URL+"/api/v1/stats"); json.Unmarshal(body, &st) == nil && st.RefreshState == "idle" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the background build never settled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	insp.mu.Lock()
+	defer insp.mu.Unlock()
+	if want := map[string]int{"www.promo-site.com": 1}; !reflect.DeepEqual(insp.calls, want) {
+		t.Fatalf("Inspect calls = %v, want %v: one classification of the one lake version", insp.calls, want)
 	}
 }

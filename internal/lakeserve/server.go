@@ -1,11 +1,16 @@
 // Package lakeserve serves the paper's analysis over a live observation
 // lake: an HTTP API whose answers come from cached analysis snapshots
 // keyed by the lake's manifest version. Requests never block behind a
-// writer — a snapshot is rebuilt at most once per committed lake version
-// (single-flight), stale snapshots keep serving while the rebuild runs,
-// and raw observation queries go through the unified query engine
-// (internal/query) with zone-map pushdown instead of touching the
-// analysis at all.
+// writer. One build lock owns the build path (maintainer refresh, alert
+// evaluation, classification): the synchronous first build and every
+// background rebuild hold it, so builds run one at a time in version
+// order, a first request that finds a background build running waits
+// for its result, and a snapshot is built at most once per committed
+// lake version — on a cold start too. Stale snapshots keep serving while
+// the rebuild runs, and raw observation queries go through the unified
+// query engine (internal/query) with zone-map pushdown instead of
+// touching the analysis at all. Every torrent ID on /api/v1 is the
+// lake's.
 //
 // Every endpoint lives under the versioned /api/v1 prefix (see api.go):
 //
@@ -32,6 +37,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"slices"
 	"sort"
@@ -77,30 +83,29 @@ type Server struct {
 
 	insp       atomic.Pointer[classify.SiteInspector]
 	inspGen    atomic.Uint64
-	mu         sync.Mutex // single-flight synchronous first build
 	snap       atomic.Pointer[snapshot]
-	refreshing atomic.Bool
+	refreshing atomic.Bool // one background rebuild kicked or running
 	refresh    refreshState
 
-	// The incremental maintainer and the alert engine behind it (see
-	// alerts.go); alertMu keeps evaluation strictly version-ordered.
-	maintOnce sync.Once
+	// buildMu owns the build path: the synchronous first build and every
+	// background rebuild hold it across maintainer refresh, alert
+	// evaluation and classification, so builds run one at a time, in
+	// version order. evaluated is the maintainer snapshot the alert
+	// engine last scored.
+	buildMu   sync.Mutex
+	evaluated *delta.Snapshot
+
+	// Built once by setup (resilience.go): the incremental maintainer and
+	// the alert engine behind it, the lake-backed query executor behind
+	// /api/v1/query and the canned observation endpoint, and the
+	// lifecycle context background rebuilds run under (Close cancels it).
+	setupOnce sync.Once
 	maint     *delta.Maintainer
 	alerts    *alert.Engine
-	alertMu   sync.Mutex
-	alertVer  uint64
-	alertInit bool
-
-	// The lifecycle context backs background rebuilds; Close cancels it.
-	lifeOnce sync.Once
-	lifeCtx  context.Context
-	lifeStop context.CancelFunc
-
-	// The lake-backed query executor behind /api/v1/query and the canned
-	// observation endpoint, built once on first use.
-	execOnce sync.Once
-	exec     *query.Lake
-	execErr  error
+	exec      *query.Lake
+	execErr   error
+	lifeCtx   context.Context
+	lifeStop  context.CancelFunc
 }
 
 // SetInspector sets or swaps the inspector that resolves promoted URLs
@@ -138,19 +143,22 @@ type snapshot struct {
 	inspGen uint64 // inspector generation the classification used
 	builtAt time.Time
 	an      *analysis.Analysis
-	// merged folds alias clusters (usernames sharing identified seeder
-	// IPs) into operator-level entities; profiles classifies that view's
-	// top group; clusters keeps the raw cluster memberships.
-	merged   *classify.Facts
+	// profiles classifies the top group of the alias-merged view (alias
+	// clusters — usernames sharing identified seeder IPs — folded into
+	// operator-level entities); clusters keeps the raw memberships.
 	profiles []classify.BusinessProfile
 	clusters []classify.AliasCluster
+	// lakeIDs[ct] is canonical torrent ct's lake ID, the one every
+	// /api/v1 torrent ID means.
+	lakeIDs []int
 }
 
 // Snapshot returns an analysis no older than the lake version at some
-// point during this call. The first call builds synchronously; later
-// calls return the cached snapshot immediately and, when it is stale,
-// kick exactly one background rebuild — many concurrent requests over a
-// live lake each pay a pointer load, not an index build.
+// point during this call. The first call builds synchronously (or waits
+// for the background build already running); later calls return the
+// cached snapshot immediately and, when it is stale, kick exactly one
+// background rebuild — many concurrent requests over a live lake each
+// pay a pointer load, not an index build.
 func (s *Server) Snapshot(r *http.Request) (*analysis.Analysis, uint64, error) {
 	snap, err := s.classified(r)
 	if err != nil {
@@ -160,8 +168,9 @@ func (s *Server) Snapshot(r *http.Request) (*analysis.Analysis, uint64, error) {
 }
 
 // classified returns the cached snapshot (analysis plus the Section 5
-// views), building it synchronously on first use and kicking one
-// background rebuild when it is stale.
+// views), kicking one background rebuild when it is stale. Before the
+// first snapshot exists it builds under buildMu — or, when a background
+// build already holds the lock, waits for that build's result.
 func (s *Server) classified(r *http.Request) (*snapshot, error) {
 	if cur := s.snap.Load(); cur != nil {
 		if s.stale(cur) {
@@ -169,8 +178,8 @@ func (s *Server) classified(r *http.Request) (*snapshot, error) {
 		}
 		return cur, nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.buildMu.Lock()
+	defer s.buildMu.Unlock()
 	if cur := s.snap.Load(); cur != nil {
 		return cur, nil
 	}
@@ -213,7 +222,14 @@ func (s *Server) snapshotFor(w http.ResponseWriter, r *http.Request) (*snapshot,
 	return snap, nil
 }
 
+// build brings the analysis to the lake head and classifies it; the
+// caller holds buildMu. When the maintainer moved past the snapshot the
+// alert engine last scored, build logs the refresh path, scores the
+// identities the refresh touched and hands the alerts that changed to
+// the notifier — a slow Notifier back-pressures the build, so wrap it
+// in a goroutine of your own if delivery may stall.
 func (s *Server) build(ctx context.Context) (*snapshot, error) {
+	s.setup()
 	// The inspector-generation read is only a conservative floor: a swap
 	// can land between it and the refresh, so the snapshot would carry a
 	// classification newer than its stamp and trigger one redundant
@@ -221,11 +237,26 @@ func (s *Server) build(ctx context.Context) (*snapshot, error) {
 	// journal version it actually served; commits landing after it just
 	// leave the snapshot stale, exactly as before.
 	gen := s.inspGen.Load()
-	dsnap, err := s.refreshSnapshot(ctx)
+	dsnap, err := s.maint.Refresh(ctx)
 	if err != nil {
 		return nil, err
 	}
-	an, v := dsnap.An, dsnap.Version
+	if dsnap != s.evaluated {
+		if dsnap.Mode == delta.ModeDelta {
+			log.Printf("lakeserve: snapshot refresh v%d mode=delta (+%d segments, +%d observations): %s",
+				dsnap.Version, dsnap.DeltaSegments, dsnap.DeltaObs, dsnap.Reason)
+		} else {
+			log.Printf("lakeserve: snapshot refresh v%d mode=full: %s", dsnap.Version, dsnap.Reason)
+		}
+		changed := s.alerts.Evaluate(dsnap)
+		s.evaluated = dsnap
+		if len(changed) > 0 && s.AlertNotifier != nil {
+			if err := s.AlertNotifier.Notify(ctx, changed); err != nil {
+				log.Printf("lakeserve: alert notifier failed (%d alerts): %v", len(changed), err)
+			}
+		}
+	}
+	an := dsnap.An
 	clusters := an.Facts.AliasClusters()
 	merged := an.Facts.MergeAliasClusters(clusters)
 	groups := merged.BuildGroups(s.TopK, 0)
@@ -234,13 +265,13 @@ func (s *Server) build(ctx context.Context) (*snapshot, error) {
 		return nil, err
 	}
 	return &snapshot{
-		version:  v,
+		version:  dsnap.Version,
 		inspGen:  gen,
 		builtAt:  time.Now().UTC(),
 		an:       an,
-		merged:   merged,
 		profiles: profiles,
 		clusters: clusters,
+		lakeIDs:  dsnap.LakeIDs,
 	}, nil
 }
 
@@ -282,7 +313,7 @@ type StatsResponse struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := StatsResponse{Lake: s.Lake.Stats(), RefreshState: "idle", Stale: true}
-	s.maintainer()
+	s.setup()
 	resp.Stats = s.maint.Stats()
 	if s.refreshing.Load() {
 		resp.RefreshState = "rebuilding"
@@ -615,8 +646,9 @@ func (s *Server) handlePublisher(w http.ResponseWriter, r *http.Request) {
 }
 
 // RecentTorrent is one /torrents/recent row. Publisher is the identity
-// /publishers/{name} answers for, TorrentID the one
-// /torrents/{id}/observations does.
+// /publishers/{name} answers for. TorrentID is the lake's ID for the
+// torrent, like every torrent ID on /api/v1: the one
+// /torrents/{id}/observations and /query's torrent_ids filter take.
 type RecentTorrent struct {
 	TorrentID   int       `json:"torrent_id"`
 	InfoHash    string    `json:"info_hash"`
@@ -629,7 +661,8 @@ type RecentTorrent struct {
 }
 
 // handleRecent serves the tail of the snapshot's canonical
-// (Published, InfoHash) torrent order, newest first.
+// (Published, InfoHash) torrent order, newest first, each row under its
+// lake torrent ID.
 func (s *Server) handleRecent(w http.ResponseWriter, r *http.Request) {
 	n, err := reqParams(r).count("n", 50)
 	if err != nil {
@@ -645,9 +678,10 @@ func (s *Server) handleRecent(w http.ResponseWriter, r *http.Request) {
 	n = min(n, len(torrents))
 	rows := make([]RecentTorrent, n)
 	for i := range rows {
-		rec := torrents[len(torrents)-1-i]
+		ct := len(torrents) - 1 - i
+		rec := torrents[ct]
 		rows[i] = RecentTorrent{
-			TorrentID: rec.TorrentID, InfoHash: rec.InfoHash, Title: rec.Title, Category: rec.Category,
+			TorrentID: snap.lakeIDs[ct], InfoHash: rec.InfoHash, Title: rec.Title, Category: rec.Category,
 			Publisher: rec.PublisherKey(), PublisherIP: rec.PublisherIP, Published: rec.Published, Removed: rec.Removed,
 		}
 	}

@@ -477,3 +477,75 @@ func TestPublisherAndRecentEndpoints(t *testing.T) {
 		}
 	}
 }
+
+// TestRecentIDsMatchObservations: /torrents/recent names each torrent by
+// its lake ID, so every row's /torrents/{id}/observations answers that
+// torrent's sightings — also when the lake's IDs run opposite to the
+// snapshot's canonical (Published, InfoHash) order, in the first build
+// and after a delta fold that inserts a record between the two.
+func TestRecentIDsMatchObservations(t *testing.T) {
+	lk, err := lake.Open(filepath.Join(t.TempDir(), "lake"), lake.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lk.Close() })
+	lk.ExtendWindow("id-test", serveT0, serveT0.Add(48*time.Hour))
+	ipOf := map[string]string{}
+	commit := func(id int, title string, published time.Duration) {
+		t.Helper()
+		ipOf[title] = fmt.Sprintf("20.0.0.%d", id+1)
+		rec := &dataset.TorrentRecord{
+			TorrentID: id, InfoHash: fmt.Sprintf("%040d", id), Title: title, Category: "Video > Movies",
+			Username: title, Published: serveT0.Add(published),
+		}
+		if err := lk.AddTorrents([]*dataset.TorrentRecord{rec}); err != nil {
+			t.Fatal(err)
+		}
+		if err := lk.Append(dataset.Observation{TorrentID: id, IP: ipOf[title], At: rec.Published}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	server := &lakeserve.Server{Lake: lk}
+	v1 := newResilientServer(t, server).URL + lakeserve.APIPrefix
+	check := func(wantTitles ...string) {
+		t.Helper()
+		var recent []lakeserve.RecentTorrent
+		for deadline := time.Now().Add(10 * time.Second); getJSON(t, v1+"/torrents/recent", &recent) != lk.Version(); time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("snapshot never caught up with the lake")
+			}
+		}
+		var titles []string
+		for _, row := range recent {
+			titles = append(titles, row.Title)
+			var obs []lakeserve.ObservationRow
+			code, _, body := getFull(t, fmt.Sprintf("%s/torrents/%d/observations", v1, row.TorrentID))
+			if code != http.StatusOK {
+				t.Fatalf("%s: observations = %d: %s", row.Title, code, body)
+			}
+			if err := json.Unmarshal(body, &obs); err != nil {
+				t.Fatal(err)
+			}
+			if len(obs) != 1 || obs[0].IP != ipOf[row.Title] {
+				t.Errorf("%s (id %d): observations = %+v, want its one sighting from %s", row.Title, row.TorrentID, obs, ipOf[row.Title])
+			}
+		}
+		if !reflect.DeepEqual(titles, wantTitles) {
+			t.Fatalf("/torrents/recent titles = %v, want %v", titles, wantTitles)
+		}
+	}
+
+	commit(0, "Late", 3*time.Hour)
+	commit(1, "Early", time.Hour)
+	if err := lk.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("Late", "Early")
+
+	commit(2, "Middle", 2*time.Hour)
+	if err := lk.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	server.Refresh()
+	check("Late", "Middle", "Early")
+}
