@@ -188,6 +188,12 @@ func loadDataset(ctx context.Context, in, lakeDir, imp string) (*dataset.Dataset
 		ds, _, err = lk.Materialize(ctx, lake.Predicate{})
 		return ds, err
 	default:
-		return dataset.Load(in)
+		// Analysis takes canonical input (record i has TorrentID i); a
+		// btpub-crawl file already is, and Merge leaves it unchanged.
+		ds, err := dataset.Load(in)
+		if err != nil {
+			return nil, err
+		}
+		return dataset.Merge(ds.Name, ds), nil
 	}
 }

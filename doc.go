@@ -73,9 +73,15 @@
 //
 // # Index-once analysis
 //
-// analysis.New builds one immutable index over the store: publisher
-// addresses parsed and geo-resolved exactly once, per-user interned-IP
-// sets, and the ISP aggregates behind Tables 2–3 and Section 6.
+// analysis.New takes canonical input — record i carries TorrentID i and
+// every observation names a record, as dataset.Merge and the lake's
+// readers produce it (btpub-analyze runs a JSONL file through Merge
+// first); anything else is an error, not a silently sparse index. It
+// builds one immutable index over the store, every per-torrent table a
+// slice indexed by torrent ID: publisher addresses parsed and
+// geo-resolved exactly once (classify.Facts.Pubs, which also fills the
+// per-user ISP sets), per-user interned-IP sets, and the ISP aggregates
+// behind Tables 2–3 and Section 6.
 // Per-torrent observation spans are the store's own index (a counting
 // sort, extended in place by incremental refreshes), and the per-IP
 // inversion the Figure 4 seeding estimator walks is a counting sort built
@@ -236,7 +242,8 @@
 // carry X-Btpub-Snapshot-Version, plus X-Btpub-Snapshot-Stale when the
 // snapshot lags the lake and X-Btpub-Degraded: rebuild-failed when the
 // lag comes from failing rebuilds, while /api/v1/stats reports
-// refresh_state, last_refresh_error and stale. internal/apiclient
+// refresh_state, last_refresh_error and stale — without waiting for a
+// running rebuild. internal/apiclient
 // defaults to a 30s exchange timeout and transparently retries
 // idempotent requests (GET, and the read-only POST /query) on
 // 429/503/transport errors with jittered exponential backoff honoring

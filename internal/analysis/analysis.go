@@ -27,17 +27,18 @@ type Analysis struct {
 	DB     *geoip.DB
 	Facts  *classify.Facts
 	Groups *classify.Groups
-	ByID   map[int]*dataset.TorrentRecord
 
-	// idx is the immutable one-pass index (pre-resolved publisher geo
-	// records, per-user interned-IP sets, the per-IP observation
-	// inversion Seeding builds on first use) that every table/figure
-	// consumer reads instead of rebuilding maps or re-parsing addresses
-	// per call.
+	// idx is the immutable one-pass index (the ISP aggregates, per-user
+	// interned-IP sets, the per-IP observation inversion Seeding builds
+	// on first use) that every table/figure consumer reads instead of
+	// rebuilding maps per call.
 	idx *index
 }
 
-// New indexes a dataset for analysis. topK <= 0 picks the paper's 3 % rule.
+// New indexes a dataset for analysis. The dataset must be canonical, as
+// dataset.Merge and the lake's readers produce it: record i carries
+// TorrentID i and every observation names one of the records; anything
+// else is an error. topK <= 0 picks the paper's 3 % rule.
 func New(ds *dataset.Dataset, db *geoip.DB, topK int) (*Analysis, error) {
 	if ds == nil || db == nil {
 		return nil, errors.New("analysis: dataset and geo DB required")
@@ -72,8 +73,7 @@ func assemble(ds *dataset.Dataset, db *geoip.DB, facts *classify.Facts, topK int
 		DB:     db,
 		Facts:  facts,
 		Groups: facts.BuildGroups(topK, 400),
-		ByID:   ds.ByTorrentID(),
-		idx:    buildIndex(ds, db, facts),
+		idx:    buildIndex(ds, facts),
 	}
 }
 
@@ -82,11 +82,9 @@ func assemble(ds *dataset.Dataset, db *geoip.DB, facts *classify.Facts, topK int
 func (a *Analysis) UploadTimes(u *classify.UserFacts) (first, last time.Time, times []int64) {
 	times = make([]int64, 0, len(u.TorrentIDs))
 	for _, tid := range u.TorrentIDs {
-		rec := a.ByID[tid]
-		if rec == nil || rec.Published.IsZero() {
-			continue
+		if p := a.DS.Torrents[tid].Published; !p.IsZero() {
+			times = append(times, p.UnixNano())
 		}
-		times = append(times, rec.Published.UnixNano())
 	}
 	slices.Sort(times)
 	if len(times) > 0 {
@@ -241,11 +239,7 @@ func (a *Analysis) ContentTypes() map[string]map[string]float64 {
 		total := 0
 		for _, u := range members {
 			for _, tid := range u.TorrentIDs {
-				rec := a.ByID[tid]
-				if rec == nil {
-					continue
-				}
-				counts[NormalizeCategory(rec.Category)]++
+				counts[NormalizeCategory(a.DS.Torrents[tid].Category)]++
 				total++
 			}
 		}
@@ -345,8 +339,8 @@ func (a *Analysis) Seeding(gap time.Duration) SeedingBehaviour {
 		tid  int32
 		atNs int64
 	}
-	a.idx.ipOnce.Do(func() { a.idx.buildIPOrder(a.DS.Torrents) })
-	stamp := make([]int32, a.idx.maxTID+1)
+	a.idx.ipOnce.Do(a.idx.buildIPOrder)
+	stamp := make([]int32, len(a.DS.Torrents))
 	for i := range stamp {
 		stamp[i] = -1
 	}
@@ -366,14 +360,12 @@ func (a *Analysis) Seeding(gap time.Duration) SeedingBehaviour {
 			}
 			epoch++
 			for _, tid := range u.TorrentIDs {
-				if tid >= 0 && tid < len(stamp) {
-					stamp[tid] = epoch
-				}
+				stamp[tid] = epoch
 			}
 			pairs = pairs[:0]
 			for _, ipIdx := range ipset {
 				for _, oi := range a.idx.ipSpan(ipIdx) {
-					if tid := store.TorrentID(int(oi)); tid < len(stamp) && stamp[tid] == epoch {
+					if tid := store.TorrentID(int(oi)); stamp[tid] == epoch {
 						pairs = append(pairs, pair{int32(tid), store.UnixNano(int(oi))})
 					}
 				}

@@ -1,7 +1,9 @@
 package analysis_test
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"btpub/internal/campaign"
 	"btpub/internal/classify"
 	"btpub/internal/dataset"
+	"btpub/internal/delta"
 	"btpub/internal/geoip"
 	"btpub/internal/webmon"
 )
@@ -160,6 +163,82 @@ func TestContentTypesEmptyGroupIsNaNFree(t *testing.T) {
 				t.Fatalf("group %s category %s share = %v", g, cat, v)
 			}
 		}
+	}
+}
+
+// TestNewRejectsNonCanonical: analysis input is canonical, and New
+// names what breaks that — a record off its position, or an observation
+// of a torrent the dataset has no record for.
+func TestNewRejectsNonCanonical(t *testing.T) {
+	db, err := geoip.DefaultDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Date(2010, 4, 6, 0, 0, 0, 0, time.UTC)
+	build := func() *dataset.Dataset {
+		ds := &dataset.Dataset{Name: "tiny", Start: t0, End: t0.AddDate(0, 1, 0)}
+		for i := 0; i < 3; i++ {
+			ds.AddTorrent(&dataset.TorrentRecord{
+				TorrentID: i, InfoHash: strings.Repeat("ab", 19) + fmt.Sprintf("%02d", i),
+				Username: "alice", Published: t0.Add(time.Duration(i) * time.Hour),
+			})
+			ds.AddObservation(dataset.Observation{TorrentID: i, IP: "99.0.0.1", At: t0.Add(time.Duration(i) * time.Hour)})
+		}
+		return ds
+	}
+	if _, err := analysis.New(build(), db, 0); err != nil {
+		t.Fatalf("canonical dataset refused: %v", err)
+	}
+	ds := build()
+	ds.Torrents[1].TorrentID = 7
+	if _, err := analysis.New(ds, db, 0); err == nil || !strings.Contains(err.Error(), "record 1 carries torrent ID 7") {
+		t.Fatalf("record off its position: New error = %v", err)
+	}
+	ds = build()
+	ds.AddObservation(dataset.Observation{TorrentID: 3, IP: "99.0.0.2", At: t0})
+	if _, err := analysis.New(ds, db, 0); err == nil || !strings.Contains(err.Error(), "observation names torrent ID 3") {
+		t.Fatalf("observation past the records: New error = %v", err)
+	}
+}
+
+// TestMergeCanonicalizesForAnalysis: a dataset whose records are
+// shuffled and sparsely numbered, with its observations and users in
+// reverse, analyzes after dataset.Merge exactly like the canonical
+// original — the path btpub-analyze takes for a JSONL file.
+func TestMergeCanonicalizesForAnalysis(t *testing.T) {
+	res, a := world(t)
+	ds := res.Dataset
+	n := len(ds.Torrents)
+	shuffled := &dataset.Dataset{Name: ds.Name, Start: ds.Start, End: ds.End}
+	newID := make([]int, n) // canonical ID -> shuffled ID
+	for pos, k := range rand.New(rand.NewPCG(7, 7)).Perm(n) {
+		cp := *ds.Torrents[k]
+		cp.TorrentID = 2*pos + 5
+		newID[k] = cp.TorrentID
+		shuffled.AddTorrent(&cp)
+	}
+	for i := ds.Obs.Len() - 1; i >= 0; i-- {
+		o := ds.Obs.At(i)
+		o.TorrentID = newID[o.TorrentID]
+		shuffled.AddObservation(o)
+	}
+	for i := len(ds.Users) - 1; i >= 0; i-- {
+		shuffled.Users = append(shuffled.Users, ds.Users[i])
+	}
+	got, err := analysis.New(dataset.Merge(ds.Name, shuffled), res.DB, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotFP, err := delta.Fingerprint(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFP, err := delta.Fingerprint(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotFP != wantFP {
+		t.Fatalf("merged shuffle fingerprint %s, canonical original %s", gotFP, wantFP)
 	}
 }
 

@@ -30,7 +30,7 @@ type BusinessSummary struct {
 
 // Business runs the classification and aggregates it.
 func (a *Analysis) Business(insp classify.SiteInspector) ([]classify.BusinessProfile, []BusinessSummary, error) {
-	profiles, err := classify.ClassifyBusiness(a.Facts, a.Groups, a.ByID, insp)
+	profiles, err := classify.ClassifyBusiness(a.Facts, a.Groups, insp)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,16 +1,15 @@
 // The immutable one-pass index behind every table and figure. analysis.New
-// builds it once: publisher geo records resolved exactly once, per-user
-// interned-IP sets, and the ISP aggregates of Tables 2–3 and Section 6.
-// Per-torrent observation spans come from the dataset's own index, and
-// the per-IP inversion of the observation columns that only the seeding
-// estimator (Figure 4) reads is counting-sorted on its first call, so
-// snapshots that never serve Figure 4 never pay for it. The per-call map
-// rebuilds and ParseIP+Lookup loops the first version of this package
-// did on every invocation are gone — consumers only walk flat slices.
+// builds it once: per-user interned-IP sets and the ISP aggregates of
+// Tables 2–3 and Section 6, read off the publisher geo table classify
+// resolved (classify.Facts.Pubs). Per-torrent observation spans come
+// from the dataset's own index, and the per-IP inversion of the
+// observation columns that only the seeding estimator (Figure 4) reads
+// is counting-sorted on its first call, so snapshots that never serve
+// Figure 4 never pay for it. Consumers only walk flat slices, indexed by
+// torrent ID: the dataset is canonical, so record i has TorrentID i.
 package analysis
 
 import (
-	"net/netip"
 	"slices"
 	"strings"
 	"sync"
@@ -20,33 +19,18 @@ import (
 	"btpub/internal/geoip"
 )
 
-// pubInfo is one torrent's pre-resolved publisher address, aligned with
-// the DS.Torrents slice (not torrent IDs, which may be sparse in
-// hand-built datasets).
-type pubInfo struct {
-	ip      string
-	addr    netip.Addr
-	slash16 uint32
-	rec     geoip.Record
-	geoOK   bool // rec is valid (address parsed and found in the DB)
-	v4      bool // slash16 is valid
-}
-
 // index is the pre-computed, read-only view shared by all analysis calls.
 type index struct {
 	store *dataset.ObsStore
-	pub   []pubInfo
 
 	// ipStarts/ipOrder invert the observation columns by interned IP:
 	// observations of IP i are ipOrder[ipStarts[i]:ipStarts[i+1]], in time
 	// order. The seeding estimator walks a publisher's own sightings
 	// instead of scanning every observation of every torrent it fed.
-	// maxTID is the dataset's largest torrent ID (capacity for its stamp
-	// array). All three are built by ipOnce, on the first Seeding call.
+	// Both are built by ipOnce, on the first Seeding call.
 	ipOnce   sync.Once
 	ipStarts []int32
 	ipOrder  []int32
-	maxTID   int
 
 	// userIPIdx maps a username to the intern-table indices of its
 	// identified publisher IPs (only those actually observed; an IP never
@@ -63,15 +47,13 @@ type index struct {
 
 // buildIndex resolves everything the analysis consumers re-derived per
 // call in the row-of-structs era.
-func buildIndex(ds *dataset.Dataset, db *geoip.DB, facts *classify.Facts) *index {
+func buildIndex(ds *dataset.Dataset, facts *classify.Facts) *index {
 	store := &ds.Obs
 	ix := &index{
 		store:     store,
-		pub:       make([]pubInfo, len(ds.Torrents)),
 		userIPIdx: make(map[string][]uint32, len(facts.Users)),
 	}
-	ix.buildPub(ds, db)
-	ix.buildISPAggregates()
+	ix.buildISPAggregates(ds, facts.Pubs)
 	ips := store.IPs()
 	for name, u := range facts.Users {
 		if len(u.IPs) == 0 {
@@ -90,54 +72,16 @@ func buildIndex(ds *dataset.Dataset, db *geoip.DB, facts *classify.Facts) *index
 	return ix
 }
 
-// buildPub parses and geo-resolves each torrent's publisher address once,
-// memoized per distinct address.
-func (ix *index) buildPub(ds *dataset.Dataset, db *geoip.DB) {
-	type geoMemo struct {
-		rec geoip.Record
-		ok  bool
-	}
-	memo := map[string]geoMemo{}
-	for i, rec := range ds.Torrents {
-		if rec.PublisherIP == "" {
-			continue
-		}
-		p := &ix.pub[i]
-		p.ip = rec.PublisherIP
-		addr, err := dataset.ParseIP(rec.PublisherIP)
-		if err != nil {
-			continue
-		}
-		p.addr = addr
-		if s16, err := geoip.Slash16(addr); err == nil {
-			p.slash16 = s16
-			p.v4 = true
-		}
-		m, ok := memo[rec.PublisherIP]
-		if !ok {
-			m.rec, err = db.Lookup(addr)
-			m.ok = err == nil
-			memo[rec.PublisherIP] = m
-		}
-		p.rec, p.geoOK = m.rec, m.ok
-	}
-}
-
 // buildIPOrder counting-sorts observation indices by interned IP,
-// preserving time order within each IP, and finds the largest torrent ID
-// over records and observations. Seeding calls it once per snapshot.
-func (ix *index) buildIPOrder(recs []*dataset.TorrentRecord) {
+// preserving time order within each IP. Seeding calls it once per
+// snapshot.
+func (ix *index) buildIPOrder() {
 	s := ix.store
 	n := s.Len()
 	nIPs := s.IPs().Len()
-	maxTID := -1
-	for _, t := range recs {
-		maxTID = max(maxTID, t.TorrentID)
-	}
 	starts := make([]int32, nIPs+1)
 	for i := 0; i < n; i++ {
 		starts[s.IPIndex(i)+1]++
-		maxTID = max(maxTID, s.TorrentID(i))
 	}
 	for i := 1; i <= nIPs; i++ {
 		starts[i] += starts[i-1]
@@ -150,7 +94,7 @@ func (ix *index) buildIPOrder(recs []*dataset.TorrentRecord) {
 		order[next[ip]] = int32(i)
 		next[ip]++
 	}
-	ix.ipStarts, ix.ipOrder, ix.maxTID = starts, order, maxTID
+	ix.ipStarts, ix.ipOrder = starts, order
 }
 
 // ipSpan returns the time-ordered observation indices of interned IP i.
@@ -159,33 +103,31 @@ func (ix *index) ipSpan(i uint32) []int32 {
 }
 
 // buildISPAggregates derives Table 2, Table 3 and the Section 6 server
-// counts from the resolved publisher records in one pass.
-func (ix *index) buildISPAggregates() {
+// counts from the resolved publisher table (pubs[tid] is torrent tid's)
+// in one pass.
+func (ix *index) buildISPAggregates(ds *dataset.Dataset, pubs []classify.PubGeo) {
 	counts := map[string]int{}
 	types := map[string]geoip.ISPType{}
 	total := 0
 	ipSets := map[string]map[string]bool{}
 	prefixSets := map[string]map[uint32]bool{}
 	locSets := map[string]map[string]bool{}
-	for i := range ix.pub {
-		p := &ix.pub[i]
-		if !p.geoOK {
+	for tid, p := range pubs {
+		if !p.OK {
 			continue
 		}
-		isp := p.rec.ISP
+		isp := p.ISP
 		counts[isp]++
-		types[isp] = p.rec.Type
+		types[isp] = p.Type
 		total++
 		if ipSets[isp] == nil {
 			ipSets[isp] = map[string]bool{}
 			prefixSets[isp] = map[uint32]bool{}
 			locSets[isp] = map[string]bool{}
 		}
-		ipSets[isp][p.ip] = true
-		if p.v4 {
-			prefixSets[isp][p.slash16] = true
-		}
-		locSets[isp][p.rec.Country+"/"+p.rec.City] = true
+		ipSets[isp][ds.Torrents[tid].PublisherIP] = true
+		prefixSets[isp][p.Slash16] = true
+		locSets[isp][p.Country+"/"+p.City] = true
 	}
 	ix.ispRows = make([]ISPRow, 0, len(counts))
 	for isp, n := range counts {

@@ -236,7 +236,7 @@ func TestAdversarialScenarioRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiles, err := classify.ClassifyBusiness(merged, groups, res.Dataset.ByTorrentID(), mon)
+	profiles, err := classify.ClassifyBusiness(merged, groups, mon)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,9 +137,10 @@ func (f *Facts) MergeAliasClusters(clusters []AliasCluster) *Facts {
 		Users:              make(map[string]*UserFacts, len(f.Users)),
 		ByIP:               make(map[string][]string, len(f.ByIP)),
 		DownloadsByTorrent: f.DownloadsByTorrent,
+		Pubs:               f.Pubs,
 		TotalTorrents:      f.TotalTorrents,
 		TotalDownloads:     f.TotalDownloads,
-		obs:                f.obs,
+		ds:                 f.ds,
 	}
 	merged := make([]*UserFacts, len(clusters))
 	for name, u := range f.Users {
@@ -156,7 +157,6 @@ func (f *Facts) MergeAliasClusters(clusters []AliasCluster) *Facts {
 		m.TorrentIDs = append(m.TorrentIDs, u.TorrentIDs...)
 		m.RemovedTorrents += u.RemovedTorrents
 		m.AccountDeleted = m.AccountDeleted || u.AccountDeleted
-		m.Downloads += u.Downloads // refined below when the store is present
 		for _, ip := range u.IPs {
 			m.IPs = append(m.IPs, ip)
 		}

@@ -8,7 +8,9 @@ package classify
 
 import (
 	"errors"
+	"fmt"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -51,21 +53,53 @@ type Facts struct {
 	Users map[string]*UserFacts
 	// ByIP maps each identified publisher IP to the usernames seen on it.
 	ByIP map[string][]string
-	// DownloadsByTorrent counts distinct downloader IPs per torrent.
-	DownloadsByTorrent map[int]int
+	// DownloadsByTorrent[tid] counts distinct downloader IPs on torrent
+	// tid; it has one entry per torrent record.
+	DownloadsByTorrent []int
+	// Pubs[tid] is torrent tid's publisher address resolved against the
+	// geo DB, once per snapshot; the ISP aggregates of Tables 2–3 and
+	// Section 6 read it.
+	Pubs []PubGeo
 	// TotalTorrents and TotalDownloads over the whole dataset.
 	// TotalDownloads sums the per-torrent distinct counts (one IP in two
 	// torrents is two downloads), matching the paper's Table 1 framing.
 	TotalTorrents  int
 	TotalDownloads int
 
-	// obs is the dataset's columnar store, kept so alias merging can
-	// recount distinct downloaders over a cluster's combined torrents.
-	obs *dataset.ObsStore
+	// ds is the indexed dataset: business classification reads its
+	// records, and alias merging recounts distinct downloaders over a
+	// cluster's combined torrents in its columnar store.
+	ds *dataset.Dataset
 }
 
-// BuildFacts indexes a dataset. db resolves publisher IPs to ISPs; it may
-// be nil when ISP information is not needed.
+// PubGeo is one torrent's publisher address resolved against the geo DB.
+type PubGeo struct {
+	geoip.Record
+	// Slash16 is the address's /16 prefix (Table 3's prefix count).
+	Slash16 uint32
+	// OK says the address parsed and lies in the DB; Record and Slash16
+	// are zero otherwise.
+	OK bool
+}
+
+// resolvePub parses and geo-resolves one publisher address.
+func resolvePub(db *geoip.DB, ip string) PubGeo {
+	addr, err := dataset.ParseIP(ip)
+	if err != nil {
+		return PubGeo{}
+	}
+	rec, err := db.Lookup(addr)
+	if err != nil {
+		return PubGeo{}
+	}
+	s16, _ := geoip.Slash16(addr) // cannot fail: Lookup admits IPv4 only
+	return PubGeo{Record: rec, Slash16: s16, OK: true}
+}
+
+// BuildFacts indexes a canonical dataset: record i must carry TorrentID
+// i and every observation must name one of the records, as dataset.Merge
+// and the lake's readers produce. db resolves publisher IPs to ISPs; it
+// may be nil when ISP information is not needed.
 func BuildFacts(ds *dataset.Dataset, db *geoip.DB) (*Facts, error) {
 	return buildFacts(ds, db, nil)
 }
@@ -78,11 +112,19 @@ func buildFacts(ds *dataset.Dataset, db *geoip.DB, seed *FactsSeed) (*Facts, err
 	if ds == nil {
 		return nil, errors.New("classify: nil dataset")
 	}
+	// The observation check reads the per-torrent index: the unseeded
+	// distinct-download pass needs it anyway, and a snapshot fold's
+	// append path extends its predecessor's in place.
+	if n := ds.Obs.Index().Torrents(); n > len(ds.Torrents) {
+		return nil, fmt.Errorf("classify: an observation names torrent ID %d, but the dataset has %d records", n-1, len(ds.Torrents))
+	}
 	f := &Facts{
 		Users:              map[string]*UserFacts{},
 		ByIP:               map[string][]string{},
-		DownloadsByTorrent: map[int]int{},
-		obs:                &ds.Obs,
+		DownloadsByTorrent: make([]int, len(ds.Torrents)),
+		Pubs:               make([]PubGeo, len(ds.Torrents)),
+		TotalTorrents:      len(ds.Torrents),
+		ds:                 ds,
 	}
 	// Distinct downloader IPs per torrent: one pass over the columnar
 	// store's per-torrent index, no per-torrent set maps.
@@ -91,15 +133,24 @@ func buildFacts(ds *dataset.Dataset, db *geoip.DB, seed *FactsSeed) (*Facts, err
 		counts = ds.Obs.DistinctIPCounts()
 	}
 	for tid, n := range counts {
-		if n > 0 {
-			f.DownloadsByTorrent[tid] = n
-			f.TotalDownloads += n
-		}
+		f.DownloadsByTorrent[tid] = n
+		f.TotalDownloads += n
 	}
 
 	users := ds.UserByName()
-	for _, rec := range ds.Torrents {
-		f.TotalTorrents++
+	geo := map[string]PubGeo{} // one resolution per distinct address
+	for i, rec := range ds.Torrents {
+		if rec.TorrentID != i {
+			return nil, fmt.Errorf("classify: record %d carries torrent ID %d; analysis input must be canonical (dataset.Merge)", i, rec.TorrentID)
+		}
+		if rec.PublisherIP != "" && db != nil {
+			g, ok := geo[rec.PublisherIP]
+			if !ok {
+				g = resolvePub(db, rec.PublisherIP)
+				geo[rec.PublisherIP] = g
+			}
+			f.Pubs[i] = g
+		}
 		name := rec.PublisherKey()
 		if name == "" {
 			continue
@@ -120,24 +171,11 @@ func buildFacts(ds *dataset.Dataset, db *geoip.DB, seed *FactsSeed) (*Facts, err
 		if rec.Removed {
 			u.RemovedTorrents++
 		}
-		if rec.PublisherIP != "" {
-			seen := false
-			for _, ip := range u.IPs {
-				if ip == rec.PublisherIP {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				u.IPs = append(u.IPs, rec.PublisherIP)
-				f.ByIP[rec.PublisherIP] = append(f.ByIP[rec.PublisherIP], name)
-				if db != nil {
-					if addr, err := dataset.ParseIP(rec.PublisherIP); err == nil {
-						if rec2, err := db.Lookup(addr); err == nil {
-							u.ISPs[rec.PublisherIP] = rec2
-						}
-					}
-				}
+		if rec.PublisherIP != "" && !slices.Contains(u.IPs, rec.PublisherIP) {
+			u.IPs = append(u.IPs, rec.PublisherIP)
+			f.ByIP[rec.PublisherIP] = append(f.ByIP[rec.PublisherIP], name)
+			if g := f.Pubs[i]; g.OK {
+				u.ISPs[rec.PublisherIP] = g.Record
 			}
 		}
 	}
@@ -161,11 +199,9 @@ func buildFacts(ds *dataset.Dataset, db *geoip.DB, seed *FactsSeed) (*Facts, err
 // intern table, no per-user set maps. Summing per-torrent distinct counts
 // instead would count an IP once per torrent it appears in.
 func (f *Facts) countDistinctDownloads(users []*UserFacts) {
-	if f.obs == nil {
-		return
-	}
-	ix := f.obs.Index()
-	stamp := make([]int32, f.obs.IPs().Len())
+	obs := &f.ds.Obs
+	ix := obs.Index()
+	stamp := make([]int32, obs.IPs().Len())
 	for i := range stamp {
 		stamp[i] = -1
 	}
@@ -174,7 +210,7 @@ func (f *Facts) countDistinctDownloads(users []*UserFacts) {
 		n := 0
 		for _, tid := range u.TorrentIDs {
 			for _, oi := range ix.Span(tid) {
-				if ip := f.obs.IPIndex(int(oi)); stamp[ip] != mark {
+				if ip := obs.IPIndex(int(oi)); stamp[ip] != mark {
 					stamp[ip] = mark
 					n++
 				}
@@ -483,9 +519,9 @@ type BusinessProfile struct {
 
 // ClassifyBusiness inspects every top publisher's torrents for promo URLs
 // and classifies the publisher's business (Section 5.1).
-func ClassifyBusiness(f *Facts, g *Groups, byID map[int]*dataset.TorrentRecord, insp SiteInspector) ([]BusinessProfile, error) {
-	if byID == nil || insp == nil {
-		return nil, errors.New("classify: torrent index and inspector required")
+func ClassifyBusiness(f *Facts, g *Groups, insp SiteInspector) ([]BusinessProfile, error) {
+	if insp == nil {
+		return nil, errors.New("classify: inspector required")
 	}
 	out := make([]BusinessProfile, 0, len(g.Top))
 	for _, u := range g.Top {
@@ -497,11 +533,7 @@ func ClassifyBusiness(f *Facts, g *Groups, byID map[int]*dataset.TorrentRecord, 
 		}
 		urlVotes := map[string]int{}
 		for _, tid := range u.TorrentIDs {
-			rec := byID[tid]
-			if rec == nil {
-				continue
-			}
-			if url, ch := ExtractPromo(rec); url != "" {
+			if url, ch := ExtractPromo(f.ds.Torrents[tid]); url != "" {
 				urlVotes[url]++
 				prof.Channels[ch]++
 			}

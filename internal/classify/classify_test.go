@@ -3,6 +3,7 @@ package classify
 import (
 	"fmt"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -267,7 +268,7 @@ func TestClassifyBusiness(t *testing.T) {
 	ds := synthDataset(t)
 	f, _ := BuildFacts(ds, buildDB(t))
 	g := f.BuildGroups(4, 10)
-	profiles, err := ClassifyBusiness(f, g, ds.ByTorrentID(), stubInspector{})
+	profiles, err := ClassifyBusiness(f, g, stubInspector{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +418,7 @@ func TestAliasClustersAndMerge(t *testing.T) {
 	// The merged operator now outranks the individually-small accounts and
 	// classifies as a promoter over the combined uploads.
 	groups := merged.BuildGroups(4, 10)
-	profiles, err := ClassifyBusiness(merged, groups, ds.ByTorrentID(), stubInspector{})
+	profiles, err := ClassifyBusiness(merged, groups, stubInspector{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,6 +459,32 @@ func TestBuildFactsMN08Style(t *testing.T) {
 	}
 }
 
+// TestBuildFactsRejectsNonCanonical: facts index records by position,
+// so a record off its position or an observation naming no record is
+// refused by name instead of indexed wrong.
+func TestBuildFactsRejectsNonCanonical(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*dataset.Dataset)
+		want   string
+	}{
+		{"record off its position", func(ds *dataset.Dataset) { ds.Torrents[3].TorrentID = 40 },
+			"record 3 carries torrent ID 40"},
+		{"observation past the records", func(ds *dataset.Dataset) {
+			ds.AddObservation(dataset.Observation{TorrentID: len(ds.Torrents) + 2, IP: "99.9.9.9", At: t0})
+		}, "observation names torrent ID 53"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := synthDataset(t)
+			tc.mutate(ds)
+			_, err := BuildFacts(ds, buildDB(t))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("BuildFacts error = %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestBuildFactsNilDataset(t *testing.T) {
 	if _, err := BuildFacts(nil, nil); err == nil {
 		t.Fatal("nil dataset accepted")
@@ -468,10 +495,7 @@ func TestClassifyBusinessValidation(t *testing.T) {
 	ds := synthDataset(t)
 	f, _ := BuildFacts(ds, buildDB(t))
 	g := f.BuildGroups(4, 10)
-	if _, err := ClassifyBusiness(f, g, nil, stubInspector{}); err == nil {
-		t.Fatal("nil index accepted")
-	}
-	if _, err := ClassifyBusiness(f, g, ds.ByTorrentID(), nil); err == nil {
+	if _, err := ClassifyBusiness(f, g, nil); err == nil {
 		t.Fatal("nil inspector accepted")
 	}
 }

@@ -13,13 +13,13 @@ import (
 // recounts the torrents and users a lake delta touched.
 //
 // The seed must match what BuildFacts would compute over the same
-// dataset exactly: DownloadsByTorrent[tid] is the number of distinct
-// downloader IPs observed on torrent tid (zero or out-of-range slots
-// mean no observations), and UserDownloads maps every publisher
-// identity — username, or "ip:<addr>" for username-less records — to
-// its distinct downloader count across all its torrents (an IP that
-// fetched several counts once). The equivalence gate in internal/delta
-// holds seeded builds byte-identical to unseeded ones.
+// canonical dataset (record tid carries TorrentID tid) exactly:
+// DownloadsByTorrent has one entry per record, the number of distinct
+// downloader IPs observed on that torrent, and UserDownloads maps every
+// publisher identity — username, or "ip:<addr>" for username-less
+// records — to its distinct downloader count across all its torrents
+// (an IP that fetched several counts once). The equivalence gate in
+// internal/delta holds seeded builds byte-identical to unseeded ones.
 type FactsSeed struct {
 	DownloadsByTorrent []int
 	UserDownloads      map[string]int

@@ -158,15 +158,6 @@ func (d *Dataset) TorrentsWithIP() int {
 	return n
 }
 
-// ByTorrentID indexes torrent records.
-func (d *Dataset) ByTorrentID() map[int]*TorrentRecord {
-	out := make(map[int]*TorrentRecord, len(d.Torrents))
-	for _, t := range d.Torrents {
-		out[t.TorrentID] = t
-	}
-	return out
-}
-
 // Merge combines shard datasets into one canonical dataset. Torrent
 // records are ordered by (Published, InfoHash) and renumbered, each part's
 // observations are remapped to the new torrent IDs, observations are

@@ -105,14 +105,6 @@ func TestCounters(t *testing.T) {
 	}
 }
 
-func TestByTorrentID(t *testing.T) {
-	d := sampleDataset()
-	idx := d.ByTorrentID()
-	if idx[1] == nil || idx[1].Title != "Fake.Release" {
-		t.Fatalf("index = %+v", idx)
-	}
-}
-
 func TestParseIP(t *testing.T) {
 	if _, err := ParseIP("11.0.0.7"); err != nil {
 		t.Fatal(err)

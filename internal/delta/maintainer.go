@@ -42,7 +42,10 @@
 // writes past a published store's length; published snapshots only
 // ever read slice data up to their own lengths, which no later fold
 // rewrites (see internal/dataset's delta contract), so serving older
-// snapshots while a refresh runs is race-free.
+// snapshots while a refresh runs is race-free. Refresh publishes each
+// snapshot together with the refresh counters through one atomic
+// pointer, so Snapshot and Stats never take the refresh lock: a refresh
+// parked on a slow lake read delays neither.
 package delta
 
 import (
@@ -51,6 +54,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"btpub/internal/analysis"
@@ -112,12 +116,22 @@ type Maintainer struct {
 	db   *geoip.DB
 	topK int
 
-	mu   sync.Mutex
-	snap *Snapshot
-	// lin is the positional state snap's dataset can be advanced with;
-	// nil before the first build and after a failed fold, which both make
-	// the next Refresh start over from the empty lineage.
-	lin   *lineage
+	// mu serializes Refresh. lin is the positional state the published
+	// snapshot's dataset can be advanced with; nil before the first build
+	// and after a failed fold, which both make the next Refresh start
+	// over from the empty lineage.
+	mu  sync.Mutex
+	lin *lineage
+
+	// pub is the last published snapshot and the counters as of its
+	// refresh (nil before the first successful Refresh).
+	pub atomic.Pointer[published]
+}
+
+// published is what one Refresh publishes: the snapshot and the
+// refresh counters including it.
+type published struct {
+	snap  *Snapshot
 	stats Stats
 }
 
@@ -153,18 +167,21 @@ func NewMaintainer(lk *lake.Lake, db *geoip.DB, topK int) *Maintainer {
 }
 
 // Snapshot returns the last published snapshot (nil before the first
-// successful Refresh).
+// successful Refresh). It does not wait for a running Refresh.
 func (m *Maintainer) Snapshot() *Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.snap
+	if p := m.pub.Load(); p != nil {
+		return p.snap
+	}
+	return nil
 }
 
-// Stats returns refresh counters.
+// Stats returns refresh counters. It does not wait for a running
+// Refresh.
 func (m *Maintainer) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
+	if p := m.pub.Load(); p != nil {
+		return p.stats
+	}
+	return Stats{}
 }
 
 // Refresh brings the snapshot to the lake's committed head: it folds the
@@ -176,32 +193,36 @@ func (m *Maintainer) Refresh(ctx context.Context) (*Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	start := time.Now()
+	var cur published
+	if p := m.pub.Load(); p != nil {
+		cur = *p
+	}
 	// restart says why the lineage cannot be advanced ("" = it can).
 	var restart string
 	var dd *lake.DiffData
 	switch {
-	case m.snap == nil:
+	case cur.snap == nil:
 		restart = "first build"
 	case m.lin == nil:
-		restart = fmt.Sprintf("the fold from v%d failed", m.snap.Version)
+		restart = fmt.Sprintf("the fold from v%d failed", cur.snap.Version)
 	default:
 		var err error
 		var vu *lake.VersionUnavailableError
-		dd, err = m.lk.ReadDiff(ctx, m.snap.Version)
+		dd, err = m.lk.ReadDiff(ctx, cur.snap.Version)
 		switch {
 		case errors.As(err, &vu):
-			restart = fmt.Sprintf("base v%d unavailable: %s", m.snap.Version, vu.Reason)
+			restart = fmt.Sprintf("base v%d unavailable: %s", cur.snap.Version, vu.Reason)
 		case err != nil:
 			return nil, err
-		case dd.Diff.To == m.snap.Version:
-			return m.snap, nil
+		case dd.Diff.To == cur.snap.Version:
+			return cur.snap, nil
 		case !dd.Diff.Incremental():
-			restart = fmt.Sprintf("content retirement of %d segment(s) since v%d", len(dd.Diff.ContentRetired), m.snap.Version)
+			restart = fmt.Sprintf("content retirement of %d segment(s) since v%d", len(dd.Diff.ContentRetired), cur.snap.Version)
 		}
 	}
 	prev := &dataset.Dataset{}
 	if restart == "" {
-		prev = m.snap.An.DS
+		prev = cur.snap.An.DS
 	} else {
 		var err error
 		if dd, err = m.lk.ReadAll(ctx); err != nil {
@@ -217,20 +238,21 @@ func (m *Maintainer) Refresh(ctx context.Context) (*Snapshot, error) {
 		return nil, err
 	}
 	snap := &Snapshot{An: an, Version: dd.Info.Version, LakeIDs: lakeIDs}
+	st := cur.stats
 	if restart != "" {
 		snap.Mode, snap.Reason, snap.ChangedAll = ModeFull, restart, true
-		m.stats.FullRebuilds++
+		st.FullRebuilds++
 	} else {
 		snap.Mode, snap.Changed = ModeDelta, changed
 		snap.Reason = fmt.Sprintf("folded %d segment(s), %d row(s), %d record(s) from v%d to v%d",
 			len(dd.Diff.AddedSegments), dd.Diff.AddedRows, len(dd.Torrents), dd.Diff.From, dd.Diff.To)
 		snap.DeltaSegments, snap.DeltaObs = len(dd.Diff.AddedSegments), dd.Diff.AddedRows
-		m.stats.DeltaRefreshes++
+		st.DeltaRefreshes++
 	}
-	m.stats.LastMode, m.stats.LastReason = string(snap.Mode), snap.Reason
-	m.stats.LastDeltaSegments, m.stats.LastDeltaObs = snap.DeltaSegments, snap.DeltaObs
-	m.stats.LastRefreshMs = float64(time.Since(start).Microseconds()) / 1e3
-	m.snap = snap
+	st.LastMode, st.LastReason = string(snap.Mode), snap.Reason
+	st.LastDeltaSegments, st.LastDeltaObs = snap.DeltaSegments, snap.DeltaObs
+	st.LastRefreshMs = float64(time.Since(start).Microseconds()) / 1e3
+	m.pub.Store(&published{snap: snap, stats: st})
 	return snap, nil
 }
 

@@ -100,7 +100,6 @@ func replay(t *testing.T, lk *lake.Lake, ds *dataset.Dataset, chunks int, cb fun
 			if err := lk.AddUsers(ds.Users[len(ds.Users)/2:]); err != nil {
 				t.Fatal(err)
 			}
-			lk.AddDropped(ds.DroppedObservations)
 		}
 		for i := 0; i < n; i++ {
 			if obsChunk[i] == c {

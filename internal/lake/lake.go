@@ -401,15 +401,6 @@ func (lk *Lake) ExtendWindow(name string, start, end time.Time) {
 	}
 }
 
-// AddDropped records observations a writer had to discard upstream
-// (e.g. a dataset import's DroppedObservations), so the loss is visible
-// in Stats instead of vanishing.
-func (lk *Lake) AddDropped(n int) {
-	lk.mu.Lock()
-	lk.man.Dropped += int64(n)
-	lk.mu.Unlock()
-}
-
 // Flush seals the open builder and pending meta records into files and
 // commits a new manifest version. A no-op when nothing is pending.
 func (lk *Lake) Flush() error {
@@ -871,8 +862,8 @@ func (lk *Lake) Verify(ctx context.Context) []error {
 // verifyJournal strictly decodes and replays journal bytes and compares
 // the folded head against the live state man. Name/Start/End, Dropped
 // and NextTID legitimately run ahead of the journal in memory
-// (ExtendWindow, AddDropped and import reservations commit with the
-// next flush), so they are excluded; everything else must agree exactly.
+// (ExtendWindow and import reservations commit with the next flush), so
+// they are excluded; everything else must agree exactly.
 func verifyJournal(buf []byte, man *manifest) []error {
 	recs, err := journal.Decode(buf)
 	if err != nil {

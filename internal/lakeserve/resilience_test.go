@@ -316,6 +316,53 @@ func TestServeDegradedUnderReadFaults(t *testing.T) {
 	}
 }
 
+// TestStatsDuringRebuild: /stats answers while a background rebuild is
+// parked on a lake read, and says so. The maintainer's counters are
+// published beside its snapshot, not behind the lock the rebuild holds
+// across the read.
+func TestStatsDuringRebuild(t *testing.T) {
+	lk, fsys := seedFaultLake(t)
+	hs := newResilientServer(t, &lakeserve.Server{Lake: lk})
+	if code, _, body := getFull(t, hs.URL+"/api/v1/tables/1"); code != http.StatusOK {
+		t.Fatalf("first /tables/1 = %d: %s", code, body)
+	}
+	if err := lk.Append(dataset.Observation{TorrentID: 0, IP: "20.0.0.99", At: serveT0.Add(72 * time.Hour)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lk.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	fsys.BlockReads()
+	defer fsys.UnblockReads() // before the cleanups, which wait for handlers
+	// A request over the stale snapshot kicks the background rebuild.
+	if code, _, body := getFull(t, hs.URL+"/api/v1/tables/1"); code != http.StatusOK {
+		t.Fatalf("stale /tables/1 = %d: %s", code, body)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for fsys.BlockedReads() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the background rebuild never reached the blocked lake read")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	c := &http.Client{Timeout: time.Second}
+	resp, err := c.Get(hs.URL + "/api/v1/stats")
+	if err != nil {
+		t.Fatalf("/stats during a rebuild: %v", err)
+	}
+	defer resp.Body.Close()
+	var st lakeserve.StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || st.RefreshState != "rebuilding" || !st.Stale {
+		t.Fatalf("/stats during a rebuild = %d {refresh_state:%q stale:%v}, want 200 rebuilding stale",
+			resp.StatusCode, st.RefreshState, st.Stale)
+	}
+}
+
 // TestRequestTimeoutEnvelope: a request stuck past RequestTimeout is cut
 // off with the standard 503 "timeout" envelope and Retry-After, which is
 // exactly what apiclient classifies as a retryable server push-back.

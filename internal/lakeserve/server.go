@@ -260,7 +260,7 @@ func (s *Server) build(ctx context.Context) (*snapshot, error) {
 	clusters := an.Facts.AliasClusters()
 	merged := an.Facts.MergeAliasClusters(clusters)
 	groups := merged.BuildGroups(s.TopK, 0)
-	profiles, err := classify.ClassifyBusiness(merged, groups, an.ByID, s.inspector())
+	profiles, err := classify.ClassifyBusiness(merged, groups, s.inspector())
 	if err != nil {
 		return nil, err
 	}
@@ -633,7 +633,7 @@ func (s *Server) handlePublisher(w http.ResponseWriter, r *http.Request) {
 	row.ISPs = slices.Compact(row.ISPs)
 	row.FirstUpload, row.LastUpload, _ = snap.an.UploadTimes(u)
 	for _, tid := range u.TorrentIDs {
-		if url, _ := classify.ExtractPromo(snap.an.ByID[tid]); url != "" {
+		if url, _ := classify.ExtractPromo(snap.an.DS.Torrents[tid]); url != "" {
 			row.PromoURL = url
 		}
 	}

@@ -85,24 +85,11 @@ func (e *Lake) Execute(ctx context.Context, q Query) (*Result, error) {
 }
 
 // Explain describes how Execute would answer the query without reading
-// any observation data: the planned predicate order and the fate of
-// every committed segment (zone-map pruned, postings pruned, opened). It
-// is the payload behind `btpub-query -explain`.
+// any observation data: the lake's scan plan (the planned predicate
+// order and the fate of every committed segment) plus the torrent-ID
+// pushdown. It is the payload behind `btpub-query -explain`.
 type Explain struct {
-	// Predicates lists the active row-predicate columns in planned
-	// (cheapest-first) evaluation order.
-	Predicates []string `json:"predicates"`
-	// Segments counts the lake's committed segments.
-	Segments int `json:"segments"`
-	// PrunedZone counts segments dismissed by zone maps alone.
-	PrunedZone int `json:"pruned_zone"`
-	// PrunedPostings counts zone-admitted segments dismissed by their
-	// exact postings.
-	PrunedPostings int `json:"pruned_postings"`
-	// Opened lists the segment files the scan would read.
-	Opened []string `json:"opened"`
-	// Rows is the total row count of the opened segments.
-	Rows int64 `json:"rows"`
+	lake.ScanPlan
 	// PushdownTorrentIDs is the size of the torrent-ID set the filter
 	// compiled down to (publisher names resolved against metadata), or
 	// -1 when the filter does not restrict torrents.
@@ -123,15 +110,7 @@ func (e *Lake) Explain(ctx context.Context, q Query) (*Explain, error) {
 	if err != nil {
 		return nil, mapLakeErr(err)
 	}
-	ex := &Explain{
-		Predicates:         sp.Predicates,
-		Segments:           sp.Segments,
-		PrunedZone:         sp.PrunedZone,
-		PrunedPostings:     sp.PrunedPostings,
-		Opened:             sp.Opened,
-		Rows:               sp.Rows,
-		PushdownTorrentIDs: -1,
-	}
+	ex := &Explain{ScanPlan: sp, PushdownTorrentIDs: -1}
 	if pred.TorrentIDs != nil {
 		ex.PushdownTorrentIDs = len(pred.TorrentIDs)
 	}
