@@ -151,7 +151,7 @@
 // /tables requests over a live lake cost one build per committed
 // version, on a cold start too. Every torrent ID the API emits or
 // accepts is the lake's (/torrents/recent included), never the
-// snapshot's canonical renumbering.
+// snapshot's canonical numbering.
 // Migration from JSONL:
 // `btpub-analyze -in pb10.jsonl -import pb10.lake`, thereafter
 // `btpub-analyze -lake pb10.lake` / `btpub-serve -lake pb10.lake`.
@@ -260,20 +260,23 @@
 // live analysis and reports mode=delta plus exactly which publisher
 // identities changed. A compaction commits as a rewrite — the same rows
 // in fewer files — so one whose victims the snapshot already holds
-// folds as an empty delta with nobody changed. After a content
-// retirement (salvage, or a compaction that consumed a segment flushed
-// since the served version), and on the first build, the same fold
-// runs over the whole lake from an empty lineage and reports mode=full.
-// Canonical order is total — dataset.Merge sorts stably, so records
-// sharing a (Published, InfoHash) key and users sharing a name keep
-// commit order — which is why no lake needs a second path. The fold is
-// held honest by a canonical analysis fingerprint: under -race, with a
-// campaign appending and the compactor churning, every maintained
-// snapshot must fingerprint byte-identical to the from-scratch oracle
+// folds as an empty delta with nobody changed. A fold only appends
+// records, so a canonical torrent ID never changes within a lineage.
+// After a content retirement (salvage, or a compaction that consumed a
+// segment flushed since the served version), after a committed record
+// that sorts among the served ones, and on the first build, the same
+// fold runs over the whole lake from an empty lineage and reports
+// mode=full. Canonical order is total — dataset.Merge sorts stably, so
+// records sharing a (Published, InfoHash) key and users sharing a name
+// keep commit order, and a record tying the last served key appends —
+// which is why no lake needs a second path. The fold is held honest by
+// a canonical analysis fingerprint: under -race, with a campaign
+// appending and the compactor churning, every maintained snapshot must
+// fingerprint byte-identical to the from-scratch oracle
 // (analysis.NewFromLakeVersion) at the same version, and mode=full is
-// pinned to exactly the journal diff's content-retirement condition. On the
-// 1M-observation bench lake the incremental fold runs ~65x faster
-// than the full rebuild; the benchmark itself fails below 10x or past
+// pinned to exactly the journal diff's content-retirement condition and
+// the mid-order record. On the 1M-observation bench lake the
+// incremental fold runs ~65x faster than the full rebuild; the benchmark itself fails below 10x or past
 // its allocs/op ceiling, and a second one fails if the same fold costs
 // more than 1.5x as much on a lake with 4x the rows.
 //

@@ -24,7 +24,6 @@ import (
 // Analysis holds the indexed dataset.
 type Analysis struct {
 	DS     *dataset.Dataset
-	DB     *geoip.DB
 	Facts  *classify.Facts
 	Groups *classify.Groups
 
@@ -47,7 +46,7 @@ func New(ds *dataset.Dataset, db *geoip.DB, topK int) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	return assemble(ds, db, facts, topK), nil
+	return assemble(ds, facts, topK), nil
 }
 
 // NewSeeded is New with the distinct-download passes replaced by
@@ -64,13 +63,12 @@ func NewSeeded(ds *dataset.Dataset, db *geoip.DB, topK int, seed *classify.Facts
 	if err != nil {
 		return nil, err
 	}
-	return assemble(ds, db, facts, topK), nil
+	return assemble(ds, facts, topK), nil
 }
 
-func assemble(ds *dataset.Dataset, db *geoip.DB, facts *classify.Facts, topK int) *Analysis {
+func assemble(ds *dataset.Dataset, facts *classify.Facts, topK int) *Analysis {
 	return &Analysis{
 		DS:     ds,
-		DB:     db,
 		Facts:  facts,
 		Groups: facts.BuildGroups(topK, 400),
 		idx:    buildIndex(ds, facts),

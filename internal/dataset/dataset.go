@@ -167,7 +167,8 @@ func (d *Dataset) TorrentsWithIP() int {
 // serial one. Both sorts are stable: records sharing a (Published,
 // InfoHash) key, and users sharing a username, keep their input order
 // (part by part, then position within the part), which makes the order
-// total and lets MergeRecords/MergeUsers reproduce it incrementally.
+// total: MergeUsers reproduces it incrementally, and AppendRecords extends
+// it by records that sort at or after the last one.
 // Records are copied; the parts are left untouched. The window
 // stamps span the parts' (callers usually overwrite them with the campaign
 // window). Passing a single part canonicalises it.

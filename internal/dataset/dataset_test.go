@@ -246,10 +246,15 @@ func TestMergeSplitEqualsWhole(t *testing.T) {
 }
 
 // advanceBy advances the canonical dataset prev by one shard-shaped batch
-// (local torrent IDs) through MergeRecords, MergeUsers and AdvanceObs —
-// the incremental counterpart of Merge(name, <prev's input>, batch).
-func advanceBy(prev, batch *Dataset) *Dataset {
-	recs, remapOld, addIDs := MergeRecords(prev.Torrents, batch.Torrents)
+// (local torrent IDs) through AppendRecords, MergeUsers and AdvanceObs —
+// the incremental counterpart of Merge(name, <prev's input>, batch). The
+// batch's records must append.
+func advanceBy(t *testing.T, prev, batch *Dataset) *Dataset {
+	t.Helper()
+	recs, addIDs, err := AppendRecords(prev.Torrents, batch.Torrents)
+	if err != nil {
+		t.Fatal(err)
+	}
 	local := map[int]int32{}
 	for j, r := range batch.Torrents {
 		local[r.TorrentID] = addIDs[j]
@@ -260,15 +265,15 @@ func advanceBy(prev, batch *Dataset) *Dataset {
 		d.Append(local[o.TorrentID], o.IP, o.At.UnixNano(), o.Seeder)
 	}
 	out := &Dataset{Torrents: recs, Users: MergeUsers(prev.Users, batch.Users)}
-	AdvanceObs(&out.Obs, &prev.Obs, remapOld, &d)
+	AdvanceObs(&out.Obs, &prev.Obs, &d)
 	return out
 }
 
-// TestAdvanceEqualsMerge: advancing a canonical dataset by a batch
-// serialises exactly as Merge over the combined input, whatever the
-// batch's position in the canonical orders — including records and users
-// whose sort keys collide, where Merge's stable order (input order) is
-// what the advance must reproduce.
+// TestAdvanceEqualsMerge: advancing a canonical dataset by a batch whose
+// records append serialises exactly as Merge over the combined input,
+// wherever the batch's users and observations fall in their canonical
+// orders — including records and users whose sort keys collide, where
+// Merge's stable order (input order) is what the advance must reproduce.
 func TestAdvanceEqualsMerge(t *testing.T) {
 	base := sampleDataset()
 	base.Users = append(base.Users,
@@ -296,7 +301,7 @@ func TestAdvanceEqualsMerge(t *testing.T) {
 			Observation{TorrentID: 0, IP: "30.0.0.1", At: at(10)},
 			Observation{TorrentID: 1, IP: "20.1.2.3", At: at(9), Seeder: true})},
 		{"interleaved", base, batch(
-			[]*TorrentRecord{rec(0, "bb", 4, "mid"), rec(1, "aa", 1, "early"), rec(2, "ff", 7, "late")},
+			[]*TorrentRecord{rec(0, "bb", 6, "mid"), rec(1, "aa", 5.5, "early"), rec(2, "ff", 7, "late")},
 			[]UserRecord{{Username: "mid"}, {Username: "aaa-first", Exists: true}},
 			Observation{TorrentID: 0, IP: "20.1.2.3", At: at(4)}, // ties an old row's time
 			Observation{TorrentID: 1, IP: "10.0.0.9", At: at(2)}, // before every old row
@@ -306,9 +311,9 @@ func TestAdvanceEqualsMerge(t *testing.T) {
 			Observation{TorrentID: 1, IP: "10.0.0.9", At: at(2), Seeder: true})},
 		{"from-empty", &Dataset{Name: base.Name, Start: base.Start, End: base.End}, base},
 		{"duplicate-keys", base, batch(
-			// Torrent 0 collides with base's first record, 1 and 2 with each
+			// Torrent 0 collides with base's last record, 1 and 2 with each
 			// other; each copy owns a distinguishable observation.
-			[]*TorrentRecord{rec(0, "ab", 3, "dup-of-old"), rec(1, "cc", 4, "dup-a"), rec(2, "cc", 4, "dup-b")},
+			[]*TorrentRecord{rec(0, "cd", 5, "dup-of-old"), rec(1, "cc", 6, "dup-a"), rec(2, "cc", 6, "dup-b")},
 			[]UserRecord{{Username: "xk2j9qpa", Exists: true}, {Username: "dup-a", Exists: true}, {Username: "dup-a"}},
 			Observation{TorrentID: 0, IP: "40.0.0.1", At: at(6)},
 			Observation{TorrentID: 1, IP: "40.0.0.2", At: at(6)},
@@ -316,7 +321,7 @@ func TestAdvanceEqualsMerge(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := Merge(base.Name, tc.base, tc.batch)
-			got := advanceBy(Merge(base.Name, tc.base), tc.batch)
+			got := advanceBy(t, Merge(base.Name, tc.base), tc.batch)
 			got.Name, got.Start, got.End = want.Name, want.Start, want.End
 			var w, g bytes.Buffer
 			if err := want.Write(&w); err != nil {

@@ -5,6 +5,10 @@
 // dataset by a batch of new records/users/observations without
 // re-interning or re-sorting the unchanged bulk, producing output
 // observably identical to re-running Merge over the combined inputs.
+// Records only append: a canonical torrent ID, once assigned, never
+// changes, and a batch holding a record that sorts among the existing
+// ones is refused (the caller starts over from the empty dataset).
+// Users merge-insert; observation rows merge into the columns.
 // internal/delta drives them on every lake version bump.
 //
 // Concurrency contract: AdvanceObs extends the previous store's intern
@@ -23,6 +27,7 @@
 package dataset
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 )
@@ -38,50 +43,41 @@ func recordKeyCmp(a, b *TorrentRecord) int {
 // userKeyCmp orders user records by the canonical Merge key.
 func userKeyCmp(a, b UserRecord) int { return strings.Compare(a.Username, b.Username) }
 
-// MergeRecords inserts add into the canonically ordered record list prev
-// (Merge output: sorted by (Published, InfoHash), TorrentID == index),
-// renumbering the result. Every output record is a copy, so prev — which
-// a previous snapshot may still be serving — is never mutated. Returns
+// AppendRecords appends add to the canonically ordered record list prev
+// (Merge output: sorted by (Published, InfoHash), TorrentID == index).
+// add sorts stably by the canonical key and is numbered len(prev)…;
+// addIDs[j] is record add[j]'s torrent ID. The result shares prev's
+// records by pointer and holds copies of add's, so neither input is
+// mutated, and it never writes into prev's spare capacity.
 //
-//	merged  — the combined, renumbered record list
-//	remapOld — remapOld[i] is record prev[i]'s new torrent ID
-//	           (monotonically increasing)
-//	addIDs  — addIDs[j] is record add[j]'s new torrent ID
-//
-// Records sharing a key keep Merge's stable order: add sorts stably and
-// ties between prev and add go to prev, because an added record is
-// always committed after every record already in prev.
-func MergeRecords(prev, add []*TorrentRecord) (merged []*TorrentRecord, remapOld, addIDs []int32) {
+// Appending is Merge's order only if no added record sorts before prev's
+// last; otherwise AppendRecords returns an error naming the added
+// record that sorts first. A record tying prev's last key appends: Merge sorts stably and
+// an added record is always committed after every record in prev.
+func AppendRecords(prev, add []*TorrentRecord) (recs []*TorrentRecord, addIDs []int32, err error) {
 	order := make([]int, len(add)) // indices into add, in key order
 	for i := range order {
 		order[i] = i
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return recordKeyCmp(add[a], add[b]) })
-	merged = make([]*TorrentRecord, 0, len(prev)+len(add))
-	remapOld = make([]int32, len(prev))
-	addIDs = make([]int32, len(add))
-	i, j := 0, 0
-	for i < len(prev) || j < len(order) {
-		id := int32(len(merged))
-		var cp TorrentRecord
-		if i == len(prev) || (j < len(order) && recordKeyCmp(prev[i], add[order[j]]) > 0) {
-			cp = *add[order[j]]
-			addIDs[order[j]] = id
-			j++
-		} else {
-			cp = *prev[i]
-			remapOld[i] = id
-			i++
-		}
-		cp.TorrentID = int(id)
-		merged = append(merged, &cp)
+	n := len(prev)
+	if n > 0 && len(add) > 0 && recordKeyCmp(add[order[0]], prev[n-1]) < 0 {
+		return nil, nil, fmt.Errorf("record %s sorts before the last of %d records", add[order[0]].InfoHash, n)
 	}
-	return merged, remapOld, addIDs
+	recs = slices.Grow(prev[:n:n], len(add))
+	addIDs = make([]int32, len(add))
+	for _, j := range order {
+		cp := *add[j]
+		cp.TorrentID = len(recs)
+		addIDs[j] = int32(cp.TorrentID)
+		recs = append(recs, &cp)
+	}
+	return recs, addIDs, nil
 }
 
 // MergeUsers inserts add into the username-ordered user list prev, with
-// MergeRecords' tie rule: duplicates of one username stay in commit
-// order (add sorted stably, prev first).
+// Merge's tie rule: duplicates of one username stay in commit order
+// (add sorted stably, prev first).
 func MergeUsers(prev, add []UserRecord) []UserRecord {
 	as := slices.Clone(add)
 	slices.SortStableFunc(as, userKeyCmp)
@@ -101,8 +97,9 @@ func MergeUsers(prev, add []UserRecord) []UserRecord {
 }
 
 // DeltaObs is a batch of observation rows to advance a canonical store
-// by. Torrent IDs are in the NEW numbering (after MergeRecords);
-// addresses are interned in the batch's own table.
+// by. Torrent IDs are canonical (existing records keep theirs, appended
+// ones carry AppendRecords' IDs); addresses are interned in the batch's
+// own table.
 type DeltaObs struct {
 	Table  IPTable
 	Tids   []int32
@@ -123,27 +120,21 @@ func (d *DeltaObs) Append(tid int32, ip string, atNs int64, seeder bool) {
 func (d *DeltaObs) Len() int { return len(d.Tids) }
 
 // AdvanceObs fills dst (which must be zero-valued) with a canonically
-// ordered observation store holding prev's rows — torrent IDs renumbered
-// through remapOld — plus the batch's rows, and returns each batch row's
-// index in dst's intern table. dst shares prev's intern table, extended
-// in place with the batch's new addresses (see the package comment for
-// the concurrency contract).
+// ordered observation store holding prev's rows plus the batch's rows,
+// and returns each batch row's index in dst's intern table. dst shares
+// prev's intern table, extended in place with the batch's new addresses
+// (see the package comment for the concurrency contract).
 //
-// When remapOld is the identity and the whole batch sorts after prev's
-// last row — a live crawl's steady state — dst's columns grow in place
-// past prev's length, and a built index of prev extends to dst. Only the
-// first advance from prev may grow into its tail: a second one gets a
-// private copy of the intern table and, like any batch that interleaves
-// with or renumbers prev's rows, fresh column arrays (dst's index then
-// builds on first use). Either way prev stays exactly as published.
-//
-// remapOld must be monotonically increasing — Merge's record order
-// depends only on record content, so inserting records never reorders
-// surviving ones — which is what keeps prev's rows sorted under
-// renumbering. A nil remapOld means the identity. The result is
-// observably identical to Merge over the combined inputs; intern-table
-// order (unobservable) may differ.
-func AdvanceObs(dst, prev *ObsStore, remapOld []int32, d *DeltaObs) []uint32 {
+// When the whole batch sorts after prev's last row — a live crawl's
+// steady state — dst's columns grow in place past prev's length, and a
+// built index of prev extends to dst. Only the first advance from prev
+// may grow into its tail: a second one gets a private copy of the intern
+// table and, like any batch that interleaves with prev's rows, fresh
+// column arrays (dst's index then builds on first use). Either way prev
+// stays exactly as published. The result is observably identical to
+// Merge over the combined inputs; intern-table order (unobservable) may
+// differ.
+func AdvanceObs(dst, prev *ObsStore, d *DeltaObs) []uint32 {
 	next := dst
 	inPlace := prev.tail.CompareAndSwap(false, true)
 	if inPlace {
@@ -169,14 +160,6 @@ func AdvanceObs(dst, prev *ObsStore, remapOld []int32, d *DeltaObs) []uint32 {
 			return 0
 		}
 		return strings.Compare(strs[a], strs[b])
-	}
-
-	identity := true
-	for i, v := range remapOld {
-		if v != int32(i) {
-			identity = false
-			break
-		}
 	}
 
 	m := d.Len()
@@ -220,12 +203,8 @@ func AdvanceObs(dst, prev *ObsStore, remapOld []int32, d *DeltaObs) []uint32 {
 		if d.AtNs[j] != prev.atNs[i] {
 			return d.AtNs[j] < prev.atNs[i]
 		}
-		oldTid := prev.tids[i]
-		if !identity {
-			oldTid = remapOld[oldTid]
-		}
-		if dTid[j] != oldTid {
-			return dTid[j] < oldTid
+		if dTid[j] != prev.tids[i] {
+			return dTid[j] < prev.tids[i]
 		}
 		if c := cmpIP(dIP[j], prev.ipIdx[i]); c != 0 {
 			return c < 0
@@ -247,7 +226,7 @@ func AdvanceObs(dst, prev *ObsStore, remapOld []int32, d *DeltaObs) []uint32 {
 			seed[k>>6] |= 1 << (uint(k) & 63)
 		}
 	}
-	if inPlace && identity && (n == 0 || m == 0 || !deltaBeforeOld(perm[0], n-1)) {
+	if inPlace && (n == 0 || m == 0 || !deltaBeforeOld(perm[0], n-1)) {
 		// Grow into prev's tail: the new rows land past prev's length.
 		tids = slices.Grow(prev.tids, m)[:total]
 		ipIdx = slices.Grow(prev.ipIdx, m)[:total]
@@ -265,9 +244,6 @@ func AdvanceObs(dst, prev *ObsStore, remapOld []int32, d *DeltaObs) []uint32 {
 		atNs = make([]int64, total)
 		copyOld := func(k, i int) {
 			tids[k] = prev.tids[i]
-			if !identity {
-				tids[k] = remapOld[prev.tids[i]]
-			}
 			ipIdx[k] = prev.ipIdx[i]
 			atNs[k] = prev.atNs[i]
 			if prev.Seeder(i) {

@@ -51,14 +51,14 @@ func requireMerged(t *testing.T, got *Dataset, inputs ...*Dataset) {
 func TestAdvanceTailClaimedOnce(t *testing.T) {
 	base := sampleDataset()
 	b1 := laterBatch(10, "e1", "30.0.0.1")
-	p1 := advanceBy(Merge(base.Name, base), b1)
+	p1 := advanceBy(t, Merge(base.Name, base), b1)
 	p1.Obs.Index()
 	if cap(p1.Obs.tids)-p1.Obs.Len() < 2 {
 		t.Fatalf("fixture: %d rows with capacity %d leave no tail to grow into", p1.Obs.Len(), cap(p1.Obs.tids))
 	}
 	bA, bB := laterBatch(20, "e2", "30.0.0.2"), laterBatch(21, "e3", "30.0.0.3")
 
-	first := advanceBy(p1, bA)
+	first := advanceBy(t, p1, bA)
 	if &first.Obs.tids[0] != &p1.Obs.tids[0] {
 		t.Fatal("first successor copied the columns instead of growing into the tail")
 	}
@@ -67,7 +67,7 @@ func TestAdvanceTailClaimedOnce(t *testing.T) {
 	}
 	before := serialized(t, first)
 
-	second := advanceBy(p1, bB)
+	second := advanceBy(t, p1, bB)
 	if !bytes.Equal(serialized(t, first), before) {
 		t.Fatal("second advance from the same store rewrote the first successor")
 	}
@@ -91,7 +91,7 @@ func TestAdvanceTailClaimedOnce(t *testing.T) {
 func TestAdvanceConcurrentReader(t *testing.T) {
 	base := sampleDataset()
 	b1 := laterBatch(10, "e1", "30.0.0.1")
-	p1 := advanceBy(Merge(base.Name, base), b1)
+	p1 := advanceBy(t, Merge(base.Name, base), b1)
 	ix := p1.Obs.Index()
 	want := serialized(t, p1)
 
@@ -123,10 +123,10 @@ func TestAdvanceConcurrentReader(t *testing.T) {
 	}()
 	cur := p1
 	for i := range 50 {
-		cur = advanceBy(cur, laterBatch(float64(20+i), "f"+string(rune('a'+i%26)), "40.0.0."+string(rune('0'+i%10))))
+		cur = advanceBy(t, cur, laterBatch(float64(20+i), "f"+string(rune('a'+i%26)), "40.0.0."+string(rune('0'+i%10))))
 		cur.Obs.Index()
 	}
-	advanceBy(p1, laterBatch(20, "e3", "30.0.0.3"))
+	advanceBy(t, p1, laterBatch(20, "e3", "30.0.0.3"))
 	close(done)
 	wg.Wait()
 }
@@ -135,8 +135,8 @@ func TestAdvanceConcurrentReader(t *testing.T) {
 // the successor's index is the predecessor's extended, never rebuilt,
 // and every span equals a from-scratch index over the same columns —
 // including torrents past the old maximum ID and a torrent whose first
-// rows arrive only now. A batch that interleaves with or renumbers the
-// existing rows leaves the index unbuilt.
+// rows arrive only now. A batch that interleaves with the existing rows
+// leaves the index unbuilt.
 func TestExtendedIndexEqualsRebuilt(t *testing.T) {
 	at := func(h float64) time.Time { return t0.Add(time.Duration(h * float64(time.Hour))) }
 	rec := func(hash string, h float64) *TorrentRecord {
@@ -145,16 +145,18 @@ func TestExtendedIndexEqualsRebuilt(t *testing.T) {
 	obs := func(tid int, ip string, h float64) Observation {
 		return Observation{TorrentID: tid, IP: ip, At: at(h)}
 	}
-	// step advances prev by recs plus rows given in the new canonical
-	// numbering.
+	// step advances prev by recs plus rows given in canonical IDs.
 	step := func(prev *Dataset, recs []*TorrentRecord, rows ...Observation) *Dataset {
-		merged, remapOld, _ := MergeRecords(prev.Torrents, recs)
+		merged, _, err := AppendRecords(prev.Torrents, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var d DeltaObs
 		for _, o := range rows {
 			d.Append(int32(o.TorrentID), o.IP, o.At.UnixNano(), o.Seeder)
 		}
 		out := &Dataset{Torrents: merged}
-		AdvanceObs(&out.Obs, &prev.Obs, remapOld, &d)
+		AdvanceObs(&out.Obs, &prev.Obs, &d)
 		return out
 	}
 	requireExtended := func(name string, s *ObsStore) {
@@ -192,7 +194,51 @@ func TestExtendedIndexEqualsRebuilt(t *testing.T) {
 	if s := step(cur, nil, obs(1, "30.0.0.6", 8)); s.Obs.builtIndex() != nil {
 		t.Fatal("interleaving batch extended the index")
 	}
-	if s := step(cur, []*TorrentRecord{rec("e0", 0.5)}, obs(0, "30.0.0.7", 11)); s.Obs.builtIndex() != nil {
-		t.Fatal("renumbering batch extended the index")
+}
+
+// TestAppendRecords: a batch appends when none of its records sorts
+// before the last existing one — a tie with the last key lands after it,
+// as in Merge's stable order — sharing the existing records and
+// numbering copies of the new ones in key order. A batch with one record
+// that sorts among the existing ones is refused whole, naming it.
+func TestAppendRecords(t *testing.T) {
+	base := Merge("pb10-test", sampleDataset()) // "ab" at 3 h, "cd" at 5 h
+	at := func(h float64) time.Time { return t0.Add(time.Duration(h * float64(time.Hour))) }
+	rec := func(hash string, h float64) *TorrentRecord {
+		return &TorrentRecord{TorrentID: 7, InfoHash: strings.Repeat(hash, 20), Published: at(h), Username: "u-" + hash}
+	}
+	later, tie := rec("ee", 6), rec("cd", 5)
+	recs, ids, err := AppendRecords(base.Torrents, []*TorrentRecord{later, tie})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ids, []int32{3, 2}) {
+		t.Fatalf("added IDs = %v, want [3 2]", ids)
+	}
+	if recs[0] != base.Torrents[0] || recs[1] != base.Torrents[1] {
+		t.Fatal("existing records were copied, not shared")
+	}
+	if recs[2].Username != tie.Username || recs[3].Username != later.Username {
+		t.Fatalf("appended %s, %s; want the tie before the later record", recs[2].Username, recs[3].Username)
+	}
+	if tie.TorrentID != 7 || later.TorrentID != 7 {
+		t.Fatal("AppendRecords renumbered its input")
+	}
+	want := Merge("pb10-test", sampleDataset(), &Dataset{Torrents: []*TorrentRecord{later, tie}})
+	for i, r := range want.Torrents {
+		if recs[i].TorrentID != i || recs[i].Username != r.Username {
+			t.Fatalf("record %d = %s #%d, Merge has %s", i, recs[i].Username, recs[i].TorrentID, r.Username)
+		}
+	}
+
+	for _, early := range []*TorrentRecord{rec("bb", 4), rec("ab", 3), rec("cc", 5)} {
+		got, ids, err := AppendRecords(base.Torrents, []*TorrentRecord{later, early})
+		if err == nil || !strings.Contains(err.Error(), early.InfoHash) || got != nil || ids != nil {
+			t.Fatalf("mid-order record %s at %v: got %d records, err %v; want a refusal naming it",
+				early.InfoHash[:4], early.Published, len(got), err)
+		}
+	}
+	if _, _, err := AppendRecords(nil, []*TorrentRecord{later, rec("aa", 0)}); err != nil {
+		t.Fatalf("appending to no records: %v", err)
 	}
 }

@@ -4,23 +4,25 @@
 // version bump — O(lake) work per refresh — the Maintainer asks the
 // journal what changed (lake.ReadDiff) and folds only the added records
 // and observations into the previous immutable snapshot. The fold is
-// O(delta) wherever the work is O(observations): records and users
-// merge-insert into the canonical orders; new observation rows sort and
-// merge into the canonical columns (dataset.AdvanceObs), which in the
-// steady state (rows arriving after the last one) grow in place along
-// with the per-torrent index; and the two distinct-download aggregates
-// (classify.FactsSeed) bump only on an (IP, torrent) or (IP, identity)
-// pair the lineage has not counted yet. Everything O(torrents + users)
-// — the record copy, facts, groups, the business classification — is
-// rebuilt per refresh, which keeps the equivalence argument short: a
-// maintained snapshot is observably identical — analysis fingerprint
-// and served table bodies — to that from-scratch build at the same
-// version, which the tests and the benchmark keep as their oracle.
+// O(delta) wherever the work is O(observations): records append to the
+// canonical order (dataset.AppendRecords), so a canonical torrent ID
+// never changes within a lineage, and users merge-insert; new
+// observation rows sort and merge into the canonical columns
+// (dataset.AdvanceObs), which in the steady state (rows arriving after
+// the last one) grow in place along with the per-torrent index; and the
+// two distinct-download aggregates (classify.FactsSeed) bump only on an
+// (IP, torrent) or (IP, identity) pair the lineage has not counted yet.
+// Everything O(torrents + users) — the record list, facts, groups, the
+// business classification — is rebuilt per refresh, which keeps the
+// equivalence argument short: a maintained snapshot is observably
+// identical — analysis fingerprint and served table bodies — to that
+// from-scratch build at the same version, which the tests and the
+// benchmark keep as their oracle.
 //
 // The lineage a fold carries to the next is the lake→canonical torrent
 // ID map, the buffer of observations whose record has not landed, the
 // per-torrent and per-identity distinct-download counters, and behind
-// them, per interned IP, the sorted sets of lake torrent IDs and
+// them, per interned IP, the sorted sets of canonical torrent IDs and
 // identities it has been counted for (ipTorrents, ipIdents; a first
 // fold builds them in bulk with one counting sort).
 //
@@ -30,19 +32,21 @@
 // across it: a diff holding only rewrites folds as an empty delta, a
 // new version with Changed empty. A content retirement in the diff
 // (salvage, or a compaction that consumed rows added since the served
-// version) invalidates positional state, as does a base version that
-// left the journal; the Maintainer then folds the whole lake
-// (lake.ReadAll) into an empty lineage through the same function — and
-// the first build is exactly that too. Canonical order is total
-// (dataset.Merge sorts stably; ties keep commit order), so duplicate
-// record keys or usernames need no special case.
+// version) invalidates positional state, as do a base version that left
+// the journal and a committed record that sorts among the served ones
+// (its canonical ID would shift theirs); the Maintainer then
+// folds the whole lake (lake.ReadAll) into an empty lineage through the
+// same function — and the first build is exactly that too. Canonical
+// order is total (dataset.Merge sorts stably; ties keep commit order),
+// so duplicate record keys or usernames need no special case: a record
+// tying the last served key appends.
 //
 // Concurrency: Refresh calls are serialized by the Maintainer's lock and
 // are the only code that touches the shared intern table's maps or
-// writes past a published store's length; published snapshots only
-// ever read slice data up to their own lengths, which no later fold
-// rewrites (see internal/dataset's delta contract), so serving older
-// snapshots while a refresh runs is race-free. Refresh publishes each
+// writes past the length of a published store or LakeIDs; published
+// snapshots only ever read slice data up to their own lengths, which no
+// later fold rewrites (see internal/dataset's delta contract), so
+// serving older snapshots while a refresh runs is race-free. Refresh publishes each
 // snapshot together with the refresh counters through one atomic
 // pointer, so Snapshot and Stats never take the refresh lock: a refresh
 // parked on a slow lake read delays neither.
@@ -141,19 +145,25 @@ type published struct {
 // and the distinct-download counters with the pair sets behind them.
 type lineage struct {
 	lakeToCanon map[int]int32 // lake torrent ID → canonical torrent ID
+	// lakeIDs, owners and counts are indexed by canonical torrent ID and,
+	// like the records, only append: lakeIDs[ct] is ct's lake ID,
+	// owners[ct] its publisher identity's dense ID (-1: none) and
+	// counts[ct] its distinct downloader IPs.
+	lakeIDs []int
+	owners  []int32
+	counts  []int
 	// pending buffers observations whose torrent record has not been
 	// committed yet (a live campaign commits records after observations);
 	// they are promoted the moment the record lands, and counted as
 	// dropped until then — exactly what Materialize reports. Its intern
 	// table is maintainer-private and append-only across refreshes.
 	pending dataset.DeltaObs
-	counts  []int          // distinct downloader IPs per canonical tid
 	userDL  map[string]int // distinct downloader IPs per identity
-	// ipTorrents[ip] and ipIdents[ip] are the sorted sets of lake torrent
-	// IDs and identity IDs the shared-table IP ip has been counted for:
-	// a placed row bumps counts or userDL only on a pair new to them.
-	// Both keys survive renumbering, and intern indices are stable
-	// because the table is append-only within a lineage.
+	// ipTorrents[ip] and ipIdents[ip] are the sorted sets of canonical
+	// torrent IDs and identity IDs the shared-table IP ip has been
+	// counted for: a placed row bumps counts or userDL only on a pair new
+	// to them. Canonical IDs never change within a lineage, and intern
+	// indices are stable because the table is append-only.
 	ipTorrents [][]int32
 	ipIdents   [][]int32
 	identID    map[string]int32 // publisher identity → dense ID
@@ -186,8 +196,8 @@ func (m *Maintainer) Stats() Stats {
 
 // Refresh brings the snapshot to the lake's committed head: it folds the
 // journal diff since the served version into the lineage when that diff
-// is incremental (additions and neutral rewrites), and the whole lake
-// into an empty lineage otherwise. It returns the current snapshot
+// is incremental (additions and neutral rewrites) and its records
+// append, and the whole lake into an empty lineage otherwise. It returns the current snapshot
 // unchanged when the head hasn't moved.
 func (m *Maintainer) Refresh(ctx context.Context) (*Snapshot, error) {
 	m.mu.Lock()
@@ -221,16 +231,26 @@ func (m *Maintainer) Refresh(ctx context.Context) (*Snapshot, error) {
 		}
 	}
 	prev := &dataset.Dataset{}
+	var recs []*dataset.TorrentRecord
+	var addIDs []int32
 	if restart == "" {
-		prev = cur.snap.An.DS
-	} else {
+		var err error
+		if recs, addIDs, err = dataset.AppendRecords(cur.snap.An.DS.Torrents, dd.Torrents); err != nil {
+			restart = err.Error()
+		} else {
+			prev = cur.snap.An.DS
+		}
+	}
+	if restart != "" {
 		var err error
 		if dd, err = m.lk.ReadAll(ctx); err != nil {
 			return nil, err
 		}
 		m.lin = &lineage{lakeToCanon: map[int]int32{}, userDL: map[string]int{}, identID: map[string]int32{}}
+		// Appending to no records cannot fail.
+		recs, addIDs, _ = dataset.AppendRecords(nil, dd.Torrents)
 	}
-	an, lakeIDs, changed, err := m.lin.fold(prev, dd, m.db, m.topK)
+	an, lakeIDs, changed, err := m.lin.fold(prev, recs, addIDs, dd, m.db, m.topK)
 	if err != nil {
 		// The fold mutates the lineage as it goes; never advance from a
 		// half-applied one.
@@ -257,36 +277,34 @@ func (m *Maintainer) Refresh(ctx context.Context) (*Snapshot, error) {
 }
 
 // fold advances the canonical dataset prev — which the lineage must be
-// in sync with — by the records, users and observations in dd, and
-// builds the analysis over the result. It returns the canonical→lake
-// torrent IDs and the sorted publisher identities the fold touched. prev
-// is left exactly as published; the lineage is mutated throughout, so
-// the caller must drop it on error.
-func (l *lineage) fold(prev *dataset.Dataset, dd *lake.DiffData, db *geoip.DB, topK int) (*analysis.Analysis, []int, []string, error) {
-	mergedRecs, remapOld, addIDs := dataset.MergeRecords(prev.Torrents, dd.Torrents)
-
-	// Renumber the lake→canonical map, then register the new records;
-	// lakeIDs is its inverse.
-	lakeIDs := make([]int, len(mergedRecs))
-	for k, v := range l.lakeToCanon {
-		l.lakeToCanon[k] = remapOld[v]
-		lakeIDs[remapOld[v]] = k
-	}
+// in sync with — to the record list recs (prev's records followed by
+// dd's, dd.Torrents[j] appended as canonical ID addIDs[j]) and by the
+// users and observations in dd, and builds the analysis over the result.
+// It returns the canonical→lake torrent IDs and the sorted publisher
+// identities the fold touched. prev is left exactly as published; the
+// lineage is mutated throughout, so the caller must drop it on error.
+func (l *lineage) fold(prev *dataset.Dataset, recs []*dataset.TorrentRecord, addIDs []int32, dd *lake.DiffData, db *geoip.DB, topK int) (*analysis.Analysis, []int, []string, error) {
+	// Register the appended records under their canonical IDs.
+	n := len(prev.Torrents)
+	l.lakeIDs = append(l.lakeIDs, make([]int, len(addIDs))...)
 	for j, r := range dd.Torrents {
 		l.lakeToCanon[r.TorrentID] = addIDs[j]
-		lakeIDs[addIDs[j]] = r.TorrentID
+		l.lakeIDs[addIDs[j]] = r.TorrentID
+	}
+	for _, r := range recs[n:] {
+		l.owners = append(l.owners, l.identity(r.PublisherKey()))
+		l.counts = append(l.counts, 0)
 	}
 
 	// Route rows: promote pending observations whose record just landed,
 	// place the diff's rows, buffer the still-recordless remainder.
-	// placedLake[j] is placed row j's lake torrent ID. Presizing the
-	// batch for every row keeps a first fold from regrowing it.
+	// Presizing the batch for every row keeps a first fold from
+	// regrowing it.
 	rows := l.pending.Len() + dd.Obs.Len()
 	placed := dataset.DeltaObs{
 		Tids: make([]int32, 0, rows), IPIdx: make([]uint32, 0, rows),
 		AtNs: make([]int64, 0, rows), Seeder: make([]bool, 0, rows),
 	}
-	placedLake := make([]int32, 0, rows)
 	// The pending table is maintainer-private and append-only, so rows
 	// that stay pending keep their intern index.
 	newPending := dataset.DeltaObs{Table: l.pending.Table}
@@ -294,7 +312,6 @@ func (l *lineage) fold(prev *dataset.Dataset, dd *lake.DiffData, db *geoip.DB, t
 		lt := l.pending.Tids[i]
 		if ct, ok := l.lakeToCanon[int(lt)]; ok {
 			placed.Append(ct, l.pending.Table.String(l.pending.IPIdx[i]), l.pending.AtNs[i], l.pending.Seeder[i])
-			placedLake = append(placedLake, lt)
 		} else {
 			// Same table lineage: reuse the intern index directly.
 			newPending.Tids = append(newPending.Tids, lt)
@@ -308,7 +325,6 @@ func (l *lineage) fold(prev *dataset.Dataset, dd *lake.DiffData, db *geoip.DB, t
 		ip := dd.Obs.IPs().String(dd.Obs.IPIndex(i))
 		if ct, ok := l.lakeToCanon[lt]; ok {
 			placed.Append(ct, ip, dd.Obs.UnixNano(i), dd.Obs.Seeder(i))
-			placedLake = append(placedLake, int32(lt))
 		} else {
 			newPending.Append(int32(lt), ip, dd.Obs.UnixNano(i), dd.Obs.Seeder(i))
 		}
@@ -316,66 +332,51 @@ func (l *lineage) fold(prev *dataset.Dataset, dd *lake.DiffData, db *geoip.DB, t
 
 	ds := &dataset.Dataset{
 		Name: dd.Info.Name, Start: dd.Info.Start, End: dd.Info.End,
-		Torrents:            mergedRecs,
+		Torrents:            recs,
 		Users:               dataset.MergeUsers(prev.Users, dd.Users),
 		DroppedObservations: newPending.Len() + int(dd.Info.Dropped),
 	}
-	placedIPs := dataset.AdvanceObs(&ds.Obs, &prev.Obs, remapOld, &placed)
+	placedIPs := dataset.AdvanceObs(&ds.Obs, &prev.Obs, &placed)
 	l.pending = newPending
 
-	// Carry the per-torrent counters over (renumbered), then count the
-	// placed rows' new (IP, torrent) and (IP, identity) pairs.
-	counts := make([]int, len(mergedRecs))
-	for oldID, c := range l.counts {
-		counts[remapOld[oldID]] = c
-	}
-	l.counts = counts
-	owners := map[int32]int32{} // canonical tid → identity (-1: none)
-	owner := func(ct int32) int32 {
-		id, ok := owners[ct]
-		if !ok {
-			id = l.identity(mergedRecs[ct].PublisherKey())
-			owners[ct] = id
-		}
-		return id
-	}
+	// Count the placed rows' new (IP, torrent) and (IP, identity) pairs.
 	if l.ipTorrents == nil {
-		ownerOf := make([]int32, len(mergedRecs))
-		for ct := range ownerOf {
-			ownerOf[ct] = owner(int32(ct))
-		}
-		l.countBulk(ds.Obs.IPs().Len(), placedIPs, placed.Tids, placedLake, ownerOf)
+		l.countBulk(ds.Obs.IPs().Len(), placedIPs, placed.Tids)
 	} else {
 		l.ipTorrents = growTo(l.ipTorrents, ds.Obs.IPs().Len())
 		l.ipIdents = growTo(l.ipIdents, ds.Obs.IPs().Len())
 		for j, ip := range placedIPs {
 			ct := placed.Tids[j]
-			if insertSorted(&l.ipTorrents[ip], placedLake[j]) {
-				counts[ct]++
+			if insertSorted(&l.ipTorrents[ip], ct) {
+				l.counts[ct]++
 			}
-			if id := owner(ct); id >= 0 && insertSorted(&l.ipIdents[ip], id) {
+			if id := l.owners[ct]; id >= 0 && insertSorted(&l.ipIdents[ip], id) {
 				l.userDL[l.idents[id]]++
 			}
 		}
 	}
 
-	// The fold touched every identity owning a placed row's torrent or a
-	// new record.
-	for _, id := range addIDs {
-		owner(id)
+	// The fold touched every identity owning a new record or a placed
+	// row's torrent.
+	touched := make([]bool, len(l.idents))
+	for _, cts := range [][]int32{addIDs, placed.Tids} {
+		for _, ct := range cts {
+			if id := l.owners[ct]; id >= 0 {
+				touched[id] = true
+			}
+		}
 	}
-	changed := make([]string, 0, len(owners))
-	for _, id := range owners {
-		if id >= 0 {
+	var changed []string
+	for id, ok := range touched {
+		if ok {
 			changed = append(changed, l.idents[id])
 		}
 	}
 	slices.Sort(changed)
-	changed = slices.Compact(changed)
 
-	seed := &classify.FactsSeed{DownloadsByTorrent: counts, UserDownloads: l.userDL}
+	seed := &classify.FactsSeed{DownloadsByTorrent: l.counts, UserDownloads: l.userDL}
 	an, err := analysis.NewSeeded(ds, db, topK, seed)
-	return an, lakeIDs, changed, err
+	return an, slices.Clip(l.lakeIDs), changed, err
 }
 
 // identity returns the dense ID of a publisher identity, registering it
@@ -399,8 +400,7 @@ func (l *lineage) identity(name string) int32 {
 // per set — a few allocations however many rows, where inserting row by
 // row would allocate per IP. Each set is capped at its length, so a
 // later insert reallocates it instead of overwriting its neighbour.
-// ownerOf[ct] is canonical torrent ct's identity ID (-1: none).
-func (l *lineage) countBulk(nIPs int, ips []uint32, tids, lakeTids, ownerOf []int32) {
+func (l *lineage) countBulk(nIPs int, ips []uint32, tids []int32) {
 	starts := make([]int32, nIPs+1)
 	for _, ip := range ips {
 		starts[ip+1]++
@@ -419,40 +419,40 @@ func (l *lineage) countBulk(nIPs int, ips []uint32, tids, lakeTids, ownerOf []in
 	idBack := make([]int32, 0, len(ips))
 	l.ipTorrents = make([][]int32, nIPs)
 	l.ipIdents = make([][]int32, nIPs)
-	var pairs []uint64 // lake tid << 32 | canonical tid
 	for ip := range nIPs {
 		rows := order[starts[ip]:starts[ip+1]]
-		pairs = pairs[:0]
-		for _, j := range rows {
-			pairs = append(pairs, uint64(lakeTids[j])<<32|uint64(tids[j]))
-		}
-		slices.Sort(pairs)
 		lo := len(torBack)
-		for k, p := range pairs {
-			if k == 0 || p>>32 != pairs[k-1]>>32 {
-				torBack = append(torBack, int32(p>>32))
-				l.counts[uint32(p)]++
-			}
+		for _, j := range rows {
+			torBack = append(torBack, tids[j])
 		}
-		l.ipTorrents[ip] = torBack[lo:len(torBack):len(torBack)]
+		torBack, l.ipTorrents[ip] = appendSet(torBack, lo)
+		for _, ct := range l.ipTorrents[ip] {
+			l.counts[ct]++
+		}
 
 		lo = len(idBack)
 		for _, j := range rows {
-			if id := ownerOf[tids[j]]; id >= 0 {
+			if id := l.owners[tids[j]]; id >= 0 {
 				idBack = append(idBack, id)
 			}
 		}
-		ids := idBack[lo:]
-		slices.Sort(ids)
-		idBack = idBack[:lo+len(slices.Compact(ids))]
-		for _, id := range idBack[lo:] {
+		idBack, l.ipIdents[ip] = appendSet(idBack, lo)
+		for _, id := range l.ipIdents[ip] {
 			userDL[id]++
 		}
-		l.ipIdents[ip] = idBack[lo:len(idBack):len(idBack)]
 	}
 	for id, n := range userDL {
 		l.userDL[l.idents[id]] = n
 	}
+}
+
+// appendSet sorts and deduplicates back[lo:] in place, returning back
+// cut to the set's end and the set capped at its length.
+func appendSet(back []int32, lo int) ([]int32, []int32) {
+	set := back[lo:]
+	slices.Sort(set)
+	back = back[:lo+len(slices.Compact(set))]
+	return back, back[lo:len(back):len(back)]
 }
 
 // insertSorted adds v to the sorted set *s, reporting whether it was new.

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"btpub/internal/analysis"
 	"btpub/internal/campaign"
@@ -40,8 +42,9 @@ func campaignDataset(t *testing.T) (*dataset.Dataset, *geoip.DB) {
 // time order, flushed in chunks, with deliberate stragglers — some
 // observations arrive two chunks late (out of time order, forcing the
 // general merge path instead of the append fast path) and some records
-// arrive two chunks after their first observations (so those rows sit in
-// the pending buffer until the record lands). cb runs after each flush.
+// arrive a chunk after their first observations (so those rows sit in
+// the pending buffer until the record lands). Records are committed in
+// canonical order, so every fold appends them. cb runs after each flush.
 func replay(t *testing.T, lk *lake.Lake, ds *dataset.Dataset, chunks int, cb func(chunk int)) {
 	t.Helper()
 	n := ds.Obs.Len()
@@ -56,8 +59,10 @@ func replay(t *testing.T, lk *lake.Lake, ds *dataset.Dataset, chunks int, cb fun
 		}
 		obsChunk[i] = c
 	}
-	// A record lands in the chunk of its first observation; every 7th is
-	// held back two more chunks so its rows go through the pending path.
+	// A record lands in the chunk of its first observation, or of the
+	// record before it if that is later; one landing in an odd chunk is
+	// held back one more, so its rows go through the pending path. Both
+	// rules keep the chunks non-decreasing in canonical order.
 	recChunk := make(map[int]int, len(ds.Torrents))
 	for _, rec := range ds.Torrents {
 		recChunk[rec.TorrentID] = chunks - 1
@@ -67,15 +72,10 @@ func replay(t *testing.T, lk *lake.Lake, ds *dataset.Dataset, chunks int, cb fun
 			recChunk[ds.Obs.TorrentID(i)] = obsChunk[i]
 		}
 	}
-	for idx, rec := range ds.Torrents {
-		c := recChunk[rec.TorrentID]
-		if idx%7 == 3 {
-			c += 2
-		}
-		if c >= chunks {
-			c = chunks - 1
-		}
-		recChunk[rec.TorrentID] = c
+	floor := 0
+	for _, rec := range ds.Torrents {
+		floor = max(floor, recChunk[rec.TorrentID])
+		recChunk[rec.TorrentID] = min(floor+floor%2, chunks-1)
 	}
 
 	lk.ExtendWindow(ds.Name, ds.Start, ds.End)
@@ -300,7 +300,7 @@ func TestMaintainerFallbackExactlyOnRetirement(t *testing.T) {
 
 	ctx := context.Background()
 	m := delta.NewMaintainer(lk, db, 0)
-	var fullFallbacks, deltas int
+	var fullFallbacks, deltas, promotions int
 	refresh := func(chunk int) *delta.Snapshot {
 		t.Helper()
 		prev := m.Snapshot()
@@ -331,6 +331,9 @@ func TestMaintainerFallbackExactlyOnRetirement(t *testing.T) {
 				fullFallbacks++
 			} else {
 				deltas++
+				if snap.An.DS.DroppedObservations < prev.An.DS.DroppedObservations {
+					promotions++
+				}
 			}
 		}
 		requireOracleMatch(t, lk, db, snap, chunk)
@@ -392,6 +395,9 @@ func TestMaintainerFallbackExactlyOnRetirement(t *testing.T) {
 	if deltas == 0 {
 		t.Fatal("no incremental refresh decision was exercised")
 	}
+	if promotions == 0 {
+		t.Fatal("no delta refresh promoted pending observations")
+	}
 	st := m.Stats()
 	if st.DeltaRefreshes != int64(deltas) || st.FullRebuilds != int64(fullFallbacks)+1 || fullFallbacks != 2 {
 		t.Fatalf("stats %+v disagree with observed decisions (%d delta, %d fallback + first build; want 2 fallbacks)",
@@ -408,26 +414,34 @@ func TestMaintainerFallbackExactlyOnRetirement(t *testing.T) {
 // inside one commit and commits apart — is delta-maintained like any
 // other: every refresh is observably identical to the from-scratch build
 // at its version, before and after a compaction of a freshly flushed
-// segment forces the fold to start over from the empty lineage.
+// segment forces the fold to start over from the empty lineage. A record
+// copy committed after its original ties the last served key, so it
+// appends.
 func TestMaintainerDuplicateSortKeys(t *testing.T) {
 	ds, db := campaignDataset(t)
 	const chunks = 8
 	last := func(c int) int { return min(c, chunks-1) }
 
-	// Every 4th torrent gets a mirror upload under the same sort key: its
-	// own lake ID, uploader and half of the original's sightings. Odd
-	// mirrors are committed one chunk after their original, even ones in
-	// the same commit — and ahead of it.
+	// Every 4th torrent, and the last of each commit, gets a mirror upload
+	// under the same sort key: its own lake ID, uploader and half of the
+	// original's sightings. The last torrent of a commit is mirrored in
+	// the next one, where the mirror ties the last served key (its
+	// sightings wait in the pending buffer until then); the others in
+	// their original's commit — and ahead of it.
 	recs := make([][]*dataset.TorrentRecord, chunks)
 	mirrorOf := map[int]int{}
 	var sameCommit, laterCommit int
 	for idx, r := range ds.Torrents {
 		c := idx * chunks / len(ds.Torrents)
-		if idx%4 == 0 {
+		lastOfCommit := (idx+1)*chunks/len(ds.Torrents) != c
+		if idx%4 == 0 || lastOfCommit {
 			m := *r
 			m.TorrentID = len(ds.Torrents) + len(mirrorOf)
 			m.Username = "mirror-" + r.Username
-			mc := last(c + len(mirrorOf)%2)
+			mc := c
+			if lastOfCommit {
+				mc = last(c + 1)
+			}
 			mirrorOf[r.TorrentID] = m.TorrentID
 			recs[mc] = append(recs[mc], &m)
 			if mc == c {
@@ -466,6 +480,7 @@ func TestMaintainerDuplicateSortKeys(t *testing.T) {
 	ctx := context.Background()
 	m := delta.NewMaintainer(lk, db, 0)
 	n := ds.Obs.Len()
+	promotions := 0
 	for c := 0; c < chunks; c++ {
 		if err := lk.AddTorrents(recs[c]); err != nil {
 			t.Fatal(err)
@@ -493,11 +508,18 @@ func TestMaintainerDuplicateSortKeys(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		prev := m.Snapshot()
 		snap, err := m.Refresh(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireOracleMatch(t, lk, db, snap, c)
+		if snap.Mode == delta.ModeDelta && snap.An.DS.DroppedObservations < prev.An.DS.DroppedObservations {
+			promotions++
+		}
+	}
+	if promotions == 0 {
+		t.Fatal("no delta refresh promoted a mirror's pending sightings")
 	}
 	st := m.Stats()
 	if st.DeltaRefreshes != chunks-2 || st.FullRebuilds != 2 {
@@ -506,5 +528,74 @@ func TestMaintainerDuplicateSortKeys(t *testing.T) {
 	final := m.Snapshot().An.DS
 	if len(final.Torrents) != len(ds.Torrents)+len(mirrorOf) || len(final.Users) != len(ds.Users)+(len(ds.Users)+1)/2 {
 		t.Fatalf("final snapshot holds %d records and %d users: duplicates were collapsed", len(final.Torrents), len(final.Users))
+	}
+}
+
+// TestMaintainerRecordBoundary: a fold only appends records. A commit
+// whose first record ties the last served key folds as a delta; one
+// holding a record that sorts among the served ones starts over from the
+// empty lineage, naming that record; the next appending commit folds as
+// a delta again. Every refresh matches the from-scratch oracle.
+func TestMaintainerRecordBoundary(t *testing.T) {
+	ds, db := campaignDataset(t)
+	lk, err := lake.Open(filepath.Join(t.TempDir(), "lake"), lake.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lk.Close()
+	lk.ExtendWindow(ds.Name, ds.Start, ds.End)
+
+	ctx := context.Background()
+	m := delta.NewMaintainer(lk, db, 0)
+	k, n := len(ds.Torrents), ds.Obs.Len()
+	nextID := k
+	// copyOf is a new upload under rec's sort key, with its own lake ID,
+	// uploader and one sighting.
+	copyOf := func(rec *dataset.TorrentRecord, who string) (*dataset.TorrentRecord, dataset.Observation) {
+		c := *rec
+		c.TorrentID, c.Username = nextID, who+"-"+rec.Username
+		nextID++
+		return &c, dataset.Observation{TorrentID: c.TorrentID, IP: "20.9.9.9", At: c.Published.Add(time.Minute)}
+	}
+	commit := func(step string, recs []*dataset.TorrentRecord, obs []dataset.Observation, from, to int) *delta.Snapshot {
+		t.Helper()
+		if err := lk.AddTorrents(recs); err != nil {
+			t.Fatal(err)
+		}
+		for i := from * n / 8; i < to*n/8; i++ {
+			obs = append(obs, ds.Obs.At(i))
+		}
+		for _, o := range obs {
+			if err := lk.Append(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := lk.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := m.Refresh(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireOracleMatch(t, lk, db, snap, to)
+		t.Logf("%s: %s (%s)", step, snap.Mode, snap.Reason)
+		return snap
+	}
+
+	commit("first build", ds.Torrents[:k/2], nil, 0, 4)
+	tie, tieObs := copyOf(ds.Torrents[k/2-1], "tie")
+	if snap := commit("tie", append([]*dataset.TorrentRecord{tie}, ds.Torrents[k/2:5*k/8]...), []dataset.Observation{tieObs}, 4, 5); snap.Mode != delta.ModeDelta {
+		t.Fatalf("a record tying the last served key refreshed as %s (%q)", snap.Mode, snap.Reason)
+	}
+	early, earlyObs := copyOf(ds.Torrents[k/4], "early")
+	snap := commit("mid-order", append(slices.Clone(ds.Torrents[5*k/8:6*k/8]), early), []dataset.Observation{earlyObs}, 5, 6)
+	if want := fmt.Sprintf("record %s sorts before the last of %d records", early.InfoHash, 5*k/8+1); snap.Mode != delta.ModeFull || snap.Reason != want {
+		t.Fatalf("a record sorting among the served ones refreshed as %s (%q), want full (%q)", snap.Mode, snap.Reason, want)
+	}
+	if snap := commit("append", ds.Torrents[6*k/8:], nil, 6, 8); snap.Mode != delta.ModeDelta {
+		t.Fatalf("the append after a restart refreshed as %s (%q)", snap.Mode, snap.Reason)
+	}
+	if st := m.Stats(); st.DeltaRefreshes != 2 || st.FullRebuilds != 2 {
+		t.Fatalf("stats %+v, want 2 delta refreshes and 2 full rebuilds", st)
 	}
 }

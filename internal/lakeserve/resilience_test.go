@@ -157,13 +157,19 @@ func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 // the reads unblock.
 func TestOverloadAdmission(t *testing.T) {
 	lk, fsys := seedFaultLake(t)
-	t.Cleanup(fsys.UnblockReads) // registered after lk.Close: unblocks first
 	hs := newResilientServer(t, &lakeserve.Server{
 		Lake: lk, MaxConcurrent: 2, RequestTimeout: -1,
 	})
+	// Registered after the server's cleanups, so it runs before them: a
+	// failing test releases the parked requests and waits them out
+	// instead of hanging in httptest.Server.Close.
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		fsys.UnblockReads()
+		wg.Wait()
+	})
 
 	fsys.BlockReads()
-	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
@@ -181,15 +187,14 @@ func TestOverloadAdmission(t *testing.T) {
 		}()
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for fsys.BlockedReads() < 1 {
+	for fsys.BlockedReads() < 2 {
 		if time.Now().After(deadline) {
-			t.Fatal("no request ever reached the blocked lake read")
+			t.Fatalf("%d of 2 requests reached the blocked lake read", fsys.BlockedReads())
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// One request is provably parked inside the lake; the second holds
-	// the other admission slot (possibly queued behind the first in the
-	// shared executor). Probe until the semaphore is observably full.
+	// Both requests are provably parked inside the lake, each holding an
+	// admission slot, so the semaphore is full before the first probe.
 	for {
 		code, hdr, body := getFull(t, hs.URL+"/api/v1/stats")
 		if code == http.StatusTooManyRequests {
