@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"btpub/internal/metainfo"
+	"btpub/internal/simclock"
 	"btpub/internal/wire"
 )
 
@@ -34,7 +35,7 @@ func (e *Ecosystem) ServeGateway(l net.Listener) error {
 
 func (e *Ecosystem) handleGatewayConn(conn net.Conn) {
 	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	_ = conn.SetDeadline(simclock.Real{}.Now().Add(10 * time.Second))
 	r := bufio.NewReader(conn)
 	line, err := r.ReadString('\n')
 	if err != nil {

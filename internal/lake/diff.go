@@ -13,12 +13,16 @@
 // flag (salvage drops rows) or a rewrite that consumed a segment added
 // inside the range (its fresh rows now sit inside the output, mixed with
 // old ones). DiffVersions answers from the replayed journal history
-// alone; ReadDiff additionally loads the added rows and records under
-// one scan lock, so the files it returns can never be vacuumed mid-read.
+// alone; ReadDiff additionally loads the added rows under one scan lock,
+// so the segments it reads can never be vacuumed mid-read, and cuts the
+// added records from the lake's in-memory lists: the records a version
+// range added are the entries between its two versions' counts, so no
+// meta file is decoded after Open.
 package lake
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"btpub/internal/dataset"
@@ -131,6 +135,8 @@ func (lk *Lake) diffLocked(from, to uint64) (*Diff, []segMeta, error) {
 // DiffData is ReadDiff's payload: the diff, the scalar state at its To
 // version, and — when the range is incremental — the added meta records
 // and the observations new since From (commit order, own intern table).
+// Torrents and Users are shared with the lake and every other reader,
+// read-only and capped at their length; Obs is the caller's.
 type DiffData struct {
 	Diff Diff
 	Info VersionInfo
@@ -141,12 +147,12 @@ type DiffData struct {
 }
 
 // ReadDiff computes the diff from a committed version to the head and,
-// when the range is incremental, reads the added meta files and the
-// segments non-rewrite commits added under the same scan lock — the
-// returned rows are exactly the observations appended between the two
-// versions. When the diff shows a content retirement, DiffData carries
-// the diff and version info only (Incremental() is the caller's signal
-// to rebuild from scratch). A *VersionUnavailableError means the base
+// when the range is incremental, returns the records committed in the
+// range and reads the segments non-rewrite commits added under the same
+// scan lock — the returned rows are exactly the observations appended
+// between the two versions. When the diff shows a content retirement,
+// DiffData carries the diff and version info only (Incremental() is the
+// caller's signal to rebuild from scratch). A *VersionUnavailableError means the base
 // version is not advanceable at all.
 func (lk *Lake) ReadDiff(ctx context.Context, from uint64) (*DiffData, error) {
 	lk.scanMu.RLock()
@@ -158,18 +164,20 @@ func (lk *Lake) ReadDiff(ctx context.Context, from uint64) (*DiffData, error) {
 		lk.mu.Unlock()
 		return nil, err
 	}
-	info := versionInfo(lk.man)
-	lk.mu.Unlock()
-
-	out := &DiffData{Diff: *d, Info: info}
+	out := &DiffData{Diff: *d, Info: versionInfo(lk.man)}
 	if !d.Incremental() {
+		lk.mu.Unlock()
 		return out, nil
 	}
+	base := lk.hist[from-1]
+	out.Torrents = lk.torrents[base.Torrents:lk.man.Torrents:lk.man.Torrents]
+	out.Users = lk.users[base.Users:lk.man.Users:lk.man.Users]
+	lk.mu.Unlock()
 	// Incremental range: every segment a non-rewrite commit added is
 	// still live in the head manifest (only a content retirement can
 	// consume one), and scanMu.R blocks vacuum, so the files cannot
-	// disappear mid-read. Meta files are never retired at all.
-	if err := lk.readIntoLocked(ctx, d.AddedMeta, added, out); err != nil {
+	// disappear mid-read.
+	if err := lk.readSegsLocked(ctx, added, &out.Obs); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -180,37 +188,32 @@ func (lk *Lake) ReadDiff(ctx context.Context, from uint64) (*DiffData, error) {
 // when it has to start over. Unlike Materialize it
 // returns raw, unmerged records and observations (lake torrent IDs, own
 // intern table), so the caller controls record matching and keeps the
-// rows whose records have not been committed yet.
+// rows whose records have not been committed yet. Its records are all
+// the committed ones, shared read-only as in ReadDiff.
 func (lk *Lake) ReadAll(ctx context.Context) (*DiffData, error) {
 	lk.scanMu.RLock()
 	defer lk.scanMu.RUnlock()
 
 	lk.mu.Lock()
 	info := versionInfo(lk.man)
-	meta := append([]string(nil), lk.man.Meta...)
 	segs := append([]segMeta(nil), lk.man.Segments...)
+	out := &DiffData{Diff: Diff{To: info.Version, AddedMeta: slices.Clone(lk.man.Meta)}, Info: info,
+		Torrents: slices.Clip(lk.torrents), Users: slices.Clip(lk.users)}
 	lk.mu.Unlock()
 
-	out := &DiffData{Diff: Diff{To: info.Version}, Info: info}
-	err := lk.readIntoLocked(ctx, meta, segs, out)
-	if err != nil {
+	if err := lk.readSegsLocked(ctx, segs, &out.Obs); err != nil {
 		return nil, err
 	}
 	for _, s := range segs {
 		out.Diff.AddedSegments = append(out.Diff.AddedSegments, s.File)
 		out.Diff.AddedRows += int64(s.Rows)
 	}
-	out.Diff.AddedMeta = meta
 	return out, nil
 }
 
-// readIntoLocked loads meta files and segments into out, in the order
-// given. Callers hold scanMu.R.
-func (lk *Lake) readIntoLocked(ctx context.Context, meta []string, segs []segMeta, out *DiffData) error {
-	var err error
-	if out.Torrents, out.Users, err = lk.readMetaLocked(meta); err != nil {
-		return err
-	}
+// readSegsLocked loads segments' rows into out, in the order given.
+// Callers hold scanMu.R.
+func (lk *Lake) readSegsLocked(ctx context.Context, segs []segMeta, out *dataset.ObsStore) error {
 	for _, sm := range segs {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -219,7 +222,7 @@ func (lk *Lake) readIntoLocked(ctx context.Context, meta []string, segs []segMet
 		if err != nil {
 			return err
 		}
-		appendSegRows(&out.Obs, seg, nil)
+		appendSegRows(out, seg, nil)
 	}
 	return nil
 }

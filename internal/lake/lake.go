@@ -4,7 +4,10 @@
 // an open columnar builder that is sealed into immutable segment files
 // (zone maps + sorted dictionaries that double as the segment's index +
 // delta-compressed columns + CRC footers, see segment.go); torrent and
-// user records ride in JSONL meta files reusing the dataset codec. A
+// user records ride in JSONL meta files reusing the dataset codec. Open
+// decodes the meta files once and each flush appends its records, so the
+// lake holds every committed record in memory and readers share them
+// read-only; no read path decodes a meta file. A
 // lake directory holds those two file kinds and the source of truth, an
 // append-only commit journal (internal/lake/journal and commits.go): every
 // flush, import, compaction or salvage appends one fsynced, CRC- and
@@ -88,7 +91,7 @@ type Lake struct {
 	opt Options
 
 	// mu guards the live state, the journal, the open builder, the
-	// pending meta records and commit sequencing.
+	// pending and committed meta records and commit sequencing.
 	mu      sync.Mutex
 	man     *manifest
 	jr      *journal.Journal
@@ -99,6 +102,14 @@ type Lake struct {
 	dead    []string // retired by compaction, deleted once no scan is active
 	closed  bool
 	lastErr error
+	// torrents and users are every committed record in commit order:
+	// decoded from the meta files at Open, extended by each flush. Meta
+	// files are never retired and each version's counts are absolute, so
+	// version v's records are the first hist[v-1].Torrents (and Users)
+	// entries. Readers get slices capped at their length and share the
+	// records read-only.
+	torrents []*dataset.TorrentRecord
+	users    []dataset.UserRecord
 
 	// scanMu: readers hold RLock while touching committed files; vacuum
 	// takes Lock to delete retired ones, so a scan never sees a file
@@ -122,10 +133,11 @@ type Lake struct {
 // a torn journal tail is repaired (a crash mid-append can only lose the
 // record being written, never a committed one), the journal is replayed
 // into the live state, segment and meta files not referenced by
-// committed state are deleted, and every referenced
+// committed state are deleted, every referenced
 // segment is size-checked against its entry (Options.Salvage turns a
 // failing segment into a logged drop — committed as a retire record —
-// instead of an error).
+// instead of an error), and every meta file is decoded, once, into the
+// records the handle serves from then on.
 func Open(dir string, opt Options) (*Lake, error) {
 	opt.setDefaults()
 	fsys := opt.FS
@@ -173,10 +185,9 @@ func Open(dir string, opt Options) (*Lake, error) {
 		retire = append(retire, s.File)
 	}
 	man.Segments = keep
-	for _, f := range man.Meta {
-		if _, err := fsys.Size(f); err != nil {
-			return nil, fmt.Errorf("lake: meta file %s: %w", f, err)
-		}
+	torrents, users, err := loadRecords(fsys, hist)
+	if err != nil {
+		return nil, fmt.Errorf("lake: open %s: %w", dir, err)
 	}
 	// Remove files a crash orphaned (written but never committed) and any
 	// leftover tmp files. Only files this package names are touched; with
@@ -213,7 +224,8 @@ func Open(dir string, opt Options) (*Lake, error) {
 			man.NextTID = s.MaxTID + 1
 		}
 	}
-	lk := &Lake{dir: dir, fs: fsys, opt: opt, man: man, bld: newBuilder(), jr: jr, hist: hist}
+	lk := &Lake{dir: dir, fs: fsys, opt: opt, man: man, bld: newBuilder(), jr: jr, hist: hist,
+		torrents: torrents, users: users}
 	if len(retire) > 0 {
 		next := lk.man // Open owns the state; no clone needed yet
 		next.Version++
@@ -357,7 +369,9 @@ func (lk *Lake) AppendAddr(tid int, addr netip.Addr, at time.Time, seeder bool) 
 }
 
 // AddTorrents buffers torrent records for the next flush. Records are
-// copied; IDs must be non-negative and are registered against NextTID.
+// copied, but the lake keeps their BundledFiles slices, which the caller
+// must not modify afterwards; IDs must be non-negative and are
+// registered against NextTID.
 func (lk *Lake) AddTorrents(recs []*dataset.TorrentRecord) error {
 	lk.mu.Lock()
 	defer lk.mu.Unlock()
@@ -390,6 +404,11 @@ func (lk *Lake) AddUsers(users []dataset.UserRecord) error {
 func (lk *Lake) ExtendWindow(name string, start, end time.Time) {
 	lk.mu.Lock()
 	defer lk.mu.Unlock()
+	lk.extendWindowLocked(name, start, end)
+}
+
+// extendWindowLocked is ExtendWindow under mu.
+func (lk *Lake) extendWindowLocked(name string, start, end time.Time) {
 	if lk.man.Name == "" {
 		lk.man.Name = name
 	}
@@ -421,10 +440,10 @@ func (lk *Lake) maybeFlushLocked() error {
 
 // flushLocked writes the builder segment and/or meta file, appends the
 // commit record, and (optionally) kicks the background compactor. The
-// live state only advances — and the builder and pending records are
-// only cleared — once the journal append succeeds; a failed attempt
-// retries with the same sequence numbers and Create truncates the
-// half-written files.
+// live state only advances — and the builder is only cleared and the
+// pending records only join the committed ones — once the journal append
+// succeeds; a failed attempt retries with the same sequence numbers and
+// Create truncates the half-written files.
 func (lk *Lake) flushLocked(autoCompact bool) error {
 	next := lk.man.clone()
 	pay := &commitPayload{}
@@ -453,10 +472,11 @@ func (lk *Lake) flushLocked(autoCompact bool) error {
 	if len(lk.pendT) > 0 || len(lk.pendU) > 0 {
 		name := fmt.Sprintf("meta-%06d.jsonl", next.NextSeq)
 		next.NextSeq++
-		md := &dataset.Dataset{Name: next.Name, Start: next.Start, End: next.End}
-		md.Torrents = lk.pendT
-		md.Users = lk.pendU
-		if err := lk.saveSync(name, md); err != nil {
+		buf, err := encodeMeta(&dataset.Dataset{Name: next.Name, Start: next.Start, End: next.End, Torrents: lk.pendT, Users: lk.pendU})
+		if err == nil {
+			err = lk.writeFileSync(name, buf)
+		}
+		if err != nil {
 			lk.lastErr = err
 			return err
 		}
@@ -483,6 +503,8 @@ func (lk *Lake) flushLocked(autoCompact bool) error {
 		lk.bld = newBuilder()
 	}
 	if sealedMeta {
+		lk.torrents = append(lk.torrents, lk.pendT...)
+		lk.users = append(lk.users, lk.pendU...)
 		lk.pendT, lk.pendU = nil, nil
 	}
 	if autoCompact && lk.opt.Compact.Auto && lk.compactEligibleLocked() {
@@ -510,30 +532,13 @@ func (lk *Lake) commitLocked(next *manifest, pay *commitPayload) error {
 }
 
 // writeFileSync writes data and fsyncs before closing, so the manifest
-// can never reference a segment the disk does not yet hold.
+// can never reference a segment or meta file the disk does not yet hold.
 func (lk *Lake) writeFileSync(name string, data []byte) error {
 	f, err := lk.fs.Create(name)
 	if err != nil {
 		return err
 	}
 	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// saveSync writes a meta dataset as JSONL with an fsync.
-func (lk *Lake) saveSync(name string, d *dataset.Dataset) error {
-	f, err := lk.fs.Create(name)
-	if err != nil {
-		return err
-	}
-	if err := d.Write(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -566,7 +571,8 @@ func (lk *Lake) deleteDeadLocked() {
 // records registered in one critical section, so concurrent imports (or
 // an import racing a live campaign stream) get disjoint bases; the
 // observation transfer then releases the lake between chunks, keeping
-// Stats/Version/Scan responsive during a large migration.
+// Stats/Version/Scan responsive during a large migration. As with
+// AddTorrents, the lake keeps the records' BundledFiles slices.
 func (lk *Lake) ImportDataset(ds *dataset.Dataset) error {
 	// The reservation must clear every ID the dataset mentions — records
 	// and observations can disagree in hand-built datasets.
@@ -604,15 +610,7 @@ func (lk *Lake) ImportDataset(ds *dataset.Dataset) error {
 		lk.pendT = append(lk.pendT, &cp)
 	}
 	lk.pendU = append(lk.pendU, ds.Users...)
-	if lk.man.Name == "" {
-		lk.man.Name = ds.Name
-	}
-	if lk.man.Start.IsZero() || (!ds.Start.IsZero() && ds.Start.Before(lk.man.Start)) {
-		lk.man.Start = ds.Start
-	}
-	if ds.End.After(lk.man.End) {
-		lk.man.End = ds.End
-	}
+	lk.extendWindowLocked(ds.Name, ds.Start, ds.End)
 	lk.man.Dropped += int64(ds.DroppedObservations)
 	lk.mu.Unlock()
 
@@ -675,14 +673,16 @@ func (lk *Lake) ImportDataset(ds *dataset.Dataset) error {
 }
 
 // Materialize reads the committed lake back into one in-memory dataset:
-// meta records plus every observation matching pred, canonicalised by
-// dataset.Merge so the result is independent of segment boundaries,
-// flush sizes and compaction history. It also returns the committed
-// version the scan used — the exact staleness stamp for caches built
-// over the result; reading Version() separately around the call can be
-// off by any commits that land in between. With a zero Predicate and a
-// lake holding exactly one imported canonical dataset, the result is
-// that dataset, byte for byte.
+// the records committed at pred.AsOf plus every observation matching
+// pred, canonicalised by dataset.Merge so the result is independent of
+// segment boundaries, flush sizes and compaction history. It also
+// returns the committed version the scan used — the exact staleness
+// stamp for caches built over the result; reading Version() separately
+// around the call can be off by any commits that land in between. With a
+// zero Predicate and a lake holding exactly one imported canonical
+// dataset, the result is that dataset, byte for byte. The result is the
+// caller's: Materialize only reads the lake's shared records, and Merge
+// copies them.
 func (lk *Lake) Materialize(ctx context.Context, pred Predicate) (*dataset.Dataset, uint64, error) {
 	lk.scanMu.RLock()
 	defer lk.scanMu.RUnlock()
@@ -692,10 +692,7 @@ func (lk *Lake) Materialize(ctx context.Context, pred Predicate) (*dataset.Datas
 	}
 
 	raw := &dataset.Dataset{Name: man.Name, Start: man.Start, End: man.End}
-	torrents, users, err := lk.readMetaLocked(man.Meta)
-	if err != nil {
-		return nil, 0, err
-	}
+	torrents, users := lk.recordsAt(man)
 	if pred.TorrentIDs != nil {
 		want := make(map[int]bool, len(pred.TorrentIDs))
 		for _, id := range pred.TorrentIDs {
@@ -745,18 +742,28 @@ func appendSegRows(dst *dataset.ObsStore, d *segData, rows []int32) {
 	}
 }
 
-// TorrentRecords reads the torrent (and user) records committed at
-// version (0 = head) from the lake's meta files: records committed after
-// that version are absent, exactly as a reader at the time would have
-// seen the lake.
+// TorrentRecords returns the torrent (and user) records committed at
+// version (0 = head): records committed after that version are absent,
+// exactly as a reader at the time would have seen the lake. The slices
+// are cut from the lake's in-memory lists and shared with every other
+// reader: the caller must not modify them or the records they point to.
+// Each is capped at its length, so appending to it copies and a later
+// flush never writes into it.
 func (lk *Lake) TorrentRecords(version uint64) ([]*dataset.TorrentRecord, []dataset.UserRecord, error) {
-	lk.scanMu.RLock()
-	defer lk.scanMu.RUnlock()
 	man, err := lk.pinned(version)
 	if err != nil {
 		return nil, nil, err
 	}
-	return lk.readMetaLocked(man.Meta)
+	t, u := lk.recordsAt(man)
+	return t, u, nil
+}
+
+// recordsAt cuts the records committed at m from the lake's lists, each
+// slice capped at its length.
+func (lk *Lake) recordsAt(m *manifest) ([]*dataset.TorrentRecord, []dataset.UserRecord) {
+	lk.mu.Lock()
+	defer lk.mu.Unlock()
+	return lk.torrents[:m.Torrents:m.Torrents], lk.users[:m.Users:m.Users]
 }
 
 // VersionUnavailableError reports a pinned version the lake cannot
@@ -775,8 +782,8 @@ func (e *VersionUnavailableError) Error() string {
 // pinned resolves the committed state a scan should run against, as a
 // private copy: version 0 (or the current head) means the live state,
 // anything else the fold of the journal's first version records.
-// Callers hold scanMu.R, which keeps the resolved files on disk until
-// the scan finishes.
+// Scanning callers hold scanMu.R, which keeps the resolved files on disk
+// until the scan finishes.
 func (lk *Lake) pinned(version uint64) (*manifest, error) {
 	lk.mu.Lock()
 	defer lk.mu.Unlock()
@@ -800,24 +807,48 @@ func (lk *Lake) pinned(version uint64) (*manifest, error) {
 	return m, nil
 }
 
-// readMetaLocked loads meta files, in the order given. Callers hold
-// scanMu.R.
-func (lk *Lake) readMetaLocked(files []string) ([]*dataset.TorrentRecord, []dataset.UserRecord, error) {
+// loadRecords decodes the meta files hist references, in commit order,
+// and holds every version's absolute torrent and user counts against the
+// records decoded through it, which is what slicing by version rests on.
+func loadRecords(fsys vfs.FS, hist []*commitPayload) ([]*dataset.TorrentRecord, []dataset.UserRecord, error) {
 	var torrents []*dataset.TorrentRecord
 	var users []dataset.UserRecord
-	for _, f := range files {
-		buf, err := lk.fs.ReadFile(f)
-		if err != nil {
-			return nil, nil, fmt.Errorf("lake: meta file %s: %w", f, err)
+	for i, pay := range hist {
+		for _, f := range pay.AddMeta {
+			md, err := readMeta(fsys, f)
+			if err != nil {
+				return nil, nil, err
+			}
+			torrents = append(torrents, md.Torrents...)
+			users = append(users, md.Users...)
 		}
-		md, err := dataset.Read(bytes.NewReader(buf))
-		if err != nil {
-			return nil, nil, fmt.Errorf("lake: meta file %s: %w", f, err)
+		if len(torrents) != pay.Torrents || len(users) != pay.Users {
+			return nil, nil, fmt.Errorf("version %d adds meta files %v: the records through it are %d torrents and %d users, the journal counts %d and %d",
+				i+1, pay.AddMeta, len(torrents), len(users), pay.Torrents, pay.Users)
 		}
-		torrents = append(torrents, md.Torrents...)
-		users = append(users, md.Users...)
 	}
 	return torrents, users, nil
+}
+
+// readMeta reads and decodes one meta file.
+func readMeta(fsys vfs.FS, f string) (*dataset.Dataset, error) {
+	buf, err := fsys.ReadFile(f)
+	var md *dataset.Dataset
+	if err == nil {
+		md, err = dataset.Read(bytes.NewReader(buf))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("meta file %s: %w", f, err)
+	}
+	return md, nil
+}
+
+// encodeMeta renders a meta file: the dataset codec's JSONL, without
+// observations.
+func encodeMeta(md *dataset.Dataset) ([]byte, error) {
+	var buf bytes.Buffer
+	err := md.Write(&buf)
+	return buf.Bytes(), err
 }
 
 // Verify checks the whole lake: the on-disk journal is strictly
@@ -827,8 +858,10 @@ func (lk *Lake) readMetaLocked(files []string) ([]*dataset.TorrentRecord, []data
 // held against the live state; then every committed
 // segment is read, CRC-checked and decoded — which proves its header
 // zone and postings against its rows — and its journal entry's zone
-// maps, the copy scans prune on, are held against the file's. One error
-// per problem; nil means the lake is fully intact.
+// maps, the copy scans prune on, are held against the file's; last,
+// every committed meta file is decoded and its records held against the
+// ones the handle serves. One error per problem; nil means the lake is
+// fully intact.
 func (lk *Lake) Verify(ctx context.Context) []error {
 	lk.scanMu.RLock()
 	defer lk.scanMu.RUnlock()
@@ -837,6 +870,8 @@ func (lk *Lake) Verify(ctx context.Context) []error {
 	lk.mu.Lock()
 	jbuf, jerr := lk.fs.ReadFile(journal.Name)
 	man := lk.man.clone()
+	hist := lk.hist
+	torrents, users := lk.torrents, lk.users
 	lk.mu.Unlock()
 	var errs []error
 	switch {
@@ -855,6 +890,35 @@ func (lk *Lake) Verify(ctx context.Context) []error {
 		if _, err := lk.readSegment(sm); err != nil {
 			errs = append(errs, err)
 		}
+	}
+	return append(errs, lk.verifyMeta(hist, torrents, users)...)
+}
+
+// verifyMeta decodes every meta file hist adds and holds its records
+// against the entries of the served lists its commit accounts for, both
+// encoded as a meta file stores them.
+func (lk *Lake) verifyMeta(hist []*commitPayload, torrents []*dataset.TorrentRecord, users []dataset.UserRecord) []error {
+	var errs []error
+	prev := &commitPayload{}
+	for _, pay := range hist {
+		for _, f := range pay.AddMeta {
+			md, err := readMeta(lk.fs, f)
+			if err == nil {
+				served := &dataset.Dataset{Name: md.Name, Start: md.Start, End: md.End,
+					Torrents: torrents[prev.Torrents:pay.Torrents], Users: users[prev.Users:pay.Users]}
+				// Encoding fails only on a timestamp outside years 0–9999,
+				// which neither a decoded nor a flushed record can hold.
+				want, _ := encodeMeta(served)
+				if got, _ := encodeMeta(md); !bytes.Equal(got, want) {
+					err = fmt.Errorf("meta file %s: records differ from the %d torrents and %d users served",
+						f, len(served.Torrents), len(served.Users))
+				}
+			}
+			if err != nil {
+				errs = append(errs, fmt.Errorf("lake: verify: %w", err))
+			}
+		}
+		prev = pay
 	}
 	return errs
 }

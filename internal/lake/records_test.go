@@ -1,0 +1,367 @@
+package lake_test
+
+import (
+	"context"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"btpub/internal/dataset"
+	"btpub/internal/lake"
+)
+
+var recT0 = time.Date(2010, 4, 6, 0, 0, 0, 0, time.UTC)
+
+// recBatch returns n torrent records numbered from id and one user record
+// per call, all stamped in UTC so they survive the codec's round trip
+// unchanged.
+func recBatch(id, n int) ([]*dataset.TorrentRecord, []dataset.UserRecord) {
+	var ts []*dataset.TorrentRecord
+	for i := id; i < id+n; i++ {
+		ts = append(ts, &dataset.TorrentRecord{
+			TorrentID: i, InfoHash: fmt.Sprintf("%040x", i), Title: fmt.Sprintf("Title.%d", i),
+			Category: "Video > Movies", Username: fmt.Sprintf("user%d", i%3),
+			PublisherIP: fmt.Sprintf("11.0.0.%d", i%7+1), Published: recT0.Add(time.Duration(i) * time.Minute),
+			BundledFiles: []string{fmt.Sprintf("extra-%d.txt", i)},
+		})
+	}
+	us := []dataset.UserRecord{{Username: fmt.Sprintf("user%d", id), Exists: true, MemberSince: recT0, TotalUploads: n}}
+	return ts, us
+}
+
+// commitRecords buffers one batch of records plus one observation per
+// record and flushes them as one version.
+func commitRecords(lk *lake.Lake, id, n int) error {
+	ts, us := recBatch(id, n)
+	if err := lk.AddTorrents(ts); err != nil {
+		return err
+	}
+	if err := lk.AddUsers(us); err != nil {
+		return err
+	}
+	for _, r := range ts {
+		if err := lk.Append(dataset.Observation{TorrentID: r.TorrentID, IP: "20.0.0.1", At: r.Published}); err != nil {
+			return err
+		}
+	}
+	return lk.Flush()
+}
+
+// mustCommitRecords is commitRecords on the test goroutine.
+func mustCommitRecords(t *testing.T, lk *lake.Lake, id, n int) {
+	t.Helper()
+	if err := commitRecords(lk, id, n); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestVerifyChecksMetaFiles: a committed meta file that no longer holds
+// the records the handle serves is reported by Verify, by name, and a
+// reopen refuses the lake naming the file.
+func TestVerifyChecksMetaFiles(t *testing.T) {
+	cases := []struct {
+		name string
+		// damage rewrites the meta file's bytes.
+		damage func(t *testing.T, buf []byte) []byte
+		// verifyWant and openWant are substrings the errors must hold
+		// besides the file name.
+		verifyWant, openWant string
+	}{
+		{"undecodable", func(*testing.T, []byte) []byte { return []byte("{") }, "meta file", "meta file"},
+		{"edited", func(t *testing.T, buf []byte) []byte {
+			out := strings.Replace(string(buf), "Title.1", "Title.X", 1)
+			if out == string(buf) {
+				t.Fatal("no record to edit")
+			}
+			return []byte(out)
+		}, "records differ", ""},
+		{"truncated", func(t *testing.T, buf []byte) []byte {
+			lines := strings.SplitAfter(string(buf), "\n")
+			return []byte(strings.Join(append(lines[:2:2], lines[3:]...), ""))
+		}, "records differ", "journal counts"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "lake")
+			lk, err := lake.Open(dir, lake.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustCommitRecords(t, lk, 0, 4)
+			if errs := lk.Verify(context.Background()); len(errs) != 0 {
+				t.Fatalf("verify of an intact lake: %v", errs)
+			}
+			metas, _ := filepath.Glob(filepath.Join(dir, "meta-*.jsonl"))
+			if len(metas) != 1 {
+				t.Fatalf("lake holds meta files %v, want one", metas)
+			}
+			file := filepath.Base(metas[0])
+			buf, err := os.ReadFile(metas[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(metas[0], tc.damage(t, buf), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			errs := lk.Verify(context.Background())
+			if len(errs) != 1 || !strings.Contains(errs[0].Error(), file) || !strings.Contains(errs[0].Error(), tc.verifyWant) {
+				t.Fatalf("verify of a damaged meta file = %v, want one error naming %s (%q)", errs, file, tc.verifyWant)
+			}
+			if err := lk.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			lk, err = lake.Open(dir, lake.Options{})
+			if tc.openWant == "" {
+				// The file still decodes to as many records: the reopened
+				// handle serves what the file now says.
+				if err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+				lk.Close()
+				return
+			}
+			if err == nil {
+				lk.Close()
+				t.Fatal("reopen accepted a damaged meta file")
+			}
+			if msg := err.Error(); !strings.Contains(msg, file) || !strings.Contains(msg, dir) || !strings.Contains(msg, tc.openWant) {
+				t.Fatalf("reopen error %q does not name the lake, %s and %q", msg, file, tc.openWant)
+			}
+		})
+	}
+}
+
+// recordsView is what one version's readers see of the records.
+type recordsView struct {
+	torrents  []*dataset.TorrentRecord
+	users     []dataset.UserRecord
+	diffT     []*dataset.TorrentRecord
+	diffU     []dataset.UserRecord
+	diffIncr  bool
+	materialz []byte
+}
+
+// viewAt reads every record path at version v.
+func viewAt(t *testing.T, lk *lake.Lake, v uint64) recordsView {
+	t.Helper()
+	var out recordsView
+	var err error
+	if out.torrents, out.users, err = lk.TorrentRecords(v); err != nil {
+		t.Fatalf("v%d records: %v", v, err)
+	}
+	dd, err := lk.ReadDiff(context.Background(), v)
+	if err != nil {
+		t.Fatalf("v%d diff: %v", v, err)
+	}
+	out.diffT, out.diffU, out.diffIncr = dd.Torrents, dd.Users, dd.Diff.Incremental()
+	ds, _, err := lk.Materialize(context.Background(), lake.Predicate{AsOf: v})
+	if err != nil {
+		t.Fatalf("v%d materialize: %v", v, err)
+	}
+	out.materialz = serializeDataset(t, ds)
+	return out
+}
+
+// TestRecordsSurviveReopen: the records a handle serves from its flushes
+// are the records a reopened handle decodes from the meta files, at every
+// committed version and on every read path — across plain flushes, an
+// import and a compaction.
+func TestRecordsSurviveReopen(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "lake")
+	lk, err := lake.Open(dir, lake.Options{FlushRows: 64, Retain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// wantT[v] is the torrent count committed at version v.
+	wantT := []int{0}
+	step := func() {
+		t.Helper()
+		for uint64(len(wantT)) <= lk.Version() {
+			wantT = append(wantT, lk.Stats().Torrents)
+		}
+	}
+	id := 0
+	for round := 0; round < 4; round++ {
+		mustCommitRecords(t, lk, id, 3+round)
+		id += 3 + round
+		step()
+		// An observation-only version between meta commits.
+		for i := 0; i < 100; i++ {
+			if err := lk.Append(dataset.Observation{TorrentID: i % id, IP: fmt.Sprintf("10.0.0.%d", i), At: recT0.Add(time.Duration(i) * time.Second)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := lk.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		step()
+	}
+	ts, us := recBatch(0, 5)
+	imp := &dataset.Dataset{Name: "import", Start: recT0, End: recT0.Add(time.Hour), Torrents: ts, Users: us}
+	for _, r := range ts {
+		imp.AddObservation(dataset.Observation{TorrentID: r.TorrentID, IP: "20.0.0.2", At: r.Published})
+	}
+	if err := lk.ImportDataset(imp); err != nil {
+		t.Fatal(err)
+	}
+	step()
+	if err := lk.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	step()
+	mustCommitRecords(t, lk, 1000, 2)
+	step()
+	head := lk.Version()
+	if wantT[head] != id+5+2 {
+		t.Fatalf("head commits %d torrents, want %d", wantT[head], id+5+2)
+	}
+
+	before := make([]recordsView, head+1)
+	for v := uint64(1); v <= head; v++ {
+		before[v] = viewAt(t, lk, v)
+		if len(before[v].torrents) != wantT[v] {
+			t.Fatalf("v%d serves %d torrents, want %d", v, len(before[v].torrents), wantT[v])
+		}
+		if n := len(before[v].diffT); before[v].diffIncr && n != wantT[head]-wantT[v] {
+			t.Fatalf("diff from v%d carries %d torrents, want %d", v, n, wantT[head]-wantT[v])
+		}
+	}
+	if err := lk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lk, err = lake.Open(dir, lake.Options{Retain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lk.Close()
+	if errs := lk.Verify(context.Background()); len(errs) != 0 {
+		t.Fatalf("verify after reopen: %v", errs)
+	}
+	for v := uint64(1); v <= head; v++ {
+		if after := viewAt(t, lk, v); !reflect.DeepEqual(after, before[v]) {
+			t.Fatalf("v%d reads differently after reopen:\nbefore %+v\nafter  %+v", v, before[v], after)
+		}
+	}
+}
+
+// TestRecordSlicesStableUnderFlush: record slices handed to readers keep
+// their length and contents while a writer keeps flushing records, and a
+// reader appending to its slice never writes into the lake's lists. Run
+// under -race, an unsafe share shows as a data race as well.
+func TestRecordSlicesStableUnderFlush(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "lake")
+	lk, err := lake.Open(dir, lake.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lk.Close()
+	mustCommitRecords(t, lk, 0, 2)
+
+	const flushes = 60
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 1; i <= flushes; i++ {
+			if err := commitRecords(lk, 2*i, 2); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+
+	// held is one slice a reader took and a copy of what it held then.
+	type held struct {
+		ts   []*dataset.TorrentRecord
+		us   []dataset.UserRecord
+		recs []dataset.TorrentRecord
+		uc   []dataset.UserRecord
+	}
+	hold := func(ts []*dataset.TorrentRecord, us []dataset.UserRecord) held {
+		h := held{ts: ts, us: us, uc: append([]dataset.UserRecord(nil), us...)}
+		for _, r := range ts {
+			h.recs = append(h.recs, *r)
+		}
+		return h
+	}
+	check := func(h held, what string) {
+		if len(h.ts) != len(h.recs) || len(h.us) != len(h.uc) {
+			t.Errorf("%s: lengths %d/%d became %d/%d", what, len(h.recs), len(h.uc), len(h.ts), len(h.us))
+			return
+		}
+		for i, r := range h.ts {
+			if !reflect.DeepEqual(*r, h.recs[i]) {
+				t.Errorf("%s: torrent %d changed from %+v to %+v", what, i, h.recs[i], *r)
+				return
+			}
+		}
+		if !slices.Equal(h.us, h.uc) {
+			t.Errorf("%s: user records changed", what)
+		}
+	}
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			var kept []held
+			for {
+				select {
+				case <-done:
+					for i, h := range kept {
+						check(h, fmt.Sprintf("reader %d slice %d", r, i))
+					}
+					return
+				default:
+				}
+				from := lk.Version()
+				ts, us, err := lk.TorrentRecords(0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				kept = append(kept, hold(ts, us))
+				dd, err := lk.ReadDiff(context.Background(), from)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				kept = append(kept, hold(dd.Torrents, dd.Users))
+				// A reader's append lands in memory of its own, never in
+				// the lake's spare capacity.
+				if mine := append(ts, &dataset.TorrentRecord{Title: "reader"}); mine[len(ts)].Title != "reader" {
+					t.Error("append lost the reader's record")
+				}
+				if mine := append(us, dataset.UserRecord{Username: "reader"}); mine[len(us)].Username != "reader" {
+					t.Error("append lost the reader's user")
+				}
+				for _, h := range kept[len(kept)-2:] {
+					check(h, fmt.Sprintf("reader %d fresh slice", r))
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+
+	ts, us, err := lk.TorrentRecords(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ts) != 2*(flushes+1) || len(us) != flushes+1 {
+		t.Fatalf("head serves %d torrents and %d users, want %d and %d", len(ts), len(us), 2*(flushes+1), flushes+1)
+	}
+	for i, r := range ts {
+		if r.Title != fmt.Sprintf("Title.%d", i) {
+			t.Fatalf("torrent %d is %q: a reader's append reached the lake", i, r.Title)
+		}
+	}
+}

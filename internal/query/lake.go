@@ -3,58 +3,26 @@
 // collector. The filter is compiled into a lake.Predicate so the lake's
 // planner can prune whole segments on zone maps and segment postings and
 // order the row predicates cheapest-column-first; publisher filters
-// resolve into torrent-ID sets from the lake's metadata records. A
-// grouped aggregate over a million-observation lake never materializes
-// a dataset.
+// resolve into torrent-ID sets from the torrent records committed at the
+// query's version, which the lake holds in memory and shares read-only,
+// so no query decodes a meta file. A grouped aggregate over a
+// million-observation lake never materializes a dataset.
 package query
 
 import (
 	"context"
 	"errors"
-	"sync"
 
 	"btpub/internal/dataset"
 	"btpub/internal/geoip"
 	"btpub/internal/lake"
 )
 
-// metaCache caches the lake's parsed torrent records per manifest
-// version. Torrent metadata is append-only, so a version match means
-// the cached records are exact; mu serializes concurrent requests.
-type metaCache struct {
-	mu   sync.Mutex
-	ver  uint64
-	recs []*dataset.TorrentRecord
-}
-
-// get returns lk's committed torrent records, cached per lake version.
-func (m *metaCache) get(lk *lake.Lake) ([]*dataset.TorrentRecord, error) {
-	// Read the version before the records: a commit landing in between
-	// stamps the cache with an older version than its content, which
-	// costs one redundant reload — never a stale read.
-	v := lk.Version()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.recs != nil && m.ver == v {
-		return m.recs, nil
-	}
-	recs, _, err := lk.TorrentRecords(0)
-	if err != nil {
-		return nil, err
-	}
-	if recs == nil {
-		recs = []*dataset.TorrentRecord{}
-	}
-	m.recs, m.ver = recs, v
-	return recs, nil
-}
-
 // Lake executes queries against a persistent observation lake. It is
 // safe for concurrent use.
 type Lake struct {
-	lk   *lake.Lake
-	db   *geoip.DB
-	meta metaCache
+	lk *lake.Lake
+	db *geoip.DB
 }
 
 // NewLake wraps a lake for querying.
@@ -117,29 +85,21 @@ func (e *Lake) Explain(ctx context.Context, q Query) (*Explain, error) {
 	return ex, nil
 }
 
-// prepare compiles the query and loads torrent metadata when the plan
-// needs it. The returned error is a *Error for invalid queries and a
-// plain error for lake I/O failures, so HTTP layers keep mapping them
-// to 400 and 500 respectively.
+// prepare compiles the query and takes the torrent records committed at
+// the query's version when the plan needs them. The returned error is a
+// *Error for invalid queries and a plain error for lake I/O failures, so
+// HTTP layers keep mapping them to 400 and 500 respectively.
 func (e *Lake) prepare(q Query) (*plan, []*dataset.TorrentRecord, error) {
 	p, perr := newPlan(q)
 	if perr != nil {
 		return nil, nil, perr
 	}
-	var recs []*dataset.TorrentRecord
-	if p.needsMeta() {
-		var err error
-		if q.Filter.AsOf != 0 {
-			// A pinned query must resolve publishers against the metadata
-			// committed at that version, not today's; the per-head-version
-			// cache cannot serve it.
-			recs, _, err = e.lk.TorrentRecords(q.Filter.AsOf)
-		} else {
-			recs, err = e.meta.get(e.lk)
-		}
-		if err != nil {
-			return nil, nil, mapLakeErr(err)
-		}
+	if !p.needsMeta() {
+		return p, nil, nil
+	}
+	recs, _, err := e.lk.TorrentRecords(q.Filter.AsOf)
+	if err != nil {
+		return nil, nil, mapLakeErr(err)
 	}
 	return p, recs, nil
 }
