@@ -270,9 +270,11 @@
 // records, so a canonical torrent ID never changes within a lineage.
 // After a content retirement (salvage, or a compaction that consumed a
 // segment flushed since the served version), after a committed record
-// that sorts among the served ones, and on the first build, the same
-// fold runs over the whole lake from an empty lineage and reports
-// mode=full. Canonical order is total — dataset.Merge sorts stably, so
+// that sorts among the served ones or one whose rows came first, and on
+// the first build, the same fold runs over the whole lake from an empty
+// lineage and reports mode=full. The lineage holds no observations: a
+// row whose record is not committed is dropped and counted, exactly as
+// Materialize drops it, until that record restarts the fold. Canonical order is total — dataset.Merge sorts stably, so
 // records sharing a (Published, InfoHash) key and users sharing a name
 // keep commit order, and a record tying the last served key appends —
 // which is why no lake needs a second path. The fold is held honest by
@@ -280,8 +282,8 @@
 // appending and the compactor churning, every maintained snapshot must
 // fingerprint byte-identical to the from-scratch oracle
 // (analysis.NewFromLakeVersion) at the same version, and mode=full is
-// pinned to exactly the journal diff's content-retirement condition and
-// the mid-order record. On the 1M-observation bench lake the
+// pinned to exactly the journal diff's content-retirement condition, the
+// mid-order record and the late one. On the 1M-observation bench lake the
 // incremental fold runs ~65x faster than the full rebuild; the benchmark itself fails below 10x or past
 // its allocs/op ceiling, and a second one fails if the same fold costs
 // more than 1.5x as much on a lake with 4x the rows.

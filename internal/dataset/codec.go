@@ -6,7 +6,8 @@
 // to what encoding/json emits for the same line structs (the golden and
 // fuzz tests in codec_test.go hold them to that); anything the fast-path
 // decoder does not recognise falls back to encoding/json, so exotic input
-// is slower, never wrong.
+// is slower, never wrong. Record lines go through encoding/json once: the
+// decoder reads their kind from the encoder's fixed line prefix.
 //
 // One normalization: timestamps are stored as unix-nanosecond instants, so
 // an observation read with a non-UTC offset is re-encoded as the same
@@ -15,6 +16,7 @@ package dataset
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -58,6 +60,14 @@ type userLine struct {
 // obsPrefix is the invariant head of every observation line the encoder
 // emits: struct field order is fixed, so the decoder can key on it.
 const obsPrefix = `{"kind":"obs","t":`
+
+// torrentPrefix and userPrefix head every record line the encoder emits;
+// the decoder takes such a line's kind from them instead of decoding the
+// line once more just to learn it.
+var (
+	torrentPrefix = []byte(`{"kind":"torrent",`)
+	userPrefix    = []byte(`{"kind":"user",`)
+)
 
 // Write streams the dataset to w as JSON Lines.
 func (d *Dataset) Write(w io.Writer) error {
@@ -316,6 +326,23 @@ func Read(r io.Reader) (*Dataset, error) {
 			}
 			d.Obs.appendRaw(int32(tid), d.Obs.ips.internBytes(ip), atNs, seeder)
 			continue
+		}
+		// Record lines in the encoder's shape decode once. The kind check
+		// keeps encoding/json's rule (the last "kind" key wins), and a
+		// line that fails here takes the general path below, which
+		// reports the error.
+		if bytes.HasPrefix(line, torrentPrefix) {
+			t := torrentLine{TorrentRecord: &TorrentRecord{}}
+			if err := json.Unmarshal(line, &t); err == nil && t.Kind == "torrent" {
+				d.Torrents = append(d.Torrents, t.TorrentRecord)
+				continue
+			}
+		} else if bytes.HasPrefix(line, userPrefix) {
+			var u userLine
+			if err := json.Unmarshal(line, &u); err == nil && u.Kind == "user" {
+				d.Users = append(d.Users, u.UserRecord)
+				continue
+			}
 		}
 		var k lineKind
 		if err := json.Unmarshal(line, &k); err != nil {

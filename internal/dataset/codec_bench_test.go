@@ -93,3 +93,44 @@ func BenchmarkMergeShards(b *testing.B) {
 		}
 	}
 }
+
+// metaDataset is a lake meta file's shape: fully populated torrent
+// records and user records, no observations.
+func metaDataset(torrents, users int) *Dataset {
+	d := &Dataset{Name: "bench", Start: t0, End: t0.AddDate(0, 1, 0)}
+	for i := 0; i < torrents; i++ {
+		d.AddTorrent(&TorrentRecord{
+			TorrentID: i, InfoHash: fmt.Sprintf("%040x", i),
+			Title: fmt.Sprintf("Some.Movie.%d.DVDRip", i), Category: "Video > Movies",
+			SizeBytes: 700 << 20, FileName: fmt.Sprintf("Some.Movie.%d.avi", i),
+			Description:  "visit www.example-tracker.com",
+			BundledFiles: []string{"Visit www.example-tracker.com.txt"},
+			Username:     fmt.Sprintf("user%d", i%users), PublisherIP: fmt.Sprintf("11.0.%d.%d", i/250, i%250),
+			Published:        t0.Add(time.Duration(i) * time.Minute),
+			FirstSeenSeeders: 1, FirstSeenPeers: i % 20, Removed: i%9 == 0,
+		})
+	}
+	for i := 0; i < users; i++ {
+		d.Users = append(d.Users, UserRecord{Username: fmt.Sprintf("user%d", i), Exists: true,
+			MemberSince: t0.AddDate(-2, 0, 0), FirstUpload: t0.AddDate(-1, 0, 0), TotalUploads: i})
+	}
+	return d
+}
+
+// BenchmarkReadMeta measures decoding a record-only file of 2 000
+// torrents and 200 users — what the lake decodes per meta file at Open.
+func BenchmarkReadMeta(b *testing.B) {
+	var buf bytes.Buffer
+	if err := metaDataset(2000, 200).Write(&buf); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Read(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

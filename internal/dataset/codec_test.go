@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -134,6 +136,35 @@ func TestReadFastAndSlowAgree(t *testing.T) {
 		if want.TorrentID != have.TorrentID || want.IP != have.IP ||
 			!want.At.Equal(have.At) || want.Seeder != have.Seeder {
 			t.Fatalf("observation %d mismatch: %+v vs %+v", i, want, have)
+		}
+	}
+}
+
+// TestReadRecordLineShapes: a record line decodes to the same record
+// whether or not it starts with the encoder's kind prefix, the last
+// "kind" key decides the line's kind (encoding/json's rule), and a
+// malformed prefixed line is an error naming its line.
+func TestReadRecordLineShapes(t *testing.T) {
+	header := `{"kind":"header","name":"x","start":"2010-04-06T00:00:00Z","end":"2010-04-07T00:00:00Z"}` + "\n"
+	d, err := Read(strings.NewReader(header +
+		`{"kind":"torrent","torrent_id":3,"info_hash":"aa","published":"2010-04-06T01:00:00Z","removed":true}` + "\n" +
+		`{"torrent_id":3,"info_hash":"aa","kind":"torrent","published":"2010-04-06T01:00:00Z","removed":true}` + "\n" +
+		`{"kind":"torrent","username":"dup","kind":"user"}` + "\n" +
+		`{"kind":"user","username":"u1","exists":true,"total_uploads":4}` + "\n" +
+		`{"exists":true,"username":"u1","total_uploads":4,"kind":"user"}` + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Torrents) != 2 || !reflect.DeepEqual(d.Torrents[0], d.Torrents[1]) || d.Torrents[0].TorrentID != 3 || !d.Torrents[0].Removed {
+		t.Fatalf("torrent lines decoded to %d records: %+v", len(d.Torrents), d.Torrents)
+	}
+	want := []UserRecord{{Username: "dup"}, {Username: "u1", Exists: true, TotalUploads: 4}, {Username: "u1", Exists: true, TotalUploads: 4}}
+	if !slices.Equal(d.Users, want) {
+		t.Fatalf("user lines decoded to %+v, want %+v", d.Users, want)
+	}
+	for _, line := range []string{`{"kind":"torrent","size_bytes":"big"}`, `{"kind":"user","exists":1}`, `{"kind":"torrent",`} {
+		if _, err := Read(strings.NewReader(header + line + "\n")); err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("line %s: err %v, want an error naming line 2", line, err)
 		}
 	}
 }

@@ -259,13 +259,13 @@ func advanceBy(t *testing.T, prev, batch *Dataset) *Dataset {
 	for j, r := range batch.Torrents {
 		local[r.TorrentID] = addIDs[j]
 	}
-	var d DeltaObs
-	for i := 0; i < batch.Obs.Len(); i++ {
-		o := batch.Obs.At(i)
-		d.Append(local[o.TorrentID], o.IP, o.At.UnixNano(), o.Seeder)
+	rows := make([]int32, batch.Obs.Len())
+	canon := make([]int32, batch.Obs.Len())
+	for i := range rows {
+		rows[i], canon[i] = int32(i), local[batch.Obs.TorrentID(i)]
 	}
 	out := &Dataset{Torrents: recs, Users: MergeUsers(prev.Users, batch.Users)}
-	AdvanceObs(&out.Obs, &prev.Obs, &d)
+	AdvanceObs(&out.Obs, &prev.Obs, &batch.Obs, rows, canon)
 	return out
 }
 

@@ -8,8 +8,11 @@
 // Records only append: a canonical torrent ID, once assigned, never
 // changes, and a batch holding a record that sorts among the existing
 // ones is refused (the caller starts over from the empty dataset).
-// Users merge-insert; observation rows merge into the columns.
-// internal/delta drives them on every lake version bump.
+// Users merge-insert; observation rows merge into the columns, read
+// straight from the decoded store they arrived in: the caller lists the
+// rows to place with their canonical torrent IDs, and leaving a row out
+// drops it, as Merge drops a row with no record. internal/delta drives
+// them on every lake version bump.
 //
 // Concurrency contract: AdvanceObs extends the previous store's intern
 // table in place (the maps are shared across the whole snapshot
@@ -50,7 +53,7 @@ func userKeyCmp(a, b UserRecord) int { return strings.Compare(a.Username, b.User
 // records by pointer and holds copies of add's, so neither input is
 // mutated, and it never writes into prev's spare capacity.
 //
-// Appending is Merge's order only if no added record sorts before prev's
+// An append is Merge's order only if no added record sorts before prev's
 // last; otherwise AppendRecords returns an error naming the added
 // record that sorts first. A record tying prev's last key appends: Merge sorts stably and
 // an added record is always committed after every record in prev.
@@ -96,36 +99,16 @@ func MergeUsers(prev, add []UserRecord) []UserRecord {
 	return append(merged, as[j:]...)
 }
 
-// DeltaObs is a batch of observation rows to advance a canonical store
-// by. Torrent IDs are canonical (existing records keep theirs, appended
-// ones carry AppendRecords' IDs); addresses are interned in the batch's
-// own table.
-type DeltaObs struct {
-	Table  IPTable
-	Tids   []int32
-	IPIdx  []uint32
-	AtNs   []int64
-	Seeder []bool
-}
-
-// Append adds one row, interning its address in the batch table.
-func (d *DeltaObs) Append(tid int32, ip string, atNs int64, seeder bool) {
-	d.Tids = append(d.Tids, tid)
-	d.IPIdx = append(d.IPIdx, d.Table.InternString(ip))
-	d.AtNs = append(d.AtNs, atNs)
-	d.Seeder = append(d.Seeder, seeder)
-}
-
-// Len returns the number of rows in the batch.
-func (d *DeltaObs) Len() int { return len(d.Tids) }
-
 // AdvanceObs fills dst (which must be zero-valued) with a canonically
-// ordered observation store holding prev's rows plus the batch's rows,
-// and returns each batch row's index in dst's intern table. dst shares
-// prev's intern table, extended in place with the batch's new addresses
-// (see the package comment for the concurrency contract).
+// ordered observation store holding prev's rows plus the rows of src
+// listed in rows — src row rows[j] under canonical torrent ID canon[j] —
+// and returns each listed row's index in dst's intern table. dst shares
+// prev's intern table, extended in place with the listed rows' new
+// addresses only: an address src carries on unlisted rows alone stays
+// out, as Merge keeps a dropped row's address out (see the package
+// comment for the concurrency contract).
 //
-// When the whole batch sorts after prev's last row — a live crawl's
+// When every listed row sorts after prev's last row — a live crawl's
 // steady state — dst's columns grow in place past prev's length, and a
 // built index of prev extends to dst. Only the first advance from prev
 // may grow into its tail: a second one gets a private copy of the intern
@@ -134,7 +117,7 @@ func (d *DeltaObs) Len() int { return len(d.Tids) }
 // stays exactly as published. The result is observably identical to
 // Merge over the combined inputs; intern-table order (unobservable) may
 // differ.
-func AdvanceObs(dst, prev *ObsStore, d *DeltaObs) []uint32 {
+func AdvanceObs(dst, prev, src *ObsStore, rows, canon []int32) []uint32 {
 	next := dst
 	inPlace := prev.tail.CompareAndSwap(false, true)
 	if inPlace {
@@ -142,17 +125,29 @@ func AdvanceObs(dst, prev *ObsStore, d *DeltaObs) []uint32 {
 	} else {
 		next.ips = prev.ips.clone()
 	}
-	// Intern the batch's distinct addresses, reusing the already-parsed
-	// netip form.
-	ipRemap := make([]uint32, d.Table.Len())
-	for i := range ipRemap {
-		s := d.Table.strs[i]
-		if j, ok := next.ips.byStr[s]; ok {
-			ipRemap[i] = j
-		} else {
-			ipRemap[i] = next.ips.add(s, d.Table.addrs[i])
-		}
+	// Intern each listed row's address on first sight, reusing the
+	// already-parsed netip form: one hash per distinct source address.
+	const unmapped = ^uint32(0)
+	ipMap := make([]uint32, src.ips.Len())
+	for i := range ipMap {
+		ipMap[i] = unmapped
 	}
+	m := len(rows)
+	dIP := make([]uint32, m)
+	dAt := make([]int64, m)
+	for j, r := range rows {
+		sip := src.ipIdx[r]
+		if ipMap[sip] == unmapped {
+			s := src.ips.strs[sip]
+			if i, ok := next.ips.byStr[s]; ok {
+				ipMap[sip] = i
+			} else {
+				ipMap[sip] = next.ips.add(s, src.ips.addrs[sip])
+			}
+		}
+		dIP[j], dAt[j] = ipMap[sip], src.atNs[r]
+	}
+	dSeed := func(j int32) bool { return src.Seeder(int(rows[j])) }
 	// The canonical IP tie-break is the address string.
 	strs := next.ips.strs
 	cmpIP := func(a, b uint32) int {
@@ -162,30 +157,24 @@ func AdvanceObs(dst, prev *ObsStore, d *DeltaObs) []uint32 {
 		return strings.Compare(strs[a], strs[b])
 	}
 
-	m := d.Len()
-	dTid := d.Tids
-	dIP := make([]uint32, m)
-	for j := 0; j < m; j++ {
-		dIP[j] = ipRemap[d.IPIdx[j]]
-	}
 	perm := make([]int32, m)
 	for j := range perm {
 		perm[j] = int32(j)
 	}
 	slices.SortFunc(perm, func(a, b int32) int {
-		if d.AtNs[a] != d.AtNs[b] {
-			if d.AtNs[a] < d.AtNs[b] {
+		if dAt[a] != dAt[b] {
+			if dAt[a] < dAt[b] {
 				return -1
 			}
 			return 1
 		}
-		if dTid[a] != dTid[b] {
-			return int(dTid[a]) - int(dTid[b])
+		if canon[a] != canon[b] {
+			return int(canon[a]) - int(canon[b])
 		}
 		if c := cmpIP(dIP[a], dIP[b]); c != 0 {
 			return c
 		}
-		sa, sb := d.Seeder[a], d.Seeder[b]
+		sa, sb := dSeed(a), dSeed(b)
 		switch {
 		case sa == sb:
 			return 0
@@ -200,16 +189,16 @@ func AdvanceObs(dst, prev *ObsStore, d *DeltaObs) []uint32 {
 	// prev row i under the canonical key (ties keep prev first; equal
 	// keys mean identical rows, so either order serializes the same).
 	deltaBeforeOld := func(j int32, i int) bool {
-		if d.AtNs[j] != prev.atNs[i] {
-			return d.AtNs[j] < prev.atNs[i]
+		if dAt[j] != prev.atNs[i] {
+			return dAt[j] < prev.atNs[i]
 		}
-		if dTid[j] != prev.tids[i] {
-			return dTid[j] < prev.tids[i]
+		if canon[j] != prev.tids[i] {
+			return canon[j] < prev.tids[i]
 		}
 		if c := cmpIP(dIP[j], prev.ipIdx[i]); c != 0 {
 			return c < 0
 		}
-		return prev.Seeder(i) && !d.Seeder[j]
+		return prev.Seeder(i) && !dSeed(j)
 	}
 
 	n := prev.Len()
@@ -219,10 +208,10 @@ func AdvanceObs(dst, prev *ObsStore, d *DeltaObs) []uint32 {
 	var ipIdx []uint32
 	var atNs []int64
 	appendDelta := func(k int, j int32) {
-		tids[k] = dTid[j]
+		tids[k] = canon[j]
 		ipIdx[k] = dIP[j]
-		atNs[k] = d.AtNs[j]
-		if d.Seeder[j] {
+		atNs[k] = dAt[j]
+		if dSeed(j) {
 			seed[k>>6] |= 1 << (uint(k) & 63)
 		}
 	}

@@ -151,12 +151,14 @@ func TestExtendedIndexEqualsRebuilt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var d DeltaObs
-		for _, o := range rows {
-			d.Append(int32(o.TorrentID), o.IP, o.At.UnixNano(), o.Seeder)
+		var src ObsStore
+		idx, canon := make([]int32, len(rows)), make([]int32, len(rows))
+		for i, o := range rows {
+			src.Append(o)
+			idx[i], canon[i] = int32(i), int32(o.TorrentID)
 		}
 		out := &Dataset{Torrents: merged}
-		AdvanceObs(&out.Obs, &prev.Obs, &d)
+		AdvanceObs(&out.Obs, &prev.Obs, &src, idx, canon)
 		return out
 	}
 	requireExtended := func(name string, s *ObsStore) {
@@ -239,6 +241,6 @@ func TestAppendRecords(t *testing.T) {
 		}
 	}
 	if _, _, err := AppendRecords(nil, []*TorrentRecord{later, rec("aa", 0)}); err != nil {
-		t.Fatalf("appending to no records: %v", err)
+		t.Fatalf("append to no records: %v", err)
 	}
 }

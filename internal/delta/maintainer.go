@@ -1,4 +1,4 @@
-// Package delta maintains analysis snapshots over a live-appending lake
+// Package delta maintains analysis snapshots over a live-ingesting lake
 // incrementally. Where a from-scratch build (lake.Materialize, then
 // analysis.New) re-reads and re-sorts the whole lake on every journal
 // version bump — O(lake) work per refresh — the Maintainer asks the
@@ -20,11 +20,14 @@
 // benchmark keep as their oracle.
 //
 // The lineage a fold carries to the next is the lake→canonical torrent
-// ID map, the buffer of observations whose record has not landed, the
-// per-torrent and per-identity distinct-download counters, and behind
-// them, per interned IP, the sorted sets of canonical torrent IDs and
-// identities it has been counted for (ipTorrents, ipIdents; a first
-// fold builds them in bulk with one counting sort).
+// ID map, the count of dropped rows, the per-torrent and per-identity
+// distinct-download counters, and behind them, per interned IP, the
+// sorted sets of canonical torrent IDs and identities it has been
+// counted for (ipTorrents, ipIdents; a first fold builds them in bulk
+// with one counting sort). It holds no observations. A diff row whose
+// torrent has no committed record is dropped and counted, exactly as
+// Materialize drops it, and its lake ID is orphaned: the row is in no
+// store, so when a record for that ID lands, the fold starts over.
 //
 // There is one build path. A compaction is a journal rewrite — the same
 // rows in fewer files — and the lineage is keyed by canonical row
@@ -33,13 +36,14 @@
 // new version with Changed empty. A content retirement in the diff
 // (salvage, or a compaction that consumed rows added since the served
 // version) invalidates positional state, as do a base version that left
-// the journal and a committed record that sorts among the served ones
-// (its canonical ID would shift theirs); the Maintainer then
-// folds the whole lake (lake.ReadAll) into an empty lineage through the
-// same function — and the first build is exactly that too. Canonical
-// order is total (dataset.Merge sorts stably; ties keep commit order),
-// so duplicate record keys or usernames need no special case: a record
-// tying the last served key appends.
+// the journal, a committed record that sorts among the served ones
+// (its canonical ID would shift theirs) and one for an orphaned lake ID
+// (a serial live crawl commits every record after its rows); the
+// Maintainer then folds the whole lake (lake.ReadAll) into an empty
+// lineage through the same function — and the first build is exactly
+// that too. Canonical order is total (dataset.Merge sorts stably; ties
+// keep commit order), so duplicate record keys or usernames need no
+// special case: a record tying the last served key appends.
 //
 // Concurrency: Refresh calls are serialized by the Maintainer's lock and
 // are the only code that touches the shared intern table's maps or
@@ -141,10 +145,16 @@ type published struct {
 
 // lineage is the state a fold carries from one snapshot to the next. It
 // is in sync with exactly one canonical dataset: the intern table that
-// dataset's store shares, the lake→canonical ID map, the pending buffer
-// and the distinct-download counters with the pair sets behind them.
+// dataset's store shares, the lake→canonical ID map, the dropped-row
+// count and the distinct-download counters with the pair sets behind
+// them. It holds no observations: a diff row whose torrent has no
+// committed record is dropped, as Materialize drops it, and its lake ID
+// is orphaned — a record committed for it later restarts the fold.
 type lineage struct {
-	lakeToCanon map[int]int32 // lake torrent ID → canonical torrent ID
+	// lakeToCanon maps a lake torrent ID to its canonical torrent ID, or
+	// to orphan once rows have been dropped for want of its record.
+	lakeToCanon map[int]int32
+	dropped     int // rows dropped for want of their record
 	// lakeIDs, owners and counts are indexed by canonical torrent ID and,
 	// like the records, only append: lakeIDs[ct] is ct's lake ID,
 	// owners[ct] its publisher identity's dense ID (-1: none) and
@@ -152,12 +162,6 @@ type lineage struct {
 	lakeIDs []int
 	owners  []int32
 	counts  []int
-	// pending buffers observations whose torrent record has not been
-	// committed yet (a live campaign commits records after observations);
-	// they are promoted the moment the record lands, and counted as
-	// dropped until then — exactly what Materialize reports. Its intern
-	// table is maintainer-private and append-only across refreshes.
-	pending dataset.DeltaObs
 	userDL  map[string]int // distinct downloader IPs per identity
 	// ipTorrents[ip] and ipIdents[ip] are the sorted sets of canonical
 	// torrent IDs and identity IDs the shared-table IP ip has been
@@ -197,8 +201,9 @@ func (m *Maintainer) Stats() Stats {
 // Refresh brings the snapshot to the lake's committed head: it folds the
 // journal diff since the served version into the lineage when that diff
 // is incremental (additions and neutral rewrites) and its records
-// append, and the whole lake into an empty lineage otherwise. It returns the current snapshot
-// unchanged when the head hasn't moved.
+// append, none for an orphaned lake ID, and the whole lake into an empty
+// lineage otherwise. It returns the current snapshot unchanged when the
+// head hasn't moved.
 func (m *Maintainer) Refresh(ctx context.Context) (*Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -230,6 +235,9 @@ func (m *Maintainer) Refresh(ctx context.Context) (*Snapshot, error) {
 			restart = fmt.Sprintf("content retirement of %d segment(s) since v%d", len(dd.Diff.ContentRetired), cur.snap.Version)
 		}
 	}
+	if restart == "" {
+		restart = m.lin.lateRecord(dd.Torrents)
+	}
 	prev := &dataset.Dataset{}
 	var recs []*dataset.TorrentRecord
 	var addIDs []int32
@@ -247,7 +255,7 @@ func (m *Maintainer) Refresh(ctx context.Context) (*Snapshot, error) {
 			return nil, err
 		}
 		m.lin = &lineage{lakeToCanon: map[int]int32{}, userDL: map[string]int{}, identID: map[string]int32{}}
-		// Appending to no records cannot fail.
+		// AppendRecords onto no records cannot fail.
 		recs, addIDs, _ = dataset.AppendRecords(nil, dd.Torrents)
 	}
 	an, lakeIDs, changed, err := m.lin.fold(prev, recs, addIDs, dd, m.db, m.topK)
@@ -276,6 +284,21 @@ func (m *Maintainer) Refresh(ctx context.Context) (*Snapshot, error) {
 	return snap, nil
 }
 
+// orphan marks a lake torrent ID in lakeToCanon whose rows were dropped.
+const orphan int32 = -1
+
+// lateRecord names the first of recs committed for an orphaned lake ID
+// ("" if none). Its dropped rows are in no store, so the fold cannot
+// append it.
+func (l *lineage) lateRecord(recs []*dataset.TorrentRecord) string {
+	for _, r := range recs {
+		if l.lakeToCanon[r.TorrentID] == orphan {
+			return fmt.Sprintf("record %s landed after its rows", r.InfoHash)
+		}
+	}
+	return ""
+}
+
 // fold advances the canonical dataset prev — which the lineage must be
 // in sync with — to the record list recs (prev's records followed by
 // dd's, dd.Torrents[j] appended as canonical ID addIDs[j]) and by the
@@ -296,37 +319,17 @@ func (l *lineage) fold(prev *dataset.Dataset, recs []*dataset.TorrentRecord, add
 		l.counts = append(l.counts, 0)
 	}
 
-	// Route rows: promote pending observations whose record just landed,
-	// place the diff's rows, buffer the still-recordless remainder.
-	// Presizing the batch for every row keeps a first fold from
-	// regrowing it.
-	rows := l.pending.Len() + dd.Obs.Len()
-	placed := dataset.DeltaObs{
-		Tids: make([]int32, 0, rows), IPIdx: make([]uint32, 0, rows),
-		AtNs: make([]int64, 0, rows), Seeder: make([]bool, 0, rows),
-	}
-	// The pending table is maintainer-private and append-only, so rows
-	// that stay pending keep their intern index.
-	newPending := dataset.DeltaObs{Table: l.pending.Table}
-	for i := 0; i < l.pending.Len(); i++ {
-		lt := l.pending.Tids[i]
-		if ct, ok := l.lakeToCanon[int(lt)]; ok {
-			placed.Append(ct, l.pending.Table.String(l.pending.IPIdx[i]), l.pending.AtNs[i], l.pending.Seeder[i])
-		} else {
-			// Same table lineage: reuse the intern index directly.
-			newPending.Tids = append(newPending.Tids, lt)
-			newPending.IPIdx = append(newPending.IPIdx, l.pending.IPIdx[i])
-			newPending.AtNs = append(newPending.AtNs, l.pending.AtNs[i])
-			newPending.Seeder = append(newPending.Seeder, l.pending.Seeder[i])
-		}
-	}
-	for i := 0; i < dd.Obs.Len(); i++ {
+	// Place the diff's rows whose record is committed; drop the rest,
+	// marking their lake IDs orphaned.
+	rows := make([]int32, 0, dd.Obs.Len())
+	tids := make([]int32, 0, dd.Obs.Len())
+	for i := range dd.Obs.Len() {
 		lt := dd.Obs.TorrentID(i)
-		ip := dd.Obs.IPs().String(dd.Obs.IPIndex(i))
-		if ct, ok := l.lakeToCanon[lt]; ok {
-			placed.Append(ct, ip, dd.Obs.UnixNano(i), dd.Obs.Seeder(i))
+		if ct, ok := l.lakeToCanon[lt]; ok && ct != orphan {
+			rows, tids = append(rows, int32(i)), append(tids, ct)
 		} else {
-			newPending.Append(int32(lt), ip, dd.Obs.UnixNano(i), dd.Obs.Seeder(i))
+			l.lakeToCanon[lt] = orphan
+			l.dropped++
 		}
 	}
 
@@ -334,19 +337,18 @@ func (l *lineage) fold(prev *dataset.Dataset, recs []*dataset.TorrentRecord, add
 		Name: dd.Info.Name, Start: dd.Info.Start, End: dd.Info.End,
 		Torrents:            recs,
 		Users:               dataset.MergeUsers(prev.Users, dd.Users),
-		DroppedObservations: newPending.Len() + int(dd.Info.Dropped),
+		DroppedObservations: l.dropped + int(dd.Info.Dropped),
 	}
-	placedIPs := dataset.AdvanceObs(&ds.Obs, &prev.Obs, &placed)
-	l.pending = newPending
+	placedIPs := dataset.AdvanceObs(&ds.Obs, &prev.Obs, &dd.Obs, rows, tids)
 
 	// Count the placed rows' new (IP, torrent) and (IP, identity) pairs.
 	if l.ipTorrents == nil {
-		l.countBulk(ds.Obs.IPs().Len(), placedIPs, placed.Tids)
+		l.countBulk(ds.Obs.IPs().Len(), placedIPs, tids)
 	} else {
 		l.ipTorrents = growTo(l.ipTorrents, ds.Obs.IPs().Len())
 		l.ipIdents = growTo(l.ipIdents, ds.Obs.IPs().Len())
 		for j, ip := range placedIPs {
-			ct := placed.Tids[j]
+			ct := tids[j]
 			if insertSorted(&l.ipTorrents[ip], ct) {
 				l.counts[ct]++
 			}
@@ -359,7 +361,7 @@ func (l *lineage) fold(prev *dataset.Dataset, recs []*dataset.TorrentRecord, add
 	// The fold touched every identity owning a new record or a placed
 	// row's torrent.
 	touched := make([]bool, len(l.idents))
-	for _, cts := range [][]int32{addIDs, placed.Tids} {
+	for _, cts := range [][]int32{addIDs, tids} {
 		for _, ct := range cts {
 			if id := l.owners[ct]; id >= 0 {
 				touched[id] = true

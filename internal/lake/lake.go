@@ -110,6 +110,9 @@ type Lake struct {
 	// records read-only.
 	torrents []*dataset.TorrentRecord
 	users    []dataset.UserRecord
+	// tids holds the torrent ID of every committed and pending record: a
+	// second record under one ID is refused (claimLocked).
+	tids map[int]bool
 
 	// scanMu: readers hold RLock while touching committed files; vacuum
 	// takes Lock to delete retired ones, so a scan never sees a file
@@ -225,7 +228,10 @@ func Open(dir string, opt Options) (*Lake, error) {
 		}
 	}
 	lk := &Lake{dir: dir, fs: fsys, opt: opt, man: man, bld: newBuilder(), jr: jr, hist: hist,
-		torrents: torrents, users: users}
+		torrents: torrents, users: users, tids: make(map[int]bool, len(torrents))}
+	for _, t := range torrents {
+		lk.tids[t.TorrentID] = true
+	}
 	if len(retire) > 0 {
 		next := lk.man // Open owns the state; no clone needed yet
 		next.Version++
@@ -371,19 +377,47 @@ func (lk *Lake) AppendAddr(tid int, addr netip.Addr, at time.Time, seeder bool) 
 // AddTorrents buffers torrent records for the next flush. Records are
 // copied, but the lake keeps their BundledFiles slices, which the caller
 // must not modify afterwards; IDs must be non-negative and are
-// registered against NextTID.
+// registered against NextTID. A torrent ID has one record: a call with a
+// record whose ID is committed, pending or repeated in recs is refused
+// whole, naming the ID.
 func (lk *Lake) AddTorrents(recs []*dataset.TorrentRecord) error {
 	lk.mu.Lock()
 	defer lk.mu.Unlock()
 	if lk.closed {
 		return errClosed
 	}
+	if err := lk.claimLocked(recs, 0); err != nil {
+		return err
+	}
 	for _, r := range recs {
-		if r.TorrentID < 0 || r.TorrentID > maxTorrentID {
-			return fmt.Errorf("lake: torrent ID %d out of range", r.TorrentID)
-		}
 		cp := *r
 		lk.pendT = append(lk.pendT, &cp)
+	}
+	return nil
+}
+
+// claimLocked registers the torrent IDs of recs, each shifted by base.
+// If one is out of range, already has a committed or pending record, or
+// repeats within recs, it registers none and names that record's ID:
+// Merge would give the rows of a shared ID to whichever record sorts
+// later, the snapshot fold to the one committed later.
+func (lk *Lake) claimLocked(recs []*dataset.TorrentRecord, base int) error {
+	for i, r := range recs {
+		id := r.TorrentID + base
+		var err error
+		switch {
+		case r.TorrentID < 0 || id > maxTorrentID:
+			err = fmt.Errorf("lake: torrent ID %d out of range", r.TorrentID)
+		case lk.tids[id]:
+			err = fmt.Errorf("lake: torrent ID %d already has a record", r.TorrentID)
+		}
+		if err != nil {
+			for _, r := range recs[:i] {
+				delete(lk.tids, r.TorrentID+base)
+			}
+			return err
+		}
+		lk.tids[id] = true
 	}
 	return nil
 }
@@ -572,7 +606,8 @@ func (lk *Lake) deleteDeadLocked() {
 // an import racing a live campaign stream) get disjoint bases; the
 // observation transfer then releases the lake between chunks, keeping
 // Stats/Version/Scan responsive during a large migration. As with
-// AddTorrents, the lake keeps the records' BundledFiles slices.
+// AddTorrents, the lake keeps the records' BundledFiles slices, and a
+// dataset with two records under one torrent ID is refused whole.
 func (lk *Lake) ImportDataset(ds *dataset.Dataset) error {
 	// The reservation must clear every ID the dataset mentions — records
 	// and observations can disagree in hand-built datasets.
@@ -601,6 +636,10 @@ func (lk *Lake) ImportDataset(ds *dataset.Dataset) error {
 		if base+maxID > maxTorrentID {
 			lk.mu.Unlock()
 			return fmt.Errorf("lake: import would exceed the torrent ID space (base %d + max %d)", base, maxID)
+		}
+		if err := lk.claimLocked(ds.Torrents, base); err != nil {
+			lk.mu.Unlock()
+			return err
 		}
 		lk.man.NextTID = int32(base + maxID + 1)
 	}

@@ -365,3 +365,71 @@ func TestRecordSlicesStableUnderFlush(t *testing.T) {
 		}
 	}
 }
+
+// TestOneRecordPerTorrentID: a torrent ID has one record. AddTorrents
+// and ImportDataset refuse a record whose ID is committed, pending or
+// repeated in the same call, name the ID, and keep nothing from the
+// refused call — before and after a reopen. (Merge would give the rows
+// of a shared ID to the record that sorts later, the snapshot fold to
+// the one committed later.)
+func TestOneRecordPerTorrentID(t *testing.T) {
+	dir := t.TempDir()
+	lk, err := lake.Open(dir, lake.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { lk.Close() }()
+	mustCommitRecords(t, lk, 0, 3) // IDs 0-2 committed
+	rec := func(id int) *dataset.TorrentRecord {
+		ts, _ := recBatch(id, 1)
+		return ts[0]
+	}
+	refuse := func(what string, id int, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("torrent ID %d ", id)) {
+			t.Fatalf("%s: err %v, want a refusal naming torrent ID %d", what, err, id)
+		}
+	}
+	if err := lk.AddTorrents([]*dataset.TorrentRecord{rec(3), rec(4)}); err != nil { // 3, 4 pending
+		t.Fatal(err)
+	}
+	refuse("committed ID", 2, lk.AddTorrents([]*dataset.TorrentRecord{rec(7), rec(2)}))
+	refuse("pending ID", 4, lk.AddTorrents([]*dataset.TorrentRecord{rec(8), rec(4)}))
+	refuse("repeated ID", 9, lk.AddTorrents([]*dataset.TorrentRecord{rec(9), rec(10), rec(9)}))
+	next := lk.NextTorrentID()
+	dup := &dataset.Dataset{Name: "dup", Start: recT0, End: recT0.Add(time.Hour),
+		Torrents: []*dataset.TorrentRecord{rec(0), rec(1), rec(0)}}
+	refuse("import repeating an ID", 0, lk.ImportDataset(dup))
+	if lk.NextTorrentID() != next {
+		t.Fatalf("refused import moved NextTorrentID %d -> %d", next, lk.NextTorrentID())
+	}
+	// The refused calls claimed nothing: their other IDs are still free.
+	if err := lk.AddTorrents([]*dataset.TorrentRecord{rec(7), rec(8), rec(9), rec(10)}); err != nil {
+		t.Fatalf("IDs of refused calls stayed claimed: %v", err)
+	}
+	if err := lk.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := lk.TorrentRecords(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	for _, r := range recs {
+		got = append(got, r.TorrentID)
+	}
+	if want := []int{0, 1, 2, 3, 4, 7, 8, 9, 10}; !slices.Equal(got, want) {
+		t.Fatalf("committed records %v, want %v", got, want)
+	}
+
+	if err := lk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if lk, err = lake.Open(dir, lake.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	refuse("ID committed before reopen", 8, lk.AddTorrents([]*dataset.TorrentRecord{rec(8)}))
+	if err := lk.ImportDataset(&dataset.Dataset{Name: "dup", Torrents: []*dataset.TorrentRecord{rec(0), rec(1)}}); err != nil {
+		t.Fatalf("import of distinct IDs: %v", err)
+	}
+}
