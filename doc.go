@@ -97,12 +97,15 @@
 //
 // internal/lake is the persistent, append-only successor to loading one
 // JSONL file per run: writers (campaign.Run via Spec.Lake, the crawler
-// via its Config.Sink hook, JSONL imports) seal observations into
+// via its Config.Sink hook, JSONL imports) append observations through
+// one row path and seal them into
 // immutable columnar segment files — the ObsStore columns behind two
 // sorted dictionaries (distinct addresses, distinct torrent IDs),
 // per-segment zone maps (min/max time, min/max torrent ID) and a
 // CRC-32C footer — recorded in an append-only
-// commit journal. The journal is
+// commit journal. A torrent ID is reserved the moment the lake accepts a
+// record or a row naming it, so an import's ID base clears pending
+// records and buffered rows. The journal is
 // the source of truth and the commit history at once: one fsynced,
 // CRC-32C-framed record per committed version, versions dense from 1
 // (record v is version v, one record kind), each record hash-chained

@@ -36,7 +36,7 @@ type commitPayload struct {
 	Start   time.Time `json:"start,omitempty"`
 	End     time.Time `json:"end,omitempty"`
 	NextSeq int       `json:"next_seq"`
-	NextTID int32     `json:"next_tid"`
+	NextTID int64     `json:"next_tid"`
 	Rows    int64     `json:"rows"`
 
 	Torrents int   `json:"torrents"`

@@ -1,10 +1,13 @@
 // Package lake is the persistent, append-only observation store — the
 // on-disk successor to holding a whole dataset.Dataset in memory. Writers
-// (campaign runs, live crawlers, JSONL imports) append observations into
-// an open columnar builder that is sealed into immutable segment files
-// (zone maps + sorted dictionaries that double as the segment's index +
-// delta-compressed columns + CRC footers, see segment.go); torrent and
-// user records ride in JSONL meta files reusing the dataset codec. Open
+// (campaign runs, live crawlers, JSONL imports) append observations one
+// row at a time through one path into an open columnar builder that is
+// sealed into immutable segment files (zone maps + sorted dictionaries
+// that double as the segment's index + delta-compressed columns + CRC
+// footers, see segment.go); torrent and user records ride in JSONL meta
+// files reusing the dataset codec. A torrent ID is reserved the moment
+// the lake accepts a record or a row naming it: NextTorrentID moves past
+// it then, not at the flush, so no import base can hand it out again. Open
 // decodes the meta files once and each flush appends its records, so the
 // lake holds every committed record in memory and readers share them
 // read-only; no read path decodes a meta file. A
@@ -217,16 +220,6 @@ func Open(dir string, opt Options) (*Lake, error) {
 		}
 		_ = fsys.Remove(name)
 	}
-	// NextTID must clear every torrent ID any committed segment mentions,
-	// not just the flushed torrent records: a crash between a live
-	// stream's observation flushes and its final meta commit leaves
-	// observations for IDs no record claims yet, and handing those IDs to
-	// the next campaign would silently re-attribute them.
-	for _, s := range man.Segments {
-		if s.Rows > 0 && s.MaxTID+1 > man.NextTID {
-			man.NextTID = s.MaxTID + 1
-		}
-	}
 	lk := &Lake{dir: dir, fs: fsys, opt: opt, man: man, bld: newBuilder(), jr: jr, hist: hist,
 		torrents: torrents, users: users, tids: make(map[int]bool, len(torrents))}
 	for _, t := range torrents {
@@ -276,8 +269,11 @@ func (lk *Lake) Version() uint64 {
 	return lk.man.Version
 }
 
-// NextTorrentID returns the lowest unused global torrent ID — the base a
-// live writer offsets its local IDs by.
+// NextTorrentID returns one past the highest torrent ID the lake has
+// reserved. An ID is reserved the moment the lake accepts it — a record
+// from AddTorrents or ImportDataset, a row from Append, AppendAddr or
+// ImportDataset — whether or not it is flushed yet, and stays reserved
+// across reopens. It is the base a live writer offsets its local IDs by.
 func (lk *Lake) NextTorrentID() int {
 	lk.mu.Lock()
 	defer lk.mu.Unlock()
@@ -338,27 +334,46 @@ func (lk *Lake) Stats() Stats {
 // Writer API
 // ---------------------------------------------------------------------
 
-// Append adds one observation to the open builder, sealing a segment when
-// the flush threshold is reached.
+// Append adds one observation through the lake's one row path
+// (appendRow). An out-of-range torrent ID or a timestamp outside the
+// unix-nanosecond range (years 1678-2261) is refused with an error, and
+// the lake keeps nothing from the call.
 func (lk *Lake) Append(o dataset.Observation) error {
-	if o.TorrentID < 0 || o.TorrentID > maxTorrentID {
-		return fmt.Errorf("lake: torrent ID %d out of range", o.TorrentID)
+	atNs, err := unixNano(o.At)
+	if err != nil {
+		return err
 	}
-	lk.mu.Lock()
-	defer lk.mu.Unlock()
-	if lk.closed {
-		return errClosed
-	}
-	lk.bld.store.Append(o)
-	s := &lk.bld.store
-	i := s.Len() - 1
-	lk.bld.zone.add(int32(o.TorrentID), s.UnixNano(i))
-	return lk.maybeFlushLocked()
+	return lk.appendRow(o.TorrentID, atNs, o.Seeder, func(ips *dataset.IPTable) uint32 { return ips.InternString(o.IP) })
 }
 
 // AppendAddr is the zero-alloc-on-repeat live-crawl path: the address
-// string is computed only the first time this builder sees it.
+// string is computed only the first time this builder sees it. It
+// refuses what Append refuses.
 func (lk *Lake) AppendAddr(tid int, addr netip.Addr, at time.Time, seeder bool) error {
+	atNs, err := unixNano(at)
+	if err != nil {
+		return err
+	}
+	return lk.appendRow(tid, atNs, seeder, func(ips *dataset.IPTable) uint32 { return ips.InternAddr(addr) })
+}
+
+// unixNano converts an observation timestamp to the column form, refusing
+// instants the int64-nanosecond range cannot hold, as the dataset codec
+// does.
+func unixNano(at time.Time) (int64, error) {
+	if y := at.Year(); y < 1678 || y > 2261 {
+		return 0, fmt.Errorf("lake: observation timestamp %v outside the unix-nanosecond range (years 1678-2261)", at)
+	}
+	return at.UnixNano(), nil
+}
+
+// appendRow is the one way an observation enters the lake — Append,
+// AppendAddr and ImportDataset all call it. Under mu it puts the row in
+// the open builder, interning its address with intern, extends the
+// builder's zone map, reserves the row's torrent ID (NextTID moves past
+// it, so no later base can hand the ID out again, flushed or not) and
+// seals a segment at FlushRows.
+func (lk *Lake) appendRow(tid int, atNs int64, seeder bool, intern func(*dataset.IPTable) uint32) error {
 	if tid < 0 || tid > maxTorrentID {
 		return fmt.Errorf("lake: torrent ID %d out of range", tid)
 	}
@@ -367,58 +382,62 @@ func (lk *Lake) AppendAddr(tid int, addr netip.Addr, at time.Time, seeder bool) 
 	if lk.closed {
 		return errClosed
 	}
-	lk.bld.store.AppendAddr(tid, addr, at, seeder)
-	s := &lk.bld.store
-	i := s.Len() - 1
-	lk.bld.zone.add(int32(tid), s.UnixNano(i))
+	b := lk.bld
+	b.store.AppendRaw(int32(tid), intern(b.store.IPs()), atNs, seeder)
+	b.zone.add(int32(tid), atNs)
+	lk.man.NextTID = max(lk.man.NextTID, int64(tid)+1)
 	return lk.maybeFlushLocked()
 }
 
 // AddTorrents buffers torrent records for the next flush. Records are
 // copied, but the lake keeps their BundledFiles slices, which the caller
-// must not modify afterwards; IDs must be non-negative and are
-// registered against NextTID. A torrent ID has one record: a call with a
-// record whose ID is committed, pending or repeated in recs is refused
-// whole, naming the ID.
+// must not modify afterwards. IDs must be in range, and an accepted call
+// reserves them at once: NextTorrentID moves past every one. A torrent
+// ID has one record: a call with a record whose ID is committed, pending
+// or repeated in recs is refused whole, naming the ID, and reserves
+// nothing.
 func (lk *Lake) AddTorrents(recs []*dataset.TorrentRecord) error {
+	cps := make([]*dataset.TorrentRecord, len(recs))
+	for i, r := range recs {
+		cp := *r
+		cps[i] = &cp
+	}
 	lk.mu.Lock()
 	defer lk.mu.Unlock()
 	if lk.closed {
 		return errClosed
 	}
-	if err := lk.claimLocked(recs, 0); err != nil {
-		return err
-	}
-	for _, r := range recs {
-		cp := *r
-		lk.pendT = append(lk.pendT, &cp)
-	}
-	return nil
+	return lk.claimLocked(cps)
 }
 
-// claimLocked registers the torrent IDs of recs, each shifted by base.
-// If one is out of range, already has a committed or pending record, or
-// repeats within recs, it registers none and names that record's ID:
-// Merge would give the rows of a shared ID to whichever record sorts
-// later, the snapshot fold to the one committed later.
-func (lk *Lake) claimLocked(recs []*dataset.TorrentRecord, base int) error {
+// claimLocked registers the torrent IDs of recs and queues the records
+// for the next flush. If one is out of range, already has a committed or
+// pending record, or repeats within recs, it registers none and names
+// that record's ID: Merge would give the rows of a shared ID to whichever
+// record sorts later, the snapshot fold to the one committed later. Once
+// the whole call is accepted, NextTID moves past every ID in it.
+func (lk *Lake) claimLocked(recs []*dataset.TorrentRecord) error {
+	next := lk.man.NextTID
 	for i, r := range recs {
-		id := r.TorrentID + base
+		id := r.TorrentID
 		var err error
 		switch {
-		case r.TorrentID < 0 || id > maxTorrentID:
-			err = fmt.Errorf("lake: torrent ID %d out of range", r.TorrentID)
+		case id < 0 || id > maxTorrentID:
+			err = fmt.Errorf("lake: torrent ID %d out of range", id)
 		case lk.tids[id]:
-			err = fmt.Errorf("lake: torrent ID %d already has a record", r.TorrentID)
+			err = fmt.Errorf("lake: torrent ID %d already has a record", id)
 		}
 		if err != nil {
 			for _, r := range recs[:i] {
-				delete(lk.tids, r.TorrentID+base)
+				delete(lk.tids, r.TorrentID)
 			}
 			return err
 		}
 		lk.tids[id] = true
+		next = max(next, int64(id)+1)
 	}
+	lk.man.NextTID = next
+	lk.pendT = append(lk.pendT, recs...)
 	return nil
 }
 
@@ -494,12 +513,6 @@ func (lk *Lake) flushLocked(autoCompact bool) error {
 		next.Segments = append(next.Segments, sm)
 		pay.AddSegments = append(pay.AddSegments, sm)
 		next.Rows += int64(n)
-		if lk.bld.zone.MaxTID+1 > next.NextTID {
-			// Streamed observations can mention torrents whose records are
-			// only committed at campaign end; NextTID must clear them now
-			// so a crash before that commit cannot recycle their IDs.
-			next.NextTID = lk.bld.zone.MaxTID + 1
-		}
 		sealedSeg = true
 	}
 	sealedMeta := false
@@ -518,11 +531,6 @@ func (lk *Lake) flushLocked(autoCompact bool) error {
 		pay.AddMeta = append(pay.AddMeta, name)
 		next.Torrents += len(lk.pendT)
 		next.Users += len(lk.pendU)
-		for _, t := range lk.pendT {
-			if int32(t.TorrentID) >= next.NextTID {
-				next.NextTID = int32(t.TorrentID) + 1
-			}
-		}
 		sealedMeta = true
 	}
 	if !sealedSeg && !sealedMeta {
@@ -598,32 +606,35 @@ func (lk *Lake) deleteDeadLocked() {
 // ---------------------------------------------------------------------
 
 // ImportDataset appends a whole dataset to the lake: torrent IDs are
-// offset past the lake's existing contents so successive crawls never
+// offset by a base past every ID the lake has reserved — committed,
+// pending or still in the open builder — so successive crawls never
 // collide, the dataset's window extends the lake's, and
-// DroppedObservations carries over into the lake's dropped counter.
-// Segments flush at FlushRows. The ID range is reserved and the meta
-// records registered in one critical section, so concurrent imports (or
-// an import racing a live campaign stream) get disjoint bases; the
-// observation transfer then releases the lake between chunks, keeping
-// Stats/Version/Scan responsive during a large migration. As with
-// AddTorrents, the lake keeps the records' BundledFiles slices, and a
-// dataset with two records under one torrent ID is refused whole.
+// DroppedObservations carries over into the lake's dropped counter. The
+// base, the reservation of every ID the dataset mentions and the
+// records' registration happen in one critical section, so concurrent
+// imports (or an import racing a live campaign stream) get disjoint
+// bases; the rows then enter one at a time through Append's path, and
+// segments flush at FlushRows. As with AddTorrents, the lake keeps the
+// records' BundledFiles slices; a dataset with two records under one
+// torrent ID is refused whole.
 func (lk *Lake) ImportDataset(ds *dataset.Dataset) error {
 	// The reservation must clear every ID the dataset mentions — records
 	// and observations can disagree in hand-built datasets.
 	maxID := -1
+	seen := make(map[int]bool, len(ds.Torrents))
 	for _, t := range ds.Torrents {
-		if t.TorrentID < 0 || t.TorrentID > maxTorrentID {
+		switch {
+		case t.TorrentID < 0 || t.TorrentID > maxTorrentID:
 			return fmt.Errorf("lake: torrent ID %d out of range", t.TorrentID)
+		case seen[t.TorrentID]:
+			return fmt.Errorf("lake: torrent ID %d has two records in the dataset", t.TorrentID)
 		}
-		if t.TorrentID > maxID {
-			maxID = t.TorrentID
-		}
+		seen[t.TorrentID] = true
+		maxID = max(maxID, t.TorrentID)
 	}
-	for i := 0; i < ds.Obs.Len(); i++ {
-		if tid := ds.Obs.TorrentID(i); tid > maxID {
-			maxID = tid
-		}
+	src := &ds.Obs
+	for i := 0; i < src.Len(); i++ {
+		maxID = max(maxID, src.TorrentID(i))
 	}
 
 	lk.mu.Lock()
@@ -632,83 +643,34 @@ func (lk *Lake) ImportDataset(ds *dataset.Dataset) error {
 		return errClosed
 	}
 	base := int(lk.man.NextTID)
-	if maxID >= 0 {
-		if base+maxID > maxTorrentID {
-			lk.mu.Unlock()
-			return fmt.Errorf("lake: import would exceed the torrent ID space (base %d + max %d)", base, maxID)
-		}
-		if err := lk.claimLocked(ds.Torrents, base); err != nil {
-			lk.mu.Unlock()
-			return err
-		}
-		lk.man.NextTID = int32(base + maxID + 1)
+	if base+maxID > maxTorrentID {
+		lk.mu.Unlock()
+		return fmt.Errorf("lake: import would exceed the torrent ID space (base %d + max %d)", base, maxID)
 	}
-	for _, t := range ds.Torrents {
+	cps := make([]*dataset.TorrentRecord, len(ds.Torrents))
+	for i, t := range ds.Torrents {
 		cp := *t
 		cp.TorrentID += base
-		lk.pendT = append(lk.pendT, &cp)
+		cps[i] = &cp
 	}
+	if err := lk.claimLocked(cps); err != nil {
+		lk.mu.Unlock()
+		return err
+	}
+	lk.man.NextTID = int64(base + maxID + 1)
 	lk.pendU = append(lk.pendU, ds.Users...)
 	lk.extendWindowLocked(ds.Name, ds.Start, ds.End)
 	lk.man.Dropped += int64(ds.DroppedObservations)
 	lk.mu.Unlock()
 
-	// Observation transfer: remap the dataset's intern table into the
-	// builder lazily — one hash per distinct address per open builder,
-	// not one per observation. The chunk loop re-acquires the lake per
-	// chunk so concurrent readers and writers interleave with the import.
-	src := &ds.Obs
-	srcIPs := src.IPs()
-	const unmapped = ^uint32(0)
-	const chunk = 1 << 14
-	ipMap := make([]uint32, srcIPs.Len())
-	for i := range ipMap {
-		ipMap[i] = unmapped
-	}
-	var bld *builder
-	for lo := 0; lo < src.Len(); lo += chunk {
-		hi := lo + chunk
-		if hi > src.Len() {
-			hi = src.Len()
+	for i := 0; i < src.Len(); i++ {
+		ip := src.IPString(i)
+		err := lk.appendRow(src.TorrentID(i)+base, src.UnixNano(i), src.Seeder(i), func(ips *dataset.IPTable) uint32 { return ips.InternString(ip) })
+		if err != nil {
+			return err
 		}
-		lk.mu.Lock()
-		if lk.closed {
-			lk.mu.Unlock()
-			return errClosed
-		}
-		for i := lo; i < hi; i++ {
-			sp := src.IPIndex(i)
-			mapped := ipMap[sp]
-			if mapped == unmapped || bld != lk.bld {
-				// First sight, or the builder was sealed since the map was
-				// built (mid-chunk flush, another writer, a previous
-				// chunk): re-intern against the current builder.
-				if bld != lk.bld {
-					bld = lk.bld
-					for j := range ipMap {
-						ipMap[j] = unmapped
-					}
-				}
-				mapped = bld.store.IPs().InternString(srcIPs.String(sp))
-				ipMap[sp] = mapped
-			}
-			tid := int32(src.TorrentID(i) + base)
-			atNs := src.UnixNano(i)
-			bld.store.AppendRaw(tid, mapped, atNs, src.Seeder(i))
-			bld.zone.add(tid, atNs)
-			if err := lk.maybeFlushLocked(); err != nil {
-				lk.mu.Unlock()
-				return err
-			}
-		}
-		lk.mu.Unlock()
 	}
-	lk.mu.Lock()
-	defer lk.mu.Unlock()
-	if lk.closed {
-		return errClosed
-	}
-	return lk.flushLocked(true)
+	return lk.Flush()
 }
 
 // Materialize reads the committed lake back into one in-memory dataset:
@@ -965,8 +927,9 @@ func (lk *Lake) verifyMeta(hist []*commitPayload, torrents []*dataset.TorrentRec
 // verifyJournal strictly decodes and replays journal bytes and compares
 // the folded head against the live state man. Name/Start/End, Dropped
 // and NextTID legitimately run ahead of the journal in memory
-// (ExtendWindow and import reservations commit with the next flush), so
-// they are excluded; everything else must agree exactly.
+// (ExtendWindow, and every append or claim reserving its torrent IDs,
+// commit with the next flush), so they are excluded; everything else
+// must agree exactly.
 func verifyJournal(buf []byte, man *manifest) []error {
 	recs, err := journal.Decode(buf)
 	if err != nil {

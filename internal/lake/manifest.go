@@ -30,8 +30,8 @@ type manifest struct {
 
 	// NextSeq numbers segment and meta files monotonically.
 	NextSeq int
-	// NextTID is the next unused global torrent ID (import base).
-	NextTID int32
+	// NextTID is one past the highest reserved torrent ID (import base).
+	NextTID int64
 
 	Rows     int64
 	Torrents int

@@ -3,6 +3,7 @@ package lake_test
 import (
 	"context"
 	"fmt"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -431,5 +432,149 @@ func TestOneRecordPerTorrentID(t *testing.T) {
 	refuse("ID committed before reopen", 8, lk.AddTorrents([]*dataset.TorrentRecord{rec(8)}))
 	if err := lk.ImportDataset(&dataset.Dataset{Name: "dup", Torrents: []*dataset.TorrentRecord{rec(0), rec(1)}}); err != nil {
 		t.Fatalf("import of distinct IDs: %v", err)
+	}
+}
+
+// TestTorrentIDReservedOnAccept: a torrent ID is reserved the moment the
+// lake accepts a record or a row naming it, flushed or not, so an
+// import's base clears pending records and buffered rows. Case one: the
+// import is not refused over a pending record's ID. Case two: the import
+// does not take the ID of a buffered row, which would put that row
+// under the imported record. Case three: a row at the top of the ID
+// space reserves it too, so an import finds no room.
+func TestTorrentIDReservedOnAccept(t *testing.T) {
+	next := func(lk *lake.Lake, step string, want int) {
+		t.Helper()
+		if got := lk.NextTorrentID(); got != want {
+			t.Fatalf("%s: NextTorrentID = %d, want %d", step, got, want)
+		}
+	}
+	open := func() *lake.Lake {
+		t.Helper()
+		lk, err := lake.Open(t.TempDir(), lake.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { lk.Close() })
+		return lk
+	}
+
+	t.Run("pending records", func(t *testing.T) {
+		lk := open()
+		ts, _ := recBatch(0, 2)
+		if err := lk.AddTorrents(ts); err != nil {
+			t.Fatal(err)
+		}
+		next(lk, "after AddTorrents 0-1", 2)
+		imp, _ := recBatch(0, 1)
+		if err := lk.ImportDataset(&dataset.Dataset{Name: "imp", Torrents: imp}); err != nil {
+			t.Fatalf("import past pending records 0-1: %v", err)
+		}
+		next(lk, "after the import", 3)
+		recs, _, err := lk.TorrentRecords(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int
+		for _, r := range recs {
+			got = append(got, r.TorrentID)
+		}
+		if want := []int{0, 1, 2}; !slices.Equal(got, want) {
+			t.Fatalf("committed records %v, want %v", got, want)
+		}
+	})
+
+	t.Run("buffered row", func(t *testing.T) {
+		lk := open()
+		const streamed = "10.9.9.9"
+		if err := lk.Append(dataset.Observation{TorrentID: 5, IP: streamed, At: recT0}); err != nil {
+			t.Fatal(err)
+		}
+		next(lk, "after Append of ID 5", 6)
+		imp, _ := recBatch(0, 6)
+		ds := &dataset.Dataset{Name: "imp", Start: recT0, End: recT0.Add(time.Hour)}
+		for i, r := range imp {
+			ds.AddTorrent(r)
+			ds.AddObservation(dataset.Observation{TorrentID: i, IP: fmt.Sprintf("30.0.0.%d", i), At: r.Published})
+		}
+		if err := lk.ImportDataset(ds); err != nil {
+			t.Fatal(err)
+		}
+		next(lk, "after the import", 12)
+		// The stream's record arrives last, as a live campaign commits it.
+		own, _ := recBatch(100, 1)
+		own[0].TorrentID = 5
+		if err := lk.AddTorrents(own); err != nil {
+			t.Fatalf("the streamed row's own record: %v", err)
+		}
+		next(lk, "after the streamed record", 12)
+		if err := lk.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := lk.Materialize(context.Background(), lake.Predicate{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The streamed row stays with its own record; each imported record
+		// keeps its own row only. (Materialize renumbers torrents in
+		// canonical order, so rows are matched to records by info hash.)
+		want := map[string][]string{own[0].InfoHash: {streamed}}
+		for i, r := range imp {
+			want[r.InfoHash] = []string{fmt.Sprintf("30.0.0.%d", i)}
+		}
+		hash := map[int]string{}
+		for _, r := range got.Torrents {
+			hash[r.TorrentID] = r.InfoHash
+		}
+		rows := map[string][]string{}
+		for i := 0; i < got.Obs.Len(); i++ {
+			h := hash[got.Obs.TorrentID(i)]
+			rows[h] = append(rows[h], got.Obs.IPString(i))
+		}
+		if !reflect.DeepEqual(rows, want) {
+			t.Fatalf("rows by record %v, want %v", rows, want)
+		}
+	})
+	t.Run("top of the ID space", func(t *testing.T) {
+		lk := open()
+		const top = 1<<31 - 1
+		if err := lk.Append(dataset.Observation{TorrentID: top, IP: "10.0.0.1", At: recT0}); err != nil {
+			t.Fatal(err)
+		}
+		next(lk, "after Append of the top ID", top+1)
+		imp, _ := recBatch(0, 1)
+		if err := lk.ImportDataset(&dataset.Dataset{Name: "imp", Torrents: imp}); err == nil {
+			t.Fatal("import past the top ID accepted")
+		}
+		next(lk, "after the refused import", top+1)
+	})
+}
+
+// TestAppendRefusesOutOfRangeTimestamp: a timestamp the unix-nanosecond
+// columns cannot hold (the zero time among them) is an error from Append
+// and AppendAddr, not a panic or a wrapped instant, and the lake keeps
+// nothing from the call: no row, no reserved ID, no commit.
+func TestAppendRefusesOutOfRangeTimestamp(t *testing.T) {
+	lk, err := lake.Open(t.TempDir(), lake.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lk.Close()
+	for _, at := range []time.Time{{}, time.Date(2262, 1, 1, 0, 0, 0, 0, time.UTC)} {
+		if err := lk.Append(dataset.Observation{TorrentID: 1, IP: "10.0.0.1", At: at}); err == nil {
+			t.Fatalf("Append at %v accepted", at)
+		}
+		if err := lk.AppendAddr(2, netip.MustParseAddr("10.0.0.2"), at, false); err == nil {
+			t.Fatalf("AppendAddr at %v accepted", at)
+		}
+	}
+	if got := lk.NextTorrentID(); got != 0 {
+		t.Fatalf("refused appends reserved IDs: NextTorrentID = %d", got)
+	}
+	if err := lk.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := lk.Stats(); st.Version != 0 || st.Observations != 0 {
+		t.Fatalf("refused appends left version %d, %d observations", st.Version, st.Observations)
 	}
 }

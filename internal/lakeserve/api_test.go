@@ -80,12 +80,15 @@ func TestErrorEnvelopes(t *testing.T) {
 	checkEnvelope(t, get(v1+"/publishers/nobody"), http.StatusNotFound, "not_found")
 	checkEnvelope(t, get(v1+"/torrents/banana/observations"), http.StatusBadRequest, "bad_param")
 	checkEnvelope(t, get(v1+"/torrents/3/observations?limit=0"), http.StatusBadRequest, "bad_param")
+	// A torrent ID past the int32 space would wrap onto torrent 0.
+	checkEnvelope(t, get(v1+"/torrents/4294967296/observations"), http.StatusBadRequest, "bad_query")
 
 	// The query endpoint's own failure modes.
 	checkEnvelope(t, post("/api/v1/query", `{"group_by":{"key":"nope"}}`), http.StatusBadRequest, "bad_query")
 	checkEnvelope(t, post("/api/v1/query", `not json`), http.StatusBadRequest, "bad_query")
 	checkEnvelope(t, post("/api/v1/query", `{"cursor":"junk"}`), http.StatusBadRequest, "bad_cursor")
 	checkEnvelope(t, post("/api/v1/query", `{"unknown_field":1}`), http.StatusBadRequest, "bad_query")
+	checkEnvelope(t, post("/api/v1/query", `{"filter":{"torrent_ids":[4294967296]}}`), http.StatusBadRequest, "bad_query")
 
 	// Mux-generated statuses wear the envelope too — including the
 	// un-prefixed paths, which are not routes.

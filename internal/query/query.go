@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"strconv"
 	"time"
 )
@@ -102,7 +103,8 @@ func (d *Duration) UnmarshalJSON(data []byte) error {
 type Filter struct {
 	MinTime time.Time `json:"min_time,omitzero"`
 	MaxTime time.Time `json:"max_time,omitzero"`
-	// TorrentIDs restricts to these torrents (nil/empty = all).
+	// TorrentIDs restricts to these torrents (nil/empty = all); each
+	// must lie in [0, 2^31-1], the lake's torrent-ID space.
 	TorrentIDs []int `json:"torrent_ids,omitempty"`
 	// Publishers restricts to torrents published by these usernames
 	// ("ip:<addr>" identities included). Names must be non-empty — that
@@ -244,8 +246,10 @@ func (q Query) normalize() (Query, *Error) {
 			f.MinTime.Format(time.RFC3339), f.MaxTime.Format(time.RFC3339))
 	}
 	for _, id := range f.TorrentIDs {
-		if id < 0 {
-			return q, badf("bad_query", "filter.torrent_ids must be non-negative (got %d)", id)
+		// Torrent IDs are int32 everywhere past this point; a larger one
+		// would wrap onto another torrent's rows.
+		if id < 0 || id > math.MaxInt32 {
+			return q, badf("bad_query", "filter.torrent_ids must be in [0, %d] (got %d)", math.MaxInt32, id)
 		}
 	}
 	for _, set := range []struct {

@@ -3,12 +3,15 @@ package query
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"btpub/internal/dataset"
 	"btpub/internal/geoip"
+	"btpub/internal/lake"
 )
 
 var qT0 = time.Date(2010, 4, 6, 0, 0, 0, 0, time.UTC)
@@ -250,6 +253,52 @@ func TestObservationsSelect(t *testing.T) {
 	for i := 1; i < len(res.Observations); i++ {
 		if res.Observations[i].At.Before(res.Observations[i-1].At) {
 			t.Fatal("observations not time-ordered")
+		}
+	}
+}
+
+// TestTorrentIDFilterRange: torrent IDs are int32 past normalize, so a
+// filter ID above math.MaxInt32 would wrap onto another torrent (1<<32
+// onto torrent 0). Both executors refuse one as bad_query; the top of
+// the space is still a valid filter that matches nothing here.
+func TestTorrentIDFilterRange(t *testing.T) {
+	db, err := geoip.DefaultDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := NewMemory(smallDataset(), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lk, err := lake.Open(t.TempDir(), lake.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lk.Close()
+	if err := lk.ImportDataset(smallDataset()); err != nil {
+		t.Fatal(err)
+	}
+	lx, err := NewLake(lk, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, ex := range []struct {
+		name string
+		e    interface {
+			Execute(context.Context, Query) (*Result, error)
+		}
+	}{{"memory", mem}, {"lake", lx}} {
+		for _, id := range []int{1 << 32, math.MaxInt32 + 1} {
+			res, err := ex.e.Execute(ctx, Query{Select: SelectObservations, Filter: Filter{TorrentIDs: []int{id}}})
+			var qe *Error
+			if !errors.As(err, &qe) || qe.Code != "bad_query" || !strings.Contains(qe.Message, "torrent_ids") {
+				t.Errorf("%s: torrent_ids [%d]: result %+v, err %v; want a bad_query refusal", ex.name, id, res, err)
+			}
+		}
+		res, err := ex.e.Execute(ctx, Query{Select: SelectObservations, Filter: Filter{TorrentIDs: []int{math.MaxInt32}}})
+		if err != nil || res.Total != 0 {
+			t.Errorf("%s: torrent_ids [MaxInt32]: result %+v, err %v; want no rows", ex.name, res, err)
 		}
 	}
 }
