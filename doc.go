@@ -115,14 +115,15 @@
 // tail (complete-frame corruption is refused), deletes orphans, and
 // size-checks referenced segments; Verify runs a full CRC-and-decode
 // pass (every segment's zone maps, in the file and in the journal,
-// against its rows) plus a journal-replay cross-check, and decodes every
-// meta file to hold its records against the served ones. Torrent and
-// user records are decoded once, at Open, and each flush appends to the
-// same lists: the records at version v are their first Torrents (and
-// Users) entries, and every reader shares a slice of them read-only
-// instead of decoding a meta file. A lake directory
-// holds JOURNAL, seg-*.obs and meta-*.jsonl and nothing else; a lake in
-// an older format is refused at Open, not migrated. Because the history
+// against its rows) plus a journal-replay cross-check that also holds
+// the journal's records against the served ones. Torrent and user
+// records ride inside the journal record of the commit that adds them:
+// they are decoded once, at Open, with the history, and each flush
+// appends to the same lists, so the records at version v are their
+// first Torrents (and Users) entries and every reader shares a slice of
+// them read-only. A lake directory holds JOURNAL and seg-*.obs and
+// nothing else; a lake in an older format is refused at Open, not
+// migrated. Because the history
 // is on disk, any committed version can be served
 // again: Predicate.AsOf (query Filter.AsOf, btpub-query -as-of, "as_of"
 // on POST /api/v1/query) pins a scan and TorrentRecords the
@@ -264,7 +265,7 @@
 // work per refresh. internal/delta makes the refresh incremental, with
 // one build path: a Maintainer owns a snapshot lineage and, on each
 // Refresh, diffs the commit journal against the version it last served.
-// A diff of new segments and meta files folds just those rows, and the
+// A diff of new segments and records folds just those rows, and the
 // records the lake's in-memory lists gained in the range, into the
 // live analysis and reports mode=delta plus exactly which publisher
 // identities changed. A compaction commits as a rewrite — the same rows

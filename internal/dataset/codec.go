@@ -26,11 +26,6 @@ import (
 	"time"
 )
 
-// maxTorrentID bounds decoded torrent IDs: the columnar store keys dense
-// int32 sequence numbers, so a negative or 2^31+ ID in a JSONL file is
-// corruption, not data.
-const maxTorrentID = 1<<31 - 1
-
 type lineKind struct {
 	Kind string `json:"kind"`
 }
@@ -206,10 +201,11 @@ func parseObsLine(line []byte) (tid int64, ip []byte, atNs int64, seeder bool, o
 	// take the fast path; any other spelling (offsets, odd fractions,
 	// out-of-range field values that time.Date would normalize) falls back
 	// to encoding/json so the two decoders can never diverge: the
-	// re-format must reproduce the input byte for byte. Years outside the
-	// int64-nanosecond range (1678–2261) would overflow the columnar
-	// unix-nano column, so they fall back too.
-	if y := at.Year(); y < 1678 || y > 2261 {
+	// re-format must reproduce the input byte for byte. Instants the
+	// unix-nano column cannot hold fall back too, and the general path
+	// reports them.
+	atNs, err := UnixNano(at)
+	if err != nil {
 		return 0, nil, 0, false, false
 	}
 	var tmp [48]byte
@@ -225,7 +221,7 @@ func parseObsLine(line []byte) (tid int64, ip []byte, atNs int64, seeder bool, o
 	default:
 		return 0, nil, 0, false, false
 	}
-	return tid, ip, at.UnixNano(), seeder, true
+	return tid, ip, atNs, seeder, true
 }
 
 // parseCanonicalUTC decodes "2006-01-02T15:04:05[.fraction]Z" from bytes
@@ -321,10 +317,10 @@ func Read(r io.Reader) (*Dataset, error) {
 		// Fast path: canonical observation lines skip encoding/json
 		// entirely — one prefix compare, two scans, one time parse.
 		if tid, ip, atNs, seeder, ok := parseObsLine(line); ok {
-			if tid < 0 || tid > maxTorrentID {
+			if tid < 0 || tid > MaxTorrentID {
 				return nil, fmt.Errorf("dataset: line %d: torrent ID %d out of range", lineNo, tid)
 			}
-			d.Obs.appendRaw(int32(tid), d.Obs.ips.internBytes(ip), atNs, seeder)
+			d.Obs.push(int32(tid), d.Obs.ips.internBytes(ip), atNs, seeder)
 			continue
 		}
 		// Record lines in the encoder's shape decode once. The kind check
@@ -368,15 +364,14 @@ func Read(r io.Reader) (*Dataset, error) {
 			if err := json.Unmarshal(line, &o); err != nil {
 				return nil, fmt.Errorf("dataset: line %d: %w", lineNo, err)
 			}
-			if o.TorrentID < 0 || int64(o.TorrentID) > maxTorrentID {
+			if o.TorrentID < 0 || int64(o.TorrentID) > MaxTorrentID {
 				return nil, fmt.Errorf("dataset: line %d: torrent ID %d out of range", lineNo, o.TorrentID)
 			}
-			if y := o.At.Year(); y < 1678 || y > 2261 {
-				// The unix-nanosecond column cannot hold the instant;
-				// UnixNano would overflow silently.
-				return nil, fmt.Errorf("dataset: line %d: observation timestamp %v outside supported range (years 1678-2261)", lineNo, o.At)
+			atNs, err := UnixNano(o.At)
+			if err != nil {
+				return nil, fmt.Errorf("dataset: line %d: %w", lineNo, err)
 			}
-			d.Obs.Append(o.Observation)
+			d.Obs.push(int32(o.TorrentID), d.Obs.ips.InternString(o.IP), atNs, o.Seeder)
 		case "user":
 			var u userLine
 			if err := json.Unmarshal(line, &u); err != nil {

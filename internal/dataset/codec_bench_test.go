@@ -94,7 +94,7 @@ func BenchmarkMergeShards(b *testing.B) {
 	}
 }
 
-// metaDataset is a lake meta file's shape: fully populated torrent
+// metaDataset is a records-only dataset: fully populated torrent
 // records and user records, no observations.
 func metaDataset(torrents, users int) *Dataset {
 	d := &Dataset{Name: "bench", Start: t0, End: t0.AddDate(0, 1, 0)}
@@ -118,7 +118,8 @@ func metaDataset(torrents, users int) *Dataset {
 }
 
 // BenchmarkReadMeta measures decoding a record-only file of 2 000
-// torrents and 200 users — what the lake decodes per meta file at Open.
+// torrents and 200 users: the record lines of a JSONL dataset, which
+// btpub-analyze -in and -import read.
 func BenchmarkReadMeta(b *testing.B) {
 	var buf bytes.Buffer
 	if err := metaDataset(2000, 200).Write(&buf); err != nil {

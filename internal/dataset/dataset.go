@@ -236,7 +236,7 @@ func Merge(name string, parts ...*Dataset) *Dataset {
 				mapped = out.Obs.ips.InternString(p.Obs.IPs().String(pip))
 				ipMap[pip] = mapped
 			}
-			out.Obs.appendRaw(id, mapped, p.Obs.UnixNano(i), p.Obs.Seeder(i))
+			out.Obs.push(id, mapped, p.Obs.UnixNano(i), p.Obs.Seeder(i))
 		}
 		out.Users = append(out.Users, p.Users...)
 	}

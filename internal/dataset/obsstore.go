@@ -175,35 +175,44 @@ func (s *ObsStore) At(i int) Observation {
 	}
 }
 
-// Append adds an observation given its struct form.
+// Append adds an observation given its struct form. It panics on a
+// timestamp UnixNano refuses.
 func (s *ObsStore) Append(o Observation) {
 	s.push(int32(o.TorrentID), s.ips.InternString(o.IP), mustUnixNano(o.At), o.Seeder)
 }
 
-// mustUnixNano converts a timestamp to the column representation, panicking
-// on instants the int64-nanosecond range cannot hold (years outside
-// 1678–2261) — UnixNano would silently overflow there. Decoders reject
-// such input with an error before reaching this.
-func mustUnixNano(t time.Time) int64 {
-	if y := t.Year(); y < 1678 || y > 2261 {
-		panic(fmt.Sprintf("dataset: observation timestamp %v outside the unix-nanosecond range (years 1678-2261)", t))
+// MaxTorrentID bounds torrent IDs: the columnar store keys dense int32
+// sequence numbers, so an ID outside [0, MaxTorrentID] is corruption, not
+// data, wherever it arrives.
+const MaxTorrentID = 1<<31 - 1
+
+// UnixNano converts an observation timestamp to the column form, refusing
+// instants the int64-nanosecond range cannot hold (years outside
+// 1678–2261): time.Time.UnixNano would silently overflow there.
+func UnixNano(at time.Time) (int64, error) {
+	if y := at.Year(); y < 1678 || y > 2261 {
+		return 0, fmt.Errorf("observation timestamp %v outside the unix-nanosecond range (years 1678-2261)", at)
 	}
-	return t.UnixNano()
+	return at.UnixNano(), nil
+}
+
+// mustUnixNano is UnixNano for the in-memory append paths, panicking
+// where UnixNano refuses. Decoders reject such input with an error before
+// reaching this.
+func mustUnixNano(t time.Time) int64 {
+	ns, err := UnixNano(t)
+	if err != nil {
+		panic("dataset: " + err.Error())
+	}
+	return ns
 }
 
 // AppendAddr adds an observation from a parsed address, interning its
 // string form only the first time the address is seen. This is the
-// crawler's fast path: repeat sightings cost no allocation. at must be a
-// contemporary instant (crawler clocks always are); see mustUnixNano for
-// the representable range.
+// crawler's fast path: repeat sightings cost no allocation. Like Append,
+// it panics on a timestamp UnixNano refuses.
 func (s *ObsStore) AppendAddr(tid int, addr netip.Addr, at time.Time, seeder bool) {
-	s.push(int32(tid), s.ips.InternAddr(addr), at.UnixNano(), seeder)
-}
-
-// appendRaw adds an observation whose IP is already interned in this
-// store's table (merge/decode internals).
-func (s *ObsStore) appendRaw(tid int32, ipIdx uint32, atNs int64, seeder bool) {
-	s.push(tid, ipIdx, atNs, seeder)
+	s.push(int32(tid), s.ips.InternAddr(addr), mustUnixNano(at), seeder)
 }
 
 // AppendRaw adds an observation whose address is already interned in this

@@ -142,3 +142,32 @@ func TestMergeCountsDroppedObservations(t *testing.T) {
 		t.Fatalf("clean merge reported %d dropped", clean.DroppedObservations)
 	}
 }
+
+// TestAppendPathsRefuseOutOfRangeTimestamps: both in-memory append paths
+// panic on an instant the unix-nanosecond column cannot hold instead of
+// storing a wrapped one, and UnixNano refuses it with an error.
+func TestAppendPathsRefuseOutOfRangeTimestamps(t *testing.T) {
+	addr := netip.MustParseAddr("10.0.0.1")
+	for _, at := range []time.Time{{}, time.Date(2262, 1, 1, 0, 0, 0, 0, time.UTC)} {
+		if _, err := UnixNano(at); err == nil {
+			t.Errorf("UnixNano(%v) accepted", at)
+		}
+		for name, add := range map[string]func(*ObsStore){
+			"Append":     func(s *ObsStore) { s.Append(Observation{TorrentID: 1, IP: addr.String(), At: at}) },
+			"AppendAddr": func(s *ObsStore) { s.AppendAddr(1, addr, at, false) },
+		} {
+			var s ObsStore
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s at %v did not panic", name, at)
+					}
+				}()
+				add(&s)
+			}()
+			if s.Len() != 0 {
+				t.Errorf("%s at %v stored %d rows (first at %d ns)", name, at, s.Len(), s.UnixNano(0))
+			}
+		}
+	}
+}

@@ -8,6 +8,7 @@ package lake
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -159,12 +160,106 @@ func TestJournalRefusesRewriteChangingZone(t *testing.T) {
 	requireJournalRefused(t, pays, "version 3", "rewrite", "zone")
 }
 
-// TestJournalRefusesRewriteAddingMeta: records are content, so a
-// rewrite carries none.
-func TestJournalRefusesRewriteAddingMeta(t *testing.T) {
-	pays := handJournal()
-	pays[2].AddMeta = []string{"meta-000004.jsonl"}
-	requireJournalRefused(t, pays, "version 3", "rewrite", "meta-000004.jsonl")
+// TestJournalRefusesRecordCountMismatch: a record's absolute torrent
+// and user counts are its parent's plus the records it carries — the
+// counts every version's record slices are cut by.
+func TestJournalRefusesRecordCountMismatch(t *testing.T) {
+	t.Run("torrents", func(t *testing.T) {
+		pays := handJournal()
+		pays[1].AddTorrents = []*dataset.TorrentRecord{{TorrentID: 3}}
+		requireJournalRefused(t, pays, "version 2", "adds 1 torrent and 0 user records", "counts 0 and 0")
+	})
+	t.Run("users", func(t *testing.T) {
+		pays := handJournal()
+		pays[2].Users = 1
+		requireJournalRefused(t, pays, "version 3", "adds 0 torrent and 0 user records", "counts 0 and 1")
+	})
+}
+
+// recordsLake commits four versions — v1 and v2 add three torrents and a
+// user each, v3 rows only, v4 two torrents and a user — and, with
+// reopen, returns a handle that decoded them from the journal instead of
+// the writing one. Cleanup closes it.
+func recordsLake(t *testing.T, reopen bool) *Lake {
+	t.Helper()
+	t0 := time.Date(2010, 4, 6, 0, 0, 0, 0, time.UTC)
+	dir := filepath.Join(t.TempDir(), "lake")
+	lk, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := 0
+	for _, n := range []int{3, 3, 0, 2} {
+		var ts []*dataset.TorrentRecord
+		for ; len(ts) < n; id++ {
+			ts = append(ts, &dataset.TorrentRecord{TorrentID: id, Title: fmt.Sprintf("Title.%d", id), Published: t0})
+		}
+		if n > 0 {
+			err = lk.AddTorrents(ts)
+			if err == nil {
+				err = lk.AddUsers([]dataset.UserRecord{{Username: fmt.Sprintf("user%d", lk.Stats().Users), MemberSince: t0}})
+			}
+		} else {
+			err = lk.Append(dataset.Observation{TorrentID: 0, IP: "10.0.0.1", At: t0})
+		}
+		if err == nil {
+			err = lk.Flush()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if reopen {
+		if err := lk.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if lk, err = Open(dir, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Cleanup(func() { lk.Close() })
+	return lk
+}
+
+// TestVerifyChecksJournalRecords: a served record that no longer matches
+// the journal record of the commit that added it is reported by Verify,
+// naming that version, whether the handle committed the record itself or
+// decoded it from the journal on reopen.
+func TestVerifyChecksJournalRecords(t *testing.T) {
+	cases := []struct {
+		name   string
+		tamper func(lk *Lake)
+		want   []string
+	}{
+		{"edited", func(lk *Lake) {
+			cp := *lk.torrents[4]
+			cp.Title = "Title.X"
+			lk.torrents[4] = &cp
+		}, []string{"version 2", "torrent record 4 (ID 4)"}},
+		{"user-edited", func(lk *Lake) { lk.users[2].TotalUploads++ }, []string{"version 4", `user record 2 ("user2")`}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, reopen := range []bool{false, true} {
+				t.Run(fmt.Sprintf("reopen=%v", reopen), func(t *testing.T) {
+					lk := recordsLake(t, reopen)
+					if errs := lk.Verify(context.Background()); len(errs) != 0 {
+						t.Fatalf("verify of an intact lake: %v", errs)
+					}
+					tc.tamper(lk)
+					errs := lk.Verify(context.Background())
+					if len(errs) != 1 {
+						t.Fatalf("verify of a tampered record = %v, want one error", errs)
+					}
+					for _, w := range tc.want {
+						if !strings.Contains(errs[0].Error(), w) {
+							t.Fatalf("verify error %q does not name %q", errs[0], w)
+						}
+					}
+				})
+			}
+		})
+	}
 }
 
 // TestDiffFoldsNeutralRewrites: the diff crosses a compaction whose

@@ -16,8 +16,7 @@
 // alone; ReadDiff additionally loads the added rows under one scan lock,
 // so the segments it reads can never be vacuumed mid-read, and cuts the
 // added records from the lake's in-memory lists: the records a version
-// range added are the entries between its two versions' counts, so no
-// meta file is decoded after Open.
+// range added are the entries between its two versions' counts.
 package lake
 
 import (
@@ -32,13 +31,12 @@ import (
 type Diff struct {
 	From uint64 `json:"from"`
 	To   uint64 `json:"to"`
-	// AddedSegments / AddedMeta list files committed in the range, in
-	// commit order. RetiredSegments lists segments any commit in the
-	// range removed (compaction folds, salvage drops). All three are the
-	// literal file deltas, rewrites included.
+	// AddedSegments lists segments committed in the range, in commit
+	// order. RetiredSegments lists segments any commit in the range
+	// removed (compaction folds, salvage drops). Both are the literal
+	// file deltas, rewrites included.
 	AddedSegments   []string `json:"added_segments,omitempty"`
 	RetiredSegments []string `json:"retired_segments,omitempty"`
-	AddedMeta       []string `json:"added_meta,omitempty"`
 	// ContentRetired lists the retired segments whose commit the
 	// snapshot cannot fold across: a retirement not marked as a rewrite,
 	// or a rewrite that consumed a segment added inside the range. The
@@ -127,14 +125,13 @@ func (lk *Lake) diffLocked(from, to uint64) (*Diff, []segMeta, error) {
 				added = append(added, s)
 			}
 		}
-		d.AddedMeta = append(d.AddedMeta, pay.AddMeta...)
 	}
 	return d, added, nil
 }
 
 // DiffData is ReadDiff's payload: the diff, the scalar state at its To
-// version, and — when the range is incremental — the added meta records
-// and the observations new since From (commit order, own intern table).
+// version, and — when the range is incremental — the added records and
+// the observations new since From (commit order, own intern table).
 // Torrents and Users are shared with the lake and every other reader,
 // read-only and capped at their length; Obs is the caller's.
 type DiffData struct {
@@ -197,7 +194,7 @@ func (lk *Lake) ReadAll(ctx context.Context) (*DiffData, error) {
 	lk.mu.Lock()
 	info := versionInfo(lk.man)
 	segs := append([]segMeta(nil), lk.man.Segments...)
-	out := &DiffData{Diff: Diff{To: info.Version, AddedMeta: slices.Clone(lk.man.Meta)}, Info: info,
+	out := &DiffData{Diff: Diff{To: info.Version}, Info: info,
 		Torrents: slices.Clip(lk.torrents), Users: slices.Clip(lk.users)}
 	lk.mu.Unlock()
 

@@ -151,7 +151,7 @@ func TestCorruptSegmentCRC(t *testing.T) {
 }
 
 // TestManifestCrashSimulation: a crash that left a journal-repair tmp
-// file and orphaned segment/meta files (flushed but never committed) must
+// file and an orphaned segment (flushed but never committed) must
 // reopen to exactly the last committed state, with the orphans removed.
 func TestManifestCrashSimulation(t *testing.T) {
 	dir, total := buildSmallLake(t, 256)
@@ -160,9 +160,6 @@ func TestManifestCrashSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "seg-009999.obs"), []byte("half a segment"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "meta-009998.jsonl"), []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -175,7 +172,7 @@ func TestManifestCrashSimulation(t *testing.T) {
 	if st.Observations != int64(total) || st.Torrents != 10 {
 		t.Fatalf("recovered stats = %+v, want %d observations / 10 torrents", st, total)
 	}
-	for _, f := range []string{"JOURNAL.tmp", "seg-009999.obs", "meta-009998.jsonl"} {
+	for _, f := range []string{"JOURNAL.tmp", "seg-009999.obs"} {
 		if _, err := os.Stat(filepath.Join(dir, f)); !os.IsNotExist(err) {
 			t.Errorf("orphan %s survived recovery", f)
 		}
@@ -205,44 +202,61 @@ func TestPreJournalLakeRefused(t *testing.T) {
 	}
 }
 
-// TestOldFormatLakeRefused: a lake written by a build that kept postings
-// in idx-*.ipx side files (payload format 2) is refused at its first
-// journal record with an error naming both formats — not salvaged, not
-// migrated, and not one of its files touched.
+// TestOldFormatLakeRefused: a lake written by an older build is refused
+// at its first journal record with an error naming both formats — not
+// salvaged, not migrated, and not one of its files touched. Format 2
+// kept postings in idx-*.ipx side files; format 3 kept torrent and user
+// records in meta-*.jsonl files beside the journal.
 func TestOldFormatLakeRefused(t *testing.T) {
-	dir := t.TempDir()
-	payload := `{"format":2,"next_seq":1,"next_tid":1,"rows":1,"torrents":0,"users":0,` +
-		`"add_segments":[{"file":"seg-000000.obs","bytes":2,"index":"idx-000000.ipx","index_bytes":2,` +
-		`"rows":1,"min_at_ns":1,"max_at_ns":1,"min_tid":0,"max_tid":0}]}`
-	files := map[string][]byte{
-		journal.Name:     journal.Encode([]journal.Record{{Version: 1, Payload: []byte(payload)}}),
-		"seg-000000.obs": []byte("{}"),
-		"idx-000000.ipx": []byte("{}"),
+	cases := []struct {
+		format  int
+		payload string
+		side    string // the format's extra file kind
+	}{
+		{2, `{"format":2,"next_seq":1,"next_tid":1,"rows":1,"torrents":0,"users":0,` +
+			`"add_segments":[{"file":"seg-000000.obs","bytes":2,"index":"idx-000000.ipx","index_bytes":2,` +
+			`"rows":1,"min_at_ns":1,"max_at_ns":1,"min_tid":0,"max_tid":0}]}`, "idx-000000.ipx"},
+		{3, `{"format":3,"next_seq":2,"next_tid":1,"rows":1,"torrents":1,"users":0,` +
+			`"add_segments":[{"file":"seg-000000.obs","bytes":2,"rows":1,"min_at_ns":1,"max_at_ns":1,"min_tid":0,"max_tid":0}],` +
+			`"add_meta":["meta-000001.jsonl"]}`, "meta-000001.jsonl"},
 	}
-	for name, data := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, opt := range []lake.Options{{}, {Salvage: true}} {
-		lk, err := lake.Open(dir, opt)
-		if err == nil {
-			lk.Close()
-			t.Fatalf("Open(%+v) accepted a format-2 lake", opt)
-		}
-		if msg := err.Error(); !strings.Contains(msg, "format 2") || !strings.Contains(msg, "format 3") {
-			t.Fatalf("refusal does not name the formats: %v", err)
-		}
-	}
-	for name, data := range files {
-		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("refused open touched %s: %v", name, err)
-		}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("format-%d", tc.format), func(t *testing.T) {
+			dir := t.TempDir()
+			files := map[string][]byte{
+				journal.Name:     journal.Encode([]journal.Record{{Version: 1, Payload: []byte(tc.payload)}}),
+				"seg-000000.obs": []byte("{}"),
+				tc.side:          []byte("{}"),
+			}
+			for name, data := range files {
+				if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, opt := range []lake.Options{{}, {Salvage: true}} {
+				lk, err := lake.Open(dir, opt)
+				if err == nil {
+					lk.Close()
+					t.Fatalf("Open(%+v) accepted a format-%d lake", opt, tc.format)
+				}
+				if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("format %d", tc.format)) || !strings.Contains(msg, "format 4") {
+					t.Fatalf("refusal does not name the formats: %v", err)
+				}
+			}
+			for name, data := range files {
+				if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, data) {
+					t.Fatalf("refused open touched %s: %v", name, err)
+				}
+			}
+			if names, _ := os.ReadDir(dir); len(names) != len(files) {
+				t.Fatalf("refused open left %d files, want the %d written", len(names), len(files))
+			}
+		})
 	}
 }
 
 // TestNextTIDClearsStreamedObservations: a crash between a live stream's
-// observation flushes and its final meta commit leaves observations for
+// observation flushes and its final record commit leaves observations for
 // torrent IDs no record claims; the next writer must not be handed those
 // IDs, or the stale observations would silently re-attribute.
 func TestNextTIDClearsStreamedObservations(t *testing.T) {

@@ -4,18 +4,18 @@
 // row at a time through one path into an open columnar builder that is
 // sealed into immutable segment files (zone maps + sorted dictionaries
 // that double as the segment's index + delta-compressed columns + CRC
-// footers, see segment.go); torrent and user records ride in JSONL meta
-// files reusing the dataset codec. A torrent ID is reserved the moment
-// the lake accepts a record or a row naming it: NextTorrentID moves past
-// it then, not at the flush, so no import base can hand it out again. Open
-// decodes the meta files once and each flush appends its records, so the
-// lake holds every committed record in memory and readers share them
-// read-only; no read path decodes a meta file. A
-// lake directory holds those two file kinds and the source of truth, an
-// append-only commit journal (internal/lake/journal and commits.go): every
-// flush, import, compaction or salvage appends one fsynced, CRC- and
-// chain-protected record — one record per version, so record v is
-// version v — and Open replays the journal to head. Any committed
+// footers, see segment.go). A lake directory holds those segment files
+// and the source of truth, an append-only commit journal
+// (internal/lake/journal and commits.go): every flush, import,
+// compaction or salvage appends one fsynced, CRC- and chain-protected
+// record — one record per version, so record v is version v — and Open
+// replays the journal to head. Torrent and user records ride inside the
+// journal record of the commit that adds them, so Open decodes them with
+// the history and each flush appends its own: the lake holds every
+// committed record in memory once and readers share them read-only. A
+// torrent ID is reserved the moment the lake accepts a record or a row
+// naming it: NextTorrentID moves past it then, not at the flush, so no
+// import base can hand it out again. Any committed
 // version remains addressable: Predicate.AsOf and TorrentRecords pin
 // reads to historical states while ingest continues. Readers scan
 // committed segments with predicate pushdown (see scan.go) while a compactor
@@ -43,10 +43,6 @@ import (
 	"btpub/internal/lake/journal"
 	"btpub/internal/vfs"
 )
-
-// maxTorrentID mirrors the dataset codec's bound: torrent IDs are dense
-// int32 sequence numbers everywhere downstream.
-const maxTorrentID = 1<<31 - 1
 
 // Options tunes a lake handle.
 type Options struct {
@@ -94,7 +90,7 @@ type Lake struct {
 	opt Options
 
 	// mu guards the live state, the journal, the open builder, the
-	// pending and committed meta records and commit sequencing.
+	// pending and committed records and commit sequencing.
 	mu      sync.Mutex
 	man     *manifest
 	jr      *journal.Journal
@@ -106,8 +102,8 @@ type Lake struct {
 	closed  bool
 	lastErr error
 	// torrents and users are every committed record in commit order:
-	// decoded from the meta files at Open, extended by each flush. Meta
-	// files are never retired and each version's counts are absolute, so
+	// decoded from the journal at Open, extended by each commit. Records
+	// are never retired and each version's counts are absolute, so
 	// version v's records are the first hist[v-1].Torrents (and Users)
 	// entries. Readers get slices capped at their length and share the
 	// records read-only.
@@ -138,12 +134,11 @@ type Lake struct {
 // Open opens (or creates) the lake in dir. Crash recovery happens here:
 // a torn journal tail is repaired (a crash mid-append can only lose the
 // record being written, never a committed one), the journal is replayed
-// into the live state, segment and meta files not referenced by
-// committed state are deleted, every referenced
-// segment is size-checked against its entry (Options.Salvage turns a
-// failing segment into a logged drop — committed as a retire record —
-// instead of an error), and every meta file is decoded, once, into the
-// records the handle serves from then on.
+// into the live state and the records the handle serves from then on,
+// segment files not referenced by committed state are deleted, and every
+// referenced segment is size-checked against its entry (Options.Salvage
+// turns a failing segment into a logged drop — committed as a retire
+// record — instead of an error).
 func Open(dir string, opt Options) (*Lake, error) {
 	opt.setDefaults()
 	fsys := opt.FS
@@ -191,34 +186,23 @@ func Open(dir string, opt Options) (*Lake, error) {
 		retire = append(retire, s.File)
 	}
 	man.Segments = keep
-	torrents, users, err := loadRecords(fsys, hist)
-	if err != nil {
-		return nil, fmt.Errorf("lake: open %s: %w", dir, err)
-	}
-	// Remove files a crash orphaned (written but never committed) and any
-	// leftover tmp files. Only files this package names are touched; with
-	// Retain set, files any journal record ever referenced survive so
+	torrents, users := takeRecords(hist)
+	// Remove segments a crash orphaned (written but never committed) and
+	// any leftover tmp files. Only files this package names are touched;
+	// with Retain set, segments any journal record ever added survive so
 	// historical versions stay scannable.
 	names, err := fsys.ReadDir()
 	if err != nil {
 		return nil, err
 	}
 	referenced := man.files()
-	var retained map[string]bool
 	if opt.Retain {
-		retained = histFiles(hist)
+		referenced = histFiles(hist)
 	}
 	for _, name := range names {
-		if !isLakeFile(name) {
-			continue
+		if isLakeFile(name) && !referenced[name] {
+			_ = fsys.Remove(name)
 		}
-		if _, ok := referenced[name]; ok {
-			continue
-		}
-		if retained[name] {
-			continue
-		}
-		_ = fsys.Remove(name)
 	}
 	lk := &Lake{dir: dir, fs: fsys, opt: opt, man: man, bld: newBuilder(), jr: jr, hist: hist,
 		torrents: torrents, users: users, tids: make(map[int]bool, len(torrents))}
@@ -287,8 +271,8 @@ type Stats struct {
 	End   time.Time `json:"end"`
 	// Version is the journal head version; Commits the number of journal
 	// records Open replays, one per version, so it equals Version;
-	// TotalBytes the on-disk footprint of live segments and the journal
-	// (meta files are not counted).
+	// TotalBytes the on-disk footprint of live segments and the journal,
+	// which holds the torrent and user records.
 	Version    uint64 `json:"version"`
 	Commits    int64  `json:"commits"`
 	TotalBytes int64  `json:"total_bytes"`
@@ -339,9 +323,9 @@ func (lk *Lake) Stats() Stats {
 // unix-nanosecond range (years 1678-2261) is refused with an error, and
 // the lake keeps nothing from the call.
 func (lk *Lake) Append(o dataset.Observation) error {
-	atNs, err := unixNano(o.At)
+	atNs, err := dataset.UnixNano(o.At)
 	if err != nil {
-		return err
+		return fmt.Errorf("lake: %w", err)
 	}
 	return lk.appendRow(o.TorrentID, atNs, o.Seeder, func(ips *dataset.IPTable) uint32 { return ips.InternString(o.IP) })
 }
@@ -350,21 +334,11 @@ func (lk *Lake) Append(o dataset.Observation) error {
 // string is computed only the first time this builder sees it. It
 // refuses what Append refuses.
 func (lk *Lake) AppendAddr(tid int, addr netip.Addr, at time.Time, seeder bool) error {
-	atNs, err := unixNano(at)
+	atNs, err := dataset.UnixNano(at)
 	if err != nil {
-		return err
+		return fmt.Errorf("lake: %w", err)
 	}
 	return lk.appendRow(tid, atNs, seeder, func(ips *dataset.IPTable) uint32 { return ips.InternAddr(addr) })
-}
-
-// unixNano converts an observation timestamp to the column form, refusing
-// instants the int64-nanosecond range cannot hold, as the dataset codec
-// does.
-func unixNano(at time.Time) (int64, error) {
-	if y := at.Year(); y < 1678 || y > 2261 {
-		return 0, fmt.Errorf("lake: observation timestamp %v outside the unix-nanosecond range (years 1678-2261)", at)
-	}
-	return at.UnixNano(), nil
 }
 
 // appendRow is the one way an observation enters the lake — Append,
@@ -374,7 +348,7 @@ func unixNano(at time.Time) (int64, error) {
 // it, so no later base can hand the ID out again, flushed or not) and
 // seals a segment at FlushRows.
 func (lk *Lake) appendRow(tid int, atNs int64, seeder bool, intern func(*dataset.IPTable) uint32) error {
-	if tid < 0 || tid > maxTorrentID {
+	if tid < 0 || tid > dataset.MaxTorrentID {
 		return fmt.Errorf("lake: torrent ID %d out of range", tid)
 	}
 	lk.mu.Lock()
@@ -422,7 +396,7 @@ func (lk *Lake) claimLocked(recs []*dataset.TorrentRecord) error {
 		id := r.TorrentID
 		var err error
 		switch {
-		case id < 0 || id > maxTorrentID:
+		case id < 0 || id > dataset.MaxTorrentID:
 			err = fmt.Errorf("lake: torrent ID %d out of range", id)
 		case lk.tids[id]:
 			err = fmt.Errorf("lake: torrent ID %d already has a record", id)
@@ -473,8 +447,8 @@ func (lk *Lake) extendWindowLocked(name string, start, end time.Time) {
 	}
 }
 
-// Flush seals the open builder and pending meta records into files and
-// commits a new manifest version. A no-op when nothing is pending.
+// Flush seals the open builder into a segment file and commits it with
+// the pending records as a new version. A no-op when nothing is pending.
 func (lk *Lake) Flush() error {
 	lk.mu.Lock()
 	defer lk.mu.Unlock()
@@ -491,15 +465,17 @@ func (lk *Lake) maybeFlushLocked() error {
 	return lk.flushLocked(true)
 }
 
-// flushLocked writes the builder segment and/or meta file, appends the
-// commit record, and (optionally) kicks the background compactor. The
-// live state only advances — and the builder is only cleared and the
-// pending records only join the committed ones — once the journal append
-// succeeds; a failed attempt retries with the same sequence numbers and
-// Create truncates the half-written files.
+// flushLocked writes the builder segment, appends the commit record —
+// carrying the pending records — and (optionally) kicks the background
+// compactor. The live state only advances — and the builder and the
+// pending records are only cleared — once the journal append succeeds; a
+// failed attempt retries with the same sequence number and Create
+// truncates the half-written file.
 func (lk *Lake) flushLocked(autoCompact bool) error {
 	next := lk.man.clone()
-	pay := &commitPayload{}
+	pay := &commitPayload{AddTorrents: lk.pendT, AddUsers: lk.pendU}
+	next.Torrents += len(lk.pendT)
+	next.Users += len(lk.pendU)
 	sealedSeg := false
 	if n := lk.bld.store.Len(); n > 0 {
 		name := fmt.Sprintf("seg-%06d.obs", next.NextSeq)
@@ -515,25 +491,7 @@ func (lk *Lake) flushLocked(autoCompact bool) error {
 		next.Rows += int64(n)
 		sealedSeg = true
 	}
-	sealedMeta := false
-	if len(lk.pendT) > 0 || len(lk.pendU) > 0 {
-		name := fmt.Sprintf("meta-%06d.jsonl", next.NextSeq)
-		next.NextSeq++
-		buf, err := encodeMeta(&dataset.Dataset{Name: next.Name, Start: next.Start, End: next.End, Torrents: lk.pendT, Users: lk.pendU})
-		if err == nil {
-			err = lk.writeFileSync(name, buf)
-		}
-		if err != nil {
-			lk.lastErr = err
-			return err
-		}
-		next.Meta = append(next.Meta, name)
-		pay.AddMeta = append(pay.AddMeta, name)
-		next.Torrents += len(lk.pendT)
-		next.Users += len(lk.pendU)
-		sealedMeta = true
-	}
-	if !sealedSeg && !sealedMeta {
+	if !sealedSeg && len(pay.AddTorrents) == 0 && len(pay.AddUsers) == 0 {
 		return nil
 	}
 	next.Version++
@@ -544,11 +502,7 @@ func (lk *Lake) flushLocked(autoCompact bool) error {
 	if sealedSeg {
 		lk.bld = newBuilder()
 	}
-	if sealedMeta {
-		lk.torrents = append(lk.torrents, lk.pendT...)
-		lk.users = append(lk.users, lk.pendU...)
-		lk.pendT, lk.pendU = nil, nil
-	}
+	lk.pendT, lk.pendU = nil, nil
 	if autoCompact && lk.opt.Compact.Auto && lk.compactEligibleLocked() {
 		lk.startCompactLocked()
 	}
@@ -556,9 +510,11 @@ func (lk *Lake) flushLocked(autoCompact bool) error {
 }
 
 // commitLocked appends one record to the journal and, on success,
-// installs next as the live state. Callers hold mu, own next (a clone or
-// a state no reader shares), and have already written and fsynced every
-// file the record references. On failure the live state is unchanged.
+// installs next as the live state and moves the records pay adds onto
+// the committed lists, emptying pay's. Callers hold mu, own next (a
+// clone or a state no reader shares), and have already written and
+// fsynced every segment the record references. On failure the live
+// state is unchanged.
 func (lk *Lake) commitLocked(next *manifest, pay *commitPayload) error {
 	payloadScalars(pay, next)
 	data, err := json.Marshal(pay)
@@ -569,12 +525,15 @@ func (lk *Lake) commitLocked(next *manifest, pay *commitPayload) error {
 		return err
 	}
 	lk.man = next
+	lk.torrents = append(lk.torrents, pay.AddTorrents...)
+	lk.users = append(lk.users, pay.AddUsers...)
+	pay.AddTorrents, pay.AddUsers = nil, nil
 	lk.hist = append(lk.hist, pay)
 	return nil
 }
 
-// writeFileSync writes data and fsyncs before closing, so the manifest
-// can never reference a segment or meta file the disk does not yet hold.
+// writeFileSync writes data and fsyncs before closing, so the journal
+// can never reference a segment the disk does not yet hold.
 func (lk *Lake) writeFileSync(name string, data []byte) error {
 	f, err := lk.fs.Create(name)
 	if err != nil {
@@ -624,7 +583,7 @@ func (lk *Lake) ImportDataset(ds *dataset.Dataset) error {
 	seen := make(map[int]bool, len(ds.Torrents))
 	for _, t := range ds.Torrents {
 		switch {
-		case t.TorrentID < 0 || t.TorrentID > maxTorrentID:
+		case t.TorrentID < 0 || t.TorrentID > dataset.MaxTorrentID:
 			return fmt.Errorf("lake: torrent ID %d out of range", t.TorrentID)
 		case seen[t.TorrentID]:
 			return fmt.Errorf("lake: torrent ID %d has two records in the dataset", t.TorrentID)
@@ -643,7 +602,7 @@ func (lk *Lake) ImportDataset(ds *dataset.Dataset) error {
 		return errClosed
 	}
 	base := int(lk.man.NextTID)
-	if base+maxID > maxTorrentID {
+	if base+maxID > dataset.MaxTorrentID {
 		lk.mu.Unlock()
 		return fmt.Errorf("lake: import would exceed the torrent ID space (base %d + max %d)", base, maxID)
 	}
@@ -808,50 +767,6 @@ func (lk *Lake) pinned(version uint64) (*manifest, error) {
 	return m, nil
 }
 
-// loadRecords decodes the meta files hist references, in commit order,
-// and holds every version's absolute torrent and user counts against the
-// records decoded through it, which is what slicing by version rests on.
-func loadRecords(fsys vfs.FS, hist []*commitPayload) ([]*dataset.TorrentRecord, []dataset.UserRecord, error) {
-	var torrents []*dataset.TorrentRecord
-	var users []dataset.UserRecord
-	for i, pay := range hist {
-		for _, f := range pay.AddMeta {
-			md, err := readMeta(fsys, f)
-			if err != nil {
-				return nil, nil, err
-			}
-			torrents = append(torrents, md.Torrents...)
-			users = append(users, md.Users...)
-		}
-		if len(torrents) != pay.Torrents || len(users) != pay.Users {
-			return nil, nil, fmt.Errorf("version %d adds meta files %v: the records through it are %d torrents and %d users, the journal counts %d and %d",
-				i+1, pay.AddMeta, len(torrents), len(users), pay.Torrents, pay.Users)
-		}
-	}
-	return torrents, users, nil
-}
-
-// readMeta reads and decodes one meta file.
-func readMeta(fsys vfs.FS, f string) (*dataset.Dataset, error) {
-	buf, err := fsys.ReadFile(f)
-	var md *dataset.Dataset
-	if err == nil {
-		md, err = dataset.Read(bytes.NewReader(buf))
-	}
-	if err != nil {
-		return nil, fmt.Errorf("meta file %s: %w", f, err)
-	}
-	return md, nil
-}
-
-// encodeMeta renders a meta file: the dataset codec's JSONL, without
-// observations.
-func encodeMeta(md *dataset.Dataset) ([]byte, error) {
-	var buf bytes.Buffer
-	err := md.Write(&buf)
-	return buf.Bytes(), err
-}
-
 // Verify checks the whole lake: the on-disk journal is strictly
 // re-decoded (rejecting torn tails, CRC damage, version gaps and
 // parent-hash breaks), folded (rejecting a retirement of a segment that
@@ -859,10 +774,10 @@ func encodeMeta(md *dataset.Dataset) ([]byte, error) {
 // held against the live state; then every committed
 // segment is read, CRC-checked and decoded — which proves its header
 // zone and postings against its rows — and its journal entry's zone
-// maps, the copy scans prune on, are held against the file's; last,
-// every committed meta file is decoded and its records held against the
-// ones the handle serves. One error per problem; nil means the lake is
-// fully intact.
+// maps, the copy scans prune on, are held against the file's. The
+// re-decoded journal's records are held against the ones the handle
+// serves, version by version. One error per problem; nil means the lake
+// is fully intact.
 func (lk *Lake) Verify(ctx context.Context) []error {
 	lk.scanMu.RLock()
 	defer lk.scanMu.RUnlock()
@@ -871,7 +786,6 @@ func (lk *Lake) Verify(ctx context.Context) []error {
 	lk.mu.Lock()
 	jbuf, jerr := lk.fs.ReadFile(journal.Name)
 	man := lk.man.clone()
-	hist := lk.hist
 	torrents, users := lk.torrents, lk.users
 	lk.mu.Unlock()
 	var errs []error
@@ -881,7 +795,7 @@ func (lk *Lake) Verify(ctx context.Context) []error {
 	case jerr != nil:
 		errs = append(errs, fmt.Errorf("lake: verify: reading journal: %w", jerr))
 	default:
-		errs = append(errs, verifyJournal(jbuf, man)...)
+		errs = append(errs, verifyJournal(jbuf, man, torrents, users)...)
 	}
 	for _, sm := range man.Segments {
 		if ctx.Err() != nil {
@@ -892,50 +806,21 @@ func (lk *Lake) Verify(ctx context.Context) []error {
 			errs = append(errs, err)
 		}
 	}
-	return append(errs, lk.verifyMeta(hist, torrents, users)...)
-}
-
-// verifyMeta decodes every meta file hist adds and holds its records
-// against the entries of the served lists its commit accounts for, both
-// encoded as a meta file stores them.
-func (lk *Lake) verifyMeta(hist []*commitPayload, torrents []*dataset.TorrentRecord, users []dataset.UserRecord) []error {
-	var errs []error
-	prev := &commitPayload{}
-	for _, pay := range hist {
-		for _, f := range pay.AddMeta {
-			md, err := readMeta(lk.fs, f)
-			if err == nil {
-				served := &dataset.Dataset{Name: md.Name, Start: md.Start, End: md.End,
-					Torrents: torrents[prev.Torrents:pay.Torrents], Users: users[prev.Users:pay.Users]}
-				// Encoding fails only on a timestamp outside years 0–9999,
-				// which neither a decoded nor a flushed record can hold.
-				want, _ := encodeMeta(served)
-				if got, _ := encodeMeta(md); !bytes.Equal(got, want) {
-					err = fmt.Errorf("meta file %s: records differ from the %d torrents and %d users served",
-						f, len(served.Torrents), len(served.Users))
-				}
-			}
-			if err != nil {
-				errs = append(errs, fmt.Errorf("lake: verify: %w", err))
-			}
-		}
-		prev = pay
-	}
 	return errs
 }
 
 // verifyJournal strictly decodes and replays journal bytes and compares
-// the folded head against the live state man. Name/Start/End, Dropped
-// and NextTID legitimately run ahead of the journal in memory
-// (ExtendWindow, and every append or claim reserving its torrent IDs,
-// commit with the next flush), so they are excluded; everything else
-// must agree exactly.
-func verifyJournal(buf []byte, man *manifest) []error {
+// the folded head against the live state man and the served records.
+// Name/Start/End, Dropped and NextTID legitimately run ahead of the
+// journal in memory (ExtendWindow, and every append or claim reserving
+// its torrent IDs, commit with the next flush), so they are excluded;
+// everything else must agree exactly.
+func verifyJournal(buf []byte, man *manifest, torrents []*dataset.TorrentRecord, users []dataset.UserRecord) []error {
 	recs, err := journal.Decode(buf)
 	if err != nil {
 		return []error{fmt.Errorf("lake: verify: %w", err)}
 	}
-	_, folded, err := decodeHist(recs)
+	hist, folded, err := decodeHist(recs)
 	if err != nil {
 		return []error{err}
 	}
@@ -949,16 +834,48 @@ func verifyJournal(buf []byte, man *manifest) []error {
 	if folded.Rows != man.Rows || folded.Torrents != man.Torrents || folded.Users != man.Users {
 		errs = append(errs, fmt.Errorf("lake: verify: journal rows/torrents/users %d/%d/%d, live state %d/%d/%d",
 			folded.Rows, folded.Torrents, folded.Users, man.Rows, man.Torrents, man.Users))
+	} else {
+		errs = append(errs, verifyRecords(hist, torrents, users)...)
 	}
 	if !slices.Equal(folded.Segments, man.Segments) {
 		errs = append(errs, fmt.Errorf("lake: verify: journal segment list disagrees with live state (%d vs %d entries)",
 			len(folded.Segments), len(man.Segments)))
 	}
-	if !slices.Equal(folded.Meta, man.Meta) {
-		errs = append(errs, fmt.Errorf("lake: verify: journal meta list disagrees with live state (%d vs %d entries)",
-			len(folded.Meta), len(man.Meta)))
+	return errs
+}
+
+// verifyRecords holds the records each journal record in hist adds
+// against the entries of the served lists its version accounts for,
+// compared as the journal stores them, naming the version of each that
+// differs. The served lists must be as long as hist's head counts.
+func verifyRecords(hist []*commitPayload, torrents []*dataset.TorrentRecord, users []dataset.UserRecord) []error {
+	var errs []error
+	var nt, nu int
+	for i, pay := range hist {
+		for j, r := range pay.AddTorrents {
+			if !sameJSON(r, torrents[nt+j]) {
+				errs = append(errs, fmt.Errorf("lake: verify: version %d: served torrent record %d (ID %d) differs from its journal record",
+					i+1, nt+j, r.TorrentID))
+			}
+		}
+		for j, u := range pay.AddUsers {
+			if !sameJSON(u, users[nu+j]) {
+				errs = append(errs, fmt.Errorf("lake: verify: version %d: served user record %d (%q) differs from its journal record",
+					i+1, nu+j, u.Username))
+			}
+		}
+		nt, nu = pay.Torrents, pay.Users
 	}
 	return errs
+}
+
+// sameJSON reports whether a and b encode to the same JSON. Encoding
+// fails only on a timestamp outside years 0–9999, which neither a decoded
+// nor a committed record can hold.
+func sameJSON(a, b any) bool {
+	ja, _ := json.Marshal(a)
+	jb, _ := json.Marshal(b)
+	return bytes.Equal(ja, jb)
 }
 
 // readSegment loads and decodes one committed segment file, and refuses

@@ -1,9 +1,10 @@
-// The manifest is the lake's in-memory state: every live segment and
-// meta file together with their zone maps and sizes. On disk the source
-// of truth is the append-only commit journal (see internal/lake/journal
-// and commits.go): Open replays the journal into a manifest. Segment and
-// meta files are written (and fsynced) before the commit record that
-// references them; files a crash orphaned are deleted on Open.
+// The manifest is the lake's in-memory state: every live segment with its
+// zone map and size, and the scalar counters. On disk the source of truth
+// is the append-only commit journal (see internal/lake/journal and
+// commits.go), which also carries every torrent and user record: Open
+// replays the journal into a manifest. A segment file is written (and
+// fsynced) before the commit record that references it; segments a crash
+// orphaned are deleted on Open.
 package lake
 
 import (
@@ -28,7 +29,7 @@ type manifest struct {
 	Start   time.Time
 	End     time.Time
 
-	// NextSeq numbers segment and meta files monotonically.
+	// NextSeq numbers segment files monotonically.
 	NextSeq int
 	// NextTID is one past the highest reserved torrent ID (import base).
 	NextTID int64
@@ -41,25 +42,19 @@ type manifest struct {
 	Dropped int64
 
 	Segments []segMeta
-	// Meta lists the JSONL files holding torrent and user records.
-	Meta []string
 }
 
 func (m *manifest) clone() *manifest {
 	cp := *m
 	cp.Segments = append([]segMeta(nil), m.Segments...)
-	cp.Meta = append([]string(nil), m.Meta...)
 	return &cp
 }
 
-// files returns every file the manifest references.
-func (m *manifest) files() map[string]int64 {
-	out := make(map[string]int64, len(m.Segments)+len(m.Meta))
+// files returns every segment the manifest references.
+func (m *manifest) files() map[string]bool {
+	out := make(map[string]bool, len(m.Segments))
 	for _, s := range m.Segments {
-		out[s.File] = s.Bytes
-	}
-	for _, f := range m.Meta {
-		out[f] = -1 // meta sizes are not pinned
+		out[s.File] = true
 	}
 	return out
 }
@@ -68,6 +63,5 @@ func (m *manifest) files() map[string]int64 {
 // (orphan cleanup must never touch anything else in the directory).
 func isLakeFile(name string) bool {
 	return strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".obs") ||
-		strings.HasPrefix(name, "meta-") && strings.HasSuffix(name, ".jsonl") ||
 		name == journal.TmpName
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
-	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -62,84 +61,6 @@ func mustCommitRecords(t *testing.T, lk *lake.Lake, id, n int) {
 	}
 }
 
-// TestVerifyChecksMetaFiles: a committed meta file that no longer holds
-// the records the handle serves is reported by Verify, by name, and a
-// reopen refuses the lake naming the file.
-func TestVerifyChecksMetaFiles(t *testing.T) {
-	cases := []struct {
-		name string
-		// damage rewrites the meta file's bytes.
-		damage func(t *testing.T, buf []byte) []byte
-		// verifyWant and openWant are substrings the errors must hold
-		// besides the file name.
-		verifyWant, openWant string
-	}{
-		{"undecodable", func(*testing.T, []byte) []byte { return []byte("{") }, "meta file", "meta file"},
-		{"edited", func(t *testing.T, buf []byte) []byte {
-			out := strings.Replace(string(buf), "Title.1", "Title.X", 1)
-			if out == string(buf) {
-				t.Fatal("no record to edit")
-			}
-			return []byte(out)
-		}, "records differ", ""},
-		{"truncated", func(t *testing.T, buf []byte) []byte {
-			lines := strings.SplitAfter(string(buf), "\n")
-			return []byte(strings.Join(append(lines[:2:2], lines[3:]...), ""))
-		}, "records differ", "journal counts"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := filepath.Join(t.TempDir(), "lake")
-			lk, err := lake.Open(dir, lake.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			mustCommitRecords(t, lk, 0, 4)
-			if errs := lk.Verify(context.Background()); len(errs) != 0 {
-				t.Fatalf("verify of an intact lake: %v", errs)
-			}
-			metas, _ := filepath.Glob(filepath.Join(dir, "meta-*.jsonl"))
-			if len(metas) != 1 {
-				t.Fatalf("lake holds meta files %v, want one", metas)
-			}
-			file := filepath.Base(metas[0])
-			buf, err := os.ReadFile(metas[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(metas[0], tc.damage(t, buf), 0o644); err != nil {
-				t.Fatal(err)
-			}
-
-			errs := lk.Verify(context.Background())
-			if len(errs) != 1 || !strings.Contains(errs[0].Error(), file) || !strings.Contains(errs[0].Error(), tc.verifyWant) {
-				t.Fatalf("verify of a damaged meta file = %v, want one error naming %s (%q)", errs, file, tc.verifyWant)
-			}
-			if err := lk.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			lk, err = lake.Open(dir, lake.Options{})
-			if tc.openWant == "" {
-				// The file still decodes to as many records: the reopened
-				// handle serves what the file now says.
-				if err != nil {
-					t.Fatalf("reopen: %v", err)
-				}
-				lk.Close()
-				return
-			}
-			if err == nil {
-				lk.Close()
-				t.Fatal("reopen accepted a damaged meta file")
-			}
-			if msg := err.Error(); !strings.Contains(msg, file) || !strings.Contains(msg, dir) || !strings.Contains(msg, tc.openWant) {
-				t.Fatalf("reopen error %q does not name the lake, %s and %q", msg, file, tc.openWant)
-			}
-		})
-	}
-}
-
 // recordsView is what one version's readers see of the records.
 type recordsView struct {
 	torrents  []*dataset.TorrentRecord
@@ -172,7 +93,7 @@ func viewAt(t *testing.T, lk *lake.Lake, v uint64) recordsView {
 }
 
 // TestRecordsSurviveReopen: the records a handle serves from its flushes
-// are the records a reopened handle decodes from the meta files, at every
+// are the records a reopened handle decodes from the journal, at every
 // committed version and on every read path — across plain flushes, an
 // import and a compaction.
 func TestRecordsSurviveReopen(t *testing.T) {
@@ -194,7 +115,7 @@ func TestRecordsSurviveReopen(t *testing.T) {
 		mustCommitRecords(t, lk, id, 3+round)
 		id += 3 + round
 		step()
-		// An observation-only version between meta commits.
+		// An observation-only version between record commits.
 		for i := 0; i < 100; i++ {
 			if err := lk.Append(dataset.Observation{TorrentID: i % id, IP: fmt.Sprintf("10.0.0.%d", i), At: recT0.Add(time.Duration(i) * time.Second)}); err != nil {
 				t.Fatal(err)

@@ -227,7 +227,7 @@ func TestTimeTravelRetain(t *testing.T) {
 }
 
 // TestEveryVersionReplays: the journal is the history. A workload of
-// flushes, meta commits and compactions records the live state right
+// flushes, record commits and compactions records the live state right
 // after each commit; then, for every version, the fold a pin resolves —
 // on the writing handle and again after a reopen — is exactly that
 // state, each one-version diff names exactly the files the commit added
@@ -274,9 +274,6 @@ func TestEveryVersionReplays(t *testing.T) {
 		for _, s := range m.Segments {
 			out[s.File] = true
 		}
-		for _, f := range m.Meta {
-			out[f] = true
-		}
 		return out
 	}
 	minus := func(a, b *manifest) map[string]bool {
@@ -307,7 +304,7 @@ func TestEveryVersionReplays(t *testing.T) {
 				t.Fatalf("%s: diff v%d..v%d: %v", when, v, v+1, err)
 			}
 			added := map[string]bool{}
-			for _, f := range append(d.AddedSegments, d.AddedMeta...) {
+			for _, f := range d.AddedSegments {
 				added[f] = true
 			}
 			retired := map[string]bool{}

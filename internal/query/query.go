@@ -20,9 +20,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"math"
 	"strconv"
 	"time"
+
+	"btpub/internal/dataset"
 )
 
 // Group-by keys.
@@ -248,8 +249,8 @@ func (q Query) normalize() (Query, *Error) {
 	for _, id := range f.TorrentIDs {
 		// Torrent IDs are int32 everywhere past this point; a larger one
 		// would wrap onto another torrent's rows.
-		if id < 0 || id > math.MaxInt32 {
-			return q, badf("bad_query", "filter.torrent_ids must be in [0, %d] (got %d)", math.MaxInt32, id)
+		if id < 0 || id > dataset.MaxTorrentID {
+			return q, badf("bad_query", "filter.torrent_ids must be in [0, %d] (got %d)", dataset.MaxTorrentID, id)
 		}
 	}
 	for _, set := range []struct {
